@@ -3,11 +3,12 @@
 The enumerator takes a nondeterministic finite automaton (built directly,
 parsed from a small text format, or compiled from a regex) and streams the
 accepted words of a given length in strictly increasing lexicographic order.
-After a preprocessing pass whose cost is O(|alphabet|*|Q| + l*|Q|^2 +
-l*#transitions), consecutive words are produced with O(l*#transitions) work
-between outputs, independent of how many words have been emitted, and with
-flat memory: each word is derived from the previous one plus the read-only
-tables. Radix (shortlex) order over a whole language comes from chaining one
+After a preprocessing pass whose cost is O(|alphabet|*|Q| +
+l*(#transitions + |Q| log |Q|)), consecutive words are produced with
+O(l*#transitions) work between outputs, independent of how many words have
+been emitted, and with flat memory: each word is derived from the previous
+one plus read-only tables of O(l*|Q|) entries (each state's first step and
+word-order rank per length). Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length.
 """
 

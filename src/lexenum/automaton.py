@@ -96,7 +96,6 @@ class Nfa:
         "transition_count",
         "_glyphs",
         "_glyph_ids",
-        "_adj_symbols",
         "_index",
     )
 
@@ -120,7 +119,6 @@ class Nfa:
         self.transition_count = transition_count
         self._glyphs = tuple(s.glyph for s in alphabet)
         self._glyph_ids = {s.glyph: s.id for s in alphabet}
-        self._adj_symbols = [[a for a, _ in row] for row in adjacency]
         self._index = index
 
     @property

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from .automaton import Nfa, build_nfa
 from .enumeration import EXHAUSTED, CrossSectionCursor
-from .instrument import ops
+from .instrument import counting
 from .tables import precompute
 
 _GLYPH_POOL = string.ascii_lowercase + string.ascii_uppercase + string.digits
@@ -85,10 +85,7 @@ def measure_delays(
     include the automaton layout construction in the preprocessing tally.
     ``limit`` bounds the number of outputs measured.
     """
-    prev_enabled, prev_ops = ops.enabled, ops.ops
-    ops.enabled = True
-    ops.reset()
-    try:
+    with counting() as ops:
         t0 = time.perf_counter_ns()
         nfa = source() if callable(source) else source
         tables = precompute(nfa, length)
@@ -122,9 +119,6 @@ def measure_delays(
             final_gap_ops=final_gap_ops,
             final_gap_nanos=final_gap_nanos,
         )
-    finally:
-        ops.enabled = prev_enabled
-        ops.ops = prev_ops
 
 
 def random_automaton(

@@ -34,36 +34,23 @@ _symbol_of = itemgetter(0)
 def min_word(k: int, states: SparseStateSet, tables: MinWordTables) -> Optional[Word]:
     """Least length-k word accepted from any state in ``states``, or None.
 
-    One pass over ``states`` finds the best starting state (and whether any
-    state accepts at all); the word is then spelled by following first_step
-    entries. A miss costs O(|states|), a hit O(k + |states|).
+    An argmin over the level-k ranks finds the best starting state; the
+    sentinel rank means no state accepts. The word is then spelled by
+    following first_step entries. A miss costs O(|states|), a hit
+    O(k + |states|).
     """
     elems = states.elements
     if not elems:
         return None
-    first_step = tables.first_step
-    row = first_step[k]
-    order = tables.leq[k]
-    n = tables.state_count
-    q_min = elems[0]
-    found = False
-    for q in elems:
-        if row[q] is not None:
-            found = True
-        if order[q * n + q_min]:
-            q_min = q
+    rank = tables.rank[k]
+    q_min = min(elems, key=rank.__getitem__)
     if _ops.enabled:
-        _ops.ops += 2 * len(elems)
-    if not found:
+        _ops.ops += len(elems)
+    if rank[q_min] == tables.state_count:
         return None
-    out = []
-    q = q_min
-    for level in range(k, 0, -1):
-        a, q = first_step[level][q]
-        out.append(a)
     if _ops.enabled:
         _ops.ops += k
-    return tuple(out)
+    return tables.min_word_from(k, q_min)
 
 
 def build_run_stack(word: Word, nfa: Nfa) -> list[SparseStateSet]:
@@ -103,7 +90,6 @@ def next_word(
     order with the least completing suffix of length ``length - i - 1``.
     """
     adjacency = nfa.adjacency
-    adj_symbols = nfa._adj_symbols
     counting = _ops.enabled
     for i in range(length - 1, -1, -1):
         cur = stack[i]
@@ -111,7 +97,7 @@ def next_word(
         candidates = []
         for q in cur.elements:
             row = adjacency[q]
-            start = bisect_right(adj_symbols[q], wi)
+            start = bisect_right(row, wi, key=_symbol_of)
             if start < len(row):
                 candidates.extend(row[start:])
         if not candidates:
@@ -193,11 +179,12 @@ class CrossSectionCursor:
         return word
 
     def seek(self, word) -> None:
-        """Position the cursor as if ``word`` had just been produced.
+        """Resume the enumeration just after ``word``.
 
-        ``word`` must have the cursor's length and valid symbol ids; it is
-        assumed to belong to the cross-section (the very property enumeration
-        outputs satisfy), so the following :meth:`next` yields its successor.
+        ``word`` must have the cursor's length and valid symbol ids, but need
+        not be accepted: the following :meth:`next` yields the least member
+        of the cross-section greater than ``word``, or :data:`EXHAUSTED` when
+        there is none.
         """
         word = tuple(word)
         if len(word) != self.length:

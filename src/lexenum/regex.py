@@ -4,7 +4,9 @@ parentheses.
 Patterns compile through the classic construction with epsilon moves, which
 are then eliminated so the resulting :class:`Nfa` satisfies the plain
 transition model used everywhere else. The alphabet is the set of literals
-that occur in the pattern, ordered by code point.
+that occur in the pattern, ordered by code point. Stacked quantifiers
+collapse (``a+?`` means ``a*``), and parentheses nest at most
+:data:`MAX_GROUP_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -22,14 +24,22 @@ class RegexSyntaxError(ValueError):
         super().__init__(f"{message} at position {position}")
 
 
+# Parentheses may nest at most this deep, which bounds the recursion depth
+# of the parser and of the fragment builder.
+MAX_GROUP_DEPTH = 100
+
+_QUANTIFIERS = {"*": "star", "+": "plus", "?": "opt"}
+
 # AST nodes are tuples tagged by their first element:
-# ("eps",) ("lit", ch) ("cat", a, b) ("alt", a, b) ("star", a) ("plus", a) ("opt", a)
+# ("eps",) ("lit", ch) ("cat", a, b, ...) ("alt", a, b, ...) ("star", a)
+# ("plus", a) ("opt", a). A quantifier never wraps another quantifier.
 
 
 class _Parser:
     def __init__(self, pattern: str):
         self.pattern = pattern
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.pattern[self.pos] if self.pos < len(self.pattern) else None
@@ -41,11 +51,11 @@ class _Parser:
         return node
 
     def alternation(self):
-        node = self.concatenation()
+        branches = [self.concatenation()]
         while self.peek() == "|":
             self.pos += 1
-            node = ("alt", node, self.concatenation())
-        return node
+            branches.append(self.concatenation())
+        return branches[0] if len(branches) == 1 else ("alt", *branches)
 
     def concatenation(self):
         parts = []
@@ -56,51 +66,42 @@ class _Parser:
             parts.append(self.repetition())
         if not parts:
             return ("eps",)
-        node = parts[0]
-        for part in parts[1:]:
-            node = ("cat", node, part)
-        return node
+        return parts[0] if len(parts) == 1 else ("cat", *parts)
 
     def repetition(self):
         node = self.atom()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                node = ("star", node)
-            elif ch == "+":
-                node = ("plus", node)
-            elif ch == "?":
-                node = ("opt", node)
-            else:
-                return node
+        while (tag := _QUANTIFIERS.get(self.peek())) is not None:
+            # Stacked quantifiers collapse: x** x*+ x+? ... all mean x*,
+            # while x++ means x+ and x?? means x?.
+            if node[0] in ("star", "plus", "opt"):
+                if node[0] != tag:
+                    tag = "star"
+                node = node[1]
+            node = (tag, node)
             self.pos += 1
+        return node
 
     def atom(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise RegexSyntaxError(
+                    f"parentheses nested deeper than {MAX_GROUP_DEPTH}", self.pos
+                )
+            self.depth += 1
             self.pos += 1
             node = self.alternation()
             if self.peek() != ")":
                 raise RegexSyntaxError("unbalanced '('", self.pos)
             self.pos += 1
+            self.depth -= 1
             return node
-        if ch in "*+?":
+        if ch in _QUANTIFIERS:
             raise RegexSyntaxError(f"nothing to repeat with {ch!r}", self.pos)
         # ')' and '|' terminate concatenation and never reach here; anything
         # else is a literal.
         self.pos += 1
         return ("lit", ch)
-
-
-def _literals(node, out: set):
-    tag = node[0]
-    if tag == "lit":
-        out.add(node[1])
-    elif tag in ("cat", "alt"):
-        _literals(node[1], out)
-        _literals(node[2], out)
-    elif tag in ("star", "plus", "opt"):
-        _literals(node[1], out)
 
 
 class _Builder:
@@ -126,17 +127,18 @@ class _Builder:
             self.sym[s].append((self.symbol_ids[node[1]], t))
             return s, t
         if tag == "cat":
-            s1, t1 = self.build(node[1])
-            s2, t2 = self.build(node[2])
-            self.eps[t1].append(s2)
-            return s1, t2
+            s, t = self.build(node[1])
+            for part in node[2:]:
+                s2, t2 = self.build(part)
+                self.eps[t].append(s2)
+                t = t2
+            return s, t
         if tag == "alt":
-            s1, t1 = self.build(node[1])
-            s2, t2 = self.build(node[2])
+            ends = [self.build(branch) for branch in node[1:]]
             s, t = self.state(), self.state()
-            self.eps[s] += [s1, s2]
-            self.eps[t1].append(t)
-            self.eps[t2].append(t)
+            for s1, t1 in ends:
+                self.eps[s].append(s1)
+                self.eps[t1].append(t)
             return s, t
         s1, t1 = self.build(node[1])
         s, t = self.state(), self.state()
@@ -167,9 +169,8 @@ def compile_regex(pattern: str) -> Nfa:
     pattern (and empty branches such as ``a|``) match the empty word.
     """
     ast = _Parser(pattern).parse()
-    literals: set[str] = set()
-    _literals(ast, literals)
-    alphabet = sorted(literals)
+    # Every character that parsed and is not an operator is a literal.
+    alphabet = sorted(set(pattern) - set(_SPECIAL))
     symbol_ids = {ch: i for i, ch in enumerate(alphabet)}
 
     builder = _Builder(symbol_ids)

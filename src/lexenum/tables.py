@@ -7,14 +7,16 @@ questions in O(1):
   accepted starting from ``q``: a ``(symbol_id, next_state)`` pair, or
   :data:`EMPTY_WORD` when ``k == 0`` and ``q`` is final, or ``None`` when no
   length-k word is accepted from ``q``.
-* ``leq[k][q * n + q']`` is 1 iff a length-k word is accepted from ``q`` and
-  (none is accepted from ``q'``, or the least one from ``q`` is
-  lexicographically <= the least one from ``q'``). This relation is a
-  preorder: neither total nor antisymmetric.
+* ``rank[k][q]`` is the dense rank of that least word among the least
+  length-k words of all states that accept one: states spelling the same
+  word share a rank, and the ranks in use are ``0 .. m-1``. States accepting
+  no length-k word get the sentinel ``state_count``, above every live rank.
+  So ``q``'s word is lexicographically <= ``q'``'s iff
+  ``rank[k][q] <= rank[k][q']``.
 
-Both tables are dense, fully initialised arrays, so building them costs
-O(length * |Q|^2) for ``leq`` plus O(length * #transitions) for
-``first_step``; every later access is O(1).
+Level k is derived from level k-1 alone, so building the tables costs
+O(|alphabet| * |Q| + length * (#transitions + |Q| log |Q|)) and they hold
+O(length * |Q|) entries; every later access is O(1).
 """
 
 from __future__ import annotations
@@ -39,20 +41,20 @@ class MinWordTables:
     4 * length * #transitions and exists so tests can check that bound.
     """
 
-    __slots__ = ("length", "state_count", "first_step", "leq", "fill_ops")
+    __slots__ = ("length", "state_count", "first_step", "rank", "fill_ops")
 
     def __init__(
         self,
         length: int,
         state_count: int,
         first_step: list[list[Entry]],
-        leq: list[bytearray],
+        rank: list[list[int]],
         fill_ops: int,
     ):
         self.length = length
         self.state_count = state_count
         self.first_step = first_step
-        self.leq = leq
+        self.rank = rank
         self.fill_ops = fill_ops
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
@@ -72,12 +74,12 @@ class MinWordTables:
 def precompute(nfa: Nfa, length: int) -> MinWordTables:
     """Build the tables for all word lengths ``0 .. length``.
 
-    Level 0 marks final states as accepting the empty word. Level k derives
+    Level 0 gives final states the empty word and rank 0. Level k derives
     each state's entry from level k-1: its adjacency list is scanned in
-    increasing symbol order, within each target tuple the state spelling the
-    least length-(k-1) word is selected, and the first symbol whose selected
-    target accepts some length-(k-1) word wins. The ``leq`` level is then
-    filled by comparing first steps, falling back to level k-1 on ties.
+    increasing symbol order, within each target tuple the target of least
+    level-(k-1) rank is selected, and the first symbol whose selected target
+    is live wins. The live states are then ranked by the key (first symbol,
+    level-(k-1) rank of the selected target), which orders their least words.
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
@@ -85,61 +87,45 @@ def precompute(nfa: Nfa, length: int) -> MinWordTables:
     counting = _ops.enabled
 
     first_step: list[list[Entry]] = [[None] * n for _ in range(length + 1)]
-    leq = [bytearray(n * n) for _ in range(length + 1)]
-    if counting:
-        _ops.ops += (length + 1) * (n + n * n)
-
-    step0 = first_step[0]
-    leq0 = leq[0]
+    rank0 = [n] * n
     for q in nfa.final_states:
-        step0[q] = EMPTY_WORD
-        base = q * n
-        for other in range(n):
-            leq0[base + other] = 1
+        first_step[0][q] = EMPTY_WORD
+        rank0[q] = 0
+    rank = [rank0]
     if counting:
-        _ops.ops += len(nfa.final_states) * (n + 1)
+        _ops.ops += (length + 1) * n + n + 2 * len(nfa.final_states)
 
     adjacency = nfa.adjacency
     fill_ops = 0
     for k in range(1, length + 1):
-        prev_step = first_step[k - 1]
+        prev_rank = rank[k - 1]
+        prev_key = prev_rank.__getitem__
         cur_step = first_step[k]
-        prev_leq = leq[k - 1]
-        cur_leq = leq[k]
 
         visited = 0
+        live = []
         for q in range(n):
             for a, targets in adjacency[q]:
-                # Least target under the level-(k-1) word order; ties keep
-                # the latest candidate, which spells the same word.
-                q_min = targets[0]
-                for cand in targets:
-                    if prev_leq[cand * n + q_min]:
-                        q_min = cand
+                q_min = min(targets, key=prev_key)
                 visited += 2 + 2 * len(targets)
-                if prev_step[q_min] is not None:
+                r = prev_rank[q_min]
+                if r < n:
                     cur_step[q] = (a, q_min)
+                    live.append((a * n + r, q))
                     break
         fill_ops += visited
 
-        live = 0
-        for q in range(n):
-            t = cur_step[q]
-            if t is None:
-                continue
-            live += 1
-            a, p = t
-            base = q * n
-            pbase = p * n
-            for other in range(n):
-                tp = cur_step[other]
-                if tp is None:
-                    cur_leq[base + other] = 1
-                else:
-                    ap = tp[0]
-                    if a < ap or (a == ap and prev_leq[pbase + tp[1]]):
-                        cur_leq[base + other] = 1
+        cur_rank = [n] * n
+        r = -1
+        last_key = None
+        for key, q in sorted(live):
+            if key != last_key:
+                r += 1
+                last_key = key
+            cur_rank[q] = r
+        rank.append(cur_rank)
         if counting:
-            _ops.ops += visited + n + 3 * live * n
+            m = len(live)
+            _ops.ops += visited + n + m + m * (m - 1).bit_length()
 
-    return MinWordTables(length, n, first_step, leq, fill_ops)
+    return MinWordTables(length, n, first_step, rank, fill_ops)

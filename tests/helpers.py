@@ -61,11 +61,19 @@ def rebuild_factory(nfa: Nfa):
     return lambda: build_nfa(glyphs, nfa.state_count, initial, final, triples)
 
 
+def rank_leq(tables, k: int, q: int, p: int) -> bool:
+    """The word-order relation at level k, derived from the ranks: True iff
+    ``q`` accepts a length-k word and (``p`` accepts none, or ``q``'s least
+    one is lexicographically <= ``p``'s)."""
+    rank = tables.rank[k]
+    return rank[q] < tables.state_count and rank[q] <= rank[p]
+
+
 def tables_snapshot(tables):
     """Deep, comparable copy of the table contents."""
     return (
         tuple(tuple(row) for row in tables.first_step),
-        tuple(bytes(level) for level in tables.leq),
+        tuple(tuple(level) for level in tables.rank),
     )
 
 

@@ -38,6 +38,7 @@ from helpers import (
     corpus_automaton,
     make_a1,
     nested_scaling_family,
+    rank_leq,
     rebuild_factory,
     tables_snapshot,
 )
@@ -114,15 +115,14 @@ def test_criterion_2_tables_match_minimal_word_oracle():
         tables = precompute(nfa, MAX_LEN)
         for k in range(MAX_LEN + 1):
             mins = min_words_by_state(nfa, k)
-            level = tables.leq[k]
             for q in range(n):
                 assert tables.min_word_from(k, q) == mins[q]
                 accepts = mins[q] is not None
                 for qp in range(n):
                     expected = accepts and (mins[qp] is None or mins[q] <= mins[qp])
-                    assert bool(level[q * n + qp]) == expected
+                    assert rank_leq(tables, k, q, qp) == expected
     print(
-        f"PASS 2: spelled minimal words and order tables exact on the corpus "
+        f"PASS 2: spelled minimal words and rank orders exact on the corpus "
         f"({time.perf_counter() - t0:.1f}s)",
         flush=True,
     )

@@ -59,9 +59,10 @@ class TestEnum:
         assert "error" in err
 
     def test_regex_error_exits_two(self, capsys):
-        code, _, err = run(capsys, "enum", "--regex", "(a", "--length", "1")
-        assert code == 2
-        assert "position" in err
+        for pattern in ("(a", "(" * 400 + "a" + ")" * 400):
+            code, _, err = run(capsys, "enum", "--regex", pattern, "--length", "1")
+            assert code == 2
+            assert "position" in err
 
     def test_requires_exactly_one_input(self, capsys, a1_file):
         with pytest.raises(SystemExit) as excinfo:

@@ -203,6 +203,8 @@ class TestMemorylessness:
             assert tables_snapshot(tables) == before
 
     def test_fast_forward_reproduces_tail(self):
+        # seek(w) resumes a range: for a member or any other word w of the
+        # right length, the cursor continues with the members greater than w.
         rng = random.Random(71)
         checked = 0
         while checked < 40:
@@ -212,10 +214,12 @@ class TestMemorylessness:
             words = list(cross_section(nfa, length, tables))
             if not words:
                 continue
-            i = rng.randrange(len(words))
-            fresh = CrossSectionCursor(nfa, length, tables)
-            fresh.seek(words[i])
-            assert list(fresh) == words[i + 1 :]
+            member = words[rng.randrange(len(words))]
+            arbitrary = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
+            for start in (member, arbitrary):
+                fresh = CrossSectionCursor(nfa, length, tables)
+                fresh.seek(start)
+                assert list(fresh) == [w for w in words if w > start]
             checked += 1
 
 

@@ -10,6 +10,7 @@ from lexenum import (
     cross_section_bruteforce,
     radix_words,
 )
+from lexenum.regex import MAX_GROUP_DEPTH
 
 
 def words_of(nfa, length):
@@ -85,18 +86,39 @@ def test_stacked_quantifiers_allowed():
             cross_section_bruteforce(single, length)
 
 
+# Python's re rejects x** and reads x+? and x?? as lazy; in this dialect
+# stacked quantifiers collapse, so these patterns compare with that form.
+_COLLAPSED = {"a" + "*" * 3000: "a*", "(a|b)+?c": "(a|b)*c", "a??b++": "a?b+"}
+
+
 @pytest.mark.parametrize(
     "pattern",
-    ["a*ba*", "(a|b)*abb", "a?b+c*", "((a|b)(a|b))*", "a(b|)c?", "(ab)+", "(|a)b*"],
+    [
+        "a*ba*",
+        "(a|b)*abb",
+        "a?b+c*",
+        "((a|b)(a|b))*",
+        "a(b|)c?",
+        "(ab)+",
+        "(|a)b*",
+        # Inputs large enough to overflow a recursive parser or builder.
+        pytest.param("a" * 3000, id="a-x3000"),
+        pytest.param("|".join(["a"] * 1500), id="a-alt1500"),
+        pytest.param("a" + "*" * 3000, id="a-star3000"),
+        pytest.param("(" * MAX_GROUP_DEPTH + "ab|c" + ")" * MAX_GROUP_DEPTH, id="nested-max"),
+        "(a|b)+?c",
+        "a??b++",
+    ],
 )
 def test_agrees_with_re_fullmatch(pattern):
     nfa = compile_regex(pattern)
+    reference = _COLLAPSED.get(pattern, pattern)
     glyphs = [s.glyph for s in nfa.alphabet]
     for length in range(5):
         expected = [
             "".join(chars)
             for chars in itertools.product(sorted(set(pattern) - set("|*+?()")), repeat=length)
-            if re.fullmatch(pattern, "".join(chars))
+            if re.fullmatch(reference, "".join(chars))
         ]
         assert words_of(nfa, length) == expected
         assert glyphs == sorted(set(pattern) - set("|*+?()"))
@@ -111,6 +133,7 @@ def test_agrees_with_re_fullmatch(pattern):
         ("a|*", 2),
         ("a(b", 3),
         ("+", 0),
+        pytest.param("(" * 400 + "a" + ")" * 400, MAX_GROUP_DEPTH, id="nested400"),
     ],
 )
 def test_syntax_errors_carry_position(pattern, position):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lexenum import EMPTY_WORD, build_nfa, min_words_by_state, precompute
-from helpers import corpus_automaton, nested_scaling_family
+from helpers import corpus_automaton, nested_scaling_family, rank_leq
 
 
 def test_a1_first_step_levels(a1):
@@ -15,16 +15,30 @@ def test_a1_first_step_levels(a1):
 
 def test_a1_order_levels(a1):
     tables = precompute(a1, 2)
-    n = 2
     # Level 0: only the final state accepts, and compares below everything.
-    assert bytes(tables.leq[0]) == bytes([0, 0, 1, 1])
+    level0 = [rank_leq(tables, 0, q, p) for q in (0, 1) for p in (0, 1)]
+    assert level0 == [False, False, True, True]
     # Level 1: the least word from state 1 ("a") beats state 0's ("b").
-    assert tables.leq[1][1 * n + 0] == 1
-    assert tables.leq[1][0 * n + 1] == 0
-    assert tables.leq[1][0 * n + 0] == 1
+    assert rank_leq(tables, 1, 1, 0)
+    assert not rank_leq(tables, 1, 0, 1)
+    assert rank_leq(tables, 1, 0, 0)
     # Level 2: "ab" from state 0 vs "aa" from state 1.
-    assert tables.leq[2][0 * n + 1] == 0
-    assert tables.leq[2][1 * n + 0] == 1
+    assert not rank_leq(tables, 2, 0, 1)
+    assert rank_leq(tables, 2, 1, 0)
+
+
+def test_ranks_are_dense_with_sentinel_on_dead_states():
+    rng = random.Random(29)
+    for _ in range(60):
+        nfa = corpus_automaton(rng)
+        n = nfa.state_count
+        tables = precompute(nfa, 5)
+        for k in range(6):
+            ranks = tables.rank[k]
+            live = {ranks[q] for q in range(n) if tables.first_step[k][q] is not None}
+            assert live == set(range(len(live)))
+            for q in range(n):
+                assert (ranks[q] == n) == (tables.first_step[k][q] is None)
 
 
 def test_spelled_words_a1(a1):
@@ -42,13 +56,13 @@ def test_no_final_states_leaves_tables_empty():
     tables = precompute(nfa, 4)
     for k in range(5):
         assert tables.first_step[k] == [None, None, None]
-        assert bytes(tables.leq[k]) == bytes(9)
+        assert not any(rank_leq(tables, k, q, p) for q in range(3) for p in range(3))
 
 
 def test_length_zero_has_single_level(a1):
     tables = precompute(a1, 0)
     assert len(tables.first_step) == 1
-    assert len(tables.leq) == 1
+    assert len(tables.rank) == 1
     assert tables.first_step[0] == [None, EMPTY_WORD]
 
 
@@ -98,13 +112,12 @@ def test_order_table_matches_bruteforce_predicate():
         tables = precompute(nfa, 5)
         for k in range(6):
             mins = min_words_by_state(nfa, k)
-            level = tables.leq[k]
             for q in range(n):
                 for qp in range(n):
                     expected = mins[q] is not None and (
                         mins[qp] is None or mins[q] <= mins[qp]
                     )
-                    assert bool(level[q * n + qp]) == expected
+                    assert rank_leq(tables, k, q, qp) == expected
 
 
 def test_order_table_reflexive_exactly_on_support():
@@ -114,11 +127,10 @@ def test_order_table_reflexive_exactly_on_support():
         n = nfa.state_count
         tables = precompute(nfa, 4)
         for k in range(5):
-            level = tables.leq[k]
             for q in range(n):
                 accepts = tables.first_step[k][q] is not None
-                assert bool(level[q * n + q]) == accepts
-                assert any(level[q * n + qp] for qp in range(n)) == accepts
+                assert rank_leq(tables, k, q, q) == accepts
+                assert any(rank_leq(tables, k, q, qp) for qp in range(n)) == accepts
 
 
 def test_first_step_fill_work_is_linear_in_transitions():
