@@ -125,9 +125,6 @@ class Nfa:
     def symbol_count(self) -> int:
         return len(self.alphabet)
 
-    def is_final(self, state: int) -> bool:
-        return bool(self.final_flags[state])
-
     def targets(self, state: int, symbol_id: int) -> tuple[int, ...]:
         """Target states of ``state`` on ``symbol_id``; () when none. O(1)."""
         found = self._index[state][symbol_id]

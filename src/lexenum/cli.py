@@ -85,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     radix_p = sub.add_parser("radix", help="whole language by increasing length")
     _add_input_flags(radix_p)
     radix_p.add_argument("--max-length", type=_nonneg, help="largest length to emit")
-    radix_p.add_argument("--limit", type=_positive,
-                         help="stop after N words (if the language may hold fewer, "
-                              "add --max-length so the scan terminates)")
+    radix_p.add_argument("--limit", type=_positive, help="stop after N words")
     radix_p.add_argument("--count-ops", action="store_true",
                          help="tally operations and report them on stderr")
     radix_p.set_defaults(handler=_cmd_radix)
@@ -135,9 +133,6 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_radix(args) -> int:
-    if args.max_length is None and args.limit is None:
-        print("error: radix needs --max-length and/or --limit", file=sys.stderr)
-        return 2
     nfa = _load_automaton(args)
     if args.count_ops:
         with counting() as counter:

@@ -3,13 +3,14 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions), and keeps no state besides
-the last output word, one reusable scratch set, and the read-only tables, so
+the last output word, one reusable scratch set, and tables it only reads, so
 memory stays flat no matter how many words are produced.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import count
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -134,8 +135,10 @@ class CrossSectionCursor:
     previous output and searches for its successor, so per-output work is
     O(length * #transitions) regardless of history.
 
-    The automaton and tables are shared and never written; any number of
-    cursors may run over them concurrently. A single cursor is not
+    The automaton and tables are shared, and cursors never write to them;
+    any number of cursors may run over them concurrently. The owner of the
+    tables may append levels meanwhile (:meth:`MinWordTables.add_level`),
+    which leaves every level a cursor reads unchanged. A single cursor is not
     thread-safe but may be moved between threads between calls.
     """
 
@@ -216,20 +219,40 @@ def radix_words(
 ) -> Iterator[Word]:
     """Yield the language in radix order: shorter first, ties lexicographic.
 
-    Chains one cross-section cursor per length, preprocessing each length
-    independently. With no ``max_length`` the generator scans lengths
-    unboundedly: on an infinite language it never stops by itself, and on a
-    finite one it keeps probing ever longer (empty) cross-sections after the
-    last word. Supply a bound; exhaustion is not detected.
+    Chains one cross-section cursor per length over a single table that gains
+    one level per length. Besides ``max_length`` and ``limit``, the run stops
+    by itself at the first length k at which no state reachable from the
+    initial set accepts a length-k word; the reachable states are collected
+    once, in O(|Q| + #transitions). That rule is exact: a reachable state
+    accepting a longer word reaches, after the extra letters, a reachable
+    state accepting a length-k word, so no longer word exists; and every
+    accepted word of length >= k runs through a reachable state accepting a
+    length-k word, so the rule fires on a finite language just after its
+    longest word and never on an infinite one.
     """
     if limit is not None and limit <= 0:
         return
+    tables = precompute(nfa, 0)
+    # One pass over the adjacency lists; iterating the member list also
+    # visits the states appended while it runs.
+    reachable = nfa.initial.copy()
+    visited = 0
+    for q in reachable.elements:
+        for _, targets in nfa.adjacency[q]:
+            visited += 1 + len(targets)
+            for t in targets:
+                reachable.insert(t)
+    if _ops.enabled:
+        _ops.ops += nfa.state_count + visited
     produced = 0
-    length = 0
-    while max_length is None or length <= max_length:
-        for word in CrossSectionCursor(nfa, length):
+    for length in count() if max_length is None else range(max_length + 1):
+        if length:
+            tables.add_level(nfa)
+        rank = tables.rank[length]
+        if all(rank[q] == nfa.state_count for q in reachable):
+            return
+        for word in CrossSectionCursor(nfa, length, tables):
             yield word
             produced += 1
             if limit is not None and produced >= limit:
                 return
-        length += 1

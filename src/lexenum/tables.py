@@ -14,7 +14,9 @@ questions in O(1):
   So ``q``'s word is lexicographically <= ``q'``'s iff
   ``rank[k][q] <= rank[k][q']``.
 
-Level k is derived from level k-1 alone, so building the tables costs
+Level k is derived from level k-1 alone, so the tables grow one level at a
+time: a radix run extends one table as its length rises instead of building
+a table per length. Building levels ``0 .. length`` costs
 O(|alphabet| * |Q| + length * (#transitions + |Q| log |Q|)) and they hold
 O(length * |Q|) entries; every later access is O(1).
 """
@@ -34,7 +36,12 @@ Entry = Union[None, tuple[int, int], Word]
 
 
 class MinWordTables:
-    """Read-only tables driving the enumeration phase.
+    """Guidance tables for lengths ``0 .. length``, grown one level at a time.
+
+    The constructor builds level 0 and :meth:`add_level` appends the next
+    level, derived from the current top level alone. Existing levels are never
+    rewritten, so readers of levels up to ``length`` are unaffected by growth;
+    only the owner of the tables appends, and cursors never write.
 
     ``fill_ops`` records how many adjacency pairs were inspected and target
     comparisons made while filling ``first_step``; it is bounded by
@@ -43,19 +50,61 @@ class MinWordTables:
 
     __slots__ = ("length", "state_count", "first_step", "rank", "fill_ops")
 
-    def __init__(
-        self,
-        length: int,
-        state_count: int,
-        first_step: list[list[Entry]],
-        rank: list[list[int]],
-        fill_ops: int,
-    ):
-        self.length = length
-        self.state_count = state_count
-        self.first_step = first_step
-        self.rank = rank
-        self.fill_ops = fill_ops
+    def __init__(self, nfa: Nfa):
+        """Level 0: final states accept the empty word and share rank 0."""
+        n = nfa.state_count
+        self.length = 0
+        self.state_count = n
+        self.first_step: list[list[Entry]] = [[None] * n]
+        self.rank = [[n] * n]
+        self.fill_ops = 0
+        for q in nfa.final_states:
+            self.first_step[0][q] = EMPTY_WORD
+            self.rank[0][q] = 0
+        if _ops.enabled:
+            _ops.ops += 2 * n + 2 * len(nfa.final_states)
+
+    def add_level(self, nfa: Nfa) -> None:
+        """Append level ``length + 1``, derived from level ``length`` alone.
+
+        Each state's adjacency list is scanned in increasing symbol order,
+        within each target tuple the target of least top-level rank is
+        selected, and the first symbol whose selected target is live wins. The
+        live states are then ranked by the key (first symbol, top-level rank
+        of the selected target), which orders their least words.
+        """
+        n = self.state_count
+        prev_rank = self.rank[-1]
+        prev_key = prev_rank.__getitem__
+        cur_step: list[Entry] = [None] * n
+
+        visited = 0
+        live = []
+        for q, row in enumerate(nfa.adjacency):
+            for a, targets in row:
+                q_min = min(targets, key=prev_key)
+                visited += 2 + 2 * len(targets)
+                r = prev_rank[q_min]
+                if r < n:
+                    cur_step[q] = (a, q_min)
+                    live.append((a * n + r, q))
+                    break
+        self.fill_ops += visited
+
+        cur_rank = [n] * n
+        r = -1
+        last_key = None
+        for key, q in sorted(live):
+            if key != last_key:
+                r += 1
+                last_key = key
+            cur_rank[q] = r
+        self.first_step.append(cur_step)
+        self.rank.append(cur_rank)
+        self.length += 1
+        if _ops.enabled:
+            m = len(live)
+            _ops.ops += visited + 2 * n + m + m * (m - 1).bit_length()
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
         """Spell the least length-k word accepted from ``q``, or None."""
@@ -72,60 +121,10 @@ class MinWordTables:
 
 
 def precompute(nfa: Nfa, length: int) -> MinWordTables:
-    """Build the tables for all word lengths ``0 .. length``.
-
-    Level 0 gives final states the empty word and rank 0. Level k derives
-    each state's entry from level k-1: its adjacency list is scanned in
-    increasing symbol order, within each target tuple the target of least
-    level-(k-1) rank is selected, and the first symbol whose selected target
-    is live wins. The live states are then ranked by the key (first symbol,
-    level-(k-1) rank of the selected target), which orders their least words.
-    """
+    """Build the tables for all word lengths ``0 .. length``."""
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    n = nfa.state_count
-    counting = _ops.enabled
-
-    first_step: list[list[Entry]] = [[None] * n for _ in range(length + 1)]
-    rank0 = [n] * n
-    for q in nfa.final_states:
-        first_step[0][q] = EMPTY_WORD
-        rank0[q] = 0
-    rank = [rank0]
-    if counting:
-        _ops.ops += (length + 1) * n + n + 2 * len(nfa.final_states)
-
-    adjacency = nfa.adjacency
-    fill_ops = 0
-    for k in range(1, length + 1):
-        prev_rank = rank[k - 1]
-        prev_key = prev_rank.__getitem__
-        cur_step = first_step[k]
-
-        visited = 0
-        live = []
-        for q in range(n):
-            for a, targets in adjacency[q]:
-                q_min = min(targets, key=prev_key)
-                visited += 2 + 2 * len(targets)
-                r = prev_rank[q_min]
-                if r < n:
-                    cur_step[q] = (a, q_min)
-                    live.append((a * n + r, q))
-                    break
-        fill_ops += visited
-
-        cur_rank = [n] * n
-        r = -1
-        last_key = None
-        for key, q in sorted(live):
-            if key != last_key:
-                r += 1
-                last_key = key
-            cur_rank[q] = r
-        rank.append(cur_rank)
-        if counting:
-            m = len(live)
-            _ops.ops += visited + n + m + m * (m - 1).bit_length()
-
-    return MinWordTables(length, n, first_step, rank, fill_ops)
+    tables = MinWordTables(nfa)
+    for _ in range(length):
+        tables.add_level(nfa)
+    return tables

@@ -95,10 +95,9 @@ class TestRadix:
         code, out, _ = run(capsys, "radix", "--automaton", a1_file, "--limit", "1")
         assert (code, out) == (0, "b\n")
 
-    def test_requires_a_bound(self, capsys, a1_file):
-        code, _, err = run(capsys, "radix", "--automaton", a1_file)
-        assert code == 2
-        assert "--max-length" in err
+    def test_unbounded_stops_after_longest_word(self, capsys):
+        code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")
+        assert (code, out) == (0, "b\nab\naac\nabc\n")
 
 
 class TestBench:

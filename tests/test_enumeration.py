@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -149,6 +150,18 @@ class TestRadix:
     def test_empty_language(self):
         nfa = build_nfa("ab", 1, [0], [], [(0, "a", 0)])
         assert list(radix_words(nfa, max_length=5)) == []
+        assert list(radix_words(nfa)) == []
+
+    def test_unbounded_edge_automata(self):
+        epsilon_only = build_nfa("a", 1, [0], [0], [])
+        assert list(radix_words(epsilon_only)) == [()]
+        no_states = build_nfa("a", 0, [], [], [])
+        assert list(radix_words(no_states)) == []
+        # State 2 accepts words of every length but is unreachable.
+        unreachable_cycle = build_nfa(
+            "ab", 3, [0], [1], [(0, "a", 1), (2, "b", 2), (2, "a", 1)]
+        )
+        assert list(radix_words(unreachable_cycle)) == [(0,)]
 
     def test_limit_truncates(self, a1):
         words = [a1.format_word(w) for w in radix_words(a1, limit=2)]
@@ -168,6 +181,30 @@ class TestRadix:
             for length in range(5):
                 expected.extend(cross_section_bruteforce(nfa, length))
             assert words == expected
+
+    def test_unbounded_stops_exactly_after_longest_word(self):
+        # A language is infinite iff it holds a word of length in [|Q|, 2|Q|):
+        # any word of length >= |Q| repeats a state, and cutting out cycles of
+        # at most |Q| letters brings a longer word down into that range.
+        rng = random.Random(73)
+        kinds = {"finite": 0, "infinite": 0}
+        for _ in range(300):
+            nfa = corpus_automaton(rng)
+            n = nfa.state_count
+            if nfa.symbol_count ** (2 * n) > 3 * 10**4:
+                continue
+            expected = []
+            for length in range(2 * n):
+                expected.extend(cross_section_bruteforce(nfa, length))
+            if all(len(w) < n for w in expected):
+                kinds["finite"] += 1
+                assert list(radix_words(nfa)) == expected
+            else:
+                kinds["infinite"] += 1
+                words = list(itertools.islice(radix_words(nfa), len(expected) + 1))
+                assert len(words) == len(expected) + 1
+                assert words[:-1] == expected
+        assert min(kinds.values()) >= 20, kinds
 
 
 class TestAgainstBruteForce:

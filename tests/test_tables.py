@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from lexenum import EMPTY_WORD, build_nfa, min_words_by_state, precompute
-from helpers import corpus_automaton, nested_scaling_family, rank_leq
+from lexenum import (
+    EMPTY_WORD,
+    EXHAUSTED,
+    CrossSectionCursor,
+    build_nfa,
+    cross_section,
+    min_words_by_state,
+    precompute,
+)
+from helpers import corpus_automaton, nested_scaling_family, rank_leq, tables_snapshot
 
 
 def test_a1_first_step_levels(a1):
@@ -64,6 +72,29 @@ def test_length_zero_has_single_level(a1):
     assert len(tables.first_step) == 1
     assert len(tables.rank) == 1
     assert tables.first_step[0] == [None, EMPTY_WORD]
+
+
+def test_add_level_leaves_existing_levels_and_cursors_alone():
+    # The owner appends levels while cursors over shorter lengths keep
+    # reading: levels 0..k must not change, so such a cursor yields what a
+    # cursor over fresh tables of length k yields.
+    rng = random.Random(53)
+    for _ in range(60):
+        nfa = corpus_automaton(rng)
+        tables = precompute(nfa, 0)
+        for k in range(6):
+            before = tables_snapshot(tables)
+            cursor = CrossSectionCursor(nfa, k, tables)
+            first = cursor.next()
+            tables.add_level(nfa)
+            assert tables.length == k + 1
+            assert tuple(part[: k + 1] for part in tables_snapshot(tables)) == before
+            rest = list(cursor)
+            words = rest if first is EXHAUSTED else [first, *rest]
+            assert words == list(cross_section(nfa, k, precompute(nfa, k)))
+        grown = precompute(nfa, 6)
+        assert tables_snapshot(tables) == tables_snapshot(grown)
+        assert tables.fill_ops == grown.fill_ops
 
 
 def test_negative_length_rejected(a1):
