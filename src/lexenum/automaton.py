@@ -1,11 +1,16 @@
-"""Automaton data model: alphabet, dense states, indexed transitions.
+"""Automaton data model: alphabet, dense states, two transition layouts.
 
 States are exactly the integers ``0 .. state_count-1``. Transitions live in
 two read-only layouts built once by :func:`build_nfa`:
 
 * per-state adjacency lists of ``(symbol_id, targets)`` pairs, strictly
   increasing in symbol id, with non-empty duplicate-free target tuples;
-* a per-(state, symbol) index giving each target tuple in O(1).
+* per-symbol transition columns: ``columns[a][q]`` is the target tuple of
+  state ``q`` on symbol ``a``, and ``()`` when there is none.
+
+The adjacency lists serve the successor search and the tables, which visit
+only the symbols a state has; the columns serve the subset step
+:func:`delta_step`, which reads one symbol for a whole set of states.
 
 ``Nfa`` instances are immutable after construction and safe to share across
 threads. ``SparseStateSet`` is a single-owner mutable structure.
@@ -13,6 +18,7 @@ threads. ``SparseStateSet`` is a single-owner mutable structure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -96,7 +102,7 @@ class Nfa:
         "transition_count",
         "_glyphs",
         "_glyph_ids",
-        "_index",
+        "_columns",
     )
 
     def __init__(
@@ -107,7 +113,7 @@ class Nfa:
         final_flags: bytearray,
         final_states: tuple[int, ...],
         adjacency: list[list[tuple[int, tuple[int, ...]]]],
-        index: list[list[Union[tuple[int, ...], None]]],
+        columns: list[list[tuple[int, ...]]],
         transition_count: int,
     ):
         self.alphabet = alphabet
@@ -119,16 +125,18 @@ class Nfa:
         self.transition_count = transition_count
         self._glyphs = tuple(s.glyph for s in alphabet)
         self._glyph_ids = {s.glyph: s.id for s in alphabet}
-        self._index = index
+        self._columns = columns
 
     @property
     def symbol_count(self) -> int:
         return len(self.alphabet)
 
     def targets(self, state: int, symbol_id: int) -> tuple[int, ...]:
-        """Target states of ``state`` on ``symbol_id``; () when none. O(1)."""
-        found = self._index[state][symbol_id]
-        return found if found is not None else ()
+        """Target states of ``state`` on ``symbol_id``; () when none.
+
+        One read of the ``symbol_id`` column, O(1).
+        """
+        return self._columns[symbol_id][state]
 
     def symbol_id(self, glyph: str) -> int:
         try:
@@ -185,7 +193,8 @@ def build_nfa(
     Target order within a pair is first-occurrence order. The layout build
     costs O(#transitions + |alphabet| * state_count).
 
-    Raises :class:`AutomatonError` for duplicate alphabet glyphs and for
+    Raises :class:`AutomatonError` for duplicate alphabet glyphs, for a state
+    count beyond ``sys.maxsize`` (no buffer can be indexed that far), and for
     out-of-range state or symbol references. A 0-state automaton with empty
     initial/final/transitions is legal and accepts nothing.
     """
@@ -201,24 +210,20 @@ def build_nfa(
         symbols.append(Symbol(len(symbols), glyph))
     sigma = len(symbols)
 
-    if not isinstance(state_count, int) or state_count < 0:
-        raise AutomatonError(f"state count must be a non-negative integer, got {state_count!r}")
+    if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
+        raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
 
     init_set = SparseStateSet(state_count)
     for q in initial:
         init_set.insert(_check_state(q, state_count, "initial state"))
 
-    final_flags = bytearray(state_count)
-    final_states: list[int] = []
+    final_set = SparseStateSet(state_count)
     for q in final:
-        _check_state(q, state_count, "final state")
-        if not final_flags[q]:
-            final_flags[q] = 1
-            final_states.append(q)
+        final_set.insert(_check_state(q, state_count, "final state"))
 
-    # Per-(state, symbol) buckets; creating them is the O(sigma*|Q|) share of
-    # the layout cost.
-    index: list[list] = [[None] * sigma for _ in range(state_count)]
+    # One column of per-state target buckets per symbol, () while empty;
+    # creating them is the O(sigma*|Q|) share of the layout cost.
+    columns: list[list] = [[()] * state_count for _ in range(sigma)]
     seen: set[tuple[int, int, int]] = set()
     raw_count = 0
     for entry in transitions:
@@ -241,22 +246,19 @@ def build_nfa(
         if key in seen:
             continue
         seen.add(key)
-        bucket = index[src][a]
-        if bucket is None:
-            index[src][a] = [dst]
-        else:
+        bucket = columns[a][src]
+        if bucket:
             bucket.append(dst)
+        else:
+            columns[a][src] = [dst]
 
     adjacency: list[list[tuple[int, tuple[int, ...]]]] = []
     for q in range(state_count):
-        index_row = index[q]
         row = []
-        for a in range(sigma):
-            bucket = index_row[a]
-            if bucket is not None:
-                frozen = tuple(bucket)
-                index_row[a] = frozen
-                row.append((a, frozen))
+        for a, column in enumerate(columns):
+            if column[q]:
+                column[q] = tuple(column[q])
+                row.append((a, column[q]))
         adjacency.append(row)
 
     if _ops.enabled:
@@ -266,10 +268,10 @@ def build_nfa(
         tuple(symbols),
         state_count,
         init_set,
-        final_flags,
-        tuple(final_states),
+        final_set.membership,
+        tuple(final_set.elements),
         adjacency,
-        index,
+        columns,
         len(seen),
     )
 
@@ -282,20 +284,23 @@ def delta_step(
 ) -> SparseStateSet:
     """Collect every target reachable from ``source`` on ``symbol`` into ``into``.
 
-    ``into`` must be empty on entry; it is also returned. The work is
-    proportional to the transitions labelled by ``symbol`` leaving ``source``
-    (plus one index probe per source state).
+    ``into`` must be empty on entry; it is also returned. Targets enter
+    ``into`` in first-occurrence order over the source states in their order.
+    The work is proportional to the transitions labelled by ``symbol``
+    leaving ``source`` (plus one column read per source state), and that is
+    the charge: ``len(source)`` plus the number of targets visited.
     """
     a = symbol.id if isinstance(symbol, Symbol) else symbol
-    index = nfa._index
-    insert = into.insert
-    touched = 0
-    for q in source.elements:
-        targets = index[q][a]
-        if targets:
-            touched += len(targets)
-            for t in targets:
-                insert(t)
+    column = nfa._columns[a]
+    sources = source.elements
+    membership = into.membership
+    append = into.elements.append
+    # SparseStateSet.insert, inlined: this loop is the per-output hot path.
+    for q in sources:
+        for t in column[q]:
+            if not membership[t]:
+                membership[t] = 1
+                append(t)
     if _ops.enabled:
-        _ops.ops += len(source.elements) + touched
+        _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
     return into

@@ -21,7 +21,7 @@ from typing import Optional
 from .automaton import AutomatonError, Nfa
 from .bench import measure_delays, random_automaton
 from .enumeration import cross_section, radix_words
-from .fileformat import ParseError, parse_automaton
+from .fileformat import ParseError, decode_automaton, parse_automaton
 from .instrument import counting
 from .regex import RegexSyntaxError, compile_regex
 from .tables import precompute
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_automaton(args) -> Nfa:
     if args.automaton is not None:
-        with open(args.automaton, encoding="utf-8") as handle:
-            return parse_automaton(handle.read())
+        with open(args.automaton, "rb") as handle:
+            return parse_automaton(decode_automaton(handle.read()))
     return compile_regex(args.regex)
 
 

@@ -11,6 +11,7 @@
     0 b 1
     1 a 1
 
+Files are UTF-8 (:func:`decode_automaton` turns bytes into text).
 Tokens are whitespace-separated. The ``alphabet`` and ``states`` lines are
 required (each exactly once); ``initial``/``final`` lines may repeat and
 accumulate. Line order is otherwise free.
@@ -34,9 +35,29 @@ class ParseError(ValueError):
 
 
 def _state_token(token: str, line_no: int) -> int:
-    if not token.isdigit():
+    # ASCII digits only: str.isdigit alone also accepts superscripts and the
+    # digits of other scripts.
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"expected a state number, got {token!r}", line_no)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        raise ParseError(f"state number of {len(token)} digits is too long", line_no) from None
+
+
+def decode_automaton(data: bytes) -> str:
+    """Decode the bytes of an automaton file as UTF-8.
+
+    Raises :class:`ParseError` naming the line of the first invalid byte;
+    that byte is rejected even inside a comment.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_automaton does; the bytes before the bad one
+        # decode, and the appended character stands in for the bad one.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
 
 
 def parse_automaton(text: str) -> Nfa:
@@ -44,7 +65,8 @@ def parse_automaton(text: str) -> Nfa:
 
     Raises :class:`ParseError` naming the offending line for unknown
     directives, unknown symbols, out-of-range states, malformed lines, and
-    missing/duplicate ``alphabet``/``states`` headers.
+    missing/duplicate ``alphabet``/``states`` headers. State numbers are
+    ASCII decimal digits.
     """
     alphabet: Optional[list[str]] = None
     alphabet_line = 0
@@ -81,7 +103,7 @@ def parse_automaton(text: str) -> Nfa:
             initial_entries += [(line_no, _state_token(t, line_no)) for t in tokens[1:]]
         elif head == "final":
             final_entries += [(line_no, _state_token(t, line_no)) for t in tokens[1:]]
-        elif head.isdigit():
+        elif head.isascii() and head.isdigit():
             if len(tokens) != 3:
                 raise ParseError(
                     "transition line must be 'from symbol to'", line_no

@@ -65,7 +65,6 @@ def cross_section_bruteforce(
     _check_cap(sigma, length, config)
     init = nfa.initial.elements
     flags = nfa.final_flags
-    index = nfa._index
     out: list[Word] = []
     if length == 0:
         if any(flags[q] for q in init):
@@ -78,10 +77,9 @@ def cross_section_bruteforce(
         alive = True
         for a in word:
             nxt = set()
+            column = nfa._columns[a]
             for q in cur:
-                found = index[q][a]
-                if found:
-                    nxt.update(found)
+                nxt.update(column[q])
             if not nxt:
                 alive = False
                 break

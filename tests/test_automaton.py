@@ -9,6 +9,7 @@ from lexenum import (
     delta_step,
     random_automaton,
 )
+from lexenum.instrument import counting
 from helpers import corpus_automaton
 
 
@@ -137,6 +138,33 @@ class TestDeltaStep:
             expected = {dst for src, sym, dst in triples if sym == a and src in source}
             got = self._step(nfa, source, "abc"[a])
             assert got == expected
+
+    def test_kernel_contract_on_random_sets(self):
+        """Duplicate-free output in first-occurrence order of the naive double
+        loop, and a charge of |source| plus the targets visited."""
+        rng = random.Random(41)
+        for _ in range(300):
+            nfa = corpus_automaton(rng)
+            a = rng.randrange(nfa.symbol_count)
+            order = list(range(nfa.state_count))
+            rng.shuffle(order)
+            source = SparseStateSet(nfa.state_count)
+            for q in order[: rng.randint(0, nfa.state_count)]:
+                source.insert(q)
+            expected = []
+            for q in source.elements:
+                for t in nfa.targets(q, a):
+                    if t not in expected:
+                        expected.append(t)
+            into = SparseStateSet(nfa.state_count)
+            with counting() as ops:
+                assert delta_step(nfa, source, a, into) is into
+                charged = ops.take()
+            assert into.elements == expected
+            assert len(set(into.elements)) == len(into.elements)
+            assert [q for q in range(nfa.state_count) if into.membership[q]] == sorted(expected)
+            assert set(into.membership) <= {0, 1}
+            assert charged == len(source) + sum(len(nfa.targets(q, a)) for q in source)
 
 
 def test_random_automaton_respects_requested_sizes():

@@ -52,6 +52,19 @@ class TestEnum:
         assert code == 2
         assert out == ""
         assert "line 3" in err and "'z'" in err
+        # Each of these ends in a diagnostic, not a traceback: a non-UTF-8
+        # byte (even in a comment), a superscript digit, Arabic-Indic digits,
+        # and a state count beyond any index.
+        for data, expected in [
+            (b"alphabet a\nstates 1 # \xff\n", "line 2"),
+            ("alphabet a\nstates \u00b2\n".encode(), "line 2"),
+            ("alphabet a\nstates \u0661\u0662\n".encode(), "line 2"),
+            (b"alphabet a\nstates 99999999999999999999999999\n", "state count"),
+        ]:
+            bad.write_bytes(data)
+            code, out, err = run(capsys, "enum", "--automaton", str(bad), "--length", "1")
+            assert (code, out) == (2, ""), data
+            assert err.startswith("error:") and expected in err, (data, err)
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "enum", "--automaton", "/nonexistent", "--length", "1")

@@ -11,10 +11,12 @@ from lexenum import (
     build_run_stack,
     cross_section,
     cross_section_bruteforce,
+    measure_delays,
     min_word,
     next_word,
     precompute,
     radix_words,
+    random_automaton,
 )
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
@@ -263,3 +265,14 @@ class TestMemorylessness:
 def test_readme_style_end_to_end():
     nfa = make_a1()
     assert [nfa.format_word(w) for w in cross_section(nfa, 3)] == ["aab", "aba", "baa"]
+
+
+def test_golden_op_counts():
+    """The cost model, pinned on one instance: a faster kernel must charge
+    exactly these totals, and a change to the cost model changes the
+    literals on purpose."""
+    nfa = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    report = measure_delays(nfa, 8, limit=200)
+    assert len(report.records) == 200
+    assert report.preproc_ops == 2654
+    assert sum(r.op_count for r in report.records) == 108004

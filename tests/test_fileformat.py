@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lexenum import ParseError, parse_automaton
+from lexenum.fileformat import decode_automaton
 from helpers import corpus_automaton, serialize_automaton
 
 A1_TEXT = """\
@@ -68,11 +69,23 @@ def test_initial_out_of_range_names_line():
         ("alphabet a\nstates 1\ninitial x\n", "line 3.*state number"),
         ("alphabet ab\nstates 1\n", "line 1.*single character"),
         ("alphabet a a\nstates 1\n", "line 1.*duplicate symbol"),
+        ("alphabet a\nstates \u00b2\n", "line 2.*state number"),
+        ("alphabet a\nstates \u0661\u0662\n", "line 2.*state number"),
+        ("alphabet a\nstates 1\n\u0660 a 0\n", "line 3.*unknown directive"),
+        ("alphabet a\nstates 1\ninitial " + "0" * 5000 + "\n", "line 3.*too long"),
     ],
 )
 def test_malformed_inputs(text, pattern):
     with pytest.raises(ParseError, match=pattern):
         parse_automaton(text)
+
+
+def test_decode_rejects_invalid_utf8_naming_its_line():
+    assert decode_automaton("alphabet \u00e9\n".encode()) == "alphabet \u00e9\n"
+    with pytest.raises(ParseError, match=r"line 3: byte 0xff"):
+        decode_automaton(b"alphabet a\nstates 1\n# \xff\n")
+    with pytest.raises(ParseError, match=r"line 4: byte 0xc3"):
+        decode_automaton(b"alphabet a\r\nstates 1\r\rfinal \xc3\n")
 
 
 def test_directive_order_is_free(a1):
