@@ -9,8 +9,10 @@ two read-only layouts built once by :func:`build_nfa`:
   state ``q`` on symbol ``a``, and ``()`` when there is none.
 
 The adjacency lists serve the successor search and the tables, which visit
-only the symbols a state has; the columns serve the subset step
-:func:`delta_step`, which reads one symbol for a whole set of states.
+only the symbols a state has; the columns serve the subset step, which reads
+one symbol for a whole set of states. :func:`replay` runs that step over a
+whole word into a caller-owned stack of sets; :func:`delta_step` is its
+one-symbol case.
 
 ``Nfa`` instances are immutable after construction and safe to share across
 threads. ``SparseStateSet`` is a single-owner mutable structure.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
 from .instrument import ops as _ops
@@ -276,6 +279,40 @@ def build_nfa(
     )
 
 
+def replay(nfa: Nfa, word: Sequence[int], stack: list[SparseStateSet]) -> list[SparseStateSet]:
+    """Run ``word`` from the set ``stack[0]``, writing the set reached after
+    each prefix ``word[:i]`` into ``stack[i]``; returns ``stack``.
+
+    ``stack`` needs ``len(word) + 1`` sets over ``nfa``'s states; entries 1 to
+    ``len(word)`` are overwritten whatever they held, and entry 0 is only
+    read. Each entry is cleared in place (one O(|Q|) zero-fill of its
+    membership bytes, the cost of allocating a fresh set) and then filled
+    with the targets in first-occurrence order over the previous entry's
+    states in their order. A position is charged ``len(source)`` plus the
+    targets visited, which is its work up to the uncharged zero-fill.
+    """
+    columns = nfa._columns
+    zero = bytes(nfa.state_count)
+    counting = _ops.enabled
+    sources = stack[0].elements
+    for a, into in zip(word, islice(stack, 1, None)):
+        column = columns[a]
+        membership = into.membership
+        membership[:] = zero
+        elements = into.elements
+        elements.clear()
+        # SparseStateSet.insert, inlined: this loop is the per-output hot path.
+        for q in sources:
+            for t in column[q]:
+                if not membership[t]:
+                    membership[t] = 1
+                    elements.append(t)
+        if counting:
+            _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
+        sources = elements
+    return stack
+
+
 def delta_step(
     nfa: Nfa,
     source: SparseStateSet,
@@ -284,23 +321,11 @@ def delta_step(
 ) -> SparseStateSet:
     """Collect every target reachable from ``source`` on ``symbol`` into ``into``.
 
-    ``into`` must be empty on entry; it is also returned. Targets enter
-    ``into`` in first-occurrence order over the source states in their order.
-    The work is proportional to the transitions labelled by ``symbol``
-    leaving ``source`` (plus one column read per source state), and that is
-    the charge: ``len(source)`` plus the number of targets visited.
+    The one-symbol case of :func:`replay`. ``into`` must be empty on entry;
+    it is also returned. Targets enter ``into`` in first-occurrence order
+    over the source states in their order. The charge is ``len(source)``
+    plus the number of targets visited.
     """
     a = symbol.id if isinstance(symbol, Symbol) else symbol
-    column = nfa._columns[a]
-    sources = source.elements
-    membership = into.membership
-    append = into.elements.append
-    # SparseStateSet.insert, inlined: this loop is the per-output hot path.
-    for q in sources:
-        for t in column[q]:
-            if not membership[t]:
-                membership[t] = 1
-                append(t)
-    if _ops.enabled:
-        _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
+    replay(nfa, (a,), [source, into])
     return into

@@ -3,8 +3,10 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions), and keeps no state besides
-the last output word, one reusable scratch set, and tables it only reads, so
-memory stays flat no matter how many words are produced.
+the last output word, one reusable scratch set, one buffer of length + 1
+state sets (O(length * |Q|) bytes) that every call rewrites from the initial
+set, and tables it only reads, so memory stays flat no matter how many words
+are produced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import count
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
-from .automaton import Nfa, SparseStateSet, Word, delta_step
+# delta_step stays importable from here for callers that wrap this module's names.
+from .automaton import Nfa, SparseStateSet, Word, delta_step, replay  # noqa: F401
 from .instrument import ops as _ops
 from .tables import MinWordTables, precompute
 
@@ -54,21 +57,24 @@ def min_word(k: int, states: SparseStateSet, tables: MinWordTables) -> Optional[
     return tables.min_word_from(k, q_min)
 
 
-def build_run_stack(word: Word, nfa: Nfa) -> list[SparseStateSet]:
+def build_run_stack(
+    word: Word, nfa: Nfa, stack: Optional[list[SparseStateSet]] = None
+) -> list[SparseStateSet]:
     """State sets reachable from the initial set after each prefix of ``word``.
 
     Entry ``i`` holds the states reached after reading ``word[:i]``; entry 0
-    is (a copy of) the initial set. The word need not be accepted; trailing
-    entries may be empty.
+    is a copy of the initial set. The word need not be accepted; trailing
+    entries may be empty. Given ``stack`` (``len(word) + 1`` sets over
+    ``nfa``'s states, any contents), the run is written into it and it is
+    returned; otherwise a new stack is allocated. Either way the whole run
+    is replayed from the initial set.
     """
-    stack = [nfa.initial.copy()]
-    cur = stack[0]
-    for a in word:
-        nxt = SparseStateSet(nfa.state_count)
-        delta_step(nfa, cur, a, nxt)
-        stack.append(nxt)
-        cur = nxt
-    return stack
+    if stack is None:
+        stack = [SparseStateSet(nfa.state_count) for _ in range(len(word) + 1)]
+    start = stack[0]
+    start.membership[:] = nfa.initial.membership
+    start.elements[:] = nfa.initial.elements
+    return replay(nfa, word, stack)
 
 
 def next_word(
@@ -89,14 +95,19 @@ def next_word(
     transition out of ``stack[i]``, merged from the (sorted) adjacency lists
     so symbols without transitions cost nothing; each is tried in increasing
     order with the least completing suffix of length ``length - i - 1``.
+    Each retried position is charged one unit per state of ``stack[i]``
+    (its adjacency scan), then the candidates merged and the targets
+    inserted.
     """
     adjacency = nfa.adjacency
     counting = _ops.enabled
     for i in range(length - 1, -1, -1):
-        cur = stack[i]
+        cur = stack[i].elements
+        if counting:
+            _ops.ops += len(cur)
         wi = word[i]
         candidates = []
-        for q in cur.elements:
+        for q in cur:
             row = adjacency[q]
             start = bisect_right(row, wi, key=_symbol_of)
             if start < len(row):
@@ -133,7 +144,10 @@ class CrossSectionCursor:
     ``length`` or :data:`EXHAUSTED` (sticky once returned). The first call
     costs one least-word lookup; each later call recomputes the run of the
     previous output and searches for its successor, so per-output work is
-    O(length * #transitions) regardless of history.
+    O(length * #transitions) regardless of history. The run is written into
+    one buffer of ``length + 1`` state sets (O(length * |Q|) bytes), allocated
+    on the first replay and rewritten from the initial set on every call;
+    nothing in it carries over from one output to the next.
 
     The automaton and tables are shared, and cursors never write to them;
     any number of cursors may run over them concurrently. The owner of the
@@ -142,7 +156,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_scratch")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_scratch", "_stack")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         if length < 0:
@@ -159,6 +173,7 @@ class CrossSectionCursor:
         self._last: Optional[Word] = None
         self._exhausted = False
         self._scratch = SparseStateSet(nfa.state_count)
+        self._stack: Optional[list[SparseStateSet]] = None
 
     @property
     def current(self) -> Optional[Word]:
@@ -171,9 +186,9 @@ class CrossSectionCursor:
         if self._last is None:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
-            stack = build_run_stack(self._last, self.nfa)
+            self._stack = build_run_stack(self._last, self.nfa, self._stack)
             word = next_word(
-                self._last, self.length, self.nfa, stack, self.tables, self._scratch
+                self._last, self.length, self.nfa, self._stack, self.tables, self._scratch
             )
         if word is None:
             self._exhausted = True

@@ -1,10 +1,11 @@
 """Process-global operation counter for verifying the enumerator's cost model.
 
 One unit is charged per transition inspected, per state-set insertion, per
-table cell read or written, and per word-order comparison. The core modules
-funnel every increment through the single ``ops`` object below; when counting
-is disabled (the default) they pay one branch per loop, nothing more, and
-their observable behaviour is identical either way.
+table cell read or written, per word-order comparison, and per state whose
+adjacency list the successor search scans at a retried position. The core
+modules funnel every increment through the single ``ops`` object below; when
+counting is disabled (the default) they pay one branch per loop, nothing
+more, and their observable behaviour is identical either way.
 """
 
 from __future__ import annotations

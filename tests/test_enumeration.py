@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from lexenum import (
     build_run_stack,
     cross_section,
     cross_section_bruteforce,
+    delta_step,
     measure_delays,
     min_word,
     next_word,
@@ -18,6 +21,7 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
+from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
 
@@ -64,6 +68,48 @@ class TestBuildRunStack:
         stack = build_run_stack((), a1)
         stack[0].insert(1)
         assert a1.initial.elements == [0]
+
+    def test_reused_buffer_matches_chained_delta_step(self):
+        """A fresh stack and a buffer last filled by another word both hold
+        exactly what delta_step chained from a copy of the initial set gives:
+        same element order, same membership bytes, same charge."""
+        rng = random.Random(79)
+        dead_ends = live = 0
+        for _ in range(300):
+            nfa = corpus_automaton(rng)
+            length = rng.randint(0, 7)
+            word = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
+            other = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
+            initial = (list(nfa.initial.elements), bytes(nfa.initial.membership))
+
+            expected = [nfa.initial.copy()]
+            with counting() as ops:
+                for a in word:
+                    into = SparseStateSet(nfa.state_count)
+                    expected.append(delta_step(nfa, expected[-1], a, into))
+                expected_charge = ops.take()
+            expected = [(s.elements, bytes(s.membership)) for s in expected]
+
+            buffer = build_run_stack(other, nfa)
+            for given in (None, buffer):
+                with counting() as ops:
+                    stack = build_run_stack(word, nfa, given)
+                    charge = ops.take()
+                if given is not None:
+                    assert stack is buffer
+                assert [(s.elements, bytes(s.membership)) for s in stack] == expected
+                assert charge == expected_charge
+                start = stack[0]
+                assert start is not nfa.initial
+                assert start.elements is not nfa.initial.elements
+                assert start.membership is not nfa.initial.membership
+            assert (nfa.initial.elements, bytes(nfa.initial.membership)) == initial
+            if length:
+                if expected[-1][0]:
+                    live += 1
+                else:
+                    dead_ends += 1
+        assert dead_ends >= 30 and live >= 30, (dead_ends, live)
 
 
 class TestNextWord:
@@ -142,6 +188,68 @@ class TestCursor:
         while cursor.next() is not EXHAUSTED:
             assert len(cursor._scratch) == 0
         assert len(cursor._scratch) == 0
+
+
+class TestSharedTables:
+    """Cursors over one table: each owns its run buffer, so neither threads
+    nor interleaved calls change what any of them yields."""
+
+    LENGTH = 12
+    WORDS = 500
+    # Cursors start this many words apart, so they replay different runs.
+    OFFSET = 150
+
+    def _instance(self, count):
+        nfa = random_automaton(random.Random(83), 60, 3, 360, 6, 6)
+        tables = precompute(nfa, self.LENGTH)
+        expected = list(itertools.islice(CrossSectionCursor(nfa, self.LENGTH, tables), count))
+        assert len(expected) == count
+        return nfa, tables, expected
+
+    def _cursor(self, nfa, tables, expected, slot):
+        cursor = CrossSectionCursor(nfa, self.LENGTH, tables)
+        if slot:
+            cursor.seek(expected[slot * self.OFFSET - 1])
+        return cursor
+
+    def test_threads_match_sequential_run(self):
+        nfa, tables, expected = self._instance(3 * self.OFFSET + self.WORDS)
+
+        def work(slot, results):
+            cursor = self._cursor(nfa, tables, expected, slot)
+            results[slot] = list(itertools.islice(cursor, self.WORDS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Thread switches land at random points; a few rounds make one
+            # inside a replay likely.
+            for _ in range(3):
+                results = [None] * 4
+                threads = [
+                    threading.Thread(target=work, args=(slot, results)) for slot in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                for slot in range(4):
+                    start = slot * self.OFFSET
+                    assert results[slot] == expected[start : start + self.WORDS]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_interleaved_cursors_in_one_thread(self):
+        nfa, tables, expected = self._instance(self.OFFSET + self.WORDS)
+        first = self._cursor(nfa, tables, expected, 0)
+        second = self._cursor(nfa, tables, expected, 1)
+        got_first, got_second = [], []
+        for _ in range(self.WORDS):
+            got_first.append(first.next())
+            got_second.append(second.next())
+        assert got_first == expected[: self.WORDS]
+        assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
 
 
 class TestRadix:
@@ -275,4 +383,4 @@ def test_golden_op_counts():
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
     assert report.preproc_ops == 2654
-    assert sum(r.op_count for r in report.records) == 108004
+    assert sum(r.op_count for r in report.records) == 112877
