@@ -37,7 +37,6 @@ from .enumeration import (
 from .fileformat import ParseError, parse_automaton
 from .oracle import (
     OracleCapExceeded,
-    OracleConfig,
     cross_section_bruteforce,
     member,
     min_word_oracle,
@@ -58,7 +57,6 @@ __all__ = [
     "MinWordTables",
     "Nfa",
     "OracleCapExceeded",
-    "OracleConfig",
     "ParseError",
     "RegexSyntaxError",
     "SparseStateSet",

@@ -44,11 +44,11 @@ class Symbol:
 
 
 class SparseStateSet:
-    """Subset of states with O(1) insert and O(|set|) iterate/clear.
+    """Subset of states with O(1) insert and membership test, O(|set|) iterate.
 
     A byte membership array plus a list of the members in insertion order;
-    clearing touches only the members present, and creating a fresh set costs
-    O(state_count). Iteration order is insertion order.
+    creating a fresh set costs O(state_count). Iteration order is insertion
+    order. :func:`replay` rewrites sets in place through both fields.
     """
 
     __slots__ = ("membership", "elements")
@@ -62,11 +62,6 @@ class SparseStateSet:
         if not self.membership[state]:
             self.membership[state] = 1
             self.elements.append(state)
-
-    def clear(self) -> None:
-        for q in self.elements:
-            self.membership[q] = 0
-        self.elements.clear()
 
     def copy(self) -> "SparseStateSet":
         dup = SparseStateSet.__new__(SparseStateSet)

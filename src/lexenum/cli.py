@@ -120,26 +120,23 @@ def _stream_words(nfa: Nfa, words, limit: Optional[int]) -> None:
 
 def _cmd_enum(args) -> int:
     nfa = _load_automaton(args)
+    with counting(args.count_ops) as counter:
+        tables = precompute(nfa, args.length)
+        preproc = counter.ops
+        _stream_words(nfa, cross_section(nfa, args.length, tables), args.limit)
+        enumeration = counter.ops - preproc
     if args.count_ops:
-        with counting() as counter:
-            tables = precompute(nfa, args.length)
-            preproc = counter.take()
-            _stream_words(nfa, cross_section(nfa, args.length, tables), args.limit)
-            print(f"# ops: preproc={preproc}, enumeration={counter.take()}",
-                  file=sys.stderr)
-    else:
-        _stream_words(nfa, cross_section(nfa, args.length), args.limit)
+        print(f"# ops: preproc={preproc}, enumeration={enumeration}", file=sys.stderr)
     return 0
 
 
 def _cmd_radix(args) -> int:
     nfa = _load_automaton(args)
-    if args.count_ops:
-        with counting() as counter:
-            _stream_words(nfa, radix_words(nfa, args.max_length, args.limit), None)
-            print(f"# ops: total={counter.take()}", file=sys.stderr)
-    else:
+    with counting(args.count_ops) as counter:
         _stream_words(nfa, radix_words(nfa, args.max_length, args.limit), None)
+        total = counter.ops
+    if args.count_ops:
+        print(f"# ops: total={total}", file=sys.stderr)
     return 0
 
 

@@ -3,10 +3,12 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions), and keeps no state besides
-the last output word, one reusable scratch set, one buffer of length + 1
-state sets (O(length * |Q|) bytes) that every call rewrites from the initial
-set, and tables it only reads, so memory stays flat no matter how many words
-are produced.
+the last output word, one buffer of length + 1 state sets (O(length * |Q|)
+bytes) that every call rewrites from the initial set, and tables it only
+reads, so memory stays flat no matter how many words are produced. The
+successor search orders candidates by the tables' ranks alone, the key
+``MinWordTables.add_level`` ranks states by, and needs no state set of its
+own.
 """
 
 from __future__ import annotations
@@ -83,57 +85,50 @@ def next_word(
     nfa: Nfa,
     stack: list[SparseStateSet],
     tables: MinWordTables,
-    scratch: SparseStateSet,
 ) -> Optional[Word]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``stack`` must be ``build_run_stack(word, nfa)`` and ``scratch`` must be
-    empty; it is left empty. Returns None when ``word`` is the maximum.
+    ``stack`` must be ``build_run_stack(word, nfa)``. Returns None when
+    ``word`` is the maximum.
 
-    Positions are retried from the last to the first. At position ``i`` the
-    replacement symbols are the symbols greater than ``word[i]`` that label a
-    transition out of ``stack[i]``, merged from the (sorted) adjacency lists
-    so symbols without transitions cost nothing; each is tried in increasing
-    order with the least completing suffix of length ``length - i - 1``.
-    Each retried position is charged one unit per state of ``stack[i]``
-    (its adjacency scan), then the candidates merged and the targets
-    inserted.
+    Positions are retried from the last to the first. At position ``i``,
+    with ``k = length - i - 1``, each state of ``stack[i]`` walks its
+    adjacency list from the first symbol above ``word[i]`` with
+    :meth:`MinWordTables.add_level`'s rule: the target of least level-k rank
+    stands for the pair, and the first pair whose target is live ends the
+    walk, as does a symbol above the best one found so far. The least
+    (symbol, rank) pair over the states gives the successor: that symbol,
+    then the target's least length-k word. A retried position is charged one
+    unit per state of ``stack[i]``, 1 plus its target count per adjacency
+    pair examined, and ``k`` for spelling the suffix.
     """
     adjacency = nfa.adjacency
+    n = tables.state_count
     counting = _ops.enabled
     for i in range(length - 1, -1, -1):
+        k = length - i - 1
+        key = tables.rank[k].__getitem__
         cur = stack[i].elements
-        if counting:
-            _ops.ops += len(cur)
         wi = word[i]
-        candidates = []
+        best_a, best_r, best_targets = len(nfa.alphabet), n, ()
+        examined = len(cur)
         for q in cur:
             row = adjacency[q]
-            start = bisect_right(row, wi, key=_symbol_of)
-            if start < len(row):
-                candidates.extend(row[start:])
-        if not candidates:
-            continue
+            for a, targets in row[bisect_right(row, wi, key=_symbol_of) :]:
+                if a > best_a:
+                    break
+                examined += 1 + len(targets)
+                r = min(map(key, targets))
+                if r < n:
+                    if a < best_a or r < best_r:
+                        best_a, best_r, best_targets = a, r, targets
+                    break
         if counting:
-            _ops.ops += len(candidates)
-        candidates.sort(key=_symbol_of)
-        j = 0
-        total = len(candidates)
-        while j < total:
-            a = candidates[j][0]
-            inserted = 0
-            while j < total and candidates[j][0] == a:
-                targets = candidates[j][1]
-                inserted += len(targets)
-                for t in targets:
-                    scratch.insert(t)
-                j += 1
+            _ops.ops += examined
+        if best_targets:
             if counting:
-                _ops.ops += inserted
-            suffix = min_word(length - i - 1, scratch, tables)
-            scratch.clear()
-            if suffix is not None:
-                return word[:i] + (a,) + suffix
+                _ops.ops += k
+            return word[:i] + (best_a,) + tables.min_word_from(k, min(best_targets, key=key))
     return None
 
 
@@ -156,7 +151,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_scratch", "_stack")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_stack")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         if length < 0:
@@ -172,7 +167,6 @@ class CrossSectionCursor:
         self.tables = tables
         self._last: Optional[Word] = None
         self._exhausted = False
-        self._scratch = SparseStateSet(nfa.state_count)
         self._stack: Optional[list[SparseStateSet]] = None
 
     @property
@@ -187,9 +181,7 @@ class CrossSectionCursor:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
             self._stack = build_run_stack(self._last, self.nfa, self._stack)
-            word = next_word(
-                self._last, self.length, self.nfa, self._stack, self.tables, self._scratch
-            )
+            word = next_word(self._last, self.length, self.nfa, self._stack, self.tables)
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -243,10 +235,13 @@ def radix_words(
     state accepting a length-k word, so no longer word exists; and every
     accepted word of length >= k runs through a reachable state accepting a
     length-k word, so the rule fires on a finite language just after its
-    longest word and never on an infinite one.
+    longest word and never on an infinite one. At each length the check
+    reads reachable states' ranks up to the first live one and is charged
+    one unit per rank read.
     """
     if limit is not None and limit <= 0:
         return
+    n = nfa.state_count
     tables = precompute(nfa, 0)
     # One pass over the adjacency lists; iterating the member list also
     # visits the states appended while it runs.
@@ -258,13 +253,17 @@ def radix_words(
             for t in targets:
                 reachable.insert(t)
     if _ops.enabled:
-        _ops.ops += nfa.state_count + visited
+        _ops.ops += n + visited
     produced = 0
     for length in count() if max_length is None else range(max_length + 1):
         if length:
             tables.add_level(nfa)
         rank = tables.rank[length]
-        if all(rank[q] == nfa.state_count for q in reachable):
+        # 1-based position of the first live reachable state; 0 when none is.
+        live_at = next((j for j, q in enumerate(reachable.elements, 1) if rank[q] < n), 0)
+        if _ops.enabled:
+            _ops.ops += live_at or len(reachable)
+        if not live_at:
             return
         for word in CrossSectionCursor(nfa, length, tables):
             yield word

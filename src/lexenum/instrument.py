@@ -1,11 +1,14 @@
 """Process-global operation counter for verifying the enumerator's cost model.
 
 One unit is charged per transition inspected, per state-set insertion, per
-table cell read or written, per word-order comparison, and per state whose
-adjacency list the successor search scans at a retried position. The core
-modules funnel every increment through the single ``ops`` object below; when
-counting is disabled (the default) they pay one branch per loop, nothing
-more, and their observable behaviour is identical either way.
+table cell read or written, and per word-order comparison. The successor
+search charges, at each retried position, one unit per state whose
+adjacency list it walks, 1 plus the target count per adjacency pair it
+examines, and one per letter of the suffix it spells. The radix run charges
+one unit per reachable state whose liveness it checks at each length. The
+core modules funnel every increment through the single ``ops`` object
+below; when counting is disabled (the default) they pay one branch per
+loop, nothing more, and their observable behaviour is identical either way.
 """
 
 from __future__ import annotations
@@ -35,10 +38,15 @@ ops = OpCounter()
 
 @contextmanager
 def counting(enabled: bool = True):
-    """Temporarily switch counting on (or off), restoring the previous state.
+    """Count inside the block, restoring the previous state on exit.
 
-    Yields the global counter, reset to zero on entry.
+    Yields the global counter, reset to zero on entry. With ``enabled`` false
+    the block leaves the counter as it finds it, so code that counts only on
+    request keeps one path and never switches off a count around it.
     """
+    if not enabled:
+        yield ops
+        return
     prev_enabled = ops.enabled
     prev_ops = ops.ops
     ops.enabled = enabled

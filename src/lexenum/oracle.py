@@ -10,31 +10,23 @@ loops at desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .automaton import Nfa, Word
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Guard for brute-force loops: refuse more than this many candidates."""
-
-    max_enumeration: int = 10**6
-
-
-DEFAULT_CONFIG = OracleConfig()
+#: Guard for brute-force loops: refuse more than this many candidate words.
+MAX_ENUMERATION = 10**6
 
 
 class OracleCapExceeded(ValueError):
     pass
 
 
-def _check_cap(symbol_count: int, length: int, config: OracleConfig) -> None:
-    if symbol_count**length > config.max_enumeration:
+def _check_cap(symbol_count: int, length: int) -> None:
+    if symbol_count**length > MAX_ENUMERATION:
         raise OracleCapExceeded(
-            f"{symbol_count}^{length} candidate words exceed the cap of "
-            f"{config.max_enumeration}"
+            f"{symbol_count}^{length} candidate words exceed the cap of {MAX_ENUMERATION}"
         )
 
 
@@ -53,16 +45,14 @@ def member(nfa: Nfa, word: Iterable[int], start: Optional[Iterable[int]] = None)
     return any(flags[q] for q in cur)
 
 
-def cross_section_bruteforce(
-    nfa: Nfa, length: int, config: OracleConfig = DEFAULT_CONFIG
-) -> list[Word]:
+def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
     """All accepted words of exactly ``length``, in lexicographic order.
 
     Odometer iteration over every word of the alphabet, filtered by
     simulation; the order of the result is the generation order.
     """
     sigma = len(nfa.alphabet)
-    _check_cap(sigma, length, config)
+    _check_cap(sigma, length)
     init = nfa.initial.elements
     flags = nfa.final_flags
     out: list[Word] = []
@@ -89,25 +79,21 @@ def cross_section_bruteforce(
     return out
 
 
-def min_word_oracle(
-    nfa: Nfa, state: int, k: int, config: OracleConfig = DEFAULT_CONFIG
-) -> Optional[Word]:
+def min_word_oracle(nfa: Nfa, state: int, k: int) -> Optional[Word]:
     """Least length-k word accepted starting from ``state``, or None.
 
     Walks all candidate words in lexicographic order and returns the first
     accepted one.
     """
     sigma = len(nfa.alphabet)
-    _check_cap(sigma, k, config)
+    _check_cap(sigma, k)
     for word in itertools.product(range(sigma), repeat=k):
         if member(nfa, word, start=(state,)):
             return word
     return None
 
 
-def min_words_by_state(
-    nfa: Nfa, k: int, config: OracleConfig = DEFAULT_CONFIG
-) -> list[Optional[Word]]:
+def min_words_by_state(nfa: Nfa, k: int) -> list[Optional[Word]]:
     """Least accepted length-k word for every starting state at once.
 
     Same semantics as calling :func:`min_word_oracle` per state, but each
@@ -115,7 +101,7 @@ def min_words_by_state(
     keeps corpus-sized test runs affordable.
     """
     sigma = len(nfa.alphabet)
-    _check_cap(sigma, k, config)
+    _check_cap(sigma, k)
     n = nfa.state_count
     mins: list[Optional[Word]] = [None] * n
     remaining = n

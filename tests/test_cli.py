@@ -1,6 +1,7 @@
 import pytest
 
 from lexenum.cli import main
+from lexenum.instrument import counting
 
 A1_TEXT = """\
 alphabet a b
@@ -111,6 +112,21 @@ class TestRadix:
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")
         assert (code, out) == (0, "b\nab\naac\nabc\n")
+
+    def test_count_ops_does_not_change_output(self, capsys, a1_file):
+        argv = ("radix", "--automaton", a1_file, "--max-length", "3")
+        _, plain, plain_err = run(capsys, *argv)
+        code, counted, err = run(capsys, *argv, "--count-ops")
+        assert code == 0
+        assert counted == plain == "b\nab\nba\naab\naba\nbaa\n"
+        assert plain_err == ""
+        assert err.startswith("# ops: total=")
+
+    def test_plain_run_keeps_an_enclosing_count(self, capsys, a1_file):
+        with counting() as counter:
+            code, out, _ = run(capsys, "radix", "--automaton", a1_file, "--max-length", "3")
+            assert code == 0
+            assert counter.enabled and counter.ops > 0
 
 
 class TestBench:

@@ -4,6 +4,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexenum import (
     EXHAUSTED,
@@ -11,11 +12,13 @@ from lexenum import (
     SparseStateSet,
     build_nfa,
     build_run_stack,
+    compile_regex,
     cross_section,
     cross_section_bruteforce,
     delta_step,
     measure_delays,
     min_word,
+    min_words_by_state,
     next_word,
     precompute,
     radix_words,
@@ -117,10 +120,7 @@ class TestNextWord:
         tables = tables or precompute(nfa, length)
         word = nfa.word_from_str(text)
         stack = build_run_stack(word, nfa)
-        scratch = SparseStateSet(nfa.state_count)
-        result = next_word(word, length, nfa, stack, tables, scratch)
-        assert len(scratch) == 0, "scratch must be left empty"
-        return result
+        return next_word(word, length, nfa, stack, tables)
 
     def test_successor_replaces_first_position(self, a1):
         assert self._next(a1, "ab", 2) == (1, 0)  # "ba"
@@ -137,6 +137,24 @@ class TestNextWord:
         first = self._next(a1, "ab", 2, tables)
         second = self._next(a1, "ab", 2, tables)
         assert first == second == (1, 0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 5))
+def test_successor_of_every_word_is_least_greater_member(seed, length):
+    """For every word of the length, accepted or not, next_word and seek
+    followed by next give the least member above it, or report that none
+    exists. Sweeping all words rather than drawing one finds the rare
+    state set whose best pair is not each row's first pair above the pivot."""
+    nfa = corpus_automaton(random.Random(seed))
+    members = cross_section_bruteforce(nfa, length)
+    tables = precompute(nfa, length)
+    cursor = CrossSectionCursor(nfa, length, tables)
+    for word in itertools.product(range(nfa.symbol_count), repeat=length):
+        expected = next((w for w in members if w > word), None)
+        assert next_word(word, length, nfa, build_run_stack(word, nfa), tables) == expected
+        cursor.seek(word)
+        assert cursor.next() == (EXHAUSTED if expected is None else expected)
 
 
 class TestCursor:
@@ -182,12 +200,6 @@ class TestCursor:
             cursor.seek((0,))
         with pytest.raises(ValueError):
             cursor.seek((0, 9))
-
-    def test_scratch_empty_between_calls(self, a1):
-        cursor = CrossSectionCursor(a1, 2)
-        while cursor.next() is not EXHAUSTED:
-            assert len(cursor._scratch) == 0
-        assert len(cursor._scratch) == 0
 
 
 class TestSharedTables:
@@ -279,6 +291,33 @@ class TestRadix:
 
     def test_limit_zero(self, a1):
         assert list(radix_words(a1, limit=0)) == []
+
+    def test_liveness_check_charges_each_state_it_reads(self):
+        # Lengths 1-4, 6, 8, 9, 11 and 13 hold no word, but some reachable
+        # state stays live at each, so all 15 lengths are checked. At each,
+        # the check reads reachable states in discovery order up to the
+        # first one that accepts a word of that length.
+        nfa = compile_regex("(aaaaa|aaaaaaa)*")
+        with counting() as counter:
+            words = list(radix_words(nfa, max_length=14))
+            radix_total = counter.take()
+            tables = precompute(nfa, 14)
+            for length in range(15):
+                list(CrossSectionCursor(nfa, length, tables))
+            parts = counter.take()
+        assert [len(w) for w in words] == [0, 5, 7, 10, 12, 14]
+        reachable = list(nfa.initial)
+        for q in reachable:
+            for _, targets in nfa.adjacency[q]:
+                reachable.extend(t for t in targets if t not in reachable)
+        visited = sum(1 + len(t) for q in reachable for _, t in nfa.adjacency[q])
+        parts += nfa.state_count + visited
+        reads = []
+        for length in range(15):
+            live = min_words_by_state(nfa, length)
+            reads.append(next(j for j, q in enumerate(reachable, 1) if live[q] is not None))
+        assert max(reads) > 1
+        assert radix_total - parts == sum(reads)
 
     def test_order_is_radix(self):
         rng = random.Random(53)
@@ -383,4 +422,4 @@ def test_golden_op_counts():
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
     assert report.preproc_ops == 2654
-    assert sum(r.op_count for r in report.records) == 112877
+    assert sum(r.op_count for r in report.records) == 106159

@@ -15,6 +15,22 @@ def test_counting_context_restores_state():
     assert ops.ops == 0
 
 
+def test_disabled_block_leaves_the_counter_alone():
+    with counting() as outer:
+        outer.ops += 4
+        with counting(False) as inner:
+            assert inner is outer and inner.enabled
+            precompute(make_a1(), 2)
+        assert outer.enabled
+        assert outer.ops > 4
+    ops.enabled = False
+    ops.ops = 7
+    with counting(False) as counter:
+        assert not counter.enabled and counter.ops == 7
+    assert ops.ops == 7
+    ops.reset()
+
+
 def test_take_reads_and_resets():
     with counting() as counter:
         counter.ops += 3

@@ -4,7 +4,6 @@ import pytest
 
 from lexenum import (
     OracleCapExceeded,
-    OracleConfig,
     build_nfa,
     cross_section_bruteforce,
     member,
@@ -55,7 +54,7 @@ class TestCrossSectionBruteforce:
 
     def test_cap_refusal(self, a1):
         with pytest.raises(OracleCapExceeded):
-            cross_section_bruteforce(a1, 5, OracleConfig(max_enumeration=10))
+            cross_section_bruteforce(a1, 20)  # 2^20 > MAX_ENUMERATION
 
 
 class TestMinWordOracle:

@@ -19,17 +19,6 @@ def test_insert_is_idempotent():
     assert 3 in s and 2 not in s
 
 
-def test_clear_then_iterate_is_empty():
-    s = SparseStateSet(4)
-    s.insert(1)
-    s.insert(2)
-    s.clear()
-    assert list(s) == []
-    assert bytes(s.membership) == bytes(4)
-    s.insert(2)
-    assert s.elements == [2]
-
-
 def test_iteration_is_insertion_order():
     s = SparseStateSet(6)
     for q in (4, 0, 5, 0, 2):
@@ -52,17 +41,13 @@ def test_insert_past_capacity_raises():
         s.insert(2)
 
 
-@given(st.lists(st.one_of(st.integers(0, 7), st.just("clear")), max_size=60))
+@given(st.lists(st.integers(0, 7), max_size=60))
 def test_membership_and_elements_agree(script):
     s = SparseStateSet(8)
     model = []
-    for op in script:
-        if op == "clear":
-            s.clear()
-            model = []
-        else:
-            s.insert(op)
-            if op not in model:
-                model.append(op)
+    for q in script:
+        s.insert(q)
+        if q not in model:
+            model.append(q)
     assert s.elements == model
     assert [bool(b) for b in s.membership] == [q in model for q in range(8)]
