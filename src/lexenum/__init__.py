@@ -8,8 +8,9 @@ l*(#transitions + |Q| log |Q|)), consecutive words are produced with
 O(l*#transitions) work between outputs, independent of how many words have
 been emitted, and with flat memory: each word is derived from the previous
 one plus read-only tables of O(l*|Q|) entries (each state's first step and
-word-order rank per length). A cursor keeps one buffer of l+1 state sets
-(O(l*|Q|) bytes) that it rewrites from the initial states on every call.
+word-order rank per length). A state set is a plain sequence of states; each
+cursor call builds the previous word's l+1 sets afresh from the initial
+states (O(l*|Q|) bytes) and keeps none of them.
 Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length over one table that grows a level per length; the
 run stops by itself after the longest word of a finite language.
@@ -18,7 +19,6 @@ run stops by itself after the longest word of a finite language.
 from .automaton import (
     AutomatonError,
     Nfa,
-    SparseStateSet,
     Symbol,
     Word,
     build_nfa,
@@ -59,7 +59,6 @@ __all__ = [
     "OracleCapExceeded",
     "ParseError",
     "RegexSyntaxError",
-    "SparseStateSet",
     "Symbol",
     "Word",
     "build_nfa",

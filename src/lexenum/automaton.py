@@ -10,20 +10,20 @@ two read-only layouts built once by :func:`build_nfa`:
 
 The adjacency lists serve the successor search and the tables, which visit
 only the symbols a state has; the columns serve the subset step, which reads
-one symbol for a whole set of states. :func:`replay` runs that step over a
-whole word into a caller-owned stack of sets; :func:`delta_step` is its
-one-symbol case.
+one symbol for a whole set of states. A state set is a plain sequence of
+states, duplicate-free and in first-occurrence order. :func:`replay` runs the
+subset step over a whole word and returns a new list of sets, one per
+prefix; :func:`delta_step` is its one-symbol case.
 
 ``Nfa`` instances are immutable after construction and safe to share across
-threads. ``SparseStateSet`` is a single-owner mutable structure.
+threads.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .instrument import ops as _ops
 
@@ -43,51 +43,12 @@ class Symbol:
     glyph: str
 
 
-class SparseStateSet:
-    """Subset of states with O(1) insert and membership test, O(|set|) iterate.
-
-    A byte membership array plus a list of the members in insertion order;
-    creating a fresh set costs O(state_count). Iteration order is insertion
-    order. :func:`replay` rewrites sets in place through both fields.
-    """
-
-    __slots__ = ("membership", "elements")
-
-    def __init__(self, state_count: int):
-        self.membership = bytearray(state_count)
-        self.elements: list[int] = []
-
-    def insert(self, state: int) -> None:
-        """Add ``state`` (0 <= state < state_count); re-inserting is a no-op."""
-        if not self.membership[state]:
-            self.membership[state] = 1
-            self.elements.append(state)
-
-    def copy(self) -> "SparseStateSet":
-        dup = SparseStateSet.__new__(SparseStateSet)
-        dup.membership = bytearray(self.membership)
-        dup.elements = list(self.elements)
-        return dup
-
-    def __contains__(self, state: int) -> bool:
-        return bool(self.membership[state])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        return f"SparseStateSet({self.elements!r})"
-
-
 class Nfa:
     """Immutable nondeterministic finite automaton without epsilon moves.
 
     Build instances through :func:`build_nfa` (or the text/regex frontends);
-    the constructor trusts its arguments. ``initial`` is exposed as a
-    :class:`SparseStateSet` and must not be mutated.
+    the constructor trusts its arguments. ``initial`` is a duplicate-free
+    tuple of states in first-occurrence order.
     """
 
     __slots__ = (
@@ -107,7 +68,7 @@ class Nfa:
         self,
         alphabet: tuple[Symbol, ...],
         state_count: int,
-        initial: SparseStateSet,
+        initial: tuple[int, ...],
         final_flags: bytearray,
         final_states: tuple[int, ...],
         adjacency: list[list[tuple[int, tuple[int, ...]]]],
@@ -155,7 +116,7 @@ class Nfa:
         return (
             self._glyphs == other._glyphs
             and self.state_count == other.state_count
-            and set(self.initial.elements) == set(other.initial.elements)
+            and set(self.initial) == set(other.initial)
             and set(self.final_states) == set(other.final_states)
             and self.adjacency == other.adjacency
         )
@@ -165,7 +126,7 @@ class Nfa:
     def __repr__(self) -> str:
         return (
             f"Nfa(|Q|={self.state_count}, sigma={''.join(self._glyphs)!r}, "
-            f"|delta|={self.transition_count}, I={self.initial.elements}, "
+            f"|delta|={self.transition_count}, I={list(self.initial)}, "
             f"F={list(self.final_states)})"
         )
 
@@ -174,6 +135,17 @@ def _check_state(value, state_count: int, what: str) -> int:
     if not isinstance(value, int) or not 0 <= value < state_count:
         raise AutomatonError(f"{what} {value!r} out of range for {state_count} states")
     return value
+
+
+def _distinct_states(values: Iterable, state_count: int, what: str) -> tuple[bytearray, list[int]]:
+    """Membership bytes and the distinct checked states in first-occurrence order."""
+    flags = bytearray(state_count)
+    states: list[int] = []
+    for q in values:
+        if not flags[_check_state(q, state_count, what)]:
+            flags[q] = 1
+            states.append(q)
+    return flags, states
 
 
 def build_nfa(
@@ -211,13 +183,8 @@ def build_nfa(
     if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
         raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
 
-    init_set = SparseStateSet(state_count)
-    for q in initial:
-        init_set.insert(_check_state(q, state_count, "initial state"))
-
-    final_set = SparseStateSet(state_count)
-    for q in final:
-        final_set.insert(_check_state(q, state_count, "final state"))
+    _, init_states = _distinct_states(initial, state_count, "initial state")
+    final_flags, final_states = _distinct_states(final, state_count, "final state")
 
     # One column of per-state target buckets per symbol, () while empty;
     # creating them is the O(sigma*|Q|) share of the layout cost.
@@ -265,38 +232,38 @@ def build_nfa(
     return Nfa(
         tuple(symbols),
         state_count,
-        init_set,
-        final_set.membership,
-        tuple(final_set.elements),
+        tuple(init_states),
+        final_flags,
+        tuple(final_states),
         adjacency,
         columns,
         len(seen),
     )
 
 
-def replay(nfa: Nfa, word: Sequence[int], stack: list[SparseStateSet]) -> list[SparseStateSet]:
-    """Run ``word`` from the set ``stack[0]``, writing the set reached after
-    each prefix ``word[:i]`` into ``stack[i]``; returns ``stack``.
+def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence[int]]:
+    """The state sets reached from ``start`` after each prefix of ``word``.
 
-    ``stack`` needs ``len(word) + 1`` sets over ``nfa``'s states; entries 1 to
-    ``len(word)`` are overwritten whatever they held, and entry 0 is only
-    read. Each entry is cleared in place (one O(|Q|) zero-fill of its
-    membership bytes, the cost of allocating a fresh set) and then filled
-    with the targets in first-occurrence order over the previous entry's
-    states in their order. A position is charged ``len(source)`` plus the
-    targets visited, which is its work up to the uncharged zero-fill.
+    Returns a new list of ``len(word) + 1`` entries: entry 0 is ``start``
+    itself, and entry ``i`` a new list of the states reached after reading
+    ``word[:i]``. Each entry holds the targets in first-occurrence order over
+    the previous entry's states in their order, without duplicates; it is
+    built against a fresh |Q|-byte membership array, one O(|Q|) allocation
+    per position. A position is charged ``len(source)`` plus the targets
+    visited, which is its work up to that uncharged allocation.
     """
     columns = nfa._columns
-    zero = bytes(nfa.state_count)
+    n = nfa.state_count
     counting = _ops.enabled
-    sources = stack[0].elements
-    for a, into in zip(word, islice(stack, 1, None)):
+    stack = [start]
+    sources = start
+    for a in word:
         column = columns[a]
-        membership = into.membership
-        membership[:] = zero
-        elements = into.elements
-        elements.clear()
-        # SparseStateSet.insert, inlined: this loop is the per-output hot path.
+        # A fresh array per position: one array reused and cleared over the
+        # new list, or dict.fromkeys over the chained targets, measured slower.
+        membership = bytearray(n)
+        elements: list[int] = []
+        # This loop is the per-output hot path.
         for q in sources:
             for t in column[q]:
                 if not membership[t]:
@@ -304,23 +271,17 @@ def replay(nfa: Nfa, word: Sequence[int], stack: list[SparseStateSet]) -> list[S
                     elements.append(t)
         if counting:
             _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
+        stack.append(elements)
         sources = elements
     return stack
 
 
-def delta_step(
-    nfa: Nfa,
-    source: SparseStateSet,
-    symbol: Union[int, Symbol],
-    into: SparseStateSet,
-) -> SparseStateSet:
-    """Collect every target reachable from ``source`` on ``symbol`` into ``into``.
+def delta_step(nfa: Nfa, source: Sequence[int], symbol: Union[int, Symbol]) -> list[int]:
+    """Every target reachable from ``source`` on ``symbol``, as a new list.
 
-    The one-symbol case of :func:`replay`. ``into`` must be empty on entry;
-    it is also returned. Targets enter ``into`` in first-occurrence order
-    over the source states in their order. The charge is ``len(source)``
-    plus the number of targets visited.
+    The one-symbol case of :func:`replay`: targets in first-occurrence order
+    over the source states in their order, without duplicates. The charge is
+    ``len(source)`` plus the number of targets visited.
     """
     a = symbol.id if isinstance(symbol, Symbol) else symbol
-    replay(nfa, (a,), [source, into])
-    return into
+    return replay(nfa, (a,), source)[1]

@@ -83,14 +83,16 @@ def measure_delays(
 
     ``source`` is an automaton or a zero-argument factory; pass a factory to
     include the automaton layout construction in the preprocessing tally.
-    ``limit`` bounds the number of outputs measured.
+    ``limit`` bounds the number of outputs measured. Under an enclosing
+    :func:`~lexenum.instrument.counting` block the whole tally, preprocessing
+    and every gap, is added to the enclosing count.
     """
     with counting() as ops:
         t0 = time.perf_counter_ns()
         nfa = source() if callable(source) else source
         tables = precompute(nfa, length)
         preproc_nanos = time.perf_counter_ns() - t0
-        preproc_ops = ops.take()
+        preproc_ops = mark = ops.ops
 
         cursor = CrossSectionCursor(nfa, length, tables=tables)
         records: list[DelayRecord] = []
@@ -100,7 +102,8 @@ def measure_delays(
         while limit is None or index < limit:
             word = cursor.next()
             now = time.perf_counter_ns()
-            gap_ops = ops.take()
+            gap_ops = ops.ops - mark
+            mark = ops.ops
             if word is EXHAUSTED:
                 final_gap_ops = gap_ops
                 final_gap_nanos = now - t_prev

@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # Downstream closed the pipe (e.g. `| head`); not an error.

@@ -3,12 +3,13 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions), and keeps no state besides
-the last output word, one buffer of length + 1 state sets (O(length * |Q|)
-bytes) that every call rewrites from the initial set, and tables it only
-reads, so memory stays flat no matter how many words are produced. The
-successor search orders candidates by the tables' ranks alone, the key
-``MinWordTables.add_level`` ranks states by, and needs no state set of its
-own.
+the last output word and tables it only reads. Each call builds the length + 1
+state sets of the previous output's run afresh from the initial set
+(O(length * |Q|) bytes) and drops them on return, so memory stays flat no
+matter how many words are produced. A state set is a plain sequence of
+states. The successor search orders candidates by the tables' ranks alone,
+the key ``MinWordTables.add_level`` ranks states by, and needs no state set of
+its own.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import count
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 # delta_step stays importable from here for callers that wrap this module's names.
-from .automaton import Nfa, SparseStateSet, Word, delta_step, replay  # noqa: F401
+from .automaton import Nfa, Word, delta_step, replay  # noqa: F401
 from .instrument import ops as _ops
 from .tables import MinWordTables, precompute
 
@@ -37,7 +38,7 @@ EXHAUSTED = _ExhaustedType()
 _symbol_of = itemgetter(0)
 
 
-def min_word(k: int, states: SparseStateSet, tables: MinWordTables) -> Optional[Word]:
+def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[Word]:
     """Least length-k word accepted from any state in ``states``, or None.
 
     An argmin over the level-k ranks finds the best starting state; the
@@ -45,13 +46,12 @@ def min_word(k: int, states: SparseStateSet, tables: MinWordTables) -> Optional[
     following first_step entries. A miss costs O(|states|), a hit
     O(k + |states|).
     """
-    elems = states.elements
-    if not elems:
+    if not states:
         return None
     rank = tables.rank[k]
-    q_min = min(elems, key=rank.__getitem__)
+    q_min = min(states, key=rank.__getitem__)
     if _ops.enabled:
-        _ops.ops += len(elems)
+        _ops.ops += len(states)
     if rank[q_min] == tables.state_count:
         return None
     if _ops.enabled:
@@ -59,31 +59,21 @@ def min_word(k: int, states: SparseStateSet, tables: MinWordTables) -> Optional[
     return tables.min_word_from(k, q_min)
 
 
-def build_run_stack(
-    word: Word, nfa: Nfa, stack: Optional[list[SparseStateSet]] = None
-) -> list[SparseStateSet]:
+def build_run_stack(word: Word, nfa: Nfa) -> list[Sequence[int]]:
     """State sets reachable from the initial set after each prefix of ``word``.
 
     Entry ``i`` holds the states reached after reading ``word[:i]``; entry 0
-    is a copy of the initial set. The word need not be accepted; trailing
-    entries may be empty. Given ``stack`` (``len(word) + 1`` sets over
-    ``nfa``'s states, any contents), the run is written into it and it is
-    returned; otherwise a new stack is allocated. Either way the whole run
-    is replayed from the initial set.
+    is the initial tuple itself. The word need not be accepted; trailing
+    entries may be empty. Every call replays the whole run into new lists.
     """
-    if stack is None:
-        stack = [SparseStateSet(nfa.state_count) for _ in range(len(word) + 1)]
-    start = stack[0]
-    start.membership[:] = nfa.initial.membership
-    start.elements[:] = nfa.initial.elements
-    return replay(nfa, word, stack)
+    return replay(nfa, word, nfa.initial)
 
 
 def next_word(
     word: Word,
     length: int,
     nfa: Nfa,
-    stack: list[SparseStateSet],
+    stack: list[Sequence[int]],
     tables: MinWordTables,
 ) -> Optional[Word]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
@@ -108,7 +98,7 @@ def next_word(
     for i in range(length - 1, -1, -1):
         k = length - i - 1
         key = tables.rank[k].__getitem__
-        cur = stack[i].elements
+        cur = stack[i]
         wi = word[i]
         best_a, best_r, best_targets = len(nfa.alphabet), n, ()
         examined = len(cur)
@@ -139,10 +129,9 @@ class CrossSectionCursor:
     ``length`` or :data:`EXHAUSTED` (sticky once returned). The first call
     costs one least-word lookup; each later call recomputes the run of the
     previous output and searches for its successor, so per-output work is
-    O(length * #transitions) regardless of history. The run is written into
-    one buffer of ``length + 1`` state sets (O(length * |Q|) bytes), allocated
-    on the first replay and rewritten from the initial set on every call;
-    nothing in it carries over from one output to the next.
+    O(length * #transitions) regardless of history. Each call builds the
+    run's ``length + 1`` state sets afresh (O(length * |Q|) bytes) and drops
+    them on return; nothing carries over from one output to the next.
 
     The automaton and tables are shared, and cursors never write to them;
     any number of cursors may run over them concurrently. The owner of the
@@ -151,7 +140,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_stack")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         if length < 0:
@@ -167,7 +156,6 @@ class CrossSectionCursor:
         self.tables = tables
         self._last: Optional[Word] = None
         self._exhausted = False
-        self._stack: Optional[list[SparseStateSet]] = None
 
     @property
     def current(self) -> Optional[Word]:
@@ -180,8 +168,8 @@ class CrossSectionCursor:
         if self._last is None:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
-            self._stack = build_run_stack(self._last, self.nfa, self._stack)
-            word = next_word(self._last, self.length, self.nfa, self._stack, self.tables)
+            stack = build_run_stack(self._last, self.nfa)
+            word = next_word(self._last, self.length, self.nfa, stack, self.tables)
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -243,15 +231,18 @@ def radix_words(
         return
     n = nfa.state_count
     tables = precompute(nfa, 0)
-    # One pass over the adjacency lists; iterating the member list also
-    # visits the states appended while it runs.
-    reachable = nfa.initial.copy()
+    # One pass over the adjacency lists; iterating the list also visits the
+    # states appended while it runs.
+    reachable = list(nfa.initial)
+    seen = set(reachable)
     visited = 0
-    for q in reachable.elements:
+    for q in reachable:
         for _, targets in nfa.adjacency[q]:
             visited += 1 + len(targets)
             for t in targets:
-                reachable.insert(t)
+                if t not in seen:
+                    seen.add(t)
+                    reachable.append(t)
     if _ops.enabled:
         _ops.ops += n + visited
     produced = 0
@@ -260,7 +251,7 @@ def radix_words(
             tables.add_level(nfa)
         rank = tables.rank[length]
         # 1-based position of the first live reachable state; 0 when none is.
-        live_at = next((j for j, q in enumerate(reachable.elements, 1) if rank[q] < n), 0)
+        live_at = next((j for j, q in enumerate(reachable, 1) if rank[q] < n), 0)
         if _ops.enabled:
             _ops.ops += live_at or len(reachable)
         if not live_at:

@@ -9,6 +9,8 @@ one unit per reachable state whose liveness it checks at each length. The
 core modules funnel every increment through the single ``ops`` object
 below; when counting is disabled (the default) they pay one branch per
 loop, nothing more, and their observable behaviour is identical either way.
+:func:`counting` blocks nest; what an inner block counts also reaches the
+enclosing count.
 """
 
 from __future__ import annotations
@@ -40,19 +42,22 @@ ops = OpCounter()
 def counting(enabled: bool = True):
     """Count inside the block, restoring the previous state on exit.
 
-    Yields the global counter, reset to zero on entry. With ``enabled`` false
-    the block leaves the counter as it finds it, so code that counts only on
-    request keeps one path and never switches off a count around it.
+    Yields the global counter, reset to zero on entry. Blocks nest: on exit
+    the block's count, as it stands then, is added to the enclosing count
+    when that count is enabled, and otherwise the previous tally comes back
+    unchanged. With ``enabled`` false the block leaves the counter as it
+    finds it, so code that counts only on request keeps one path and never
+    switches off a count around it.
     """
     if not enabled:
         yield ops
         return
     prev_enabled = ops.enabled
     prev_ops = ops.ops
-    ops.enabled = enabled
+    ops.enabled = True
     ops.reset()
     try:
         yield ops
     finally:
+        ops.ops = prev_ops + ops.ops if prev_enabled else prev_ops
         ops.enabled = prev_enabled
-        ops.ops = prev_ops

@@ -33,7 +33,7 @@ def _check_cap(symbol_count: int, length: int) -> None:
 def member(nfa: Nfa, word: Iterable[int], start: Optional[Iterable[int]] = None) -> bool:
     """True iff some final state is reachable along ``word`` from ``start``
     (default: the initial states). Plain set-by-set simulation."""
-    cur = set(nfa.initial.elements) if start is None else set(start)
+    cur = set(nfa.initial) if start is None else set(start)
     for a in word:
         nxt = set()
         for q in cur:
@@ -53,7 +53,7 @@ def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
     """
     sigma = len(nfa.alphabet)
     _check_cap(sigma, length)
-    init = nfa.initial.elements
+    init = nfa.initial
     flags = nfa.final_flags
     out: list[Word] = []
     if length == 0:

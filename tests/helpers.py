@@ -82,7 +82,7 @@ def serialize_automaton(nfa: Nfa) -> str:
     lines = [
         "alphabet " + " ".join(s.glyph for s in nfa.alphabet),
         f"states {nfa.state_count}",
-        "initial " + " ".join(str(q) for q in nfa.initial.elements),
+        "initial " + " ".join(str(q) for q in nfa.initial),
         "final " + " ".join(str(q) for q in nfa.final_states),
     ]
     glyphs = [s.glyph for s in nfa.alphabet]

@@ -4,7 +4,6 @@ import pytest
 
 from lexenum import (
     AutomatonError,
-    SparseStateSet,
     build_nfa,
     delta_step,
     random_automaton,
@@ -17,7 +16,7 @@ class TestBuildNfa:
     def test_a1_layout(self, a1):
         assert a1.adjacency[0] == [(0, (0,)), (1, (1,))]
         assert a1.adjacency[1] == [(0, (1,))]
-        assert a1.initial.elements == [0]
+        assert a1.initial == (0,)
         assert a1.final_states == (1,)
         assert a1.transition_count == 3
 
@@ -29,6 +28,12 @@ class TestBuildNfa:
         nfa = build_nfa(["a"], 2, [0], [1], [(0, "a", 1), (0, "a", 1)])
         assert nfa.adjacency[0] == [(0, (1,))]
         assert nfa.transition_count == 1
+
+    def test_repeated_initial_and_final_states_collapse_in_order(self):
+        nfa = build_nfa(["a"], 3, [2, 0, 2], [1, 2, 1], [])
+        assert nfa.initial == (2, 0)
+        assert nfa.final_states == (1, 2)
+        assert list(nfa.final_flags) == [0, 1, 1]
 
     def test_symbols_accepted_as_ids_or_glyphs(self):
         by_glyph = build_nfa("ab", 2, [0], [1], [(0, "b", 1)])
@@ -107,12 +112,7 @@ class TestBuildNfa:
 
 class TestDeltaStep:
     def _step(self, nfa, states, glyph):
-        src = SparseStateSet(nfa.state_count)
-        for q in states:
-            src.insert(q)
-        out = SparseStateSet(nfa.state_count)
-        delta_step(nfa, src, nfa.symbol_id(glyph), out)
-        return set(out)
+        return set(delta_step(nfa, states, nfa.symbol_id(glyph)))
 
     def test_single_state(self, a1):
         assert self._step(a1, [0], "b") == {1}
@@ -148,22 +148,17 @@ class TestDeltaStep:
             a = rng.randrange(nfa.symbol_count)
             order = list(range(nfa.state_count))
             rng.shuffle(order)
-            source = SparseStateSet(nfa.state_count)
-            for q in order[: rng.randint(0, nfa.state_count)]:
-                source.insert(q)
+            source = order[: rng.randint(0, nfa.state_count)]
             expected = []
-            for q in source.elements:
+            for q in source:
                 for t in nfa.targets(q, a):
                     if t not in expected:
                         expected.append(t)
-            into = SparseStateSet(nfa.state_count)
             with counting() as ops:
-                assert delta_step(nfa, source, a, into) is into
+                into = delta_step(nfa, source, a)
                 charged = ops.take()
-            assert into.elements == expected
-            assert len(set(into.elements)) == len(into.elements)
-            assert [q for q in range(nfa.state_count) if into.membership[q]] == sorted(expected)
-            assert set(into.membership) <= {0, 1}
+            assert into == expected
+            assert len(set(into)) == len(into)
             assert charged == len(source) + sum(len(nfa.targets(q, a)) for q in source)
 
 

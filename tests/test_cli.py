@@ -1,5 +1,6 @@
 import pytest
 
+from lexenum import cli
 from lexenum.cli import main
 from lexenum.instrument import counting
 
@@ -77,6 +78,15 @@ class TestEnum:
             code, _, err = run(capsys, "enum", "--regex", pattern, "--length", "1")
             assert code == 2
             assert "position" in err
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(nfa, length):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "precompute", exhausted)
+        code, out, err = run(capsys, "enum", "--regex", "a*", "--length", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_requires_exactly_one_input(self, capsys, a1_file):
         with pytest.raises(SystemExit) as excinfo:

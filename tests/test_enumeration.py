@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from lexenum import (
     EXHAUSTED,
     CrossSectionCursor,
-    SparseStateSet,
     build_nfa,
     build_run_stack,
     compile_regex,
@@ -28,30 +28,23 @@ from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
 
-def _state_set(nfa, states):
-    out = SparseStateSet(nfa.state_count)
-    for q in states:
-        out.insert(q)
-    return out
-
-
 class TestMinWord:
     def test_from_single_state(self, a1):
         tables = precompute(a1, 2)
-        assert min_word(2, _state_set(a1, [0]), tables) == (0, 1)  # "ab"
+        assert min_word(2, [0], tables) == (0, 1)  # "ab"
 
     def test_picks_best_state(self, a1):
         tables = precompute(a1, 2)
-        assert min_word(1, _state_set(a1, [0, 1]), tables) == (0,)  # via state 1
+        assert min_word(1, [0, 1], tables) == (0,)  # via state 1
 
     def test_empty_word_cases(self, a1):
         tables = precompute(a1, 0)
         assert min_word(0, a1.initial, tables) is None  # initial not final
-        assert min_word(0, _state_set(a1, [1]), tables) == ()
+        assert min_word(0, [1], tables) == ()
 
     def test_empty_state_set(self, a1):
         tables = precompute(a1, 3)
-        assert min_word(3, _state_set(a1, []), tables) is None
+        assert min_word(3, [], tables) is None
 
 
 class TestBuildRunStack:
@@ -67,48 +60,29 @@ class TestBuildRunStack:
         stack = build_run_stack(a1.word_from_str("bb"), a1)
         assert [set(s) for s in stack] == [{0}, {1}, set()]
 
-    def test_does_not_alias_initial_set(self, a1):
-        stack = build_run_stack((), a1)
-        stack[0].insert(1)
-        assert a1.initial.elements == [0]
-
-    def test_reused_buffer_matches_chained_delta_step(self):
-        """A fresh stack and a buffer last filled by another word both hold
-        exactly what delta_step chained from a copy of the initial set gives:
-        same element order, same membership bytes, same charge."""
+    def test_matches_chained_delta_step(self):
+        """The run stack holds exactly what delta_step chained from the
+        initial set gives: same element order, same charge."""
         rng = random.Random(79)
         dead_ends = live = 0
         for _ in range(300):
             nfa = corpus_automaton(rng)
             length = rng.randint(0, 7)
             word = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
-            other = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
-            initial = (list(nfa.initial.elements), bytes(nfa.initial.membership))
 
-            expected = [nfa.initial.copy()]
+            expected = [list(nfa.initial)]
             with counting() as ops:
                 for a in word:
-                    into = SparseStateSet(nfa.state_count)
-                    expected.append(delta_step(nfa, expected[-1], a, into))
+                    expected.append(delta_step(nfa, expected[-1], a))
                 expected_charge = ops.take()
-            expected = [(s.elements, bytes(s.membership)) for s in expected]
 
-            buffer = build_run_stack(other, nfa)
-            for given in (None, buffer):
-                with counting() as ops:
-                    stack = build_run_stack(word, nfa, given)
-                    charge = ops.take()
-                if given is not None:
-                    assert stack is buffer
-                assert [(s.elements, bytes(s.membership)) for s in stack] == expected
-                assert charge == expected_charge
-                start = stack[0]
-                assert start is not nfa.initial
-                assert start.elements is not nfa.initial.elements
-                assert start.membership is not nfa.initial.membership
-            assert (nfa.initial.elements, bytes(nfa.initial.membership)) == initial
+            with counting() as ops:
+                stack = build_run_stack(word, nfa)
+                charge = ops.take()
+            assert [list(s) for s in stack] == expected
+            assert charge == expected_charge
             if length:
-                if expected[-1][0]:
+                if expected[-1]:
                     live += 1
                 else:
                     dead_ends += 1
@@ -201,10 +175,29 @@ class TestCursor:
         with pytest.raises(ValueError):
             cursor.seek((0, 9))
 
+    def test_memory_stays_flat(self):
+        """Each call builds its run stack afresh and keeps none of it, so the
+        traced heap after word 500 is within a small constant of its size
+        after word 20."""
+        nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
+        tables = precompute(nfa, 32)
+        cursor = CrossSectionCursor(nfa, 32, tables)
+        tracemalloc.start()
+        try:
+            for i in range(1, 501):
+                assert cursor.next() is not EXHAUSTED
+                if i == 20:
+                    early, _ = tracemalloc.get_traced_memory()
+            late, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert late - early <= 16 * 1024, (early, late)
+
 
 class TestSharedTables:
-    """Cursors over one table: each owns its run buffer, so neither threads
-    nor interleaved calls change what any of them yields."""
+    """Cursors over one table: each builds its own run stack on every call,
+    so neither threads nor interleaved calls change what any of them
+    yields."""
 
     LENGTH = 12
     WORDS = 500

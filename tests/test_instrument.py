@@ -1,6 +1,6 @@
 import random
 
-from lexenum import cross_section, measure_delays, precompute
+from lexenum import compile_regex, cross_section, measure_delays, precompute
 from lexenum.instrument import counting, ops
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
@@ -29,6 +29,30 @@ def test_disabled_block_leaves_the_counter_alone():
         assert not counter.enabled and counter.ops == 7
     assert ops.ops == 7
     ops.reset()
+
+
+def test_nested_count_reaches_the_enclosing_count():
+    nfa = make_a1()
+    with counting() as counter:
+        precompute(nfa, 3)
+        single = counter.ops
+    with counting() as outer:
+        precompute(nfa, 3)
+        with counting() as inner:
+            precompute(nfa, 3)
+            assert inner.ops == single
+        assert outer.ops == 2 * single
+    assert not ops.enabled
+
+
+def test_measure_delays_tally_reaches_an_enclosing_count():
+    nfa = compile_regex("(a|b|c)*b(a|c)*")
+    with counting() as outer:
+        report = measure_delays(nfa, 4)
+        total = outer.ops
+    assert report.exhausted
+    parts = report.preproc_ops + sum(r.op_count for r in report.records)
+    assert total == parts + report.final_gap_ops == 1613
 
 
 def test_take_reads_and_resets():
