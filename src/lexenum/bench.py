@@ -20,6 +20,8 @@ from .instrument import counting
 from .tables import precompute
 
 _GLYPH_POOL = string.ascii_lowercase + string.ascii_uppercase + string.digits
+# The most symbols a random automaton can have: one per glyph in the pool.
+MAX_SYMBOLS = len(_GLYPH_POOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,8 +142,8 @@ def random_automaton(
     """
     if state_count < 1:
         raise ValueError("need at least one state")
-    if not 1 <= symbol_count <= len(_GLYPH_POOL):
-        raise ValueError(f"symbol count must be in 1..{len(_GLYPH_POOL)}")
+    if not 1 <= symbol_count <= MAX_SYMBOLS:
+        raise ValueError(f"symbol count must be in 1..{MAX_SYMBOLS}")
     max_triples = state_count * state_count * symbol_count
     transition_count = min(transition_count, max_triples)
     span = symbol_count * state_count

@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from .automaton import AutomatonError, Nfa
-from .bench import measure_delays, random_automaton
+from .bench import MAX_SYMBOLS, measure_delays, random_automaton
 from .enumeration import cross_section, radix_words
 from .fileformat import ParseError, decode_automaton, parse_automaton
 from .instrument import counting
@@ -51,6 +51,12 @@ def _random_spec(text: str):
         states, symbols, transitions = (int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("expected three integers") from None
+    if states < 1:
+        raise argparse.ArgumentTypeError("STATES must be at least 1")
+    if not 1 <= symbols <= MAX_SYMBOLS:
+        raise argparse.ArgumentTypeError(f"SYMBOLS must be in 1..{MAX_SYMBOLS}")
+    if transitions < 0:
+        raise argparse.ArgumentTypeError("TRANSITIONS must be non-negative")
     return states, symbols, transitions
 
 

@@ -28,12 +28,6 @@ class OpCounter:
     def reset(self) -> None:
         self.ops = 0
 
-    def take(self) -> int:
-        """Return the current tally and reset it to zero."""
-        n = self.ops
-        self.ops = 0
-        return n
-
 
 ops = OpCounter()
 

@@ -1,19 +1,18 @@
 """Small regex frontend: literals, concatenation, ``|``, ``*``, ``+``, ``?``,
 parentheses.
 
-Patterns compile through the classic construction with epsilon moves, which
-are then eliminated so the resulting :class:`Nfa` satisfies the plain
-transition model used everywhere else. The alphabet is the set of literals
-that occur in the pattern, ordered by code point. Stacked quantifiers
-collapse (``a+?`` means ``a*``), and parentheses nest at most
-:data:`MAX_GROUP_DEPTH` deep.
+Patterns compile straight to their position automaton (Glushkov 1961,
+with the first/last/follow sets of Berry & Sethi 1986): state 0 is the
+initial state and state i is the i-th literal of the pattern, so there are
+no epsilon moves and the :class:`Nfa` has one state per literal plus one.
+The alphabet is the set of literals that occur in the pattern, ordered by
+code point. Stacked quantifiers collapse (``a+?`` means ``a*``), and
+parentheses nest at most :data:`MAX_GROUP_DEPTH` deep.
 """
 
 from __future__ import annotations
 
 from .automaton import Nfa, build_nfa
-
-_SPECIAL = "|*+?()"
 
 
 class RegexSyntaxError(ValueError):
@@ -25,7 +24,7 @@ class RegexSyntaxError(ValueError):
 
 
 # Parentheses may nest at most this deep, which bounds the recursion depth
-# of the parser and of the fragment builder.
+# of the parser and of the position pass.
 MAX_GROUP_DEPTH = 100
 
 _QUANTIFIERS = {"*": "star", "+": "plus", "?": "opt"}
@@ -104,104 +103,66 @@ class _Parser:
         return ("lit", ch)
 
 
-class _Builder:
-    """Fragment-by-fragment automaton assembly with epsilon edges."""
+def _positions(node, glyphs: list, follow: list) -> tuple[bool, list, list]:
+    """Return ``(nullable, first, last)`` of ``node``.
 
-    def __init__(self, symbol_ids: dict):
-        self.symbol_ids = symbol_ids
-        self.eps: list[list[int]] = []
-        self.sym: list[list[tuple[int, int]]] = []
-
-    def state(self) -> int:
-        self.eps.append([])
-        self.sym.append([])
-        return len(self.eps) - 1
-
-    def build(self, node) -> tuple[int, int]:
-        tag = node[0]
-        if tag == "eps":
-            s = self.state()
-            return s, s
-        if tag == "lit":
-            s, t = self.state(), self.state()
-            self.sym[s].append((self.symbol_ids[node[1]], t))
-            return s, t
-        if tag == "cat":
-            s, t = self.build(node[1])
-            for part in node[2:]:
-                s2, t2 = self.build(part)
-                self.eps[t].append(s2)
-                t = t2
-            return s, t
-        if tag == "alt":
-            ends = [self.build(branch) for branch in node[1:]]
-            s, t = self.state(), self.state()
-            for s1, t1 in ends:
-                self.eps[s].append(s1)
-                self.eps[t1].append(t)
-            return s, t
-        s1, t1 = self.build(node[1])
-        s, t = self.state(), self.state()
-        self.eps[s].append(s1)
-        self.eps[t1].append(t)
-        if tag in ("star", "plus"):
-            self.eps[t1].append(s1)
-        if tag in ("star", "opt"):
-            self.eps[s].append(t)
-        return s, t
-
-
-def _closure(eps: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    todo = [start]
-    while todo:
-        for nxt in eps[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
+    Each literal becomes the next position p: its glyph is appended to
+    ``glyphs`` and an empty set to ``follow``, so both are indexed by p.
+    Positions that may come after position p inside ``node`` are added to
+    ``follow[p]``.
+    """
+    tag = node[0]
+    if tag == "eps":
+        return True, [], []
+    if tag == "lit":
+        glyphs.append(node[1])
+        follow.append(set())
+        p = len(follow) - 1
+        return False, [p], [p]
+    if tag == "cat":
+        nullable, first, last = True, [], []
+        for part in node[1:]:
+            part_nullable, part_first, part_last = _positions(part, glyphs, follow)
+            for p in last:
+                follow[p].update(part_first)
+            if nullable:
+                first += part_first
+            last = last + part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        return nullable, first, last
+    if tag == "alt":
+        nullable, first, last = False, [], []
+        for branch in node[1:]:
+            branch_nullable, branch_first, branch_last = _positions(branch, glyphs, follow)
+            nullable = nullable or branch_nullable
+            first += branch_first
+            last += branch_last
+        return nullable, first, last
+    nullable, first, last = _positions(node[1], glyphs, follow)
+    if tag in ("star", "plus"):
+        for p in last:
+            follow[p].update(first)
+    return nullable or tag in ("star", "opt"), first, last
 
 
 def compile_regex(pattern: str) -> Nfa:
-    """Compile ``pattern`` into an epsilon-free :class:`Nfa`.
+    """Compile ``pattern`` into its position automaton.
 
+    State 0 is the initial state and state i is the i-th literal of the
+    pattern, entered only on that literal's symbol; there are no epsilon
+    moves. The transitions leaving a state are ordered by (symbol, target).
     Raises :class:`RegexSyntaxError` with the offending position. The empty
     pattern (and empty branches such as ``a|``) match the empty word.
     """
     ast = _Parser(pattern).parse()
-    # Every character that parsed and is not an operator is a literal.
-    alphabet = sorted(set(pattern) - set(_SPECIAL))
-    symbol_ids = {ch: i for i, ch in enumerate(alphabet)}
-
-    builder = _Builder(symbol_ids)
-    start, accept = builder.build(ast)
-    eps, sym = builder.eps, builder.sym
-
-    # Epsilon elimination: each state inherits the symbol transitions of its
-    # closure; it is final iff its closure reaches the accepting state.
-    closures = [_closure(eps, q) for q in range(len(eps))]
-    arcs: list[set[tuple[int, int]]] = []
-    finals = []
-    for q in range(len(eps)):
-        merged = set()
-        for p in closures[q]:
-            merged.update(sym[p])
-        arcs.append(merged)
-        if accept in closures[q]:
-            finals.append(q)
-
-    # Keep only states reachable from the start, renumbered densely in
-    # discovery order.
-    order = [start]
-    number = {start: 0}
-    for q in order:
-        for _, t in sorted(arcs[q]):
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-
+    glyphs: list = [None]
+    follow: list[set[int]] = [set()]
+    nullable, first, last = _positions(ast, glyphs, follow)
+    follow[0].update(first)
     transitions = [
-        (number[q], a, number[t]) for q in order for a, t in sorted(arcs[q])
+        (p, a, q)
+        for p, targets in enumerate(follow)
+        for a, q in sorted((glyphs[q], q) for q in targets)
     ]
-    final_states = [number[q] for q in finals if q in number]
-    return build_nfa(alphabet, len(order), [0], final_states, transitions)
+    alphabet = sorted(set(glyphs[1:]))
+    return build_nfa(alphabet, len(follow), [0], last + [0] if nullable else last, transitions)

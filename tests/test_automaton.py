@@ -156,7 +156,7 @@ class TestDeltaStep:
                         expected.append(t)
             with counting() as ops:
                 into = delta_step(nfa, source, a)
-                charged = ops.take()
+                charged = ops.ops
             assert into == expected
             assert len(set(into)) == len(into)
             assert charged == len(source) + sum(len(nfa.targets(q, a)) for q in source)

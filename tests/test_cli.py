@@ -178,6 +178,8 @@ class TestBench:
         assert strip(first) == strip(second)
 
     def test_bad_random_spec(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--random", "10,3", "--length", "2"])
-        assert excinfo.value.code == 2
+        for spec in ["10,3", "0,2,3", "3,0,3", "3,63,3", "3,2,-1"]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", "--random", spec, "--length", "2"])
+            assert excinfo.value.code == 2, spec
+            assert "--random" in capsys.readouterr().err, spec

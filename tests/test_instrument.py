@@ -55,13 +55,6 @@ def test_measure_delays_tally_reaches_an_enclosing_count():
     assert total == parts + report.final_gap_ops == 1613
 
 
-def test_take_reads_and_resets():
-    with counting() as counter:
-        counter.ops += 3
-        assert counter.take() == 3
-        assert counter.ops == 0
-
-
 def test_enumeration_is_identical_with_counters_on_and_off():
     rng = random.Random(97)
     for _ in range(20):

@@ -2,6 +2,7 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexenum import (
     RegexSyntaxError,
@@ -70,11 +71,22 @@ def test_alphabet_is_code_point_ordered():
 
 
 def test_no_epsilon_moves_result_has_plain_transitions():
-    nfa = compile_regex("(a|b)*c?")
-    for q in range(nfa.state_count):
-        for a, targets in nfa.adjacency[q]:
-            assert 0 <= a < nfa.symbol_count
-            assert targets
+    """The position automaton: one state per literal plus the initial state
+    0, which nothing enters; every other state is entered on one symbol."""
+    for pattern in ["(a|b)*c?", "", "a**|(b+a?)+c|", "((ab)*|c)+a"]:
+        nfa = compile_regex(pattern)
+        literals = sum(ch not in "|*+?()" for ch in pattern)
+        assert nfa.state_count == literals + 1
+        assert list(nfa.initial) == [0]
+        entered_on = [set() for _ in range(nfa.state_count)]
+        for q in range(nfa.state_count):
+            for a, targets in nfa.adjacency[q]:
+                assert 0 <= a < nfa.symbol_count
+                assert targets
+                for t in targets:
+                    entered_on[t].add(a)
+        assert not entered_on[0], pattern
+        assert all(len(symbols) == 1 for symbols in entered_on[1:]), pattern
 
 
 def test_stacked_quantifiers_allowed():
@@ -122,6 +134,37 @@ def test_agrees_with_re_fullmatch(pattern):
         ]
         assert words_of(nfa, length) == expected
         assert glyphs == sorted(set(pattern) - set("|*+?()"))
+
+
+# Random patterns over abc that Python's re reads the same way: every
+# alternation and every quantified operand is a parenthesised group, and a
+# group carries at most one quantifier.
+_PATTERNS = st.recursive(
+    st.sampled_from(["a", "b", "c", ""]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("".join),
+        st.lists(inner, min_size=2, max_size=4).map(lambda bs: "(" + "|".join(bs) + ")"),
+        st.tuples(inner, st.sampled_from("*+?")).map(lambda g: f"({g[0]}){g[1]}"),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_PATTERNS)
+def test_random_patterns_agree_with_re_and_oracle(pattern):
+    nfa = compile_regex(pattern)
+    glyphs = sorted(set(pattern) - set("|*+?()"))
+    assert [s.glyph for s in nfa.alphabet] == glyphs
+    for length in range(5):
+        expected = [
+            "".join(chars)
+            for chars in itertools.product(glyphs, repeat=length)
+            if re.fullmatch(pattern, "".join(chars))
+        ]
+        assert words_of(nfa, length) == expected, (pattern, length)
+        oracle = [nfa.format_word(w) for w in cross_section_bruteforce(nfa, length)]
+        assert oracle == expected, (pattern, length)
 
 
 @pytest.mark.parametrize(
