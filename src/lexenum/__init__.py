@@ -3,23 +3,25 @@
 The enumerator takes a nondeterministic finite automaton (built directly,
 parsed from a small text format, or compiled from a regex) and streams the
 accepted words of a given length in strictly increasing lexicographic order.
-After a preprocessing pass whose cost is O(|alphabet|*|Q| +
-l*(#transitions + |Q| log |Q|)), consecutive words are produced with
-O(l*#transitions) work between outputs, independent of how many words have
-been emitted, and with flat memory: each word is derived from the previous
-one plus read-only tables of O(l*|Q|) entries (each state's first step and
-word-order rank per length). A state set is a plain sequence of states; each
-cursor call builds the previous word's l+1 sets afresh from the initial
+The alphabet is a string of glyphs whose order is the lexicographic order,
+and words are tuples of indexes into it. After a preprocessing pass whose
+cost is O(|alphabet|*|Q| + l*(#transitions + |Q| log |Q|)), consecutive
+words are produced with O(l*#transitions) work between outputs, independent
+of how many words have been emitted, and with flat memory: each word is
+derived from the previous one plus read-only tables of O(l*|Q|) entries
+(each state's first step and word-order rank per length), which keep the
+automaton they were built for. A state set is a plain sequence of states;
+each cursor call builds the previous word's l+1 sets afresh from the initial
 states (O(l*|Q|) bytes) and keeps none of them.
 Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length over one table that grows a level per length; the
-run stops by itself after the longest word of a finite language.
+run stops by itself after the longest word of a finite language, and
+``itertools.islice`` takes a prefix of it.
 """
 
 from .automaton import (
     AutomatonError,
     Nfa,
-    Symbol,
     Word,
     build_nfa,
     delta_step,
@@ -59,7 +61,6 @@ __all__ = [
     "OracleCapExceeded",
     "ParseError",
     "RegexSyntaxError",
-    "Symbol",
     "Word",
     "build_nfa",
     "build_run_stack",

@@ -1,5 +1,7 @@
 """Automaton data model: alphabet, dense states, two transition layouts.
 
+The alphabet is a string of distinct single-character glyphs; the glyph at
+index ``a`` is symbol ``a``, and that index order is the lexicographic order.
 States are exactly the integers ``0 .. state_count-1``. Transitions live in
 two read-only layouts built once by :func:`build_nfa`:
 
@@ -22,8 +24,7 @@ threads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .instrument import ops as _ops
 
@@ -35,41 +36,31 @@ class AutomatonError(ValueError):
     """Raw automaton input failed validation."""
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    """One alphabet letter: dense id (the lexicographic rank) and its glyph."""
-
-    id: int
-    glyph: str
-
-
 class Nfa:
     """Immutable nondeterministic finite automaton without epsilon moves.
 
     Build instances through :func:`build_nfa` (or the text/regex frontends);
-    the constructor trusts its arguments. ``initial`` is a duplicate-free
-    tuple of states in first-occurrence order.
+    the constructor trusts its arguments. ``alphabet`` is the glyph string;
+    ``initial`` and ``final_states`` are duplicate-free tuples of states in
+    first-occurrence order.
     """
 
     __slots__ = (
         "alphabet",
         "state_count",
         "initial",
-        "final_flags",
         "final_states",
         "adjacency",
         "transition_count",
-        "_glyphs",
         "_glyph_ids",
         "_columns",
     )
 
     def __init__(
         self,
-        alphabet: tuple[Symbol, ...],
+        alphabet: str,
         state_count: int,
         initial: tuple[int, ...],
-        final_flags: bytearray,
         final_states: tuple[int, ...],
         adjacency: list[list[tuple[int, tuple[int, ...]]]],
         columns: list[list[tuple[int, ...]]],
@@ -78,12 +69,10 @@ class Nfa:
         self.alphabet = alphabet
         self.state_count = state_count
         self.initial = initial
-        self.final_flags = final_flags
         self.final_states = final_states
         self.adjacency = adjacency
         self.transition_count = transition_count
-        self._glyphs = tuple(s.glyph for s in alphabet)
-        self._glyph_ids = {s.glyph: s.id for s in alphabet}
+        self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
         self._columns = columns
 
     @property
@@ -104,8 +93,9 @@ class Nfa:
             raise AutomatonError(f"unknown symbol {glyph!r}") from None
 
     def format_word(self, word: Iterable[int]) -> str:
-        glyphs = self._glyphs
-        return "".join(glyphs[a] for a in word)
+        alphabet = self.alphabet
+        # A list comprehension joins faster than a generator expression.
+        return "".join([alphabet[a] for a in word])
 
     def word_from_str(self, text: str) -> Word:
         return tuple(self.symbol_id(ch) for ch in text)
@@ -114,18 +104,16 @@ class Nfa:
         if not isinstance(other, Nfa):
             return NotImplemented
         return (
-            self._glyphs == other._glyphs
+            self.alphabet == other.alphabet
             and self.state_count == other.state_count
             and set(self.initial) == set(other.initial)
             and set(self.final_states) == set(other.final_states)
             and self.adjacency == other.adjacency
         )
 
-    __hash__ = None  # mutable buffers inside
-
     def __repr__(self) -> str:
         return (
-            f"Nfa(|Q|={self.state_count}, sigma={''.join(self._glyphs)!r}, "
+            f"Nfa(|Q|={self.state_count}, sigma={self.alphabet!r}, "
             f"|delta|={self.transition_count}, I={list(self.initial)}, "
             f"F={list(self.final_states)})"
         )
@@ -137,19 +125,13 @@ def _check_state(value, state_count: int, what: str) -> int:
     return value
 
 
-def _distinct_states(values: Iterable, state_count: int, what: str) -> tuple[bytearray, list[int]]:
-    """Membership bytes and the distinct checked states in first-occurrence order."""
-    flags = bytearray(state_count)
-    states: list[int] = []
-    for q in values:
-        if not flags[_check_state(q, state_count, what)]:
-            flags[q] = 1
-            states.append(q)
-    return flags, states
+def _distinct_states(values: Iterable, state_count: int, what: str) -> tuple[int, ...]:
+    """The distinct checked states in first-occurrence order."""
+    return tuple(dict.fromkeys(_check_state(q, state_count, what) for q in values))
 
 
 def build_nfa(
-    alphabet: Sequence[Union[str, Symbol]],
+    alphabet: Sequence[str],
     state_count: int,
     initial: Iterable[int],
     final: Iterable[int],
@@ -157,8 +139,9 @@ def build_nfa(
 ) -> Nfa:
     """Validate raw automaton pieces and normalise them into an :class:`Nfa`.
 
-    ``alphabet`` lists single-character glyphs whose *declaration order* is the
-    lexicographic order. Transitions are ``(state, symbol, state)`` triples
+    ``alphabet`` lists single-character glyphs (a string or a sequence of
+    strings) whose *declaration order* is the lexicographic order; it is
+    stored as one string. Transitions are ``(state, symbol, state)`` triples
     where the symbol may be a glyph or a symbol id; duplicates are collapsed.
     Target order within a pair is first-occurrence order. The layout build
     costs O(#transitions + |alphabet| * state_count).
@@ -168,23 +151,20 @@ def build_nfa(
     out-of-range state or symbol references. A 0-state automaton with empty
     initial/final/transitions is legal and accepts nothing.
     """
-    symbols: list[Symbol] = []
     glyph_ids: dict[str, int] = {}
-    for item in alphabet:
-        glyph = item.glyph if isinstance(item, Symbol) else item
+    for glyph in alphabet:
         if not isinstance(glyph, str) or len(glyph) != 1:
             raise AutomatonError(f"alphabet entry {glyph!r} is not a single character")
         if glyph in glyph_ids:
             raise AutomatonError(f"duplicate symbol {glyph!r} in alphabet")
-        glyph_ids[glyph] = len(symbols)
-        symbols.append(Symbol(len(symbols), glyph))
-    sigma = len(symbols)
+        glyph_ids[glyph] = len(glyph_ids)
+    sigma = len(glyph_ids)
 
     if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
         raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
 
-    _, init_states = _distinct_states(initial, state_count, "initial state")
-    final_flags, final_states = _distinct_states(final, state_count, "final state")
+    init_states = _distinct_states(initial, state_count, "initial state")
+    final_states = _distinct_states(final, state_count, "final state")
 
     # One column of per-state target buckets per symbol, () while empty;
     # creating them is the O(sigma*|Q|) share of the layout cost.
@@ -230,11 +210,10 @@ def build_nfa(
         _ops.ops += 2 * state_count * sigma + raw_count
 
     return Nfa(
-        tuple(symbols),
+        "".join(glyph_ids),
         state_count,
-        tuple(init_states),
-        final_flags,
-        tuple(final_states),
+        init_states,
+        final_states,
         adjacency,
         columns,
         len(seen),
@@ -276,12 +255,11 @@ def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence
     return stack
 
 
-def delta_step(nfa: Nfa, source: Sequence[int], symbol: Union[int, Symbol]) -> list[int]:
+def delta_step(nfa: Nfa, source: Sequence[int], symbol: int) -> list[int]:
     """Every target reachable from ``source`` on ``symbol``, as a new list.
 
     The one-symbol case of :func:`replay`: targets in first-occurrence order
     over the source states in their order, without duplicates. The charge is
     ``len(source)`` plus the number of targets visited.
     """
-    a = symbol.id if isinstance(symbol, Symbol) else symbol
-    return replay(nfa, (a,), source)[1]
+    return replay(nfa, (symbol,), source)[1]

@@ -144,6 +144,8 @@ def random_automaton(
         raise ValueError("need at least one state")
     if not 1 <= symbol_count <= MAX_SYMBOLS:
         raise ValueError(f"symbol count must be in 1..{MAX_SYMBOLS}")
+    if transition_count < 0:
+        raise ValueError(f"transition_count must be non-negative, got {transition_count}")
     max_triples = state_count * state_count * symbol_count
     transition_count = min(transition_count, max_triples)
     span = symbol_count * state_count

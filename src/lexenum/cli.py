@@ -139,7 +139,7 @@ def _cmd_enum(args) -> int:
 def _cmd_radix(args) -> int:
     nfa = _load_automaton(args)
     with counting(args.count_ops) as counter:
-        _stream_words(nfa, radix_words(nfa, args.max_length, args.limit), None)
+        _stream_words(nfa, radix_words(nfa, args.max_length), args.limit)
         total = counter.ops
     if args.count_ops:
         print(f"# ops: total={total}", file=sys.stderr)

@@ -7,9 +7,11 @@ the last output word and tables it only reads. Each call builds the length + 1
 state sets of the previous output's run afresh from the initial set
 (O(length * |Q|) bytes) and drops them on return, so memory stays flat no
 matter how many words are produced. A state set is a plain sequence of
-states. The successor search orders candidates by the tables' ranks alone,
-the key ``MinWordTables.add_level`` ranks states by, and needs no state set of
-its own.
+states. The tables carry the automaton they were built for: the successor
+search reads its adjacency lists and alphabet from them, and a cursor refuses
+tables of another automaton. The successor search orders candidates by the
+tables' ranks alone, the key ``MinWordTables.add_level`` ranks states by, and
+needs no state set of its own.
 """
 
 from __future__ import annotations
@@ -72,13 +74,12 @@ def build_run_stack(word: Word, nfa: Nfa) -> list[Sequence[int]]:
 def next_word(
     word: Word,
     length: int,
-    nfa: Nfa,
     stack: list[Sequence[int]],
     tables: MinWordTables,
 ) -> Optional[Word]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``stack`` must be ``build_run_stack(word, nfa)``. Returns None when
+    ``stack`` must be ``build_run_stack(word, tables.nfa)``. Returns None when
     ``word`` is the maximum.
 
     Positions are retried from the last to the first. At position ``i``,
@@ -92,6 +93,7 @@ def next_word(
     unit per state of ``stack[i]``, 1 plus its target count per adjacency
     pair examined, and ``k`` for spelling the suffix.
     """
+    nfa = tables.nfa
     adjacency = nfa.adjacency
     n = tables.state_count
     counting = _ops.enabled
@@ -133,7 +135,9 @@ class CrossSectionCursor:
     run's ``length + 1`` state sets afresh (O(length * |Q|) bytes) and drops
     them on return; nothing carries over from one output to the next.
 
-    The automaton and tables are shared, and cursors never write to them;
+    ``tables`` must be built for ``nfa`` itself (``tables.nfa is nfa``) and
+    cover ``length``; otherwise :class:`ValueError` is raised. The automaton
+    and tables are shared, and cursors never write to them;
     any number of cursors may run over them concurrently. The owner of the
     tables may append levels meanwhile (:meth:`MinWordTables.add_level`),
     which leaves every level a cursor reads unchanged. A single cursor is not
@@ -147,6 +151,8 @@ class CrossSectionCursor:
             raise ValueError(f"length must be non-negative, got {length}")
         if tables is None:
             tables = precompute(nfa, length)
+        elif tables.nfa is not nfa:
+            raise ValueError("tables were built for another automaton")
         elif tables.length < length:
             raise ValueError(
                 f"tables cover lengths up to {tables.length}, need {length}"
@@ -169,7 +175,7 @@ class CrossSectionCursor:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
             stack = build_run_stack(self._last, self.nfa)
-            word = next_word(self._last, self.length, self.nfa, stack, self.tables)
+            word = next_word(self._last, self.length, stack, self.tables)
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -207,28 +213,23 @@ def cross_section(nfa: Nfa, length: int, tables: Optional[MinWordTables] = None)
     return iter(CrossSectionCursor(nfa, length, tables))
 
 
-def radix_words(
-    nfa: Nfa,
-    max_length: Optional[int] = None,
-    limit: Optional[int] = None,
-) -> Iterator[Word]:
+def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     """Yield the language in radix order: shorter first, ties lexicographic.
 
     Chains one cross-section cursor per length over a single table that gains
-    one level per length. Besides ``max_length`` and ``limit``, the run stops
-    by itself at the first length k at which no state reachable from the
-    initial set accepts a length-k word; the reachable states are collected
-    once, in O(|Q| + #transitions). That rule is exact: a reachable state
-    accepting a longer word reaches, after the extra letters, a reachable
-    state accepting a length-k word, so no longer word exists; and every
-    accepted word of length >= k runs through a reachable state accepting a
-    length-k word, so the rule fires on a finite language just after its
-    longest word and never on an infinite one. At each length the check
-    reads reachable states' ranks up to the first live one and is charged
-    one unit per rank read.
+    one level per length. A prefix of the run is :func:`itertools.islice` of
+    it, which builds no level beyond the last word taken. Besides
+    ``max_length``, the run stops by itself at the first length k at which no
+    state reachable from the initial set accepts a length-k word; the
+    reachable states are collected once, in O(|Q| + #transitions). That rule
+    is exact: a reachable state accepting a longer word reaches, after the
+    extra letters, a reachable state accepting a length-k word, so no longer
+    word exists; and every accepted word of length >= k runs through a
+    reachable state accepting a length-k word, so the rule fires on a finite
+    language just after its longest word and never on an infinite one. At
+    each length the check reads reachable states' ranks up to the first live
+    one and is charged one unit per rank read.
     """
-    if limit is not None and limit <= 0:
-        return
     n = nfa.state_count
     tables = precompute(nfa, 0)
     # One pass over the adjacency lists; iterating the list also visits the
@@ -245,10 +246,9 @@ def radix_words(
                     reachable.append(t)
     if _ops.enabled:
         _ops.ops += n + visited
-    produced = 0
     for length in count() if max_length is None else range(max_length + 1):
         if length:
-            tables.add_level(nfa)
+            tables.add_level()
         rank = tables.rank[length]
         # 1-based position of the first live reachable state; 0 when none is.
         live_at = next((j for j, q in enumerate(reachable, 1) if rank[q] < n), 0)
@@ -256,8 +256,4 @@ def radix_words(
             _ops.ops += live_at or len(reachable)
         if not live_at:
             return
-        for word in CrossSectionCursor(nfa, length, tables):
-            yield word
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        yield from CrossSectionCursor(nfa, length, tables)

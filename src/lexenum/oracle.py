@@ -41,8 +41,7 @@ def member(nfa: Nfa, word: Iterable[int], start: Optional[Iterable[int]] = None)
         if not nxt:
             return False
         cur = nxt
-    flags = nfa.final_flags
-    return any(flags[q] for q in cur)
+    return not set(nfa.final_states).isdisjoint(cur)
 
 
 def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
@@ -54,10 +53,10 @@ def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
     sigma = len(nfa.alphabet)
     _check_cap(sigma, length)
     init = nfa.initial
-    flags = nfa.final_flags
+    final = set(nfa.final_states)
     out: list[Word] = []
     if length == 0:
-        if any(flags[q] for q in init):
+        if not final.isdisjoint(init):
             out.append(())
         return out
     if not init:
@@ -74,7 +73,7 @@ def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
                 alive = False
                 break
             cur = nxt
-        if alive and any(flags[q] for q in cur):
+        if alive and not final.isdisjoint(cur):
             out.append(word)
     return out
 
@@ -105,8 +104,7 @@ def min_words_by_state(nfa: Nfa, k: int) -> list[Optional[Word]]:
     n = nfa.state_count
     mins: list[Optional[Word]] = [None] * n
     remaining = n
-    flags = nfa.final_flags
-    final = [q for q in range(n) if flags[q]]
+    final = set(nfa.final_states)
     for word in itertools.product(range(sigma), repeat=k):
         # States from which `word` is accepted, by backward preimages of F.
         accepted = set(final)

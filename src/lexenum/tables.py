@@ -14,11 +14,14 @@ questions in O(1):
   So ``q``'s word is lexicographically <= ``q'``'s iff
   ``rank[k][q] <= rank[k][q']``.
 
-Level k is derived from level k-1 alone, so the tables grow one level at a
-time: a radix run extends one table as its length rises instead of building
-a table per length. Building levels ``0 .. length`` costs
-O(|alphabet| * |Q| + length * (#transitions + |Q| log |Q|)) and they hold
-O(length * |Q|) entries; every later access is O(1).
+The tables keep the automaton they were built for in ``nfa``, so readers
+take the adjacency lists and the alphabet from the tables themselves and
+cannot pair them with another automaton. Level k is derived from level k-1
+alone, so the tables grow one level at a time: a radix run extends one table
+as its length rises instead of building a table per length. Building levels
+``0 .. length`` costs O(|alphabet| * |Q| + length * (#transitions +
+|Q| log |Q|)) and they hold O(length * |Q|) entries; every later access is
+O(1).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ Entry = Union[None, tuple[int, int], Word]
 
 
 class MinWordTables:
-    """Guidance tables for lengths ``0 .. length``, grown one level at a time.
+    """Guidance tables of ``nfa`` for lengths ``0 .. length``, grown one level
+    at a time.
 
     The constructor builds level 0 and :meth:`add_level` appends the next
     level, derived from the current top level alone. Existing levels are never
@@ -48,11 +52,12 @@ class MinWordTables:
     4 * length * #transitions and exists so tests can check that bound.
     """
 
-    __slots__ = ("length", "state_count", "first_step", "rank", "fill_ops")
+    __slots__ = ("nfa", "length", "state_count", "first_step", "rank", "fill_ops")
 
     def __init__(self, nfa: Nfa):
         """Level 0: final states accept the empty word and share rank 0."""
         n = nfa.state_count
+        self.nfa = nfa
         self.length = 0
         self.state_count = n
         self.first_step: list[list[Entry]] = [[None] * n]
@@ -64,7 +69,7 @@ class MinWordTables:
         if _ops.enabled:
             _ops.ops += 2 * n + 2 * len(nfa.final_states)
 
-    def add_level(self, nfa: Nfa) -> None:
+    def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
         Each state's adjacency list is scanned in increasing symbol order,
@@ -80,7 +85,7 @@ class MinWordTables:
 
         visited = 0
         live = []
-        for q, row in enumerate(nfa.adjacency):
+        for q, row in enumerate(self.nfa.adjacency):
             for a, targets in row:
                 q_min = min(targets, key=prev_key)
                 visited += 2 + 2 * len(targets)
@@ -126,5 +131,5 @@ def precompute(nfa: Nfa, length: int) -> MinWordTables:
         raise ValueError(f"length must be non-negative, got {length}")
     tables = MinWordTables(nfa)
     for _ in range(length):
-        tables.add_level(nfa)
+        tables.add_level()
     return tables

@@ -49,7 +49,7 @@ def nested_scaling_family(seed: int, deltas, state_count: int = 20, symbol_count
 def rebuild_factory(nfa: Nfa):
     """Zero-argument builder recreating ``nfa`` from raw pieces, so layout
     construction happens inside a measured region."""
-    glyphs = [s.glyph for s in nfa.alphabet]
+    glyphs = nfa.alphabet
     triples = [
         (q, a, t)
         for q in range(nfa.state_count)
@@ -80,14 +80,13 @@ def tables_snapshot(tables):
 def serialize_automaton(nfa: Nfa) -> str:
     """Inverse of parse_automaton for round-trip testing."""
     lines = [
-        "alphabet " + " ".join(s.glyph for s in nfa.alphabet),
+        "alphabet " + " ".join(nfa.alphabet),
         f"states {nfa.state_count}",
         "initial " + " ".join(str(q) for q in nfa.initial),
         "final " + " ".join(str(q) for q in nfa.final_states),
     ]
-    glyphs = [s.glyph for s in nfa.alphabet]
     for q in range(nfa.state_count):
         for a, targets in nfa.adjacency[q]:
             for t in targets:
-                lines.append(f"{q} {glyphs[a]} {t}")
+                lines.append(f"{q} {nfa.alphabet[a]} {t}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,6 @@ class TestBuildNfa:
         nfa = build_nfa(["a"], 3, [2, 0, 2], [1, 2, 1], [])
         assert nfa.initial == (2, 0)
         assert nfa.final_states == (1, 2)
-        assert list(nfa.final_flags) == [0, 1, 1]
 
     def test_symbols_accepted_as_ids_or_glyphs(self):
         by_glyph = build_nfa("ab", 2, [0], [1], [(0, "b", 1)])
@@ -176,6 +175,11 @@ def test_random_automaton_clamps_transition_count():
     rng = random.Random(3)
     nfa = random_automaton(rng, 2, 1, 99)
     assert nfa.transition_count == 4
+
+
+def test_random_automaton_rejects_negative_transition_count():
+    with pytest.raises(ValueError, match="transition_count"):
+        random_automaton(random.Random(3), 2, 1, -1)
 
 
 def test_format_and_parse_word(a1):

@@ -119,6 +119,15 @@ class TestRadix:
         code, out, _ = run(capsys, "radix", "--automaton", a1_file, "--limit", "1")
         assert (code, out) == (0, "b\n")
 
+    def test_limit_builds_no_level_past_the_last_word(self, capsys):
+        # "", "a" and "b" need levels 0 and 1; 64 is the tally of exactly
+        # those, so a limit that let the run build level 2 would raise it.
+        code, out, err = run(
+            capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
+        )
+        assert (code, out) == (0, "\na\nb\n")
+        assert err == "# ops: total=64\n"
+
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")
         assert (code, out) == (0, "b\nab\naac\nabc\n")

@@ -86,7 +86,7 @@ def test_add_level_leaves_existing_levels_and_cursors_alone():
             before = tables_snapshot(tables)
             cursor = CrossSectionCursor(nfa, k, tables)
             first = cursor.next()
-            tables.add_level(nfa)
+            tables.add_level()
             assert tables.length == k + 1
             assert tuple(part[: k + 1] for part in tables_snapshot(tables)) == before
             rest = list(cursor)
