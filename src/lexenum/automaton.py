@@ -1,21 +1,34 @@
-"""Automaton data model: alphabet, dense states, two transition layouts.
+"""Automaton data model: alphabet, dense states, transition layouts.
 
 The alphabet is a string of distinct single-character glyphs; the glyph at
 index ``a`` is symbol ``a``, and that index order is the lexicographic order.
 States are exactly the integers ``0 .. state_count-1``. Transitions live in
-two read-only layouts built once by :func:`build_nfa`:
+read-only layouts built once by :func:`build_nfa`:
 
 * per-state adjacency lists of ``(symbol_id, targets)`` pairs, strictly
   increasing in symbol id, with non-empty duplicate-free target tuples;
 * per-symbol transition columns: ``columns[a][q]`` is the target tuple of
-  state ``q`` on symbol ``a``, and ``()`` when there is none.
+  state ``q`` on symbol ``a``, and ``()`` when there is none;
+* for automata on the bit kernel only, chunk image tables (see
+  :func:`chunk_images`).
 
-The adjacency lists serve the successor search and the tables, which visit
-only the symbols a state has; the columns serve the subset step, which reads
-one symbol for a whole set of states. A state set is a plain sequence of
-states, duplicate-free and in first-occurrence order. :func:`replay` runs the
-subset step over a whole word and returns a new list of sets, one per
-prefix; :func:`delta_step` is its one-symbol case.
+The adjacency lists serve the tables and the list kernel's successor search,
+which visit only the symbols a state has; the columns serve the list kernel's
+subset step, which reads one symbol for a whole set of states.
+
+Two kernels run the subset step. The list kernel holds a state set as a
+plain sequence of states, duplicate-free and in first-occurrence order:
+:func:`replay` runs the step over a whole word and returns a new list of
+sets, one per prefix, and :func:`delta_step` is its one-symbol case. The bit
+kernel holds a state set as an int mask, bit ``q`` for state ``q``, and takes
+the image of a mask on a symbol as an OR of table lookups, two per non-zero
+byte of the mask, however many states it holds (the "Four Russians" table
+trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as used for NFA
+simulation by Navarro and Raffinot, 2001); :func:`replay_masks` is its
+replay. An automaton is on the bit kernel when
+``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <= #transitions``
+(:func:`fits_bit_kernel`): a retried successor position then costs about
+#transitions either way. No option chooses the kernel.
 
 ``Nfa`` instances are immutable after construction and safe to share across
 threads.
@@ -24,12 +37,19 @@ threads.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .instrument import ops as _ops
 
 # A word is a tuple of symbol ids, first letter first.
 Word = tuple[int, ...]
+
+# One symbol's chunk image tables: per byte of a mask, the 16-entry tables of
+# its low and of its high nibble.
+ChunkTables = list[tuple[list[int], list[int]]]
+
+# The bit positions set in each byte value, lowest first.
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
 class AutomatonError(ValueError):
@@ -42,7 +62,9 @@ class Nfa:
     Build instances through :func:`build_nfa` (or the text/regex frontends);
     the constructor trusts its arguments. ``alphabet`` is the glyph string;
     ``initial`` and ``final_states`` are duplicate-free tuples of states in
-    first-occurrence order.
+    first-occurrence order. On the bit kernel ``images`` holds the chunk
+    image tables and ``initial_mask`` the initial set as a mask; on the list
+    kernel they are None and 0.
     """
 
     __slots__ = (
@@ -52,6 +74,8 @@ class Nfa:
         "final_states",
         "adjacency",
         "transition_count",
+        "images",
+        "initial_mask",
         "_glyph_ids",
         "_columns",
     )
@@ -72,12 +96,19 @@ class Nfa:
         self.final_states = final_states
         self.adjacency = adjacency
         self.transition_count = transition_count
+        self.images: Optional[list[ChunkTables]] = None
+        self.initial_mask = 0
         self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
         self._columns = columns
 
     @property
     def symbol_count(self) -> int:
         return len(self.alphabet)
+
+    @property
+    def kernel(self) -> str:
+        """``"bit"`` when state sets are int masks, else ``"list"``."""
+        return "list" if self.images is None else "bit"
 
     def targets(self, state: int, symbol_id: int) -> tuple[int, ...]:
         """Target states of ``state`` on ``symbol_id``; () when none.
@@ -144,7 +175,8 @@ def build_nfa(
     stored as one string. Transitions are ``(state, symbol, state)`` triples
     where the symbol may be a glyph or a symbol id; duplicates are collapsed.
     Target order within a pair is first-occurrence order. The layout build
-    costs O(#transitions + |alphabet| * state_count).
+    costs O(#transitions + |alphabet| * state_count), plus the chunk image
+    tables when the automaton is on the bit kernel.
 
     Raises :class:`AutomatonError` for duplicate alphabet glyphs, for a state
     count beyond ``sys.maxsize`` (no buffer can be indexed that far), and for
@@ -209,7 +241,7 @@ def build_nfa(
     if _ops.enabled:
         _ops.ops += 2 * state_count * sigma + raw_count
 
-    return Nfa(
+    nfa = Nfa(
         "".join(glyph_ids),
         state_count,
         init_states,
@@ -218,6 +250,71 @@ def build_nfa(
         columns,
         len(seen),
     )
+    if fits_bit_kernel(sigma, state_count, len(seen)):
+        nfa.images = chunk_images(nfa)
+        nfa.initial_mask = state_mask(init_states)
+    return nfa
+
+
+def fits_bit_kernel(symbol_count: int, state_count: int, transition_count: int) -> bool:
+    """The kernel choice: True when ``4 * symbol_count * ceil(state_count/8)
+    * ceil(state_count/64) <= transition_count``.
+
+    A retried successor position takes up to ``symbol_count`` images, and an
+    image makes at most four lookups or ORs of ``ceil(state_count/64)``
+    machine words per byte of the mask. Under this test they cost at most
+    #transitions, the most the list kernel's search examines at a position,
+    so a gap stays within the same constant times ``length * #transitions``.
+    """
+    return 4 * symbol_count * -(-state_count // 8) * -(-state_count // 64) <= transition_count
+
+
+def chunk_images(nfa: Nfa) -> list[ChunkTables]:
+    """The bit kernel's chunk image tables of ``nfa``, one entry per symbol.
+
+    For symbol ``a`` and byte ``c`` of a mask, ``images[a][c]`` is a pair of
+    16-entry tables, for the states ``8c .. 8c+3`` (low nibble) and
+    ``8c+4 .. 8c+7`` (high nibble). Entry ``x`` of a nibble's table is the
+    union of the ``a``-successors of the states whose bits are set in ``x``,
+    as a mask. Charged one unit per transition plus ``ceil(|Q|/64)`` per
+    table entry: ``32 * |alphabet| * ceil(|Q|/8)`` entries in all.
+    """
+    n = nfa.state_count
+    nbytes = -(-n // 8)
+    padding = [0] * (8 * nbytes - n)
+    images = []
+    for column in nfa._columns:
+        # The a-successors of each state as a mask; padding states have none.
+        succ = [state_mask(targets) for targets in column] + padding
+        tables = []
+        for s0, s1, s2, s3 in zip(*[iter(succ)] * 4):
+            # Entry x is the union over the bits of x: each state doubles
+            # the table built so far.
+            table = [0, s0]
+            table += [x | s1 for x in table]
+            table += [x | s2 for x in table]
+            table += [x | s3 for x in table]
+            tables.append(table)
+        images.append(list(zip(tables[::2], tables[1::2])))
+    if _ops.enabled:
+        _ops.ops += nfa.transition_count + 32 * len(images) * nbytes * -(-n // 64)
+    return images
+
+
+def state_mask(states: Iterable[int]) -> int:
+    """The mask of a duplicate-free collection of states: bit ``q`` set for
+    each state ``q``."""
+    return sum(map((1).__lshift__, states))
+
+
+def mask_states(mask: int) -> list[int]:
+    """The states of ``mask``, increasing."""
+    out = []
+    for c, b in enumerate(mask.to_bytes(-(-mask.bit_length() // 8), "little")):
+        if b:
+            base = 8 * c
+            out += [base + j for j in _BYTE_BITS[b]]
+    return out
 
 
 def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence[int]]:
@@ -252,6 +349,47 @@ def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence
             _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
         stack.append(elements)
         sources = elements
+    return stack
+
+
+def replay_masks(images: list[ChunkTables], word: Sequence[int], start: int) -> list[int]:
+    """The bit kernel's :func:`replay`: the masks reached from the mask
+    ``start`` after each prefix of ``word``, under the tables ``images``
+    from :func:`chunk_images`.
+
+    Returns a new list of ``len(word) + 1`` masks, ``start`` first. The image
+    of a mask is the OR, over its non-zero bytes, of the two nibble tables'
+    entries. A position is charged one unit per byte scanned, plus
+    ``ceil(|Q|/64)`` per lookup or OR: two of each per non-zero byte.
+    """
+    stack = [start]
+    if not word:
+        return stack
+    nbytes = len(images[0])
+    words = -(-nbytes // 8)
+    counting = _ops.enabled
+    source = start
+    if nbytes == 1:
+        # A one-byte mask needs no byte string and no chunk loop. It is
+        # charged as in the loop below; a zero byte's lookups read entry 0.
+        for a in word:
+            if counting:
+                _ops.ops += 5 if source else 1
+            ((low, high),) = images[a]
+            source = low[source & 15] | high[source >> 4]
+            stack.append(source)
+        return stack
+    for a in word:
+        image = 0
+        octets = source.to_bytes(nbytes, "little")
+        # This loop is the per-output hot path.
+        for (low, high), b in zip(images[a], octets):
+            if b:
+                image |= low[b & 15] | high[b >> 4]
+        if counting:
+            _ops.ops += nbytes + 4 * words * (nbytes - octets.count(0))
+        stack.append(image)
+        source = image
     return stack
 
 

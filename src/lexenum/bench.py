@@ -138,7 +138,8 @@ def random_automaton(
 
     ``transition_count`` is clamped to the ``state_count^2 * symbol_count``
     possible distinct triples. ``initial_count``/``final_count`` default to a
-    uniform size in ``0..state_count`` (so either set may come out empty).
+    uniform size in ``0..state_count`` (so either set may come out empty);
+    a size given outside that range raises :class:`ValueError`.
     """
     if state_count < 1:
         raise ValueError("need at least one state")
@@ -146,6 +147,9 @@ def random_automaton(
         raise ValueError(f"symbol count must be in 1..{MAX_SYMBOLS}")
     if transition_count < 0:
         raise ValueError(f"transition_count must be non-negative, got {transition_count}")
+    for name, value in (("initial_count", initial_count), ("final_count", final_count)):
+        if value is not None and not 0 <= value <= state_count:
+            raise ValueError(f"{name} must be in 0..{state_count}, got {value}")
     max_triples = state_count * state_count * symbol_count
     transition_count = min(transition_count, max_triples)
     span = symbol_count * state_count

@@ -6,12 +6,16 @@ bounded amount of work, O(length * #transitions), and keeps no state besides
 the last output word and tables it only reads. Each call builds the length + 1
 state sets of the previous output's run afresh from the initial set
 (O(length * |Q|) bytes) and drops them on return, so memory stays flat no
-matter how many words are produced. A state set is a plain sequence of
-states. The tables carry the automaton they were built for: the successor
-search reads its adjacency lists and alphabet from them, and a cursor refuses
-tables of another automaton. The successor search orders candidates by the
-tables' ranks alone, the key ``MinWordTables.add_level`` ranks states by, and
-needs no state set of its own.
+matter how many words are produced. The tables carry the automaton they were
+built for, and a cursor refuses tables of another automaton.
+
+The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
+run: a list of states per position on the list kernel, an int mask on the bit
+kernel. :func:`build_run_stack` and :func:`next_word` pass each automaton to
+its kernel's replay and successor search, :func:`next_word_lists` or
+:func:`next_word_masks`. Both searches return the least (symbol, rank) pair
+above the retried letter, ranked by the tables' ranks alone, the key
+``MinWordTables.add_level`` ranks states by, so both give the same successor.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 # delta_step stays importable from here for callers that wrap this module's names.
-from .automaton import Nfa, Word, delta_step, replay  # noqa: F401
+from .automaton import (  # noqa: F401
+    ChunkTables,
+    Nfa,
+    Word,
+    delta_step,
+    mask_states,
+    replay,
+    replay_masks,
+)
 from .instrument import ops as _ops
 from .tables import MinWordTables, precompute
 
@@ -61,26 +73,38 @@ def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[W
     return tables.min_word_from(k, q_min)
 
 
-def build_run_stack(word: Word, nfa: Nfa) -> list[Sequence[int]]:
+def build_run_stack(word: Word, nfa: Nfa) -> list:
     """State sets reachable from the initial set after each prefix of ``word``.
 
-    Entry ``i`` holds the states reached after reading ``word[:i]``; entry 0
-    is the initial tuple itself. The word need not be accepted; trailing
-    entries may be empty. Every call replays the whole run into new lists.
+    Entry ``i`` holds the states reached after reading ``word[:i]``: a list of
+    states on the list kernel (entry 0 is the initial tuple itself), an int
+    mask on the bit kernel. The word need not be accepted; trailing entries
+    may be empty. Every call replays the whole run afresh.
     """
-    return replay(nfa, word, nfa.initial)
+    if nfa.images is None:
+        return replay(nfa, word, nfa.initial)
+    return replay_masks(nfa.images, word, nfa.initial_mask)
 
 
-def next_word(
+def next_word(word: Word, length: int, stack: list, tables: MinWordTables) -> Optional[Word]:
+    """Immediate lexicographic successor of ``word`` in the cross-section.
+
+    ``stack`` must be ``build_run_stack(word, tables.nfa)``. Returns None when
+    ``word`` is the maximum. Runs the successor search of the automaton's
+    kernel.
+    """
+    if tables.live is None:
+        return next_word_lists(word, length, stack, tables)
+    return next_word_masks(word, length, stack, tables, tables.nfa.images, tables.live)
+
+
+def next_word_lists(
     word: Word,
     length: int,
     stack: list[Sequence[int]],
     tables: MinWordTables,
 ) -> Optional[Word]:
-    """Immediate lexicographic successor of ``word`` in the cross-section.
-
-    ``stack`` must be ``build_run_stack(word, tables.nfa)``. Returns None when
-    ``word`` is the maximum.
+    """The list kernel's successor search; ``stack`` holds state lists.
 
     Positions are retried from the last to the first. At position ``i``,
     with ``k = length - i - 1``, each state of ``stack[i]`` walks its
@@ -121,6 +145,51 @@ def next_word(
             if counting:
                 _ops.ops += k
             return word[:i] + (best_a,) + tables.min_word_from(k, min(best_targets, key=key))
+    return None
+
+
+def next_word_masks(
+    word: Word,
+    length: int,
+    stack: list[int],
+    tables: MinWordTables,
+    images: list[ChunkTables],
+    live: list[int],
+) -> Optional[Word]:
+    """The bit kernel's successor search; ``stack`` holds masks.
+
+    ``images`` are the automaton's chunk image tables
+    (:func:`~lexenum.automaton.chunk_images`) and ``live[k]`` the mask of
+    the states whose level-k rank is live. Positions are retried from the
+    last to the first. At position ``i``, with ``k = length - i - 1``, each
+    symbol above ``word[i]`` is tried in order: the first whose image of
+    ``stack[i]``, intersected with ``live[k]``, is not empty is the successor
+    symbol, and the member of least level-k rank spells the suffix. That is
+    the least (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol
+    tried is charged as a replay position (its image comes from
+    :func:`~lexenum.automaton.replay_masks`) plus ``ceil(|Q|/64)`` for the
+    intersection; the hit is charged one unit per byte of the mask and per
+    member decoded, and ``k`` for spelling the suffix.
+    """
+    sigma = len(images)
+    nbytes = len(images[0]) if images else 0
+    words = -(-nbytes // 8)
+    counting = _ops.enabled
+    for i in range(length - 1, -1, -1):
+        source = stack[i]
+        if not source:
+            continue
+        k = length - i - 1
+        for a in range(word[i] + 1, sigma):
+            image = replay_masks(images, (a,), source)[1] & live[k]
+            if counting:
+                _ops.ops += words
+            if image:
+                members = mask_states(image)
+                if counting:
+                    _ops.ops += nbytes + len(members) + k
+                target = min(members, key=tables.rank[k].__getitem__)
+                return word[:i] + (a,) + tables.min_word_from(k, target)
     return None
 
 

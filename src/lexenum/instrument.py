@@ -1,10 +1,20 @@
 """Process-global operation counter for verifying the enumerator's cost model.
 
 One unit is charged per transition inspected, per state-set insertion, per
-table cell read or written, and per word-order comparison. The successor
-search charges, at each retried position, one unit per state whose
-adjacency list it walks, 1 plus the target count per adjacency pair it
-examines, and one per letter of the suffix it spells. The radix run charges
+table cell read or written, and per word-order comparison. On the list
+kernel the successor search charges, at each retried position, one unit per
+state whose adjacency list it walks, 1 plus the target count per adjacency
+pair it examines, and one per letter of the suffix it spells. On the bit
+kernel, where a state set is an int mask of ``ceil(|Q|/8)`` bytes, taking an
+image charges one unit per byte scanned plus ``ceil(|Q|/64)``, the machine
+words of a mask, per lookup or OR: two lookups and two ORs per non-zero
+byte. A replay position takes one image. The successor search charges, per
+symbol it tries, one image plus ``ceil(|Q|/64)`` for intersecting it with
+the level's live mask; on the hit, one unit per byte of the mask and per
+member decoded, and one per letter of the suffix. Building the chunk image
+tables charges, as automaton layout, one unit per transition plus
+``ceil(|Q|/64)`` per table entry, and each table level charges one unit per
+state in its live mask. The radix run charges
 one unit per reachable state whose liveness it checks at each length. The
 core modules funnel every increment through the single ``ops`` object
 below; when counting is disabled (the default) they pay one branch per

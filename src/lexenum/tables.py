@@ -14,6 +14,11 @@ questions in O(1):
   So ``q``'s word is lexicographically <= ``q'``'s iff
   ``rank[k][q] <= rank[k][q']``.
 
+For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
+hold ``live[k]``, the mask of the states with ``rank[k][q] < |Q|``, which the
+bit kernel's successor search intersects with each image it tries; on the
+list kernel ``live`` is None.
+
 The tables keep the automaton they were built for in ``nfa``, so readers
 take the adjacency lists and the alphabet from the tables themselves and
 cannot pair them with another automaton. Level k is derived from level k-1
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .automaton import Nfa, Word
+from .automaton import Nfa, Word, state_mask
 from .instrument import ops as _ops
 
 # Level-0 entry of final states: the empty word is accepted. Distinct from
@@ -47,12 +52,15 @@ class MinWordTables:
     rewritten, so readers of levels up to ``length`` are unaffected by growth;
     only the owner of the tables appends, and cursors never write.
 
+    On the bit kernel each level also gets its live mask in ``live``; building
+    it is charged one unit per live state.
+
     ``fill_ops`` records how many adjacency pairs were inspected and target
     comparisons made while filling ``first_step``; it is bounded by
     4 * length * #transitions and exists so tests can check that bound.
     """
 
-    __slots__ = ("nfa", "length", "state_count", "first_step", "rank", "fill_ops")
+    __slots__ = ("nfa", "length", "state_count", "first_step", "rank", "live", "fill_ops")
 
     def __init__(self, nfa: Nfa):
         """Level 0: final states accept the empty word and share rank 0."""
@@ -66,8 +74,11 @@ class MinWordTables:
         for q in nfa.final_states:
             self.first_step[0][q] = EMPTY_WORD
             self.rank[0][q] = 0
+        self.live: Optional[list[int]] = None
+        if nfa.images is not None:
+            self.live = [state_mask(nfa.final_states)]
         if _ops.enabled:
-            _ops.ops += 2 * n + 2 * len(nfa.final_states)
+            _ops.ops += 2 * n + (2 + (self.live is not None)) * len(nfa.final_states)
 
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
@@ -106,10 +117,14 @@ class MinWordTables:
             cur_rank[q] = r
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
+        if self.live is not None:
+            self.live.append(state_mask([q for _, q in live]))
         self.length += 1
         if _ops.enabled:
             m = len(live)
             _ops.ops += visited + 2 * n + m + m * (m - 1).bit_length()
+            if self.live is not None:
+                _ops.ops += m
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
         """Spell the least length-k word accepted from ``q``, or None."""

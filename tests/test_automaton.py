@@ -182,6 +182,20 @@ def test_random_automaton_rejects_negative_transition_count():
         random_automaton(random.Random(3), 2, 1, -1)
 
 
+@pytest.mark.parametrize(
+    "counts, name",
+    [
+        (dict(initial_count=5), "initial_count"),
+        (dict(initial_count=-1), "initial_count"),
+        (dict(final_count=3), "final_count"),
+        (dict(final_count=-1), "final_count"),
+    ],
+)
+def test_random_automaton_rejects_set_sizes_outside_the_states(counts, name):
+    with pytest.raises(ValueError, match=name):
+        random_automaton(random.Random(1), 2, 1, 1, **counts)
+
+
 def test_format_and_parse_word(a1):
     assert a1.format_word((0, 1, 0)) == "aba"
     assert a1.word_from_str("aba") == (0, 1, 0)

@@ -24,6 +24,8 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
+from lexenum.automaton import chunk_images, mask_states, replay, replay_masks, state_mask
+from lexenum.enumeration import next_word_lists, next_word_masks
 from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
@@ -62,7 +64,8 @@ class TestBuildRunStack:
 
     def test_matches_chained_delta_step(self):
         """The run stack holds exactly what delta_step chained from the
-        initial set gives: same element order, same charge."""
+        initial set gives: on the list kernel with the same element order
+        and the same charge, on the bit kernel as masks of the same sets."""
         rng = random.Random(79)
         dead_ends = live = 0
         for _ in range(300):
@@ -79,8 +82,11 @@ class TestBuildRunStack:
             with counting() as ops:
                 stack = build_run_stack(word, nfa)
                 charge = ops.ops
-            assert [list(s) for s in stack] == expected
-            assert charge == expected_charge
+            if nfa.kernel == "list":
+                assert [list(s) for s in stack] == expected
+                assert charge == expected_charge
+            else:
+                assert [mask_states(s) for s in stack] == [sorted(s) for s in expected]
             if length:
                 if expected[-1]:
                     live += 1
@@ -186,6 +192,7 @@ class TestCursor:
         traced heap after word 500 is within a small constant of its size
         after word 20."""
         nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
+        assert nfa.kernel == "bit"
         tables = precompute(nfa, 32)
         cursor = CrossSectionCursor(nfa, 32, tables)
         tracemalloc.start()
@@ -212,6 +219,7 @@ class TestSharedTables:
 
     def _instance(self, count):
         nfa = random_automaton(random.Random(83), 60, 3, 360, 6, 6)
+        assert nfa.kernel == "bit"
         tables = precompute(nfa, self.LENGTH)
         expected = list(itertools.islice(CrossSectionCursor(nfa, self.LENGTH, tables), count))
         assert len(expected) == count
@@ -261,6 +269,94 @@ class TestSharedTables:
             got_second.append(second.next())
         assert got_first == expected[: self.WORDS]
         assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
+
+
+def _live_masks(tables):
+    n = tables.state_count
+    return [state_mask(q for q in range(n) if rank[q] < n) for rank in tables.rank]
+
+
+class TestKernels:
+    """The list and the bit kernel, called directly on the same automaton,
+    give the same run stacks as state sets and the same successors."""
+
+    def _check(self, nfa, length, words):
+        tables = precompute(nfa, length)
+        images = chunk_images(nfa)
+        start = state_mask(nfa.initial)
+        live = _live_masks(tables)
+        for word in words:
+            lists = replay(nfa, word, nfa.initial)
+            masks = replay_masks(images, word, start)
+            assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
+            expected = next_word_lists(word, length, lists, tables)
+            assert next_word_masks(word, length, masks, tables, images, live) == expected
+            assert next_word(word, length, build_run_stack(word, nfa), tables) == expected
+
+    def test_agree_on_every_short_word_of_the_corpus(self):
+        rng = random.Random(20250809)  # the seed of acceptance criterion 1
+        kernels = set()
+        for _ in range(400):
+            nfa = corpus_automaton(rng)
+            kernels.add(nfa.kernel)
+            for length in range(1, 6):
+                words = itertools.product(range(nfa.symbol_count), repeat=length)
+                self._check(nfa, length, words)
+        assert kernels == {"list", "bit"}
+
+    def test_agree_on_masks_wider_than_a_byte(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(9, 70)
+            sigma = rng.randint(2, 4)
+            nfa = random_automaton(rng, n, sigma, rng.randint(n, 4 * n * sigma))
+            length = rng.randint(1, 8)
+            words = [tuple(rng.randrange(sigma) for _ in range(length)) for _ in range(40)]
+            self._check(nfa, length, words)
+
+    def test_replay_charges_each_byte_and_each_lookup_or_or(self):
+        """A position costs one unit per byte of the source mask plus
+        ceil(|Q|/64) for each of the two lookups and two ORs per non-zero
+        byte, whether the mask is one byte wide or wider."""
+        rng = random.Random(43)
+        widths = set()
+        for _ in range(60):
+            n = rng.choice((rng.randint(1, 8), rng.randint(9, 130)))
+            nfa = random_automaton(rng, n, 2, rng.randint(0, 4 * n))
+            images = chunk_images(nfa)
+            word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 6)))
+            with counting() as ops:
+                stack = replay_masks(images, word, state_mask(nfa.initial))
+                charged = ops.ops
+            nbytes = -(-n // 8)
+            words = -(-n // 64)
+            widths.add(nbytes > 1)
+            expected = sum(
+                nbytes + 4 * words * sum(1 for b in m.to_bytes(nbytes, "little") if b)
+                for m in stack[:-1]
+            )
+            assert charged == expected
+        assert widths == {False, True}
+
+    def test_kernel_choice(self):
+        rng = random.Random(12)
+        words = {"".join(rng.choice("abcdefgh") for _ in range(rng.randint(3, 12))) for _ in range(60)}
+        assert compile_regex("|".join(sorted(words))).kernel == "list"
+        assert random_automaton(random.Random(1), 200, 4, 2000, 50, 50).kernel == "bit"
+        assert compile_regex("(a|b|c)*b(a|c)*").kernel == "bit"
+        assert make_a1().kernel == "list"
+
+    def test_zero_and_one_state_automata_are_exact(self):
+        empty = build_nfa("ab", 0, [], [], [])
+        assert empty.kernel == "bit"  # masks of zero bytes
+        rng = random.Random(5)
+        singles = [random_automaton(rng, 1, rng.randint(1, 3), rng.randint(0, 3)) for _ in range(30)]
+        for nfa in [empty, *singles]:
+            for length in range(6):
+                assert list(cross_section(nfa, length)) == cross_section_bruteforce(nfa, length)
+            assert list(radix_words(nfa, max_length=4)) == [
+                w for k in range(5) for w in cross_section_bruteforce(nfa, k)
+            ]
 
 
 class TestRadix:
@@ -418,7 +514,8 @@ def test_golden_op_counts():
     exactly these totals, and a change to the cost model changes the
     literals on purpose."""
     nfa = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 2654
-    assert sum(r.op_count for r in report.records) == 106159
+    assert report.preproc_ops == 2816
+    assert sum(r.op_count for r in report.records) == 29208
