@@ -14,10 +14,9 @@ the level's live mask; on the hit, one unit per byte of the mask and per
 member decoded, and one per letter of the suffix. Building the chunk image
 tables charges, as automaton layout, one unit per transition plus
 ``ceil(|Q|/64)`` per table entry, and each table level charges one unit per
-state in its live mask. The radix run charges
-one unit per reachable state whose liveness it checks at each length. The
-core modules funnel every increment through the single ``ops`` object
-below; when counting is disabled (the default) they pay one branch per
+state in its live mask. The radix run charges one unit per reachable state
+whose liveness it checks at each length. The core modules funnel every
+increment through the single ``ops`` object below; when counting is disabled (the default) they pay one branch per
 loop, nothing more, and their observable behaviour is identical either way.
 :func:`counting` blocks nest; what an inner block counts also reaches the
 enclosing count.

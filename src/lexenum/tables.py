@@ -78,7 +78,9 @@ class MinWordTables:
         if nfa.images is not None:
             self.live = [state_mask(nfa.final_states)]
         if _ops.enabled:
-            _ops.ops += 2 * n + (2 + (self.live is not None)) * len(nfa.final_states)
+            _ops.ops += 2 * n + 2 * len(nfa.final_states)
+            if self.live is not None:
+                _ops.ops += len(nfa.final_states)
 
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
