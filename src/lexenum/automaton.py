@@ -168,21 +168,29 @@ def build_nfa(
     final: Iterable[int],
     transitions: Iterable[tuple],
 ) -> Nfa:
-    """Validate raw automaton pieces and normalise them into an :class:`Nfa`.
+    """Validate raw automaton pieces and lay them out as an :class:`Nfa`.
 
-    ``alphabet`` lists single-character glyphs (a string or a sequence of
-    strings) whose *declaration order* is the lexicographic order; it is
-    stored as one string. Transitions are ``(state, symbol, state)`` triples
-    where the symbol may be a glyph or a symbol id; duplicates are collapsed.
-    Target order within a pair is first-occurrence order. The layout build
-    costs O(#transitions + |alphabet| * state_count), plus the chunk image
-    tables when the automaton is on the bit kernel.
+    This is the one validator: the text and regex frontends stream their
+    pieces straight into it. ``alphabet`` lists single-character glyphs (a
+    string or a sequence of strings) whose *declaration order* is the
+    lexicographic order; it is stored as one string. Transitions are
+    ``(state, symbol, state)`` triples where the symbol may be a glyph or a
+    symbol id. Each (state, symbol) bucket is deduplicated when it is frozen,
+    so target order within a pair is first-occurrence order and repeated
+    triples count once. ``state_count`` is checked first; then each other
+    argument, which may be any iterable, is read once, in parameter order.
+    The layout build costs O(#transitions + |alphabet| * state_count), plus
+    the chunk image tables when the automaton is on the bit kernel.
 
-    Raises :class:`AutomatonError` for duplicate alphabet glyphs, for a state
-    count beyond ``sys.maxsize`` (no buffer can be indexed that far), and for
-    out-of-range state or symbol references. A 0-state automaton with empty
-    initial/final/transitions is legal and accepts nothing.
+    Raises :class:`AutomatonError` for a state count beyond ``sys.maxsize``
+    (no buffer can be indexed that far), for alphabet entries that are not
+    single characters or repeat, and for out-of-range state or symbol
+    references. A 0-state automaton with empty initial/final/transitions is
+    legal and accepts nothing.
     """
+    if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
+        raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
+
     glyph_ids: dict[str, int] = {}
     for glyph in alphabet:
         if not isinstance(glyph, str) or len(glyph) != 1:
@@ -192,16 +200,12 @@ def build_nfa(
         glyph_ids[glyph] = len(glyph_ids)
     sigma = len(glyph_ids)
 
-    if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
-        raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
-
     init_states = _distinct_states(initial, state_count, "initial state")
     final_states = _distinct_states(final, state_count, "final state")
 
     # One column of per-state target buckets per symbol, () while empty;
     # creating them is the O(sigma*|Q|) share of the layout cost.
     columns: list[list] = [[()] * state_count for _ in range(sigma)]
-    seen: set[tuple[int, int, int]] = set()
     raw_count = 0
     for entry in transitions:
         raw_count += 1
@@ -219,23 +223,21 @@ def build_nfa(
             raise AutomatonError(f"unknown symbol {sym!r} in transition {entry!r}")
         _check_state(src, state_count, "transition source")
         _check_state(dst, state_count, "transition target")
-        key = (src, a, dst)
-        if key in seen:
-            continue
-        seen.add(key)
         bucket = columns[a][src]
         if bucket:
             bucket.append(dst)
         else:
             columns[a][src] = [dst]
 
+    transition_count = 0
     adjacency: list[list[tuple[int, tuple[int, ...]]]] = []
     for q in range(state_count):
         row = []
         for a, column in enumerate(columns):
             if column[q]:
-                column[q] = tuple(column[q])
-                row.append((a, column[q]))
+                column[q] = targets = tuple(dict.fromkeys(column[q]))
+                transition_count += len(targets)
+                row.append((a, targets))
         adjacency.append(row)
 
     if _ops.enabled:
@@ -248,9 +250,9 @@ def build_nfa(
         final_states,
         adjacency,
         columns,
-        len(seen),
+        transition_count,
     )
-    if fits_bit_kernel(sigma, state_count, len(seen)):
+    if fits_bit_kernel(sigma, state_count, transition_count):
         nfa.images = chunk_images(nfa)
         nfa.initial_mask = state_mask(init_states)
     return nfa

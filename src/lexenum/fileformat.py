@@ -14,16 +14,17 @@
 Files are UTF-8 (:func:`decode_automaton` turns bytes into text).
 Tokens are whitespace-separated. The ``alphabet`` and ``states`` lines are
 required (each exactly once); ``initial``/``final`` lines may repeat and
-accumulate. Line order is otherwise free.
+accumulate. Line order is otherwise free. Every rejection is a
+:class:`ParseError` that names the offending line; only a missing
+``alphabet`` or ``states`` line, which has no line, is named by its
+directive instead.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Nfa, build_nfa
-
-_DIRECTIVES = ("alphabet", "states", "initial", "final")
+from .automaton import AutomatonError, Nfa, build_nfa
 
 
 class ParseError(ValueError):
@@ -63,17 +64,19 @@ def decode_automaton(data: bytes) -> str:
 def parse_automaton(text: str) -> Nfa:
     """Parse the text format above into a validated :class:`Nfa`.
 
-    Raises :class:`ParseError` naming the offending line for unknown
-    directives, unknown symbols, out-of-range states, malformed lines, and
-    missing/duplicate ``alphabet``/``states`` headers. State numbers are
-    ASCII decimal digits.
+    The parser checks syntax only: directives, token shapes, missing or
+    duplicate ``alphabet``/``states`` lines, and ASCII decimal state
+    numbers. The entries it records then stream into :func:`build_nfa`,
+    which checks the alphabet, the state count, and every state and symbol
+    reference. Every rejection raises :class:`ParseError` naming its line,
+    except a missing header line, which has none.
     """
-    alphabet: Optional[list[str]] = None
-    alphabet_line = 0
+    alphabet: Optional[list[tuple[int, str]]] = None  # (line, glyph)
     state_count: Optional[int] = None
+    states_line = 0
     initial_entries: list[tuple[int, int]] = []  # (line, state)
     final_entries: list[tuple[int, int]] = []
-    transition_entries: list[tuple[int, int, str, int]] = []  # (line, src, glyph, dst)
+    transition_entries: list[tuple[int, tuple[int, str, int]]] = []  # (line, (src, glyph, dst))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         comment = raw.find("#")
@@ -86,19 +89,14 @@ def parse_automaton(text: str) -> Nfa:
         if head == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
-            for token in tokens[1:]:
-                if len(token) != 1:
-                    raise ParseError(
-                        f"alphabet symbol {token!r} is not a single character", line_no
-                    )
-            alphabet = tokens[1:]
-            alphabet_line = line_no
+            alphabet = [(line_no, token) for token in tokens[1:]]
         elif head == "states":
             if state_count is not None:
                 raise ParseError("duplicate 'states' line", line_no)
             if len(tokens) != 2:
                 raise ParseError("'states' expects exactly one number", line_no)
             state_count = _state_token(tokens[1], line_no)
+            states_line = line_no
         elif head == "initial":
             initial_entries += [(line_no, _state_token(t, line_no)) for t in tokens[1:]]
         elif head == "final":
@@ -110,7 +108,7 @@ def parse_automaton(text: str) -> Nfa:
                 )
             src = _state_token(tokens[0], line_no)
             dst = _state_token(tokens[2], line_no)
-            transition_entries.append((line_no, src, tokens[1], dst))
+            transition_entries.append((line_no, (src, tokens[1], dst)))
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
@@ -119,27 +117,22 @@ def parse_automaton(text: str) -> Nfa:
     if state_count is None:
         raise ParseError("missing 'states' line")
 
-    glyph_ids = {}
-    for i, glyph in enumerate(alphabet):
-        if glyph in glyph_ids:
-            raise ParseError(f"duplicate symbol {glyph!r} in alphabet", alphabet_line)
-        glyph_ids[glyph] = i
+    # build_nfa checks the state count first and then reads each iterable
+    # once, in order, so `at` is the line of whatever it rejects.
+    at = states_line
 
-    def check_state(state: int, line_no: int) -> int:
-        if state >= state_count:
-            raise ParseError(
-                f"state {state} out of range for {state_count} states", line_no
-            )
-        return state
+    def read(entries):
+        nonlocal at
+        for at, value in entries:
+            yield value
 
-    initial = [check_state(q, ln) for ln, q in initial_entries]
-    final = [check_state(q, ln) for ln, q in final_entries]
-    transitions = []
-    for line_no, src, glyph, dst in transition_entries:
-        if glyph not in glyph_ids:
-            raise ParseError(f"unknown symbol {glyph!r}", line_no)
-        transitions.append(
-            (check_state(src, line_no), glyph_ids[glyph], check_state(dst, line_no))
+    try:
+        return build_nfa(
+            read(alphabet),
+            state_count,
+            read(initial_entries),
+            read(final_entries),
+            read(transition_entries),
         )
-
-    return build_nfa(alphabet, state_count, initial, final, transitions)
+    except AutomatonError as exc:
+        raise ParseError(str(exc), at) from None

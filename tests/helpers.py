@@ -70,10 +70,12 @@ def rank_leq(tables, k: int, q: int, p: int) -> bool:
 
 
 def tables_snapshot(tables):
-    """Deep, comparable copy of the table contents."""
+    """Deep, comparable copy of the table contents, the bit kernel's live
+    masks included (``()`` on the list kernel, which has none)."""
     return (
         tuple(tuple(row) for row in tables.first_step),
         tuple(tuple(level) for level in tables.rank),
+        tuple(tables.live or ()),
     )
 
 

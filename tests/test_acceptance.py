@@ -18,10 +18,12 @@ tolerances as module constants:
    under a second.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from lexenum import (
     CrossSectionCursor,
@@ -262,8 +264,13 @@ def test_criterion_8_streaming_one_word_of_huge_cross_section():
         "--limit",
         "1",
     ]
+    # The subprocess does not see pytest's pythonpath setting, so it is
+    # given the checkout's src/ explicitly.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "a" * 40 + "\n"

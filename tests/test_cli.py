@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from lexenum import cli
@@ -74,9 +77,21 @@ class TestEnum:
         assert "error" in err
 
     def test_regex_error_exits_two(self, capsys):
-        for pattern in ("(a", "(" * 400 + "a" + ")" * 400):
-            code, _, err = run(capsys, "enum", "--regex", pattern, "--length", "1")
-            assert code == 2
+        # The last pattern, a starred alternation of 1000 words of 3..15
+        # letters, would compile to about 9000 states and 10^6 transitions:
+        # the transition cap rejects it before the star adds those links.
+        rng = random.Random(1)
+        words = [
+            "".join(rng.choice("abcdefgh") for _ in range(rng.randint(3, 15)))
+            for _ in range(1000)
+        ]
+        for pattern in ("(a", "(" * 400 + "a" + ")" * 400, "(" + "|".join(words) + ")*"):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "enum", "--regex", pattern, "--length", "1")
+            assert time.perf_counter() - t0 < 1.0
+            assert (code, out) == (2, "")
+            # One diagnostic line, no traceback.
+            assert err.startswith("error:") and err.count("\n") == 1
             assert "position" in err
 
     def test_out_of_memory_exits_two(self, capsys, monkeypatch):

@@ -73,6 +73,7 @@ def test_initial_out_of_range_names_line():
         ("alphabet a\nstates \u0661\u0662\n", "line 2.*state number"),
         ("alphabet a\nstates 1\n\u0660 a 0\n", "line 3.*unknown directive"),
         ("alphabet a\nstates 1\ninitial " + "0" * 5000 + "\n", "line 3.*too long"),
+        ("alphabet a\nstates 99999999999999999999\n", "line 2.*state count"),
     ],
 )
 def test_malformed_inputs(text, pattern):

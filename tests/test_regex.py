@@ -11,7 +11,7 @@ from lexenum import (
     cross_section_bruteforce,
     radix_words,
 )
-from lexenum.regex import MAX_GROUP_DEPTH
+from lexenum.regex import MAX_GROUP_DEPTH, MAX_TRANSITIONS
 
 
 def words_of(nfa, length):
@@ -183,6 +183,19 @@ def test_syntax_errors_carry_position(pattern, position):
         compile_regex(pattern)
     assert excinfo.value.position == position
     assert str(position) in str(excinfo.value)
+
+
+def test_transition_cap_admits_its_bound_and_rejects_beyond():
+    # (x1|...|xn)* over n distinct literals has n transitions from the
+    # initial state and n * n from the star.
+    n = max(k for k in range(1000) if k * k + k <= MAX_TRANSITIONS)
+    glyphs = [chr(0x100 + i) for i in range(n + 1)]
+    nfa = compile_regex("(" + "|".join(glyphs[:n]) + ")*")
+    assert (nfa.state_count, nfa.transition_count) == (n + 1, n * n + n)
+    with pytest.raises(RegexSyntaxError) as excinfo:
+        compile_regex("(" + "|".join(glyphs) + ")*")
+    # Reported at the last literal, the one before ")*".
+    assert excinfo.value.position == 2 * n + 1
 
 
 def test_radix_over_compiled_pattern():
