@@ -12,8 +12,9 @@ derived from the previous one plus read-only tables of O(l*|Q|) entries
 (each state's first step and word-order rank per length), which keep the
 automaton they were built for. A state set is a plain sequence of states,
 or an int mask when the automaton is dense enough for the bit kernel (see
-:mod:`lexenum.automaton`); each cursor call builds the previous word's l+1
-sets afresh from the initial states (O(l*|Q|) bytes) and keeps none of them.
+:mod:`lexenum.automaton`); a cursor keeps the last word's l+1 sets
+(O(l*|Q|) bytes) and replays them only from the position the previous
+successor changed.
 Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length over one table that grows a level per length; the
 run stops by itself after the longest word of a finite language, and

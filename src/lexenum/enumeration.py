@@ -2,10 +2,13 @@
 
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
-bounded amount of work, O(length * #transitions), and keeps no state besides
-the last output word and tables it only reads. Each call builds the length + 1
-state sets of the previous output's run afresh from the initial set
-(O(length * |Q|) bytes) and drops them on return, so memory stays flat no
+bounded amount of work, O(length * #transitions). Besides tables it only
+reads, it keeps the last output word and that word's run: the length + 1
+state sets reached after each of its prefixes (O(length * |Q|) bytes), of
+which a prefix is still valid. A successor keeps the previous word up to the
+position the search changed, the pivot, so the next call replays only from
+there (Ackerman and Shallit, *Efficient enumeration of words in regular
+languages*, TCS 2009). The held run never grows, so memory stays flat no
 matter how many words are produced. The tables carry the automaton they were
 built for, and a cursor refuses tables of another automaton.
 
@@ -13,9 +16,10 @@ The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run: a list of states per position on the list kernel, an int mask on the bit
 kernel. :func:`build_run_stack` and :func:`next_word` pass each automaton to
 its kernel's replay and successor search, :func:`next_word_lists` or
-:func:`next_word_masks`. Both searches return the least (symbol, rank) pair
+:func:`next_word_masks`. Both searches take the least (symbol, rank) pair
 above the retried letter, ranked by the tables' ranks alone, the key
-``MinWordTables.add_level`` ranks states by, so both give the same successor.
+``MinWordTables.add_level`` ranks states by, so both give the same successor
+and the same pivot.
 """
 
 from __future__ import annotations
@@ -73,25 +77,39 @@ def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[W
     return tables.min_word_from(k, q_min)
 
 
-def build_run_stack(word: Word, nfa: Nfa) -> list:
-    """State sets reachable from the initial set after each prefix of ``word``.
+def build_run_stack(word: Word, nfa: Nfa, stack: Optional[list] = None) -> list:
+    """State sets reachable from the initial set after each prefix of a word.
 
-    Entry ``i`` holds the states reached after reading ``word[:i]``: a list of
-    states on the list kernel (entry 0 is the initial tuple itself), an int
-    mask on the bit kernel. The word need not be accepted; trailing entries
-    may be empty. Every call replays the whole run afresh.
+    Without ``stack``, returns a new list whose entry ``i`` holds the states
+    reached after reading ``word[:i]``: a list of states on the list kernel
+    (entry 0 is the initial tuple itself), an int mask on the bit kernel. The
+    word need not be accepted; trailing entries may be empty.
+
+    Given ``stack``, the non-empty run of some word ``u`` in that form, it
+    replays ``word`` from the last entry, appends one entry per letter, so
+    that ``stack`` becomes the run of ``u + word``, and returns it. Either
+    way the charge is that of the ``len(word)`` positions replayed.
     """
     if nfa.images is None:
-        return replay(nfa, word, nfa.initial)
-    return replay_masks(nfa.images, word, nfa.initial_mask)
+        run = replay(nfa, word, nfa.initial if stack is None else stack[-1])
+    else:
+        run = replay_masks(nfa.images, word, nfa.initial_mask if stack is None else stack[-1])
+    if stack is None:
+        return run
+    stack += run[1:]
+    return stack
 
 
-def next_word(word: Word, length: int, stack: list, tables: MinWordTables) -> Optional[Word]:
+def next_word(
+    word: Word, length: int, stack: list, tables: MinWordTables
+) -> Optional[tuple[Word, int]]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``stack`` must be ``build_run_stack(word, tables.nfa)``. Returns None when
-    ``word`` is the maximum. Runs the successor search of the automaton's
-    kernel.
+    ``stack`` must hold ``build_run_stack(word, tables.nfa)``; the search
+    reads its entries ``0 .. length - 1`` and writes none. Returns the
+    successor with its pivot, the first position at which it differs from
+    ``word``, or None when ``word`` is the maximum. Runs the successor search
+    of the automaton's kernel.
     """
     if tables.live is None:
         return next_word_lists(word, length, stack, tables)
@@ -103,7 +121,7 @@ def next_word_lists(
     length: int,
     stack: list[Sequence[int]],
     tables: MinWordTables,
-) -> Optional[Word]:
+) -> Optional[tuple[Word, int]]:
     """The list kernel's successor search; ``stack`` holds state lists.
 
     Positions are retried from the last to the first. At position ``i``,
@@ -112,10 +130,11 @@ def next_word_lists(
     :meth:`MinWordTables.add_level`'s rule: the target of least level-k rank
     stands for the pair, and the first pair whose target is live ends the
     walk, as does a symbol above the best one found so far. The least
-    (symbol, rank) pair over the states gives the successor: that symbol,
-    then the target's least length-k word. A retried position is charged one
-    unit per state of ``stack[i]``, 1 plus its target count per adjacency
-    pair examined, and ``k`` for spelling the suffix.
+    (symbol, rank) pair over the states gives the successor: ``word[:i]``,
+    that symbol, then the target's least length-k word; ``i`` is the pivot.
+    A retried position is charged one unit per state of ``stack[i]``, 1 plus
+    its target count per adjacency pair examined, and ``k`` for spelling the
+    suffix.
     """
     nfa = tables.nfa
     adjacency = nfa.adjacency
@@ -144,7 +163,8 @@ def next_word_lists(
         if best_targets:
             if counting:
                 _ops.ops += k
-            return word[:i] + (best_a,) + tables.min_word_from(k, min(best_targets, key=key))
+            suffix = tables.min_word_from(k, min(best_targets, key=key))
+            return word[:i] + (best_a,) + suffix, i
     return None
 
 
@@ -155,7 +175,7 @@ def next_word_masks(
     tables: MinWordTables,
     images: list[ChunkTables],
     live: list[int],
-) -> Optional[Word]:
+) -> Optional[tuple[Word, int]]:
     """The bit kernel's successor search; ``stack`` holds masks.
 
     ``images`` are the automaton's chunk image tables
@@ -189,7 +209,7 @@ def next_word_masks(
                 if counting:
                     _ops.ops += nbytes + len(members) + k
                 target = min(members, key=tables.rank[k].__getitem__)
-                return word[:i] + (a,) + tables.min_word_from(k, target)
+                return word[:i] + (a,) + tables.min_word_from(k, target), i
     return None
 
 
@@ -198,11 +218,19 @@ class CrossSectionCursor:
 
     Every call to :meth:`next` returns the next accepted word of length
     ``length`` or :data:`EXHAUSTED` (sticky once returned). The first call
-    costs one least-word lookup; each later call recomputes the run of the
-    previous output and searches for its successor, so per-output work is
-    O(length * #transitions) regardless of history. Each call builds the
-    run's ``length + 1`` state sets afresh (O(length * |Q|) bytes) and drops
-    them on return; nothing carries over from one output to the next.
+    costs one least-word lookup; each later call brings the run of the
+    previous output up to date and searches it for the successor, so
+    per-output work is O(length * #transitions) regardless of history.
+
+    The cursor keeps the last output's run, its ``length + 1`` state sets
+    (O(length * |Q|) bytes), together with the length ``v`` of the prefix
+    whose sets are still valid. A call replays only ``last[v:]``, from
+    ``stack[v]``, and the successor search's pivot becomes the new ``v``:
+    the successor keeps the previous word before it. The replay happens at
+    the start of the call, so the worst gap is still one full replay plus
+    one search, and a word nobody asks for is never replayed. The first
+    call after the least word, and the first after :meth:`seek`, which drops
+    the held run, replay from ``v = 0``.
 
     ``tables`` must be built for ``nfa`` itself (``tables.nfa is nfa``) and
     cover ``length``; otherwise :class:`ValueError` is raised. The automaton
@@ -213,7 +241,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_stack", "_valid")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         if length < 0:
@@ -231,6 +259,9 @@ class CrossSectionCursor:
         self.tables = tables
         self._last: Optional[Word] = None
         self._exhausted = False
+        # The run of _last; entries 0 .. _valid hold for the current _last.
+        self._stack = build_run_stack((), nfa)
+        self._valid = 0
 
     @property
     def current(self) -> Optional[Word]:
@@ -243,8 +274,12 @@ class CrossSectionCursor:
         if self._last is None:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
-            stack = build_run_stack(self._last, self.nfa)
-            word = next_word(self._last, self.length, stack, self.tables)
+            v = self._valid
+            stack = self._stack
+            del stack[v + 1 :]
+            build_run_stack(self._last[v:], self.nfa, stack)
+            found = next_word(self._last, self.length, stack, self.tables)
+            word, self._valid = found or (None, 0)
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -254,20 +289,24 @@ class CrossSectionCursor:
     def seek(self, word) -> None:
         """Resume the enumeration just after ``word``.
 
-        ``word`` must have the cursor's length and valid symbol ids, but need
-        not be accepted: the following :meth:`next` yields the least member
-        of the cross-section greater than ``word``, or :data:`EXHAUSTED` when
-        there is none.
+        ``word`` must have the cursor's length and valid symbol ids, ints
+        (not bools) in ``0 .. |alphabet| - 1``, but need not be accepted: the
+        following :meth:`next` yields the least member of the cross-section
+        greater than ``word``, or :data:`EXHAUSTED` when there is none. The
+        held run is dropped; that call replays ``word`` in full.
         """
         word = tuple(word)
         if len(word) != self.length:
             raise ValueError(f"expected a word of length {self.length}, got {len(word)}")
         sigma = len(self.nfa.alphabet)
         for a in word:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValueError(f"symbol id {a!r} is not an int")
             if not 0 <= a < sigma:
                 raise ValueError(f"symbol id {a!r} out of range")
         self._last = word
         self._exhausted = False
+        self._valid = 0
 
     def __iter__(self) -> Iterator[Word]:
         while True:

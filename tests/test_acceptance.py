@@ -15,7 +15,9 @@ tolerances as module constants:
 6. empty-word and degenerate automata behave exactly;
 7. the a*ba* reference automaton reproduces its frozen cross-sections;
 8. one word of a length-40 universal-language cross-section streams out in
-   under a second.
+   under a second;
+9. on sparse automata, which run the list kernel, every per-output operation
+   count stays within DELAY_C * l * |delta|.
 """
 
 import os
@@ -61,6 +63,11 @@ FAMILY_SEEDS = (0, 1, 2)
 FAMILY_STATES = 20
 FAMILY_SYMBOLS = 4
 FAMILY_OUTPUT_LIMIT = 2000
+
+# Criterion 9: larger, sparse automata, all on the list kernel. Criterion
+# 3's family runs the bit kernel throughout. Only the per-gap bound is gated:
+# at small |delta| the gaps sit far below it, so doubling ratios reach ~20x.
+LIST_FAMILY_DELTAS = {100: (150, 300), 200: (250, 500)}
 
 _family_cache: dict = {}
 
@@ -277,5 +284,40 @@ def test_criterion_8_streaming_one_word_of_huge_cross_section():
     assert elapsed < 1.0
     print(
         f"PASS 8: first of 2^40 words streamed and process exited in {elapsed:.2f}s",
+        flush=True,
+    )
+
+
+def test_criterion_9_delay_bound_on_list_kernel():
+    t0 = time.perf_counter()
+    worst_ratio = 0.0
+    cells = with_words = 0
+    for state_count, deltas in LIST_FAMILY_DELTAS.items():
+        for ell in FAMILY_LENGTHS:
+            for seed in FAMILY_SEEDS:
+                family = nested_scaling_family(
+                    9000 + ell * 7 + seed,
+                    deltas,
+                    state_count=state_count,
+                    symbol_count=FAMILY_SYMBOLS,
+                )
+                for delta, nfa in family.items():
+                    assert nfa.kernel == "list", (state_count, delta)
+                    report = measure_delays(nfa, ell, limit=FAMILY_OUTPUT_LIMIT)
+                    # An empty cross-section still has one gap, the one that
+                    # finds it empty.
+                    with_words += bool(report.records)
+                    gaps = [r.op_count for r in report.records]
+                    if report.final_gap_ops is not None:
+                        gaps.append(report.final_gap_ops)
+                    for gap in gaps:
+                        assert gap <= DELAY_C * ell * delta, (state_count, ell, delta, gap)
+                    worst_ratio = max(worst_ratio, max(gaps) / (ell * delta))
+                    cells += 1
+    assert 2 * with_words > cells, (with_words, cells)
+    print(
+        f"PASS 9: every inter-output gap <= {DELAY_C}*l*delta on {cells} list-kernel "
+        f"automata, {with_words} of them non-empty (worst ratio {worst_ratio:.3f}, "
+        f"{time.perf_counter() - t0:.1f}s)",
         flush=True,
     )

@@ -103,7 +103,7 @@ class TestNextWord:
         return next_word(word, length, stack, tables)
 
     def test_successor_replaces_first_position(self, a1):
-        assert self._next(a1, "ab", 2) == (1, 0)  # "ba"
+        assert self._next(a1, "ab", 2) == ((1, 0), 0)  # "ba", pivot 0
 
     def test_maximum_word_has_no_successor(self, a1):
         assert self._next(a1, "ba", 2) is None
@@ -116,7 +116,7 @@ class TestNextWord:
         tables = precompute(a1, 2)
         first = self._next(a1, "ab", 2, tables)
         second = self._next(a1, "ab", 2, tables)
-        assert first == second == (1, 0)
+        assert first == second == ((1, 0), 0)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -124,15 +124,21 @@ class TestNextWord:
 def test_successor_of_every_word_is_least_greater_member(seed, length):
     """For every word of the length, accepted or not, next_word and seek
     followed by next give the least member above it, or report that none
-    exists. Sweeping all words rather than drawing one finds the rare
-    state set whose best pair is not each row's first pair above the pivot."""
+    exists; next_word's pivot is the first position where the two differ.
+    Sweeping all words rather than drawing one finds the rare state set
+    whose best pair is not each row's first pair above the pivot."""
     nfa = corpus_automaton(random.Random(seed))
     members = cross_section_bruteforce(nfa, length)
     tables = precompute(nfa, length)
     cursor = CrossSectionCursor(nfa, length, tables)
     for word in itertools.product(range(nfa.symbol_count), repeat=length):
         expected = next((w for w in members if w > word), None)
-        assert next_word(word, length, build_run_stack(word, nfa), tables) == expected
+        found = next_word(word, length, build_run_stack(word, nfa), tables)
+        if expected is None:
+            assert found is None
+        else:
+            pivot = next(i for i, (a, b) in enumerate(zip(word, expected)) if a != b)
+            assert found == (expected, pivot)
         cursor.seek(word)
         assert cursor.next() == (EXHAUSTED if expected is None else expected)
 
@@ -187,10 +193,61 @@ class TestCursor:
         with pytest.raises(ValueError):
             cursor.seek((0, 9))
 
+    def test_seek_rejects_symbols_that_are_not_ints(self, a1):
+        # (0, 1.0, 0) is in range, but a float id would fail only later,
+        # inside the next call's replay.
+        tiny = compile_regex("(a|b|c)*b(a|c)*")
+        assert (a1.kernel, tiny.kernel) == ("list", "bit")
+        for nfa in (a1, tiny):
+            cursor = CrossSectionCursor(nfa, 3)
+            for bad in ((0, 1.0, 0), (0, True, 0), (False, 0, 0), ("a", 0, 0), (0, None, 0)):
+                with pytest.raises(ValueError, match="not an int"):
+                    cursor.seek(bad)
+            cursor.seek((0, 1, 0))
+            assert cursor.next() == next(w for w in cross_section(nfa, 3) if w > (0, 1, 0))
+
+    def test_held_run_stays_coherent_under_seek(self):
+        """After every call the held run's valid prefix equals the same
+        prefix of a fresh run of the last word, and after every seek, to a
+        word before or after the cursor, the continuation equals a fresh
+        cursor's from that word."""
+        rng = random.Random(89)
+        kernels = set()
+        checked = 0
+        while checked < 80:
+            nfa = corpus_automaton(rng)
+            length = rng.randint(2, 7)
+            tables = precompute(nfa, length)
+            words = list(cross_section(nfa, length, tables))
+            if len(words) < 4:
+                continue
+            kernels.add(nfa.kernel)
+            cursor = CrossSectionCursor(nfa, length, tables)
+            for _ in range(5):
+                for _ in range(rng.randint(1, 6)):
+                    if cursor.next() is EXHAUSTED:
+                        break
+                    _assert_held_prefix_is_fresh(cursor)
+                if rng.random() < 0.7:
+                    start = words[rng.randrange(len(words))]
+                else:
+                    start = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
+                cursor.seek(start)
+                fresh = CrossSectionCursor(nfa, length, tables)
+                fresh.seek(start)
+                for _ in range(rng.randint(1, 6)):
+                    word = cursor.next()
+                    assert word == fresh.next()
+                    if word is EXHAUSTED:
+                        break
+                    _assert_held_prefix_is_fresh(cursor)
+            checked += 1
+        assert kernels == {"list", "bit"}
+
     def test_memory_stays_flat(self):
-        """Each call builds its run stack afresh and keeps none of it, so the
-        traced heap after word 500 is within a small constant of its size
-        after word 20."""
+        """The cursor holds one run of l+1 masks, replaced in place from the
+        pivot on, so the traced heap after word 500 is within a small
+        constant of its size after word 20."""
         nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
         assert nfa.kernel == "bit"
         tables = precompute(nfa, 32)
@@ -207,10 +264,19 @@ class TestCursor:
         assert late - early <= 16 * 1024, (early, late)
 
 
+def _assert_held_prefix_is_fresh(cursor):
+    """The held run has length + 1 entries, or only the initial set after
+    the least word, and its entries 0 .. v, v the valid prefix, equal those
+    of a run of the cursor's last word built from scratch."""
+    v = cursor._valid
+    assert len(cursor._stack) in (1, cursor.length + 1)
+    held = cursor._stack[: v + 1]
+    assert held == build_run_stack(cursor.current, cursor.nfa)[: v + 1]
+
+
 class TestSharedTables:
-    """Cursors over one table: each builds its own run stack on every call,
-    so neither threads nor interleaved calls change what any of them
-    yields."""
+    """Cursors over one table: each holds its own run stack, so neither
+    threads nor interleaved calls change what any of them yields."""
 
     LENGTH = 12
     WORDS = 500
@@ -518,4 +584,4 @@ def test_golden_op_counts():
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
     assert report.preproc_ops == 2816
-    assert sum(r.op_count for r in report.records) == 29208
+    assert sum(r.op_count for r in report.records) == 9378
