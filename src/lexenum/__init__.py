@@ -5,7 +5,8 @@ parsed from a small text format, or compiled from a regex) and streams the
 accepted words of a given length in strictly increasing lexicographic order.
 The alphabet is a string of glyphs whose order is the lexicographic order,
 and words are tuples of indexes into it. After a preprocessing pass whose
-cost is O(|alphabet|*|Q| + l*(#transitions + |Q| log |Q|)), consecutive
+cost is O(|alphabet| + |Q| + #transitions + l*(#transitions + |Q| log |Q|)),
+linear in the automaton's size plus the work of l table levels, consecutive
 words are produced with O(l*#transitions) work between outputs, independent
 of how many words have been emitted, and with flat memory: each word is
 derived from the previous one plus read-only tables of O(l*|Q|) entries

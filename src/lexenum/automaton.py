@@ -1,20 +1,15 @@
-"""Automaton data model: alphabet, dense states, transition layouts.
+"""Automaton data model: alphabet, dense states, adjacency rows.
 
 The alphabet is a string of distinct single-character glyphs; the glyph at
 index ``a`` is symbol ``a``, and that index order is the lexicographic order.
-States are exactly the integers ``0 .. state_count-1``. Transitions live in
-read-only layouts built once by :func:`build_nfa`:
-
-* per-state adjacency lists of ``(symbol_id, targets)`` pairs, strictly
-  increasing in symbol id, with non-empty duplicate-free target tuples;
-* per-symbol transition columns: ``columns[a][q]`` is the target tuple of
-  state ``q`` on symbol ``a``, and ``()`` when there is none;
-* for automata on the bit kernel only, chunk image tables (see
-  :func:`chunk_images`).
-
-The adjacency lists serve the tables and the list kernel's successor search,
-which visit only the symbols a state has; the columns serve the list kernel's
-subset step, which reads one symbol for a whole set of states.
+States are exactly the integers ``0 .. state_count-1``. The transitions are
+stored once, as read-only per-state adjacency rows built by
+:func:`build_nfa`: the row of ``q`` lists ``(symbol_id, targets)`` pairs,
+strictly increasing in symbol id, with non-empty duplicate-free target
+tuples. The tables and the successor search walk a row in symbol order; the
+list kernel's subset step finds one symbol in it by binary search. Automata
+on the bit kernel also get chunk image tables (see :func:`chunk_images`),
+derived from the rows.
 
 Two kernels run the subset step. The list kernel holds a state set as a
 plain sequence of states, duplicate-free and in first-occurrence order:
@@ -37,6 +32,7 @@ threads.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .instrument import ops as _ops
@@ -77,7 +73,6 @@ class Nfa:
         "images",
         "initial_mask",
         "_glyph_ids",
-        "_columns",
     )
 
     def __init__(
@@ -87,7 +82,6 @@ class Nfa:
         initial: tuple[int, ...],
         final_states: tuple[int, ...],
         adjacency: list[list[tuple[int, tuple[int, ...]]]],
-        columns: list[list[tuple[int, ...]]],
         transition_count: int,
     ):
         self.alphabet = alphabet
@@ -99,7 +93,6 @@ class Nfa:
         self.images: Optional[list[ChunkTables]] = None
         self.initial_mask = 0
         self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
-        self._columns = columns
 
     @property
     def symbol_count(self) -> int:
@@ -113,9 +106,12 @@ class Nfa:
     def targets(self, state: int, symbol_id: int) -> tuple[int, ...]:
         """Target states of ``state`` on ``symbol_id``; () when none.
 
-        One read of the ``symbol_id`` column, O(1).
+        A binary search of the state's row: O(log |row|) comparisons, which
+        are not charged to the operation counter.
         """
-        return self._columns[symbol_id][state]
+        row = self.adjacency[state]
+        i = bisect_left(row, (symbol_id,))
+        return row[i][1] if i < len(row) and row[i][0] == symbol_id else ()
 
     def symbol_id(self, glyph: str) -> int:
         try:
@@ -151,7 +147,7 @@ class Nfa:
 
 
 def _check_state(value, state_count: int, what: str) -> int:
-    if not isinstance(value, int) or not 0 <= value < state_count:
+    if type(value) is not int or not 0 <= value < state_count:
         raise AutomatonError(f"{what} {value!r} out of range for {state_count} states")
     return value
 
@@ -179,8 +175,16 @@ def build_nfa(
     so target order within a pair is first-occurrence order and repeated
     triples count once. ``state_count`` is checked first; then each other
     argument, which may be any iterable, is read once, in parameter order.
-    The layout build costs O(#transitions + |alphabet| * state_count), plus
-    the chunk image tables when the automaton is on the bit kernel.
+    States, the state count and symbol ids must be ints proper: a bool, or
+    any other subclass of int, is rejected.
+
+    Buckets exist only for the (state, symbol) pairs that occur, grouped by
+    symbol, so freezing them symbol by symbol appends each row's pairs in
+    increasing symbol order without a sort. The layout costs
+    O(#raw transitions + |alphabet| + state_count) time and memory, charged
+    one unit per raw transition, per symbol, per state and per distinct
+    transition, plus the chunk image tables when the automaton is on the bit
+    kernel.
 
     Raises :class:`AutomatonError` for a state count beyond ``sys.maxsize``
     (no buffer can be indexed that far), for alphabet entries that are not
@@ -188,7 +192,7 @@ def build_nfa(
     references. A 0-state automaton with empty initial/final/transitions is
     legal and accepts nothing.
     """
-    if not isinstance(state_count, int) or not 0 <= state_count <= sys.maxsize:
+    if type(state_count) is not int or not 0 <= state_count <= sys.maxsize:
         raise AutomatonError(f"state count must be an int in 0..{sys.maxsize}, got {state_count!r}")
 
     glyph_ids: dict[str, int] = {}
@@ -203,9 +207,8 @@ def build_nfa(
     init_states = _distinct_states(initial, state_count, "initial state")
     final_states = _distinct_states(final, state_count, "final state")
 
-    # One column of per-state target buckets per symbol, () while empty;
-    # creating them is the O(sigma*|Q|) share of the layout cost.
-    columns: list[list] = [[()] * state_count for _ in range(sigma)]
+    # Per symbol, the target bucket of each source state that has one.
+    buckets: list[dict[int, list[int]]] = [{} for _ in range(sigma)]
     raw_count = 0
     for entry in transitions:
         raw_count += 1
@@ -217,31 +220,24 @@ def build_nfa(
             if sym not in glyph_ids:
                 raise AutomatonError(f"unknown symbol {sym!r} in transition {entry!r}")
             a = glyph_ids[sym]
-        elif isinstance(sym, int) and 0 <= sym < sigma:
+        elif type(sym) is int and 0 <= sym < sigma:
             a = sym
         else:
             raise AutomatonError(f"unknown symbol {sym!r} in transition {entry!r}")
         _check_state(src, state_count, "transition source")
         _check_state(dst, state_count, "transition target")
-        bucket = columns[a][src]
-        if bucket:
-            bucket.append(dst)
-        else:
-            columns[a][src] = [dst]
+        buckets[a].setdefault(src, []).append(dst)
 
     transition_count = 0
-    adjacency: list[list[tuple[int, tuple[int, ...]]]] = []
-    for q in range(state_count):
-        row = []
-        for a, column in enumerate(columns):
-            if column[q]:
-                column[q] = targets = tuple(dict.fromkeys(column[q]))
-                transition_count += len(targets)
-                row.append((a, targets))
-        adjacency.append(row)
+    adjacency: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(state_count)]
+    for a, column in enumerate(buckets):
+        for src, bucket in column.items():
+            targets = tuple(dict.fromkeys(bucket))
+            transition_count += len(targets)
+            adjacency[src].append((a, targets))
 
     if _ops.enabled:
-        _ops.ops += 2 * state_count * sigma + raw_count
+        _ops.ops += raw_count + sigma + state_count + transition_count
 
     nfa = Nfa(
         "".join(glyph_ids),
@@ -249,7 +245,6 @@ def build_nfa(
         init_states,
         final_states,
         adjacency,
-        columns,
         transition_count,
     )
     if fits_bit_kernel(sigma, state_count, transition_count):
@@ -278,16 +273,21 @@ def chunk_images(nfa: Nfa) -> list[ChunkTables]:
     16-entry tables, for the states ``8c .. 8c+3`` (low nibble) and
     ``8c+4 .. 8c+7`` (high nibble). Entry ``x`` of a nibble's table is the
     union of the ``a``-successors of the states whose bits are set in ``x``,
-    as a mask. Charged one unit per transition plus ``ceil(|Q|/64)`` per
-    table entry: ``32 * |alphabet| * ceil(|Q|/8)`` entries in all.
+    as a mask. The successor masks are read from the adjacency rows into a
+    scratch of ``|alphabet| * 8 * ceil(|Q|/8)`` masks, which the kernel test
+    keeps within ``2 * #transitions``. Charged one unit per transition plus
+    ``ceil(|Q|/64)`` per table entry: ``32 * |alphabet| * ceil(|Q|/8)``
+    entries in all.
     """
     n = nfa.state_count
     nbytes = -(-n // 8)
-    padding = [0] * (8 * nbytes - n)
+    # The a-successors of each state as a mask; padding states have none.
+    successors = [[0] * (8 * nbytes) for _ in nfa.alphabet]
+    for q, row in enumerate(nfa.adjacency):
+        for a, targets in row:
+            successors[a][q] = state_mask(targets)
     images = []
-    for column in nfa._columns:
-        # The a-successors of each state as a mask; padding states have none.
-        succ = [state_mask(targets) for targets in column] + padding
+    for succ in successors:
         tables = []
         for s0, s1, s2, s3 in zip(*[iter(succ)] * 4):
             # Entry x is the union over the bits of x: each state doubles
@@ -327,28 +327,43 @@ def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence
     ``word[:i]``. Each entry holds the targets in first-occurrence order over
     the previous entry's states in their order, without duplicates; it is
     built against a fresh |Q|-byte membership array, one O(|Q|) allocation
-    per position. A position is charged ``len(source)`` plus the targets
-    visited, which is its work up to that uncharged allocation.
+    per position. Each source state finds the letter in its adjacency row, a
+    row of one pair by one comparison and a longer row by binary search. A
+    position is charged ``len(source)`` plus the targets visited, which is
+    its work up to that uncharged allocation and the O(log |row|)
+    comparisons of each search.
     """
-    columns = nfa._columns
+    adjacency = nfa.adjacency
     n = nfa.state_count
     counting = _ops.enabled
     stack = [start]
     sources = start
     for a in word:
-        column = columns[a]
+        probe = (a,)
         # A fresh array per position: one array reused and cleared over the
         # new list, or dict.fromkeys over the chained targets, measured slower.
         membership = bytearray(n)
         elements: list[int] = []
         # This loop is the per-output hot path.
         for q in sources:
-            for t in column[q]:
-                if not membership[t]:
-                    membership[t] = 1
-                    elements.append(t)
+            row = adjacency[q]
+            # Most rows hold one pair; a search only pays off beyond that.
+            if len(row) > 1:
+                i = bisect_left(row, probe)
+                if i == len(row):
+                    continue
+                b, targets = row[i]
+            elif row:
+                b, targets = row[0]
+            else:
+                continue
+            if b == a:
+                for t in targets:
+                    if not membership[t]:
+                        membership[t] = 1
+                        elements.append(t)
         if counting:
-            _ops.ops += len(sources) + sum(map(len, map(column.__getitem__, sources)))
+            _ops.ops += len(sources) + sum(len(nfa.targets(q, a)) for q in sources)
         stack.append(elements)
         sources = elements
     return stack

@@ -24,9 +24,8 @@ and the same pivot.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from itertools import count
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 # delta_step stays importable from here for callers that wrap this module's names.
@@ -40,7 +39,7 @@ from .automaton import (  # noqa: F401
     replay_masks,
 )
 from .instrument import ops as _ops
-from .tables import MinWordTables, precompute
+from .tables import MinWordTables, check_length, precompute
 
 
 class _ExhaustedType:
@@ -52,8 +51,6 @@ class _ExhaustedType:
 
 #: Sticky end-of-enumeration marker returned by :meth:`CrossSectionCursor.next`.
 EXHAUSTED = _ExhaustedType()
-
-_symbol_of = itemgetter(0)
 
 
 def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[Word]:
@@ -149,7 +146,7 @@ def next_word_lists(
         examined = len(cur)
         for q in cur:
             row = adjacency[q]
-            for a, targets in row[bisect_right(row, wi, key=_symbol_of) :]:
+            for a, targets in row[bisect_left(row, (wi + 1,)) :]:
                 if a > best_a:
                     break
                 examined += 1 + len(targets)
@@ -244,8 +241,7 @@ class CrossSectionCursor:
     __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_stack", "_valid")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
+        check_length(length)
         if tables is None:
             tables = precompute(nfa, length)
         elif tables.nfa is not nfa:
@@ -290,17 +286,18 @@ class CrossSectionCursor:
         """Resume the enumeration just after ``word``.
 
         ``word`` must have the cursor's length and valid symbol ids, ints
-        (not bools) in ``0 .. |alphabet| - 1``, but need not be accepted: the
-        following :meth:`next` yields the least member of the cross-section
-        greater than ``word``, or :data:`EXHAUSTED` when there is none. The
-        held run is dropped; that call replays ``word`` in full.
+        (not bools or other int subclasses) in ``0 .. |alphabet| - 1``, but
+        need not be accepted: the following :meth:`next` yields the least
+        member of the cross-section greater than ``word``, or
+        :data:`EXHAUSTED` when there is none. The held run is dropped; that
+        call replays ``word`` in full.
         """
         word = tuple(word)
         if len(word) != self.length:
             raise ValueError(f"expected a word of length {self.length}, got {len(word)}")
         sigma = len(self.nfa.alphabet)
         for a in word:
-            if not isinstance(a, int) or isinstance(a, bool):
+            if type(a) is not int:
                 raise ValueError(f"symbol id {a!r} is not an int")
             if not 0 <= a < sigma:
                 raise ValueError(f"symbol id {a!r} out of range")

@@ -11,11 +11,15 @@ words of a mask, per lookup or OR: two lookups and two ORs per non-zero
 byte. A replay position takes one image. The successor search charges, per
 symbol it tries, one image plus ``ceil(|Q|/64)`` for intersecting it with
 the level's live mask; on the hit, one unit per byte of the mask and per
-member decoded, and one per letter of the suffix. Building the chunk image
-tables charges, as automaton layout, one unit per transition plus
-``ceil(|Q|/64)`` per table entry, and each table level charges one unit per
-state in its live mask. The radix run charges one unit per reachable state
-whose liveness it checks at each length. The core modules funnel every
+member decoded, and one per letter of the suffix. Laying out an automaton
+charges one unit per raw transition bucketed, per symbol, per state and per
+distinct transition frozen into a row: ``raw + |alphabet| + |Q| +
+#transitions`` in all. Finding a symbol in a row by binary search is not
+charged. On the bit kernel the layout also charges, for the chunk image
+tables, one unit per transition plus ``ceil(|Q|/64)`` per table entry, and
+each table level charges one unit per state in its live mask. The radix run
+charges one unit per reachable state whose liveness it checks at each
+length. The core modules funnel every
 increment through the single ``ops`` object below; when counting is disabled (the default) they pay one branch per
 loop, nothing more, and their observable behaviour is identical either way.
 :func:`counting` blocks nest; what an inner block counts also reaches the

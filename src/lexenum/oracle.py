@@ -1,10 +1,13 @@
 """Brute-force reference semantics, deliberately naive.
 
 Everything here generates candidate words and filters them by direct subset
-simulation, sharing nothing with the table-driven enumerator beyond the
-:class:`~lexenum.automaton.Nfa` type, so these functions can arbitrate its
-behaviour in tests. A hard cap on the number of candidate words keeps the
-loops at desk scale.
+simulation with Python sets, so these functions can arbitrate the
+table-driven enumerator's behaviour in tests. They read an
+:class:`~lexenum.automaton.Nfa` only through its public fields: the
+alphabet, the initial and final states, and the adjacency rows, which each
+call turns once into per-symbol step maps. They share no kernel, table or
+search code with the enumerator. A hard cap on the number of candidate words
+keeps the loops at desk scale.
 """
 
 from __future__ import annotations
@@ -30,18 +33,39 @@ def _check_cap(symbol_count: int, length: int) -> None:
         )
 
 
-def member(nfa: Nfa, word: Iterable[int], start: Optional[Iterable[int]] = None) -> bool:
-    """True iff some final state is reachable along ``word`` from ``start``
-    (default: the initial states). Plain set-by-set simulation."""
-    cur = set(nfa.initial) if start is None else set(start)
+# Per symbol id, the targets of each state that has that symbol.
+_Steps = list[dict[int, tuple[int, ...]]]
+
+
+def _step_maps(nfa: Nfa) -> _Steps:
+    """The automaton's step maps, read from its adjacency rows."""
+    steps: _Steps = [{} for _ in nfa.alphabet]
+    for q, row in enumerate(nfa.adjacency):
+        for a, targets in row:
+            steps[a][q] = targets
+    return steps
+
+
+def _reached(steps: _Steps, start: Iterable[int], word: Iterable[int]) -> Iterable[int]:
+    """The states reached from ``start`` along ``word`` under the step maps
+    of :func:`_step_maps`. Plain set-by-set simulation."""
+    cur = start
     for a in word:
+        step = steps[a]
         nxt = set()
         for q in cur:
-            nxt.update(nfa.targets(q, a))
+            nxt.update(step.get(q, ()))
         if not nxt:
-            return False
+            return nxt
         cur = nxt
-    return not set(nfa.final_states).isdisjoint(cur)
+    return cur
+
+
+def member(nfa: Nfa, word: Iterable[int], start: Optional[Iterable[int]] = None) -> bool:
+    """True iff some final state is reachable along ``word`` from ``start``
+    (default: the initial states)."""
+    reached = _reached(_step_maps(nfa), nfa.initial if start is None else start, word)
+    return not set(nfa.final_states).isdisjoint(reached)
 
 
 def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
@@ -52,30 +76,13 @@ def cross_section_bruteforce(nfa: Nfa, length: int) -> list[Word]:
     """
     sigma = len(nfa.alphabet)
     _check_cap(sigma, length)
-    init = nfa.initial
+    steps = _step_maps(nfa)
     final = set(nfa.final_states)
-    out: list[Word] = []
-    if length == 0:
-        if not final.isdisjoint(init):
-            out.append(())
-        return out
-    if not init:
-        return out
-    for word in itertools.product(range(sigma), repeat=length):
-        cur = init
-        alive = True
-        for a in word:
-            nxt = set()
-            column = nfa._columns[a]
-            for q in cur:
-                nxt.update(column[q])
-            if not nxt:
-                alive = False
-                break
-            cur = nxt
-        if alive and not final.isdisjoint(cur):
-            out.append(word)
-    return out
+    return [
+        word
+        for word in itertools.product(range(sigma), repeat=length)
+        if not final.isdisjoint(_reached(steps, nfa.initial, word))
+    ]
 
 
 def min_word_oracle(nfa: Nfa, state: int, k: int) -> Optional[Word]:
@@ -105,13 +112,14 @@ def min_words_by_state(nfa: Nfa, k: int) -> list[Optional[Word]]:
     mins: list[Optional[Word]] = [None] * n
     remaining = n
     final = set(nfa.final_states)
+    steps = _step_maps(nfa)
     for word in itertools.product(range(sigma), repeat=k):
         # States from which `word` is accepted, by backward preimages of F.
         accepted = set(final)
         for a in reversed(word):
             prev = set()
-            for q in range(n):
-                for t in nfa.targets(q, a):
+            for q, targets in steps[a].items():
+                for t in targets:
                     if t in accepted:
                         prev.add(q)
                         break

@@ -24,9 +24,10 @@ take the adjacency lists and the alphabet from the tables themselves and
 cannot pair them with another automaton. Level k is derived from level k-1
 alone, so the tables grow one level at a time: a radix run extends one table
 as its length rises instead of building a table per length. Building levels
-``0 .. length`` costs O(|alphabet| * |Q| + length * (#transitions +
-|Q| log |Q|)) and they hold O(length * |Q|) entries; every later access is
-O(1).
+``0 .. length`` costs O(|Q| + length * (#transitions + |Q| log |Q|)) and
+they hold O(length * |Q|) entries; every later access is O(1). With the
+automaton's layout, O(|alphabet| + |Q| + #transitions), that is the whole
+preprocessing.
 """
 
 from __future__ import annotations
@@ -142,10 +143,16 @@ class MinWordTables:
         return f"MinWordTables(length={self.length}, states={self.state_count})"
 
 
+def check_length(length) -> None:
+    """Raise :class:`ValueError` unless ``length`` is a non-negative int; a
+    bool, or any other subclass of int, is not a length."""
+    if type(length) is not int or length < 0:
+        raise ValueError(f"length must be a non-negative int, got {length!r}")
+
+
 def precompute(nfa: Nfa, length: int) -> MinWordTables:
     """Build the tables for all word lengths ``0 .. length``."""
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    check_length(length)
     tables = MinWordTables(nfa)
     for _ in range(length):
         tables.add_level()

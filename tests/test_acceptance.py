@@ -17,7 +17,13 @@ tolerances as module constants:
 8. one word of a length-40 universal-language cross-section streams out in
    under a second;
 9. on sparse automata, which run the list kernel, every per-output operation
-   count stays within DELAY_C * l * |delta|.
+   count stays within DELAY_C * l * |delta|;
+11. preprocessing operation counts, automaton layout included, stay within
+    PREPROC_C * (l*(|delta| + |Q|*ceil(log2 |Q|)) + |sigma| + |Q| + |delta|)
+    on criterion 3's family, on automata whose |Q| doubles at a fixed
+    |delta|/|Q|, and on a wide alphabet with |sigma|*|Q| far above |delta|.
+
+Number 10 is kept for a radix-order delay criterion.
 """
 
 import os
@@ -68,6 +74,12 @@ FAMILY_OUTPUT_LIMIT = 2000
 # 3's family runs the bit kernel throughout. Only the per-gap bound is gated:
 # at small |delta| the gaps sit far below it, so doubling ratios reach ~20x.
 LIST_FAMILY_DELTAS = {100: (150, 300), 200: (250, 500)}
+
+# Criterion 11: |Q| doubles at PREPROC_DELTA_PER_STATE transitions per state,
+# and one wide-alphabet cell has |sigma|*|Q| = 64000 against |delta| = 128.
+PREPROC_STATES = (50, 100, 200, 400)
+PREPROC_DELTA_PER_STATE = 3
+WIDE_SYMBOLS, WIDE_STATES, WIDE_DELTA = 1000, 64, 128
 
 _family_cache: dict = {}
 
@@ -319,5 +331,48 @@ def test_criterion_9_delay_bound_on_list_kernel():
         f"PASS 9: every inter-output gap <= {DELAY_C}*l*delta on {cells} list-kernel "
         f"automata, {with_words} of them non-empty (worst ratio {worst_ratio:.3f}, "
         f"{time.perf_counter() - t0:.1f}s)",
+        flush=True,
+    )
+
+
+def _linear_preproc_budget(report) -> int:
+    """l*(|delta| + |Q|*ceil(log2 |Q|)) + |sigma| + |Q| + |delta|."""
+    n, delta = report.state_count, report.transition_count
+    per_level = delta + n * (n - 1).bit_length()
+    return report.length * per_level + report.symbol_count + n + delta
+
+
+def test_criterion_11_preprocessing_bound_without_sigma_times_states():
+    t0 = time.perf_counter()
+    reports = [r for reps in _family_reports()["reports"].values() for r in reps]
+    for ell in FAMILY_LENGTHS:
+        for seed in FAMILY_SEEDS:
+            for n in PREPROC_STATES:
+                delta = PREPROC_DELTA_PER_STATE * n
+                (nfa,) = nested_scaling_family(
+                    11000 + ell * 7 + seed, (delta,), state_count=n, symbol_count=FAMILY_SYMBOLS
+                ).values()
+                reports.append(measure_delays(rebuild_factory(nfa), ell, limit=1))
+    rng = random.Random(CORPUS_SEED + 11)
+    glyphs = "".join(chr(0x100 + i) for i in range(WIDE_SYMBOLS))
+    triples = {
+        (rng.randrange(WIDE_STATES), rng.randrange(WIDE_SYMBOLS), rng.randrange(WIDE_STATES))
+        for _ in range(WIDE_DELTA)
+    }
+    wide = build_nfa(glyphs, WIDE_STATES, range(8), range(8, 16), sorted(triples))
+    for ell in FAMILY_LENGTHS:
+        reports.append(measure_delays(rebuild_factory(wide), ell, limit=1))
+    worst_ratio = 0.0
+    for report in reports:
+        budget = _linear_preproc_budget(report)
+        assert report.preproc_ops <= PREPROC_C * budget, (
+            report.length, report.state_count, report.symbol_count,
+            report.transition_count, report.preproc_ops, budget,
+        )
+        worst_ratio = max(worst_ratio, report.preproc_ops / budget)
+    print(
+        f"PASS 11: preprocessing ops, layout included, <= {PREPROC_C}*(l*(delta + "
+        f"Q*ceil(log2 Q)) + sigma + Q + delta) on {len(reports)} automata "
+        f"(worst ratio {worst_ratio:.2f}, {time.perf_counter() - t0:.1f}s)",
         flush=True,
     )

@@ -1,15 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 
 from lexenum import (
     AutomatonError,
+    CrossSectionCursor,
     build_nfa,
     delta_step,
+    precompute,
     random_automaton,
 )
 from lexenum.instrument import counting
-from helpers import corpus_automaton
+from helpers import corpus_automaton, make_a1
 
 
 class TestBuildNfa:
@@ -79,6 +82,28 @@ class TestBuildNfa:
         with pytest.raises(AutomatonError):
             build_nfa(["a"], -1, [], [], [])
 
+    def test_layout_grows_with_input_size_not_alphabet_times_states(self):
+        """One transition over a wide alphabet and many states: the layout
+        charge is one unit per raw transition, symbol, state and transition,
+        and the allocation peak stays linear in sigma + |Q| + |delta|, also
+        when both double."""
+        peaks = []
+        for sigma, n in ((500, 4000), (1000, 8000)):
+            glyphs = "".join(chr(0x100 + i) for i in range(sigma))
+            tracemalloc.start()
+            try:
+                with counting() as ops:
+                    nfa = build_nfa(glyphs, n, [0], [n - 1], [(0, glyphs[-1], n - 1)])
+                    charged = ops.ops
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert nfa.transition_count == 1 and nfa.kernel == "list"
+            assert charged == 1 + sigma + n + 1
+            assert peak <= 256 * (sigma + n + 1), peak
+            peaks.append(peak)
+        assert peaks[1] <= 2.5 * peaks[0], peaks
+
     def test_adjacency_symbols_strictly_increase(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -107,6 +132,44 @@ class TestBuildNfa:
                         if src == q and sym == a and dst not in expected:
                             expected.append(dst)
                     assert list(nfa.targets(q, a)) == expected
+
+
+def _cursor_on_shared_tables(length):
+    tables = precompute(make_a1(), 3)
+    return CrossSectionCursor(tables.nfa, length, tables)
+
+
+_P = pytest.param
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        _P(
+            lambda: build_nfa("ab", True, [False], [False], [(False, True, False)]),
+            AutomatonError,
+            id="all-bools",
+        ),
+        _P(lambda: build_nfa("a", False, [], [], []), AutomatonError, id="state-count"),
+        _P(lambda: build_nfa("ab", 2, [False], [], []), AutomatonError, id="initial"),
+        _P(lambda: build_nfa("ab", 2, [], [True], []), AutomatonError, id="final"),
+        _P(lambda: build_nfa("ab", 2, [], [], [(False, 0, 1)]), AutomatonError, id="source"),
+        _P(lambda: build_nfa("ab", 2, [], [], [(0, 0, True)]), AutomatonError, id="target"),
+        _P(lambda: build_nfa("ab", 2, [], [], [(0, True, 1)]), AutomatonError, id="symbol"),
+        _P(lambda: precompute(make_a1(), True), ValueError, id="precompute-bool"),
+        _P(lambda: precompute(make_a1(), 2.5), ValueError, id="precompute-float"),
+        _P(lambda: precompute(make_a1(), "2"), ValueError, id="precompute-str"),
+        _P(lambda: CrossSectionCursor(make_a1(), False), ValueError, id="cursor-bool"),
+        _P(lambda: CrossSectionCursor(make_a1(), 2.5), ValueError, id="cursor-float"),
+        _P(lambda: CrossSectionCursor(make_a1(), None), ValueError, id="cursor-none"),
+        _P(lambda: _cursor_on_shared_tables(True), ValueError, id="cursor-bool-shared-tables"),
+    ],
+)
+def test_bools_and_non_ints_are_rejected(call, error):
+    """States, state counts, symbol ids and lengths are ints, never bools,
+    as ``seek`` already requires of symbols."""
+    with pytest.raises(error):
+        call()
 
 
 class TestDeltaStep:
