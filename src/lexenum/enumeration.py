@@ -333,8 +333,12 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     reachable state accepting a length-k word, so the rule fires on a finite
     language just after its longest word and never on an infinite one. At
     each length the check reads reachable states' ranks up to the first live
-    one and is charged one unit per rank read.
+    one and is charged one unit per rank read. ``max_length``, when given,
+    must be a non-negative int (not a bool); since this is a generator, a
+    bad one raises :class:`ValueError` on the first ``next``.
     """
+    if max_length is not None:
+        check_length(max_length)
     n = nfa.state_count
     tables = precompute(nfa, 0)
     # One pass over the adjacency lists; iterating the list also visits the

@@ -18,12 +18,14 @@ tolerances as module constants:
    under a second;
 9. on sparse automata, which run the list kernel, every per-output operation
    count stays within DELAY_C * l * |delta|;
+10. in radix order, every per-output operation count, the first included,
+    stays within RADIX_C * (l+1) * (|delta| + |Q|*ceil(log2 max(|Q|, 2))),
+    where l is the output's length, on a family with long runs of empty
+    lengths;
 11. preprocessing operation counts, automaton layout included, stay within
     PREPROC_C * (l*(|delta| + |Q|*ceil(log2 |Q|)) + |sigma| + |Q| + |delta|)
     on criterion 3's family, on automata whose |Q| doubles at a fixed
     |delta|/|Q|, and on a wide alphabet with |sigma|*|Q| far above |delta|.
-
-Number 10 is kept for a radix-order delay criterion.
 """
 
 import os
@@ -31,11 +33,13 @@ import random
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from lexenum import (
     CrossSectionCursor,
     build_nfa,
+    compile_regex,
     cross_section,
     cross_section_bruteforce,
     measure_delays,
@@ -44,6 +48,7 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
+from lexenum.instrument import counting
 from helpers import (
     corpus_automaton,
     make_a1,
@@ -80,6 +85,14 @@ LIST_FAMILY_DELTAS = {100: (150, 300), 200: (250, 500)}
 PREPROC_STATES = (50, 100, 200, 400)
 PREPROC_DELTA_PER_STATE = 3
 WIDE_SYMBOLS, WIDE_STATES, WIDE_DELTA = 1000, 64, 128
+
+# Criterion 10: the first RADIX_WORDS outputs of each automaton in radix
+# order. Measured worst gap / ((l+1)*(|delta| + |Q|*ceil(log2 max(|Q|, 2))))
+# is 4.0, on the two-state a*ba* automaton of make_a1 at its first word,
+# whose gap also pays the tables' setup and the reachable-state pass; every
+# later gap is at most 1.53.
+RADIX_C = 8.0
+RADIX_WORDS = 300
 
 _family_cache: dict = {}
 
@@ -331,6 +344,59 @@ def test_criterion_9_delay_bound_on_list_kernel():
         f"PASS 9: every inter-output gap <= {DELAY_C}*l*delta on {cells} list-kernel "
         f"automata, {with_words} of them non-empty (worst ratio {worst_ratio:.3f}, "
         f"{time.perf_counter() - t0:.1f}s)",
+        flush=True,
+    )
+
+
+def _dict_radix_pattern(seed: int) -> str:
+    """An alternation of 25 random words over abcdefgh per length 3..12, in
+    shuffled order: a finite language with one state per letter."""
+    rng = random.Random(seed)
+    words: set = set()
+    for length in range(3, 13):
+        chosen: set = set()
+        while len(chosen) < 25:
+            chosen.add("".join(rng.choice("abcdefgh") for _ in range(length)))
+        words |= chosen
+    order = sorted(words)
+    rng.shuffle(order)
+    return "|".join(order)
+
+
+def test_criterion_10_delay_bound_in_radix_order():
+    # Languages with long runs of empty lengths (the first two skip 39 and 4
+    # lengths before their first word), a finite one that the run ends by
+    # itself, and automata on both kernels.
+    family = {
+        "(a^40|a^41)*": compile_regex("(" + "a" * 40 + "|" + "a" * 41 + ")*"),
+        "(aaaaa|aaaaaaa)*": compile_regex("(aaaaa|aaaaaaa)*"),
+        "a*ba*": compile_regex("a*ba*"),
+        "(a|b|c)*b(a|c)*": compile_regex("(a|b|c)*b(a|c)*"),
+        "dict-radix seed 1": compile_regex(_dict_radix_pattern(1)),
+        "a1": make_a1(),
+        "random 200 states": random_automaton(random.Random(1), 200, 4, 2000, 50, 50),
+    }
+    assert {nfa.kernel for nfa in family.values()} == {"list", "bit"}
+    t0 = time.perf_counter()
+    worst_ratio = 0.0
+    for name, nfa in family.items():
+        n = nfa.state_count
+        unit = nfa.transition_count + n * (max(n, 2) - 1).bit_length()
+        length = None
+        with counting() as ops:
+            mark = 0
+            for word in islice(radix_words(nfa), RADIX_WORDS):
+                gap, mark = ops.ops - mark, ops.ops
+                length = len(word)
+                assert gap <= RADIX_C * (length + 1) * unit, (name, length, gap)
+                worst_ratio = max(worst_ratio, gap / ((length + 1) * unit))
+        assert length is not None, name
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    print(
+        f"PASS 10: every radix-order gap <= {RADIX_C}*(l+1)*(delta + Q*ceil(log2 Q)) "
+        f"over the first {RADIX_WORDS} words of {len(family)} automata "
+        f"(worst ratio {worst_ratio:.2f}, {elapsed:.1f}s)",
         flush=True,
     )
 

@@ -9,6 +9,7 @@ from lexenum import (
     build_nfa,
     delta_step,
     precompute,
+    radix_words,
     random_automaton,
 )
 from lexenum.instrument import counting
@@ -163,6 +164,9 @@ _P = pytest.param
         _P(lambda: CrossSectionCursor(make_a1(), 2.5), ValueError, id="cursor-float"),
         _P(lambda: CrossSectionCursor(make_a1(), None), ValueError, id="cursor-none"),
         _P(lambda: _cursor_on_shared_tables(True), ValueError, id="cursor-bool-shared-tables"),
+        # radix_words is a generator: it raises on the first next.
+        _P(lambda: list(radix_words(make_a1(), True)), ValueError, id="radix-bool"),
+        _P(lambda: list(radix_words(make_a1(), 2.5)), ValueError, id="radix-float"),
     ],
 )
 def test_bools_and_non_ints_are_rejected(call, error):

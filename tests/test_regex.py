@@ -1,8 +1,9 @@
 import itertools
 import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexenum import (
     RegexSyntaxError,
@@ -166,6 +167,29 @@ def test_random_patterns_agree_with_re_and_oracle(pattern):
         assert oracle == expected, (pattern, length)
 
 
+# A stacked run means what its collapse means, in place or across groups: a
+# run of one quantifier is that quantifier, and a mixed run is *.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    _PATTERNS,
+    st.lists(st.tuples(st.sampled_from("*+?"), st.booleans()), min_size=2, max_size=4),
+    st.sampled_from([("", ""), ("c", "c"), ("c|", "|c")]),
+)
+@example("ab|c", [("*", False), ("+", False)], ("", ""))  # (P)*+
+@example("ab|c", [("*", False), ("+", True)], ("", ""))  # ((P)*)+
+@example("ab|c", [("+", False), ("?", True)], ("", ""))  # ((P)+)?
+@example("ab|c", [("?", False), ("?", False)], ("", ""))  # (P)??
+def test_stacked_quantifiers_compile_as_their_collapse(pattern, run, context):
+    stacked = f"({pattern})"
+    for quantifier, regroup in run:
+        stacked = f"({stacked}){quantifier}" if regroup else stacked + quantifier
+    kinds = {quantifier for quantifier, _ in run}
+    collapsed = kinds.pop() if len(kinds) == 1 else "*"
+    before, after = context
+    assert compile_regex(before + stacked + after) == \
+        compile_regex(f"{before}({pattern}){collapsed}{after}"), stacked
+
+
 @pytest.mark.parametrize(
     "pattern,position",
     [
@@ -185,6 +209,28 @@ def test_syntax_errors_carry_position(pattern, position):
     assert str(position) in str(excinfo.value)
 
 
+# "(" and 600 alternatives of distinct glyphs: starred, the group passes the
+# transition cap, yet a syntax error later in the pattern is what is reported.
+_OVER_CAP = "(" + "|".join(chr(0x100 + i) for i in range(600))
+
+
+@pytest.mark.parametrize(
+    "pattern,message,position",
+    [
+        (_OVER_CAP + ")*", f"pattern may need more than {MAX_TRANSITIONS} transitions", 1199),
+        (_OVER_CAP + ")*)", "unexpected ')'", 1202),
+        (_OVER_CAP + ")*(", "unbalanced '('", 1203),
+        (_OVER_CAP + ")*" + "(" * 101, f"parentheses nested deeper than {MAX_GROUP_DEPTH}", 1302),
+    ],
+    ids=["cap", "unexpected", "unbalanced", "nested"],
+)
+def test_syntax_errors_win_over_the_transition_cap(pattern, message, position):
+    with pytest.raises(RegexSyntaxError) as excinfo:
+        compile_regex(pattern)
+    assert excinfo.value.position == position
+    assert str(excinfo.value) == f"{message} at position {position}"
+
+
 def test_transition_cap_admits_its_bound_and_rejects_beyond():
     # (x1|...|xn)* over n distinct literals has n transitions from the
     # initial state and n * n from the star.
@@ -196,6 +242,27 @@ def test_transition_cap_admits_its_bound_and_rejects_beyond():
         compile_regex("(" + "|".join(glyphs) + ")*")
     # Reported at the last literal, the one before ")*".
     assert excinfo.value.position == 2 * n + 1
+    # A stacked run links its operand once, so it costs the bound no more
+    # than its collapse: each form compiles at n and is rejected at n + 1,
+    # at the last literal.
+    for form in ("({})*+", "(({})*)*", "({})+?"):
+        nfa = compile_regex(form.format("|".join(glyphs[:n])))
+        assert (nfa.state_count, nfa.transition_count) == (n + 1, n * n + n), form
+        pattern = form.format("|".join(glyphs))
+        with pytest.raises(RegexSyntaxError) as excinfo:
+            compile_regex(pattern)
+        assert excinfo.value.position == pattern.index(glyphs[n]), form
+
+
+def test_empty_groups_after_a_wide_alternation_compile_in_linear_time():
+    # Each "()" is nullable with an empty first set: it extends the running
+    # last set in place and links nothing, so the pass stays linear where a
+    # copy or a walk of that set per group took about n * n steps.
+    n = 10_000
+    t0 = time.perf_counter()
+    nfa = compile_regex("(" + "|".join("a" * n) + ")" + "()" * n)
+    assert time.perf_counter() - t0 < 3.0
+    assert (nfa.state_count, nfa.transition_count) == (n + 1, n)
 
 
 def test_radix_over_compiled_pattern():
