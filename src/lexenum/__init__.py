@@ -11,8 +11,8 @@ words are produced with O(l*#transitions) work between outputs, independent
 of how many words have been emitted, and with flat memory: each word is
 derived from the previous one plus read-only tables of O(l*|Q|) entries
 (each state's first step and word-order rank per length), which keep the
-automaton they were built for. A state set is a plain sequence of states,
-or an int mask when the automaton is dense enough for the bit kernel (see
+automaton they were built for. A state set is a set of states, or an int
+mask when the automaton is dense enough for the bit kernel (see
 :mod:`lexenum.automaton`); a cursor keeps the last word's l+1 sets
 (O(l*|Q|) bytes) and replays them only from the position the previous
 successor changed.

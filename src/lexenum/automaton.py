@@ -12,18 +12,18 @@ on the bit kernel also get chunk image tables (see :func:`chunk_images`),
 derived from the rows.
 
 Two kernels run the subset step. The list kernel holds a state set as a
-plain sequence of states, duplicate-free and in first-occurrence order:
-:func:`replay` runs the step over a whole word and returns a new list of
-sets, one per prefix, and :func:`delta_step` is its one-symbol case. The bit
-kernel holds a state set as an int mask, bit ``q`` for state ``q``, and takes
-the image of a mask on a symbol as an OR of table lookups, two per non-zero
-byte of the mask, however many states it holds (the "Four Russians" table
-trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as used for NFA
-simulation by Navarro and Raffinot, 2001); :func:`replay_masks` is its
-replay. An automaton is on the bit kernel when
+set of states: :func:`replay` runs the step over a whole word and returns a
+new list of sets, one per prefix, and :func:`delta_step` is its one-symbol
+case. The bit kernel holds a state set as an int mask, bit ``q`` for state
+``q``, and takes the image of a mask on a symbol as an OR of table lookups,
+two per non-zero byte of the mask, however many states it holds (the "Four
+Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
+used for NFA simulation by Navarro and Raffinot, 2001); :func:`replay_masks`
+is its replay. An automaton is on the bit kernel when
 ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <= #transitions``
 (:func:`fits_bit_kernel`): a retried successor position then costs about
-#transitions either way. No option chooses the kernel.
+#transitions either way. The :class:`Nfa` constructor makes the choice; no
+option does.
 
 ``Nfa`` instances are immutable after construction and safe to share across
 threads.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .instrument import ops as _ops
 
@@ -58,9 +58,9 @@ class Nfa:
     Build instances through :func:`build_nfa` (or the text/regex frontends);
     the constructor trusts its arguments. ``alphabet`` is the glyph string;
     ``initial`` and ``final_states`` are duplicate-free tuples of states in
-    first-occurrence order. On the bit kernel ``images`` holds the chunk
-    image tables and ``initial_mask`` the initial set as a mask; on the list
-    kernel they are None and 0.
+    first-occurrence order. The constructor chooses the kernel: on the bit
+    kernel ``images`` holds the chunk image tables and ``initial_mask`` the
+    initial set as a mask; on the list kernel they are None and 0.
     """
 
     __slots__ = (
@@ -90,9 +90,10 @@ class Nfa:
         self.final_states = final_states
         self.adjacency = adjacency
         self.transition_count = transition_count
-        self.images: Optional[list[ChunkTables]] = None
-        self.initial_mask = 0
         self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
+        bit = fits_bit_kernel(len(alphabet), state_count, transition_count)
+        self.images: Optional[list[ChunkTables]] = chunk_images(self) if bit else None
+        self.initial_mask = state_mask(initial) if bit else 0
 
     @property
     def symbol_count(self) -> int:
@@ -239,18 +240,7 @@ def build_nfa(
     if _ops.enabled:
         _ops.ops += raw_count + sigma + state_count + transition_count
 
-    nfa = Nfa(
-        "".join(glyph_ids),
-        state_count,
-        init_states,
-        final_states,
-        adjacency,
-        transition_count,
-    )
-    if fits_bit_kernel(sigma, state_count, transition_count):
-        nfa.images = chunk_images(nfa)
-        nfa.initial_mask = state_mask(init_states)
-    return nfa
+    return Nfa("".join(glyph_ids), state_count, init_states, final_states, adjacency, transition_count)
 
 
 def fits_bit_kernel(symbol_count: int, state_count: int, transition_count: int) -> bool:
@@ -319,31 +309,24 @@ def mask_states(mask: int) -> list[int]:
     return out
 
 
-def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence[int]]:
-    """The state sets reached from ``start`` after each prefix of ``word``.
+def replay(nfa: Nfa, word: Sequence[int], start: Collection[int]) -> list[Collection[int]]:
+    """The state sets reached from ``start``, a duplicate-free collection of
+    states, after each prefix of ``word``.
 
     Returns a new list of ``len(word) + 1`` entries: entry 0 is ``start``
-    itself, and entry ``i`` a new list of the states reached after reading
-    ``word[:i]``. Each entry holds the targets in first-occurrence order over
-    the previous entry's states in their order, without duplicates; it is
-    built against a fresh |Q|-byte membership array, one O(|Q|) allocation
-    per position. Each source state finds the letter in its adjacency row, a
-    row of one pair by one comparison and a longer row by binary search. A
-    position is charged ``len(source)`` plus the targets visited, which is
-    its work up to that uncharged allocation and the O(log |row|)
-    comparisons of each search.
+    itself, and entry ``i`` a new set of the states reached after reading
+    ``word[:i]``. Each source state finds the letter in its adjacency row, a
+    row of one pair by one comparison and a longer row by binary search. The
+    call is charged once, after the loop: per position, the size of the
+    source set plus the targets visited, which is the work up to the
+    O(log |row|) comparisons of each search.
     """
     adjacency = nfa.adjacency
-    n = nfa.state_count
-    counting = _ops.enabled
     stack = [start]
     sources = start
     for a in word:
         probe = (a,)
-        # A fresh array per position: one array reused and cleared over the
-        # new list, or dict.fromkeys over the chained targets, measured slower.
-        membership = bytearray(n)
-        elements: list[int] = []
+        reached: set[int] = set()
         # This loop is the per-output hot path.
         for q in sources:
             row = adjacency[q]
@@ -358,14 +341,13 @@ def replay(nfa: Nfa, word: Sequence[int], start: Sequence[int]) -> list[Sequence
             else:
                 continue
             if b == a:
-                for t in targets:
-                    if not membership[t]:
-                        membership[t] = 1
-                        elements.append(t)
-        if counting:
-            _ops.ops += len(sources) + sum(len(nfa.targets(q, a)) for q in sources)
-        stack.append(elements)
-        sources = elements
+                reached.update(targets)
+        stack.append(reached)
+        sources = reached
+    if _ops.enabled:
+        _ops.ops += sum(
+            len(s) + sum(len(nfa.targets(q, a)) for q in s) for s, a in zip(stack, word)
+        )
     return stack
 
 
@@ -376,45 +358,43 @@ def replay_masks(images: list[ChunkTables], word: Sequence[int], start: int) -> 
 
     Returns a new list of ``len(word) + 1`` masks, ``start`` first. The image
     of a mask is the OR, over its non-zero bytes, of the two nibble tables'
-    entries. A position is charged one unit per byte scanned, plus
-    ``ceil(|Q|/64)`` per lookup or OR: two of each per non-zero byte.
+    entries. The call is charged once, after the loop: per position, one
+    unit per byte of the source mask, plus ``ceil(|Q|/64)`` per lookup or
+    OR, two of each per non-zero byte.
     """
     stack = [start]
     if not word:
         return stack
     nbytes = len(images[0])
-    words = -(-nbytes // 8)
-    counting = _ops.enabled
     source = start
     if nbytes == 1:
-        # A one-byte mask needs no byte string and no chunk loop. It is
-        # charged as in the loop below; a zero byte's lookups read entry 0.
+        # A one-byte mask needs no byte string and no chunk loop; a zero
+        # byte's lookups read entry 0.
         for a in word:
-            if counting:
-                _ops.ops += 5 if source else 1
             ((low, high),) = images[a]
             source = low[source & 15] | high[source >> 4]
             stack.append(source)
-        return stack
-    for a in word:
-        image = 0
-        octets = source.to_bytes(nbytes, "little")
-        # This loop is the per-output hot path.
-        for (low, high), b in zip(images[a], octets):
-            if b:
-                image |= low[b & 15] | high[b >> 4]
-        if counting:
-            _ops.ops += nbytes + 4 * words * (nbytes - octets.count(0))
-        stack.append(image)
-        source = image
+    else:
+        for a in word:
+            image = 0
+            # This loop is the per-output hot path.
+            for (low, high), b in zip(images[a], source.to_bytes(nbytes, "little")):
+                if b:
+                    image |= low[b & 15] | high[b >> 4]
+            stack.append(image)
+            source = image
+    if _ops.enabled:
+        per_byte = 4 * -(-nbytes // 8)
+        _ops.ops += sum(
+            nbytes + per_byte * (nbytes - m.to_bytes(nbytes, "little").count(0)) for m in stack[:-1]
+        )
     return stack
 
 
-def delta_step(nfa: Nfa, source: Sequence[int], symbol: int) -> list[int]:
-    """Every target reachable from ``source`` on ``symbol``, as a new list.
+def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
+    """Every target reachable from ``source`` on ``symbol``, as a new set.
 
-    The one-symbol case of :func:`replay`: targets in first-occurrence order
-    over the source states in their order, without duplicates. The charge is
-    ``len(source)`` plus the number of targets visited.
+    The one-symbol case of :func:`replay`, charged ``len(source)`` plus the
+    number of targets visited.
     """
     return replay(nfa, (symbol,), source)[1]

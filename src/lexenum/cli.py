@@ -113,6 +113,17 @@ def _load_automaton(args) -> Nfa:
     return compile_regex(args.regex)
 
 
+def _printable(nfa: Nfa) -> Nfa:
+    """``nfa`` itself, once no glyph of it is one of the characters that
+    ``str.splitlines`` breaks on: a word holding one would print as several
+    lines. Only a regex can hold one; the file format splits on whitespace.
+    """
+    for glyph in nfa.alphabet:
+        if glyph.splitlines() != [glyph]:
+            raise AutomatonError(f"symbol {glyph!r} breaks lines; words are printed one per line")
+    return nfa
+
+
 def _stream_words(nfa: Nfa, words, limit: Optional[int]) -> None:
     out = sys.stdout
     emitted = 0
@@ -125,7 +136,7 @@ def _stream_words(nfa: Nfa, words, limit: Optional[int]) -> None:
 
 
 def _cmd_enum(args) -> int:
-    nfa = _load_automaton(args)
+    nfa = _printable(_load_automaton(args))
     with counting(args.count_ops) as counter:
         tables = precompute(nfa, args.length)
         preproc = counter.ops
@@ -137,7 +148,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_radix(args) -> int:
-    nfa = _load_automaton(args)
+    nfa = _printable(_load_automaton(args))
     with counting(args.count_ops) as counter:
         _stream_words(nfa, radix_words(nfa, args.max_length), args.limit)
         total = counter.ops

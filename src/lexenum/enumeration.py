@@ -13,7 +13,7 @@ matter how many words are produced. The tables carry the automaton they were
 built for, and a cursor refuses tables of another automaton.
 
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
-run: a list of states per position on the list kernel, an int mask on the bit
+run: a set of states per position on the list kernel, an int mask on the bit
 kernel. :func:`build_run_stack` and :func:`next_word` pass each automaton to
 its kernel's replay and successor search, :func:`next_word_lists` or
 :func:`next_word_masks`. Both searches take the least (symbol, rank) pair
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import count
-from typing import Iterator, Optional, Sequence, Union
+from typing import Collection, Iterator, Optional, Union
 
 # delta_step stays importable from here for callers that wrap this module's names.
 from .automaton import (  # noqa: F401
@@ -53,7 +53,7 @@ class _ExhaustedType:
 EXHAUSTED = _ExhaustedType()
 
 
-def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[Word]:
+def min_word(k: int, states: Collection[int], tables: MinWordTables) -> Optional[Word]:
     """Least length-k word accepted from any state in ``states``, or None.
 
     An argmin over the level-k ranks finds the best starting state; the
@@ -74,27 +74,19 @@ def min_word(k: int, states: Sequence[int], tables: MinWordTables) -> Optional[W
     return tables.min_word_from(k, q_min)
 
 
-def build_run_stack(word: Word, nfa: Nfa, stack: Optional[list] = None) -> list:
-    """State sets reachable from the initial set after each prefix of a word.
+def build_run_stack(word: Word, nfa: Nfa, start: Union[Collection[int], int, None] = None) -> list:
+    """State sets reachable from ``start`` after each prefix of a word.
 
-    Without ``stack``, returns a new list whose entry ``i`` holds the states
-    reached after reading ``word[:i]``: a list of states on the list kernel
-    (entry 0 is the initial tuple itself), an int mask on the bit kernel. The
-    word need not be accepted; trailing entries may be empty.
-
-    Given ``stack``, the non-empty run of some word ``u`` in that form, it
-    replays ``word`` from the last entry, appends one entry per letter, so
-    that ``stack`` becomes the run of ``u + word``, and returns it. Either
-    way the charge is that of the ``len(word)`` positions replayed.
+    Returns a new list whose entry ``i`` holds the states reached after
+    reading ``word[:i]``: a set of states on the list kernel, an int mask on
+    the bit kernel. Entry 0 is ``start`` itself, by default the initial set
+    in the kernel's form, ``nfa.initial`` or ``nfa.initial_mask``. The word
+    need not be accepted; trailing entries may be empty. The charge is that
+    of the ``len(word)`` positions replayed.
     """
     if nfa.images is None:
-        run = replay(nfa, word, nfa.initial if stack is None else stack[-1])
-    else:
-        run = replay_masks(nfa.images, word, nfa.initial_mask if stack is None else stack[-1])
-    if stack is None:
-        return run
-    stack += run[1:]
-    return stack
+        return replay(nfa, word, nfa.initial if start is None else start)
+    return replay_masks(nfa.images, word, nfa.initial_mask if start is None else start)
 
 
 def next_word(
@@ -116,10 +108,10 @@ def next_word(
 def next_word_lists(
     word: Word,
     length: int,
-    stack: list[Sequence[int]],
+    stack: list[Collection[int]],
     tables: MinWordTables,
 ) -> Optional[tuple[Word, int]]:
-    """The list kernel's successor search; ``stack`` holds state lists.
+    """The list kernel's successor search; ``stack`` holds state sets.
 
     Positions are retried from the last to the first. At position ``i``,
     with ``k = length - i - 1``, each state of ``stack[i]`` walks its
@@ -270,10 +262,8 @@ class CrossSectionCursor:
         if self._last is None:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
-            v = self._valid
-            stack = self._stack
-            del stack[v + 1 :]
-            build_run_stack(self._last[v:], self.nfa, stack)
+            v, stack = self._valid, self._stack
+            stack[v + 1 :] = build_run_stack(self._last[v:], self.nfa, stack[v])[1:]
             found = next_word(self._last, self.length, stack, self.tables)
             word, self._valid = found or (None, 0)
         if word is None:

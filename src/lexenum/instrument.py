@@ -2,28 +2,37 @@
 
 One unit is charged per transition inspected, per state-set insertion, per
 table cell read or written, and per word-order comparison. On the list
-kernel the successor search charges, at each retried position, one unit per
-state whose adjacency list it walks, 1 plus the target count per adjacency
-pair it examines, and one per letter of the suffix it spells. On the bit
-kernel, where a state set is an int mask of ``ceil(|Q|/8)`` bytes, taking an
-image charges one unit per byte scanned plus ``ceil(|Q|/64)``, the machine
-words of a mask, per lookup or OR: two lookups and two ORs per non-zero
-byte. A replay position takes one image. The successor search charges, per
-symbol it tries, one image plus ``ceil(|Q|/64)`` for intersecting it with
-the level's live mask; on the hit, one unit per byte of the mask and per
-member decoded, and one per letter of the suffix. Laying out an automaton
-charges one unit per raw transition bucketed, per symbol, per state and per
-distinct transition frozen into a row: ``raw + |alphabet| + |Q| +
-#transitions`` in all. Finding a symbol in a row by binary search is not
-charged. On the bit kernel the layout also charges, for the chunk image
-tables, one unit per transition plus ``ceil(|Q|/64)`` per table entry, and
-each table level charges one unit per state in its live mask. The radix run
-charges one unit per reachable state whose liveness it checks at each
-length. The core modules funnel every
-increment through the single ``ops`` object below; when counting is disabled (the default) they pay one branch per
-loop, nothing more, and their observable behaviour is identical either way.
-:func:`counting` blocks nest; what an inner block counts also reaches the
-enclosing count.
+kernel a replay position charges one unit per state of its source set and
+one per target it visits; on either kernel a replay is charged once per
+call, after its loop, for all its positions. The successor search charges,
+at each retried position, one unit per state whose adjacency list it walks,
+1 plus the target count per adjacency pair it examines, and one per letter
+of the suffix it spells. On the bit kernel, where a state set is an int mask
+of ``ceil(|Q|/8)`` bytes, taking an image charges one unit per byte scanned
+plus ``ceil(|Q|/64)``, the machine words of a mask, per lookup or OR: two
+lookups and two ORs per non-zero byte. A replay position takes one image.
+The successor search charges, per symbol it tries, one image plus
+``ceil(|Q|/64)`` for intersecting it with the level's live mask; on the hit,
+one unit per byte of the mask and per member decoded, and one per letter of
+the suffix.
+
+Laying out an automaton charges one unit per raw transition bucketed, per
+symbol, per state and per distinct transition frozen into a row: ``raw +
+|alphabet| + |Q| + #transitions`` in all. Finding a symbol in a row by
+binary search is not charged. On the bit kernel the layout also charges, for
+the chunk image tables, one unit per transition plus ``ceil(|Q|/64)`` per
+table entry, and each table level charges one unit per state in its live
+mask. A radix run charges, once, ``|Q|`` plus one unit per adjacency pair
+and per target it visits while it collects the states reachable from the
+initial set; at each length it charges one unit per reachable state whose
+liveness it checks.
+
+The core modules funnel every increment through the single ``ops`` object
+below. When counting is disabled (the default) they pay at most two tests
+of ``ops.enabled`` per call, plus one per position or symbol that a
+successor search retries, nothing more, and their observable behaviour is
+identical either way. :func:`counting` blocks nest; what an inner block
+counts also reaches the enclosing count.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
+from lexenum.automaton import replay
 from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1
 
@@ -206,8 +207,8 @@ class TestDeltaStep:
             assert got == expected
 
     def test_kernel_contract_on_random_sets(self):
-        """Duplicate-free output in first-occurrence order of the naive double
-        loop, and a charge of |source| plus the targets visited."""
+        """Duplicate-free output equal to the naive double loop's union, and a
+        charge of |source| plus the targets visited."""
         rng = random.Random(41)
         for _ in range(300):
             nfa = corpus_automaton(rng)
@@ -215,17 +216,30 @@ class TestDeltaStep:
             order = list(range(nfa.state_count))
             rng.shuffle(order)
             source = order[: rng.randint(0, nfa.state_count)]
-            expected = []
-            for q in source:
-                for t in nfa.targets(q, a):
-                    if t not in expected:
-                        expected.append(t)
+            expected = {t for q in source for t in nfa.targets(q, a)}
             with counting() as ops:
                 into = delta_step(nfa, source, a)
                 charged = ops.ops
-            assert into == expected
             assert len(set(into)) == len(into)
+            assert set(into) == expected
             assert charged == len(source) + sum(len(nfa.targets(q, a)) for q in source)
+
+    def test_replay_memory_does_not_grow_with_the_state_count(self):
+        """A replay allocates per position only for the states it reaches:
+        along a 30-transition chain from one state, its traced peak with
+        200 000 states is at most twice its peak with 2 000."""
+        peaks = []
+        for n in (2_000, 200_000):
+            nfa = build_nfa("a", n, [0], [30], [(q, "a", q + 1) for q in range(30)])
+            assert nfa.kernel == "list"
+            tracemalloc.start()
+            try:
+                stack = replay(nfa, (0,) * 30, nfa.initial)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [set(s) for s in stack] == [{q} for q in range(31)]
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_random_automaton_respects_requested_sizes():

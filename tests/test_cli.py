@@ -163,6 +163,33 @@ class TestRadix:
             assert counter.enabled and counter.ops > 0
 
 
+class TestLineBreakGlyphs:
+    """A word holding a glyph that str.splitlines breaks on would print as
+    several lines, so enum and radix refuse such an automaton before any
+    word is written; bench prints no words and runs as before."""
+
+    # U+000A..U+000D, U+001C..U+001E, U+0085, U+2028 and U+2029.
+    GLYPHS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @pytest.mark.parametrize("command", [("enum", "--length", "1"), ("radix",)])
+    def test_enum_and_radix_exit_two_before_any_word(self, capsys, command):
+        for glyph in self.GLYPHS:
+            code, out, err = run(capsys, command[0], "--regex", f"a{glyph}b|c", *command[1:])
+            assert (code, out) == (2, ""), glyph
+            assert err.startswith("error:") and repr(glyph) in err, (glyph, err)
+
+    def test_bench_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "bench", "--regex", "a\nb|c", "--length", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "index,word_len,op_count,wall_nanos"
+
+    def test_space_glyph_still_prints(self, capsys):
+        code, out, _ = run(capsys, "radix", "--regex", "a b|c")
+        assert (code, out) == (0, "c\na b\n")
+        code, out, _ = run(capsys, "enum", "--regex", "a b|c", "--length", "3")
+        assert (code, out) == (0, "a b\n")
+
+
 class TestBench:
     def test_csv_shape(self, capsys, a1_file):
         code, out, _ = run(capsys, "bench", "--automaton", a1_file, "--length", "2")

@@ -64,8 +64,10 @@ class TestBuildRunStack:
 
     def test_matches_chained_delta_step(self):
         """The run stack holds exactly what delta_step chained from the
-        initial set gives: on the list kernel with the same element order
-        and the same charge, on the bit kernel as masks of the same sets."""
+        initial set gives, which is the naive union at each position: on the
+        list kernel as duplicate-free sets with a charge of |source| plus the
+        targets visited per position, on the bit kernel as masks of the same
+        sets."""
         rng = random.Random(79)
         dead_ends = live = 0
         for _ in range(300):
@@ -73,18 +75,27 @@ class TestBuildRunStack:
             length = rng.randint(0, 7)
             word = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
 
-            expected = [list(nfa.initial)]
+            expected = [set(nfa.initial)]
+            naive_charge = 0
+            for a in word:
+                source = expected[-1]
+                expected.append({t for q in source for t in nfa.targets(q, a)})
+                naive_charge += len(source) + sum(len(nfa.targets(q, a)) for q in source)
+            chained = [nfa.initial]
             with counting() as ops:
                 for a in word:
-                    expected.append(delta_step(nfa, expected[-1], a))
-                expected_charge = ops.ops
+                    chained.append(delta_step(nfa, chained[-1], a))
+                chained_charge = ops.ops
+            assert [set(s) for s in chained] == expected
+            assert chained_charge == naive_charge
 
             with counting() as ops:
                 stack = build_run_stack(word, nfa)
                 charge = ops.ops
             if nfa.kernel == "list":
-                assert [list(s) for s in stack] == expected
-                assert charge == expected_charge
+                assert all(len(set(s)) == len(s) for s in stack)
+                assert [set(s) for s in stack] == expected
+                assert charge == naive_charge
             else:
                 assert [mask_states(s) for s in stack] == [sorted(s) for s in expected]
             if length:
