@@ -48,7 +48,7 @@ from .oracle import (
     min_words_by_state,
 )
 from .regex import RegexSyntaxError, compile_regex
-from .tables import EMPTY_WORD, MinWordTables, precompute
+from .tables import MinWordTables, precompute
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "CrossSectionCursor",
     "DelayRecord",
     "DelayReport",
-    "EMPTY_WORD",
     "EXHAUSTED",
     "MinWordTables",
     "Nfa",

@@ -19,7 +19,8 @@ its kernel's replay and successor search, :func:`next_word_lists` or
 :func:`next_word_masks`. Both searches take the least (symbol, rank) pair
 above the retried letter, ranked by the tables' ranks alone, the key
 ``MinWordTables.add_level`` ranks states by, so both give the same successor
-and the same pivot.
+and the same pivot. Every least word, the cursor's first and each suffix,
+is spelled by :func:`min_word`.
 """
 
 from __future__ import annotations
@@ -56,21 +57,18 @@ EXHAUSTED = _ExhaustedType()
 def min_word(k: int, states: Collection[int], tables: MinWordTables) -> Optional[Word]:
     """Least length-k word accepted from any state in ``states``, or None.
 
-    An argmin over the level-k ranks finds the best starting state; the
-    sentinel rank means no state accepts. The word is then spelled by
-    following first_step entries. A miss costs O(|states|), a hit
+    The only path that spells a least word: the cursor's first word and both
+    successor searches' suffixes come through here. An argmin over the
+    level-k ranks picks the state, and :meth:`MinWordTables.min_word_from`
+    spells its word or finds it dead. The argmin is charged ``|states|``
+    and the spelling ``k``, so a miss costs O(|states|), a hit
     O(k + |states|).
     """
     if not states:
         return None
-    rank = tables.rank[k]
-    q_min = min(states, key=rank.__getitem__)
+    q_min = min(states, key=tables.rank[k].__getitem__)
     if _ops.enabled:
         _ops.ops += len(states)
-    if rank[q_min] == tables.state_count:
-        return None
-    if _ops.enabled:
-        _ops.ops += k
     return tables.min_word_from(k, q_min)
 
 
@@ -115,15 +113,16 @@ def next_word_lists(
 
     Positions are retried from the last to the first. At position ``i``,
     with ``k = length - i - 1``, each state of ``stack[i]`` walks its
-    adjacency list from the first symbol above ``word[i]`` with
-    :meth:`MinWordTables.add_level`'s rule: the target of least level-k rank
-    stands for the pair, and the first pair whose target is live ends the
-    walk, as does a symbol above the best one found so far. The least
-    (symbol, rank) pair over the states gives the successor: ``word[:i]``,
-    that symbol, then the target's least length-k word; ``i`` is the pivot.
-    A retried position is charged one unit per state of ``stack[i]``, 1 plus
-    its target count per adjacency pair examined, and ``k`` for spelling the
-    suffix.
+    adjacency list to its own first live pair: :meth:`MinWordTables.add_level`'s
+    rule, started at the first symbol above ``word[i]``. The target of least
+    level-k rank stands for a pair, and the pair is live when that target is.
+    The least (symbol, rank) pair over the states gives the successor:
+    ``word[:i]``, that symbol, then the target's least length-k word, which
+    :func:`min_word` spells from the target alone; ``i`` is the pivot. A
+    retried position is charged one unit per state of ``stack[i]`` and 1 plus
+    its target count per adjacency pair examined. No walk depends on another
+    state's, so the charge depends on the set and not on the order in which
+    it is iterated.
     """
     nfa = tables.nfa
     adjacency = nfa.adjacency
@@ -139,21 +138,17 @@ def next_word_lists(
         for q in cur:
             row = adjacency[q]
             for a, targets in row[bisect_left(row, (wi + 1,)) :]:
-                if a > best_a:
-                    break
                 examined += 1 + len(targets)
                 r = min(map(key, targets))
                 if r < n:
-                    if a < best_a or r < best_r:
+                    if a < best_a or (a == best_a and r < best_r):
                         best_a, best_r, best_targets = a, r, targets
                     break
         if counting:
             _ops.ops += examined
         if best_targets:
-            if counting:
-                _ops.ops += k
-            suffix = tables.min_word_from(k, min(best_targets, key=key))
-            return word[:i] + (best_a,) + suffix, i
+            t = min(best_targets, key=key)
+            return word[:i] + (best_a,) + min_word(k, (t,), tables), i
     return None
 
 
@@ -173,12 +168,12 @@ def next_word_masks(
     last to the first. At position ``i``, with ``k = length - i - 1``, each
     symbol above ``word[i]`` is tried in order: the first whose image of
     ``stack[i]``, intersected with ``live[k]``, is not empty is the successor
-    symbol, and the member of least level-k rank spells the suffix. That is
-    the least (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol
-    tried is charged as a replay position (its image comes from
-    :func:`~lexenum.automaton.replay_masks`) plus ``ceil(|Q|/64)`` for the
-    intersection; the hit is charged one unit per byte of the mask and per
-    member decoded, and ``k`` for spelling the suffix.
+    symbol, and :func:`min_word` over the members spells the suffix from the
+    one of least level-k rank. That is the least (symbol, rank) pair, as in
+    :func:`next_word_lists`. Each symbol tried is charged as a replay
+    position (its image comes from :func:`~lexenum.automaton.replay_masks`)
+    plus ``ceil(|Q|/64)`` for the intersection; the hit is charged one unit
+    per byte of the mask decoded.
     """
     sigma = len(images)
     nbytes = len(images[0]) if images else 0
@@ -194,11 +189,9 @@ def next_word_masks(
             if counting:
                 _ops.ops += words
             if image:
-                members = mask_states(image)
                 if counting:
-                    _ops.ops += nbytes + len(members) + k
-                target = min(members, key=tables.rank[k].__getitem__)
-                return word[:i] + (a,) + tables.min_word_from(k, target), i
+                    _ops.ops += nbytes
+                return word[:i] + (a,) + min_word(k, mask_states(image), tables), i
     return None
 
 
@@ -253,7 +246,9 @@ class CrossSectionCursor:
 
     @property
     def current(self) -> Optional[Word]:
-        """The last word produced, or None before the first call."""
+        """The word the next call continues after: the last word produced,
+        or the word given to a later :meth:`seek`, accepted or not. None
+        before the first call or seek."""
         return self._last
 
     def next(self) -> Union[Word, _ExhaustedType]:

@@ -11,7 +11,8 @@
     0 b 1
     1 a 1
 
-Files are UTF-8 (:func:`decode_automaton` turns bytes into text).
+Files are UTF-8, optionally behind one byte-order mark
+(:func:`decode_automaton` turns bytes into text).
 Tokens are whitespace-separated. The ``alphabet`` and ``states`` lines are
 required (each exactly once); ``initial``/``final`` lines may repeat and
 accumulate. Line order is otherwise free. Every rejection is a
@@ -22,6 +23,7 @@ directive instead.
 
 from __future__ import annotations
 
+import codecs
 from typing import Optional
 
 from .automaton import AutomatonError, Nfa, build_nfa
@@ -47,11 +49,15 @@ def _state_token(token: str, line_no: int) -> int:
 
 
 def decode_automaton(data: bytes) -> str:
-    """Decode the bytes of an automaton file as UTF-8.
+    """Decode the bytes of an automaton file as UTF-8, after dropping one
+    leading byte-order mark.
 
     Raises :class:`ParseError` naming the line of the first invalid byte;
     that byte is rejected even inside a comment.
     """
+    # Not "utf-8-sig": its error offsets do not count the mark, so
+    # data[exc.start] would name the wrong byte.
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

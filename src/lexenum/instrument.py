@@ -4,17 +4,23 @@ One unit is charged per transition inspected, per state-set insertion, per
 table cell read or written, and per word-order comparison. On the list
 kernel a replay position charges one unit per state of its source set and
 one per target it visits; on either kernel a replay is charged once per
-call, after its loop, for all its positions. The successor search charges,
-at each retried position, one unit per state whose adjacency list it walks,
-1 plus the target count per adjacency pair it examines, and one per letter
-of the suffix it spells. On the bit kernel, where a state set is an int mask
-of ``ceil(|Q|/8)`` bytes, taking an image charges one unit per byte scanned
-plus ``ceil(|Q|/64)``, the machine words of a mask, per lookup or OR: two
-lookups and two ORs per non-zero byte. A replay position takes one image.
-The successor search charges, per symbol it tries, one image plus
-``ceil(|Q|/64)`` for intersecting it with the level's live mask; on the hit,
-one unit per byte of the mask and per member decoded, and one per letter of
-the suffix.
+call, after its loop, for all its positions. Wherever a least length-k word
+is spelled, for the cursor's first word or a successor's suffix, the charge
+is ``|states| + k``: one unit per state the least-rank state is picked
+from, and one per letter spelled; a miss, no state live, is charged
+``|states|``. The list kernel's successor search
+charges, at each retried position, one unit per state whose adjacency list
+it walks and 1 plus the target count per adjacency pair it examines. Each
+state walks from the first symbol above the retried letter to its own first
+live pair, so the charge depends on the set and not on the order in which it
+is iterated; the suffix is spelled from one target. On the bit kernel, where
+a state set is an int mask of ``ceil(|Q|/8)`` bytes, taking an image charges
+one unit per byte scanned plus ``ceil(|Q|/64)``, the machine words of a
+mask, per lookup or OR: two lookups and two ORs per non-zero byte. A replay
+position takes one image. The successor search charges, per symbol it
+tries, one image plus ``ceil(|Q|/64)`` for intersecting it with the level's
+live mask, and on the hit one unit per byte of the mask it decodes into the
+states the suffix is spelled from.
 
 Laying out an automaton charges one unit per raw transition bucketed, per
 symbol, per state and per distinct transition frozen into a row: ``raw +
@@ -28,11 +34,16 @@ initial set; at each length it charges one unit per reachable state whose
 liveness it checks.
 
 The core modules funnel every increment through the single ``ops`` object
-below. When counting is disabled (the default) they pay at most two tests
-of ``ops.enabled`` per call, plus one per position or symbol that a
-successor search retries, nothing more, and their observable behaviour is
-identical either way. :func:`counting` blocks nest; what an inner block
-counts also reaches the enclosing count.
+below. When counting is disabled (the default) they pay only tests of
+``ops.enabled``, or of a search's local copy of it, and their observable
+behaviour is identical either way. A cursor's call makes at most five: one
+in the replay, one on entering the search, one on the bit search's hit, and
+two in spelling the word (``min_word`` and ``MinWordTables.min_word_from``).
+On top of those come one per position the list search retries and two per
+symbol the bit search tries, for the symbol's image and its charge. The
+tables make one per level built; a radix run makes one at its start and one
+per length. :func:`counting` blocks nest; what an inner block counts also
+reaches the enclosing count.
 """
 
 from __future__ import annotations

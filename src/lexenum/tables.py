@@ -3,16 +3,16 @@
 For every length ``k <= length`` and state ``q`` the tables answer two
 questions in O(1):
 
-* ``first_step[k][q]`` is the first transition of the least length-k word
-  accepted starting from ``q``: a ``(symbol_id, next_state)`` pair, or
-  :data:`EMPTY_WORD` when ``k == 0`` and ``q`` is final, or ``None`` when no
-  length-k word is accepted from ``q``.
-* ``rank[k][q]`` is the dense rank of that least word among the least
-  length-k words of all states that accept one: states spelling the same
-  word share a rank, and the ranks in use are ``0 .. m-1``. States accepting
-  no length-k word get the sentinel ``state_count``, above every live rank.
-  So ``q``'s word is lexicographically <= ``q'``'s iff
-  ``rank[k][q] <= rank[k][q']``.
+* ``rank[k][q]`` is the dense rank of the least length-k word accepted
+  starting from ``q`` among the least length-k words of all states that
+  accept one: states spelling the same word share a rank, and the ranks in
+  use are ``0 .. m-1``. States accepting no length-k word get the sentinel
+  ``state_count``, above every live rank. So ``q`` is live at level k iff
+  ``rank[k][q] < state_count``, and ``q``'s word is lexicographically <=
+  ``q'``'s iff ``rank[k][q] <= rank[k][q']``.
+* ``first_step[k][q]``, for ``k >= 1`` and ``q`` live at level k, is the
+  first transition of that least word, a ``(symbol_id, next_state)`` pair.
+  It is read only where the rank is live; other entries mean nothing.
 
 For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
 hold ``live[k]``, the mask of the states with ``rank[k][q] < |Q|``, which the
@@ -32,16 +32,10 @@ preprocessing.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .automaton import Nfa, Word, state_mask
 from .instrument import ops as _ops
-
-# Level-0 entry of final states: the empty word is accepted. Distinct from
-# None, which means "no word of this length".
-EMPTY_WORD: Word = ()
-
-Entry = Union[None, tuple[int, int], Word]
 
 
 class MinWordTables:
@@ -69,17 +63,16 @@ class MinWordTables:
         self.nfa = nfa
         self.length = 0
         self.state_count = n
-        self.first_step: list[list[Entry]] = [[None] * n]
+        self.first_step: list[list[Optional[tuple[int, int]]]] = [[None] * n]
         self.rank = [[n] * n]
         self.fill_ops = 0
         for q in nfa.final_states:
-            self.first_step[0][q] = EMPTY_WORD
             self.rank[0][q] = 0
         self.live: Optional[list[int]] = None
         if nfa.images is not None:
             self.live = [state_mask(nfa.final_states)]
         if _ops.enabled:
-            _ops.ops += 2 * n + 2 * len(nfa.final_states)
+            _ops.ops += 2 * n + len(nfa.final_states)
             if self.live is not None:
                 _ops.ops += len(nfa.final_states)
 
@@ -95,7 +88,7 @@ class MinWordTables:
         n = self.state_count
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
-        cur_step: list[Entry] = [None] * n
+        cur_step: list[Optional[tuple[int, int]]] = [None] * n
 
         visited = 0
         live = []
@@ -130,9 +123,13 @@ class MinWordTables:
                 _ops.ops += m
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
-        """Spell the least length-k word accepted from ``q``, or None."""
-        if self.first_step[k][q] is None:
+        """Spell the least length-k word accepted from ``q``, or None when
+        ``q``'s level-k rank is the sentinel. A spelled word is charged
+        ``k``, one unit per first-step entry read."""
+        if self.rank[k][q] == self.state_count:
             return None
+        if _ops.enabled:
+            _ops.ops += k
         out = []
         for level in range(k, 0, -1):
             a, q = self.first_step[level][q]

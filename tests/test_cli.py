@@ -36,6 +36,12 @@ class TestEnum:
         code, out, err = run(capsys, "enum", "--automaton", a1_file, "--length", "2")
         assert (code, out) == (0, "ab\nba\n")
 
+    def test_from_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "a1-bom.nfa"
+        path.write_bytes(b"\xef\xbb\xbf" + A1_TEXT.encode())
+        code, out, err = run(capsys, "enum", "--automaton", str(path), "--length", "2")
+        assert (code, out, err) == (0, "ab\nba\n", "")
+
     def test_from_regex_with_limit(self, capsys):
         code, out, _ = run(
             capsys, "enum", "--regex", "a*ba*", "--length", "3", "--limit", "2"
@@ -135,13 +141,13 @@ class TestRadix:
         assert (code, out) == (0, "b\n")
 
     def test_limit_builds_no_level_past_the_last_word(self, capsys):
-        # "", "a" and "b" need levels 0 and 1; 64 is the tally of exactly
+        # "", "a" and "b" need levels 0 and 1; 62 is the tally of exactly
         # those, so a limit that let the run build level 2 would raise it.
         code, out, err = run(
             capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
         )
         assert (code, out) == (0, "\na\nb\n")
-        assert err == "# ops: total=64\n"
+        assert err == "# ops: total=62\n"
 
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")

@@ -24,6 +24,7 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
+from lexenum import enumeration
 from lexenum.automaton import chunk_images, mask_states, replay, replay_masks, state_mask
 from lexenum.enumeration import next_word_lists, next_word_masks
 from lexenum.instrument import counting
@@ -594,5 +595,49 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 2816
+    assert report.preproc_ops == 2811
     assert sum(r.op_count for r in report.records) == 9378
+
+
+def test_list_search_charge_does_not_depend_on_set_order():
+    # Retrying position 1 of "aa": state 1 reaches a live target on "c"
+    # only, state 9 on "b". Each state walks to its own first live pair, so
+    # the charge is the same whichever of them the set yields first.
+    nfa = build_nfa(
+        "abc",
+        10,
+        [0],
+        [5],
+        [(0, "a", 1), (0, "a", 9), (1, "a", 5), (1, "b", 3), (1, "c", 5), (9, "b", 5)],
+    )
+    assert nfa.kernel == "list"
+    tables = precompute(nfa, 2)
+    forward, backward = {1, 9}, {9, 1}
+    assert list(forward) != list(backward)
+    results = []
+    for states in (forward, backward):
+        with counting() as counter:
+            found = next_word_lists((0, 0), 2, [{0}, states, set()], tables)
+            results.append((found, counter.ops))
+    assert results[0][0] == ((0, 1), 1)  # "ab", pivot 1
+    assert results[0] == results[1]
+
+
+def test_every_word_is_spelled_by_min_word(monkeypatch):
+    # The first word and every suffix go through the module-global
+    # min_word, so a wrapper installed there sees one call per word.
+    calls = []
+    spell = enumeration.min_word
+
+    def counted(k, states, tables):
+        calls.append(k)
+        return spell(k, states, tables)
+
+    monkeypatch.setattr(enumeration, "min_word", counted)
+    bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
+    assert (bit.kernel, lists.kernel) == ("bit", "list")
+    for nfa in (bit, lists):
+        calls.clear()
+        words = list(CrossSectionCursor(nfa, 6))
+        assert words and len(calls) == len(words)

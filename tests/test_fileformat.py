@@ -89,6 +89,15 @@ def test_decode_rejects_invalid_utf8_naming_its_line():
         decode_automaton(b"alphabet a\r\nstates 1\r\rfinal \xc3\n")
 
 
+def test_decode_drops_one_byte_order_mark(a1):
+    bom = b"\xef\xbb\xbf"
+    assert parse_automaton(decode_automaton(bom + A1_TEXT.encode())) == a1
+    # The invalid byte is named by the file's own offsets, not shifted by
+    # the mark.
+    with pytest.raises(ParseError, match=r"line 3: byte 0xff"):
+        decode_automaton(bom + b"alphabet a\nstates 1\n# \xff\n")
+
+
 def test_directive_order_is_free(a1):
     text = "0 a 0\nfinal 1\n0 b 1\nstates 2\n1 a 1\ninitial 0\nalphabet a b\n"
     assert parse_automaton(text) == a1

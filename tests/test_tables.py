@@ -3,7 +3,6 @@ import random
 import pytest
 
 from lexenum import (
-    EMPTY_WORD,
     EXHAUSTED,
     CrossSectionCursor,
     build_nfa,
@@ -16,7 +15,7 @@ from helpers import corpus_automaton, nested_scaling_family, rank_leq, tables_sn
 
 def test_a1_first_step_levels(a1):
     tables = precompute(a1, 2)
-    assert tables.first_step[0] == [None, EMPTY_WORD]
+    assert tables.rank[0] == [2, 0]  # only the final state is live
     assert tables.first_step[1] == [(1, 1), (0, 1)]
     assert tables.first_step[2] == [(0, 0), (0, 1)]
 
@@ -43,10 +42,11 @@ def test_ranks_are_dense_with_sentinel_on_dead_states():
         tables = precompute(nfa, 5)
         for k in range(6):
             ranks = tables.rank[k]
-            live = {ranks[q] for q in range(n) if tables.first_step[k][q] is not None}
+            mins = min_words_by_state(nfa, k)
+            live = {ranks[q] for q in range(n) if ranks[q] < n}
             assert live == set(range(len(live)))
             for q in range(n):
-                assert (ranks[q] == n) == (tables.first_step[k][q] is None)
+                assert (ranks[q] == n) == (mins[q] is None)
 
 
 def test_spelled_words_a1(a1):
@@ -63,7 +63,7 @@ def test_no_final_states_leaves_tables_empty():
     nfa = build_nfa("ab", 3, [0], [], [(0, "a", 1), (1, "b", 2)])
     tables = precompute(nfa, 4)
     for k in range(5):
-        assert tables.first_step[k] == [None, None, None]
+        assert tables.rank[k] == [3, 3, 3]
         assert not any(rank_leq(tables, k, q, p) for q in range(3) for p in range(3))
 
 
@@ -71,7 +71,7 @@ def test_length_zero_has_single_level(a1):
     tables = precompute(a1, 0)
     assert len(tables.first_step) == 1
     assert len(tables.rank) == 1
-    assert tables.first_step[0] == [None, EMPTY_WORD]
+    assert tables.rank[0] == [2, 0]
 
 
 def test_add_level_leaves_existing_levels_and_cursors_alone():
@@ -102,26 +102,17 @@ def test_negative_length_rejected(a1):
         precompute(a1, -1)
 
 
-def test_epsilon_only_at_level_zero():
-    rng = random.Random(31)
-    for _ in range(40):
-        nfa = corpus_automaton(rng)
-        tables = precompute(nfa, 5)
-        for k in range(1, 6):
-            assert EMPTY_WORD not in tables.first_step[k]
-
-
 def test_chain_never_dangles():
     rng = random.Random(37)
     for _ in range(60):
         nfa = corpus_automaton(rng)
+        n = nfa.state_count
         tables = precompute(nfa, 6)
         for k in range(1, 7):
-            for q in range(nfa.state_count):
-                entry = tables.first_step[k][q]
-                if entry is not None:
-                    _, target = entry
-                    assert tables.first_step[k - 1][target] is not None
+            for q in range(n):
+                if tables.rank[k][q] < n:
+                    _, target = tables.first_step[k][q]
+                    assert tables.rank[k - 1][target] < n
 
 
 def test_spelled_words_match_bruteforce():
@@ -158,8 +149,9 @@ def test_order_table_reflexive_exactly_on_support():
         n = nfa.state_count
         tables = precompute(nfa, 4)
         for k in range(5):
+            mins = min_words_by_state(nfa, k)
             for q in range(n):
-                accepts = tables.first_step[k][q] is not None
+                accepts = mins[q] is not None
                 assert rank_leq(tables, k, q, q) == accepts
                 assert any(rank_leq(tables, k, q, qp) for qp in range(n)) == accepts
 
