@@ -28,7 +28,19 @@ symbol, per state and per distinct transition frozen into a row: ``raw +
 binary search is not charged. On the bit kernel the layout also charges, for
 the chunk image tables, one unit per transition plus ``ceil(|Q|/64)`` per
 table entry, and each table level charges one unit per state in its live
-mask. A radix run charges, once, ``|Q|`` plus one unit per adjacency pair
+mask.
+
+The tables charge, with level 0, ``|Q|`` for its rank row, one unit per
+final state, and ``|Q| + #transitions`` for the lists of each state's
+predecessors. Each later level charges ``2 + 2 * |targets|`` per adjacency
+pair its candidate states visit, ``2 * |Q|`` for its two rows, two units per
+live state (its rank write and the comparison of the live set with the
+previous level's), and ``m * ceil(log2 m)`` for ranking its ``m`` live
+states. Level 1, and each level whose previous level's live set differs from
+the one below it, also charges one unit per predecessor entry of the
+previous level's live states, for rebuilding the candidate set.
+
+A radix run charges, once, ``|Q|`` plus one unit per adjacency pair
 and per target it visits while it collects the states reachable from the
 initial set; at each length it charges one unit per reachable state whose
 liveness it checks.
@@ -41,9 +53,10 @@ in the replay, one on entering the search, one on the bit search's hit, and
 two in spelling the word (``min_word`` and ``MinWordTables.min_word_from``).
 On top of those come one per position the list search retries and two per
 symbol the bit search tries, for the symbol's image and its charge. The
-tables make one per level built; a radix run makes one at its start and one
-per length. :func:`counting` blocks nest; what an inner block counts also
-reaches the enclosing count.
+tables make one per level built, and one more at each level that rebuilds its
+candidate set; a radix run makes one at its start and one per length.
+:func:`counting` blocks nest; what an inner block counts also reaches the
+enclosing count.
 """
 
 from __future__ import annotations

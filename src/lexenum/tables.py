@@ -23,16 +23,27 @@ The tables keep the automaton they were built for in ``nfa``, so readers
 take the adjacency lists and the alphabet from the tables themselves and
 cannot pair them with another automaton. Level k is derived from level k-1
 alone, so the tables grow one level at a time: a radix run extends one table
-as its length rises instead of building a table per length. Building levels
-``0 .. length`` costs O(|Q| + length * (#transitions + |Q| log |Q|)) and
-they hold O(length * |Q|) entries; every later access is O(1). With the
-automaton's layout, O(|alphabet| + |Q| + #transitions), that is the whole
-preprocessing.
+as its length rises instead of building a table per length.
+
+A state can be live at level k only if it has a transition into a state live
+at level k-1, so level k scans the rows of those candidates only: the
+predecessors of level k-1's live states. Each state's predecessors are listed
+once, with level 0, in O(|Q| + #transitions); the candidate set is their
+union over the live states, rebuilt only when the live set differs from the
+one it was built from. A level costs O(|Q|) for its two rows, plus the
+candidates' adjacency lists, m log m to rank its m live states, and, when
+the candidates are rebuilt, the previous live states' predecessor counts.
+That is never more than a scan of every row, so building levels
+``0 .. length`` costs O(|Q| + length * (#transitions + |Q| log |Q|)) at
+worst, and a radix length in which few states are live costs their frontier,
+not |Q| rows. The tables hold O(length * |Q|) entries; every later access is
+O(1). With the automaton's layout, O(|alphabet| + |Q| + #transitions), that
+is the whole preprocessing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Collection, Optional
 
 from .automaton import Nfa, Word, state_mask
 from .instrument import ops as _ops
@@ -50,50 +61,100 @@ class MinWordTables:
     On the bit kernel each level also gets its live mask in ``live``; building
     it is charged one unit per live state.
 
+    The predecessor lists, the top level's live set and the cached candidate
+    set are private to the tables and only :meth:`add_level` reads them.
+
     ``fill_ops`` records how many adjacency pairs were inspected and target
-    comparisons made while filling ``first_step``; it is bounded by
-    4 * length * #transitions and exists so tests can check that bound.
+    comparisons made while filling ``first_step``; only candidates' pairs are
+    inspected, so it is bounded by 4 * length * #transitions and exists so
+    tests can check that bound.
     """
 
-    __slots__ = ("nfa", "length", "state_count", "first_step", "rank", "live", "fill_ops")
+    __slots__ = (
+        "nfa",
+        "length",
+        "state_count",
+        "first_step",
+        "rank",
+        "live",
+        "fill_ops",
+        "_pred",
+        "_frontier",
+        "_candidates",
+    )
 
     def __init__(self, nfa: Nfa):
-        """Level 0: final states accept the empty word and share rank 0."""
+        """Level 0: final states accept the empty word and share rank 0.
+
+        Also lists, once, each state's predecessors: one entry per transition
+        into it. Charged |Q| for the rank row, |Q| + #transitions for the
+        predecessor lists, and one unit per final state."""
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
         self.state_count = n
-        self.first_step: list[list[Optional[tuple[int, int]]]] = [[None] * n]
+        # Level 0 has no first steps; the empty placeholder keeps
+        # ``first_step[k]`` at index k.
+        self.first_step: list[list[Optional[tuple[int, int]]]] = [[]]
         self.rank = [[n] * n]
         self.fill_ops = 0
         for q in nfa.final_states:
             self.rank[0][q] = 0
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for q, row in enumerate(nfa.adjacency):
+            for _, targets in row:
+                for t in targets:
+                    pred[t].append(q)
+        self._pred = [tuple(p) for p in pred]
+        # The top level's live states, and the candidates for the level above
+        # it, or None until they are built from those states.
+        self._frontier: Collection[int] = frozenset(nfa.final_states)
+        self._candidates: Optional[set[int]] = None
         self.live: Optional[list[int]] = None
         if nfa.images is not None:
             self.live = [state_mask(nfa.final_states)]
         if _ops.enabled:
-            _ops.ops += 2 * n + len(nfa.final_states)
+            _ops.ops += 2 * n + nfa.transition_count + len(nfa.final_states)
             if self.live is not None:
                 _ops.ops += len(nfa.final_states)
 
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
-        Each state's adjacency list is scanned in increasing symbol order,
-        within each target tuple the target of least top-level rank is
-        selected, and the first symbol whose selected target is live wins. The
-        live states are then ranked by the key (first symbol, top-level rank
-        of the selected target), which orders their least words.
+        Only the candidates are scanned: the predecessors of the states live
+        at level ``length``, since no other state has a live successor. The
+        candidate set is cached and rebuilt only when the live set differs
+        from the one it was built from. Each candidate's adjacency list is
+        scanned in increasing symbol order, within each target tuple the
+        target of least top-level rank is selected, and the first symbol
+        whose selected target is live wins. The live states are then ranked
+        by the key (first symbol, top-level rank of the selected target),
+        which orders their least words.
+
+        With m live states the level is charged the pairs and targets
+        visited, 2|Q| for its two rows, m for the rank writes, m for
+        comparing the new live set with the old one, m * ceil(log2 m) for
+        the sort, and, on a rebuild, one unit per predecessor entry of the
+        previous live states.
         """
         n = self.state_count
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
+        adjacency = self.nfa.adjacency
         cur_step: list[Optional[tuple[int, int]]] = [None] * n
+
+        candidates = self._candidates
+        rebuilt = 0
+        if candidates is None:
+            pred = self._pred
+            candidates = self._candidates = set().union(*map(pred.__getitem__, self._frontier))
+            if _ops.enabled:
+                rebuilt = sum(len(pred[t]) for t in self._frontier)
 
         visited = 0
         live = []
-        for q, row in enumerate(self.nfa.adjacency):
-            for a, targets in row:
+        for q in candidates:
+            for a, targets in adjacency[q]:
                 q_min = min(targets, key=prev_key)
                 visited += 2 + 2 * len(targets)
                 r = prev_rank[q_min]
@@ -113,12 +174,22 @@ class MinWordTables:
             cur_rank[q] = r
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
+        # The live set is compared as the level's mask on the bit kernel,
+        # which builds one anyway, and as a frozenset on the list kernel.
+        frontier: Collection[int] = [q for _, q in live]
         if self.live is not None:
-            self.live.append(state_mask([q for _, q in live]))
+            self.live.append(state_mask(frontier))
+            changed = self.live[-1] != self.live[-2]
+        else:
+            frontier = frozenset(frontier)
+            changed = frontier != self._frontier
+        if changed:
+            self._frontier = frontier
+            self._candidates = None
         self.length += 1
         if _ops.enabled:
             m = len(live)
-            _ops.ops += visited + 2 * n + m + m * (m - 1).bit_length()
+            _ops.ops += rebuilt + visited + 2 * n + 2 * m + m * (m - 1).bit_length()
             if self.live is not None:
                 _ops.ops += m
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from lexenum import Nfa, build_nfa, random_automaton
+from lexenum.automaton import state_mask
 
 
 def make_a1() -> Nfa:
@@ -77,6 +78,54 @@ def tables_snapshot(tables):
         tuple(tuple(level) for level in tables.rank),
         tuple(tables.live or ()),
     )
+
+
+def full_scan_level(nfa: Nfa, prev_rank: list[int]):
+    """Reference for one table level: ``(first_step, rank)`` of the level
+    above ``prev_rank``, found by walking every state's adjacency row, dead
+    states included. Each row is scanned in symbol order, the target of least
+    previous rank is taken, and the first live pair wins; the live states are
+    densely ranked by (symbol, previous rank of that target)."""
+    n = nfa.state_count
+    step = [None] * n
+    live = []
+    for q, row in enumerate(nfa.adjacency):
+        for a, targets in row:
+            q_min = min(targets, key=prev_rank.__getitem__)
+            if prev_rank[q_min] < n:
+                step[q] = (a, q_min)
+                live.append((a * n + prev_rank[q_min], q))
+                break
+    rank = [n] * n
+    r = -1
+    last_key = None
+    for key, q in sorted(live):
+        if key != last_key:
+            r += 1
+            last_key = key
+        rank[q] = r
+    return step, rank
+
+
+def assert_tables_match_full_scan(tables) -> None:
+    """Compare ``tables`` level by level with :func:`full_scan_level`:
+    ``rank`` and the bit kernel's ``live`` masks everywhere, ``first_step``
+    on the live states, the only entries it defines."""
+    nfa = tables.nfa
+    n = nfa.state_count
+    rank = [n] * n
+    for q in nfa.final_states:
+        rank[q] = 0
+    for k in range(tables.length + 1):
+        if k:
+            step, rank = full_scan_level(nfa, rank)
+        live = [q for q in range(n) if rank[q] < n]
+        assert tables.rank[k] == rank, f"rank differs at level {k}"
+        if k:
+            got = [tables.first_step[k][q] for q in live]
+            assert got == [step[q] for q in live], f"first_step differs at level {k}"
+        if tables.live is not None:
+            assert tables.live[k] == state_mask(live), f"live differs at level {k}"
 
 
 def serialize_automaton(nfa: Nfa) -> str:

@@ -6,11 +6,19 @@ from lexenum import (
     EXHAUSTED,
     CrossSectionCursor,
     build_nfa,
+    compile_regex,
     cross_section,
     min_words_by_state,
     precompute,
+    random_automaton,
 )
-from helpers import corpus_automaton, nested_scaling_family, rank_leq, tables_snapshot
+from helpers import (
+    assert_tables_match_full_scan,
+    corpus_automaton,
+    nested_scaling_family,
+    rank_leq,
+    tables_snapshot,
+)
 
 
 def test_a1_first_step_levels(a1):
@@ -163,3 +171,51 @@ def test_first_step_fill_work_is_linear_in_transitions():
         for delta, nfa in nested_scaling_family(99, (40, 80, 160)).items():
             tables = precompute(nfa, ell)
             assert tables.fill_ops <= 4 * ell * delta
+
+
+def test_frontier_fill_equals_full_scan_on_a_seeded_corpus():
+    # add_level walks only the predecessors of the live states; the full
+    # scan in helpers walks every row. Both must build the same levels.
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        s = rng.randint(1, 4)
+        nfa = random_automaton(rng, n, s, rng.randint(0, 2 * n * s))
+        assert_tables_match_full_scan(precompute(nfa, rng.randint(0, 12)))
+
+
+def test_frontier_fill_equals_full_scan_on_a_period_two_automaton():
+    # Its live set stops changing at level 4, while its ranks settle into a
+    # period of 2 only from level 16: one cached candidate set serves levels
+    # whose ranks differ.
+    nfa = random_automaton(random.Random(2), 500, 4, 3000, 50, 50)
+    assert_tables_match_full_scan(precompute(nfa, 40))
+
+
+def test_frontier_fill_equals_full_scan_on_a_finite_alternation():
+    # A dictionary of words of lengths 3..8: the live set shrinks level by
+    # level and is empty above the longest word.
+    rng = random.Random(61)
+    words = {
+        "".join(rng.choice("abcdefgh") for _ in range(length))
+        for length in range(3, 9)
+        for _ in range(12)
+    }
+    nfa = compile_regex("|".join(sorted(words)))
+    tables = precompute(nfa, 10)
+    assert_tables_match_full_scan(tables)
+    assert tables.rank[9] == tables.rank[10] == [nfa.state_count] * nfa.state_count
+
+
+def test_fill_work_does_not_grow_with_dead_states():
+    # a1 beside a chain of D states that reach no final state: no chain
+    # state ever has a live successor, so the fill never walks its row.
+    def with_dead_chain(d):
+        chain = [(i, "a", i + 1) for i in range(2, d + 1)]
+        return build_nfa(
+            "ab", 2 + d, [0], [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1), *chain]
+        )
+
+    assert precompute(with_dead_chain(10), 8).fill_ops == precompute(
+        with_dead_chain(10_000), 8
+    ).fill_ops
