@@ -59,8 +59,8 @@ class Nfa:
     the constructor trusts its arguments. ``alphabet`` is the glyph string;
     ``initial`` and ``final_states`` are duplicate-free tuples of states in
     first-occurrence order. The constructor chooses the kernel: on the bit
-    kernel ``images`` holds the chunk image tables and ``initial_mask`` the
-    initial set as a mask; on the list kernel they are None and 0.
+    kernel ``images`` holds the chunk image tables; on the list kernel it is
+    None.
     """
 
     __slots__ = (
@@ -71,7 +71,6 @@ class Nfa:
         "adjacency",
         "transition_count",
         "images",
-        "initial_mask",
         "_glyph_ids",
     )
 
@@ -93,7 +92,6 @@ class Nfa:
         self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
         bit = fits_bit_kernel(len(alphabet), state_count, transition_count)
         self.images: Optional[list[ChunkTables]] = chunk_images(self) if bit else None
-        self.initial_mask = state_mask(initial) if bit else 0
 
     @property
     def symbol_count(self) -> int:

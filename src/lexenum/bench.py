@@ -31,10 +31,6 @@ class DelayRecord:
     op_count: int
     wall_nanos: int
 
-    @property
-    def word_len(self) -> int:
-        return len(self.word)
-
 
 @dataclass(frozen=True)
 class DelayReport:

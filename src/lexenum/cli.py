@@ -114,13 +114,24 @@ def _load_automaton(args) -> Nfa:
 
 
 def _printable(nfa: Nfa) -> Nfa:
-    """``nfa`` itself, once no glyph of it is one of the characters that
-    ``str.splitlines`` breaks on: a word holding one would print as several
-    lines. Only a regex can hold one; the file format splits on whitespace.
+    """``nfa`` itself, once every glyph of it can be printed before any word
+    is: no glyph is one of the characters that ``str.splitlines`` breaks on,
+    since a word holding one would print as several lines (only a regex can
+    hold one; the file format splits on whitespace), and standard output's
+    encoding, with its error handler, can write each glyph. A standard output
+    without an ``encoding`` attribute is not checked for the second.
     """
     for glyph in nfa.alphabet:
         if glyph.splitlines() != [glyph]:
             raise AutomatonError(f"symbol {glyph!r} breaks lines; words are printed one per line")
+    encoding = getattr(sys.stdout, "encoding", None)
+    try:
+        if encoding is not None:
+            nfa.alphabet.encode(encoding, getattr(sys.stdout, "errors", "strict"))
+    except UnicodeEncodeError as exc:
+        raise AutomatonError(
+            f"symbol {exc.object[exc.start]!r} cannot be written in the output encoding {encoding}"
+        ) from None
     return nfa
 
 

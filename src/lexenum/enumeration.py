@@ -38,6 +38,7 @@ from .automaton import (  # noqa: F401
     mask_states,
     replay,
     replay_masks,
+    state_mask,
 )
 from .instrument import ops as _ops
 from .tables import MinWordTables, check_length, precompute
@@ -78,13 +79,13 @@ def build_run_stack(word: Word, nfa: Nfa, start: Union[Collection[int], int, Non
     Returns a new list whose entry ``i`` holds the states reached after
     reading ``word[:i]``: a set of states on the list kernel, an int mask on
     the bit kernel. Entry 0 is ``start`` itself, by default the initial set
-    in the kernel's form, ``nfa.initial`` or ``nfa.initial_mask``. The word
-    need not be accepted; trailing entries may be empty. The charge is that
-    of the ``len(word)`` positions replayed.
+    in the kernel's form, ``nfa.initial`` or its mask. The word need not be
+    accepted; trailing entries may be empty. The charge is that of the
+    ``len(word)`` positions replayed.
     """
     if nfa.images is None:
         return replay(nfa, word, nfa.initial if start is None else start)
-    return replay_masks(nfa.images, word, nfa.initial_mask if start is None else start)
+    return replay_masks(nfa.images, word, state_mask(nfa.initial) if start is None else start)
 
 
 def next_word(
@@ -126,7 +127,7 @@ def next_word_lists(
     """
     nfa = tables.nfa
     adjacency = nfa.adjacency
-    n = tables.state_count
+    n = nfa.state_count
     counting = _ops.enabled
     for i in range(length - 1, -1, -1):
         k = length - i - 1

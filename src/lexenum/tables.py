@@ -7,9 +7,9 @@ questions in O(1):
   starting from ``q`` among the least length-k words of all states that
   accept one: states spelling the same word share a rank, and the ranks in
   use are ``0 .. m-1``. States accepting no length-k word get the sentinel
-  ``state_count``, above every live rank. So ``q`` is live at level k iff
-  ``rank[k][q] < state_count``, and ``q``'s word is lexicographically <=
-  ``q'``'s iff ``rank[k][q] <= rank[k][q']``.
+  ``nfa.state_count``, above every live rank. So ``q`` is live at level k
+  iff ``rank[k][q] < nfa.state_count``, and ``q``'s word is
+  lexicographically <= ``q'``'s iff ``rank[k][q] <= rank[k][q']``.
 * ``first_step[k][q]``, for ``k >= 1`` and ``q`` live at level k, is the
   first transition of that least word, a ``(symbol_id, next_state)`` pair.
   It is read only where the rank is live; other entries mean nothing.
@@ -25,25 +25,27 @@ cannot pair them with another automaton. Level k is derived from level k-1
 alone, so the tables grow one level at a time: a radix run extends one table
 as its length rises instead of building a table per length.
 
-A state can be live at level k only if it has a transition into a state live
-at level k-1, so level k scans the rows of those candidates only: the
-predecessors of level k-1's live states. Each state's predecessors are listed
-once, with level 0, in O(|Q| + #transitions); the candidate set is their
-union over the live states, rebuilt only when the live set differs from the
-one it was built from. A level costs O(|Q|) for its two rows, plus the
-candidates' adjacency lists, m log m to rank its m live states, and, when
-the candidates are rebuilt, the previous live states' predecessor counts.
-That is never more than a scan of every row, so building levels
-``0 .. length`` costs O(|Q| + length * (#transitions + |Q| log |Q|)) at
-worst, and a radix length in which few states are live costs their frontier,
-not |Q| rows. The tables hold O(length * |Q|) entries; every later access is
-O(1). With the automaton's layout, O(|alphabet| + |Q| + #transitions), that
-is the whole preprocessing.
+A state is live at level k exactly when it has a transition into a state live
+at level k-1. So the candidates for level k, the predecessors of level k-1's
+live states, are level k's live set, and level k scans their rows only, for
+each one's first step and rank. Each state's predecessors are listed once,
+with level 0, in O(|Q| + #transitions); the candidate set is their union over
+the live states. Since a live set is a function of the one below it, a
+candidate set equal to the live set it was built from is also the next
+level's, so it is kept, and rebuilt only after the live set changes. A level
+costs O(|Q|) for its two rows, plus the candidates' adjacency lists, m log m
+to rank its m live states, and, when the candidates are rebuilt, the previous
+live states' predecessor counts. That is never more than a scan of every row,
+so building levels ``0 .. length`` costs O(|Q| + length * (#transitions + |Q|
+log |Q|)) at worst, and a radix length in which few states are live costs
+their frontier, not |Q| rows. The tables hold O(length * |Q|) entries; every
+later access is O(1). With the automaton's layout, O(|alphabet| + |Q| +
+#transitions), that is the whole preprocessing.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Optional
+from typing import Optional
 
 from .automaton import Nfa, Word, state_mask
 from .instrument import ops as _ops
@@ -58,8 +60,10 @@ class MinWordTables:
     rewritten, so readers of levels up to ``length`` are unaffected by growth;
     only the owner of the tables appends, and cursors never write.
 
-    On the bit kernel each level also gets its live mask in ``live``; building
-    it is charged one unit per live state.
+    A level's live set is the candidate set it scans, the predecessors of the
+    level below's live states. On the bit kernel each level also gets that
+    set as a mask in ``live``; building it is charged one unit per live
+    state.
 
     The predecessor lists, the top level's live set and the cached candidate
     set are private to the tables and only :meth:`add_level` reads them.
@@ -73,7 +77,6 @@ class MinWordTables:
     __slots__ = (
         "nfa",
         "length",
-        "state_count",
         "first_step",
         "rank",
         "live",
@@ -92,7 +95,6 @@ class MinWordTables:
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
-        self.state_count = n
         # Level 0 has no first steps; the empty placeholder keeps
         # ``first_step[k]`` at index k.
         self.first_step: list[list[Optional[tuple[int, int]]]] = [[]]
@@ -108,8 +110,8 @@ class MinWordTables:
         self._pred = [tuple(p) for p in pred]
         # The top level's live states, and the candidates for the level above
         # it, or None until they are built from those states.
-        self._frontier: Collection[int] = frozenset(nfa.final_states)
-        self._candidates: Optional[set[int]] = None
+        self._frontier = frozenset(nfa.final_states)
+        self._candidates: Optional[frozenset[int]] = None
         self.live: Optional[list[int]] = None
         if nfa.images is not None:
             self.live = [state_mask(nfa.final_states)]
@@ -122,22 +124,23 @@ class MinWordTables:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
         Only the candidates are scanned: the predecessors of the states live
-        at level ``length``, since no other state has a live successor. The
-        candidate set is cached and rebuilt only when the live set differs
-        from the one it was built from. Each candidate's adjacency list is
-        scanned in increasing symbol order, within each target tuple the
-        target of least top-level rank is selected, and the first symbol
-        whose selected target is live wins. The live states are then ranked
-        by the key (first symbol, top-level rank of the selected target),
-        which orders their least words.
+        at level ``length``. They are exactly the states live at the new
+        level, since each has a transition into a live state and no other
+        state has one. The candidate set is cached and rebuilt only when it
+        differs from the live set it was built from. Each candidate's
+        adjacency list is scanned in increasing symbol order, within each
+        target tuple the target of least top-level rank is selected, and the
+        first symbol whose selected target is live wins. The candidates are
+        then ranked by the key (first symbol, top-level rank of the selected
+        target), which orders their least words.
 
-        With m live states the level is charged the pairs and targets
+        With m candidates the level is charged the pairs and targets
         visited, 2|Q| for its two rows, m for the rank writes, m for
-        comparing the new live set with the old one, m * ceil(log2 m) for
-        the sort, and, on a rebuild, one unit per predecessor entry of the
-        previous live states.
+        comparing the candidate set with the previous live set,
+        m * ceil(log2 m) for the sort, and, on a rebuild, one unit per
+        predecessor entry of the previous live states.
         """
-        n = self.state_count
+        n = self.nfa.state_count
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
         adjacency = self.nfa.adjacency
@@ -147,12 +150,13 @@ class MinWordTables:
         rebuilt = 0
         if candidates is None:
             pred = self._pred
-            candidates = self._candidates = set().union(*map(pred.__getitem__, self._frontier))
+            candidates = frozenset().union(*map(pred.__getitem__, self._frontier))
+            self._candidates = candidates
             if _ops.enabled:
                 rebuilt = sum(len(pred[t]) for t in self._frontier)
 
         visited = 0
-        live = []
+        keys = []
         for q in candidates:
             for a, targets in adjacency[q]:
                 q_min = min(targets, key=prev_key)
@@ -160,35 +164,28 @@ class MinWordTables:
                 r = prev_rank[q_min]
                 if r < n:
                     cur_step[q] = (a, q_min)
-                    live.append((a * n + r, q))
+                    keys.append((a * n + r, q))
                     break
         self.fill_ops += visited
 
         cur_rank = [n] * n
         r = -1
         last_key = None
-        for key, q in sorted(live):
+        for key, q in sorted(keys):
             if key != last_key:
                 r += 1
                 last_key = key
             cur_rank[q] = r
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
-        # The live set is compared as the level's mask on the bit kernel,
-        # which builds one anyway, and as a frozenset on the list kernel.
-        frontier: Collection[int] = [q for _, q in live]
         if self.live is not None:
-            self.live.append(state_mask(frontier))
-            changed = self.live[-1] != self.live[-2]
-        else:
-            frontier = frozenset(frontier)
-            changed = frontier != self._frontier
-        if changed:
-            self._frontier = frontier
+            self.live.append(state_mask(candidates))
+        if candidates != self._frontier:
+            self._frontier = candidates
             self._candidates = None
         self.length += 1
         if _ops.enabled:
-            m = len(live)
+            m = len(candidates)
             _ops.ops += rebuilt + visited + 2 * n + 2 * m + m * (m - 1).bit_length()
             if self.live is not None:
                 _ops.ops += m
@@ -197,7 +194,7 @@ class MinWordTables:
         """Spell the least length-k word accepted from ``q``, or None when
         ``q``'s level-k rank is the sentinel. A spelled word is charged
         ``k``, one unit per first-step entry read."""
-        if self.rank[k][q] == self.state_count:
+        if self.rank[k][q] == self.nfa.state_count:
             return None
         if _ops.enabled:
             _ops.ops += k
@@ -208,7 +205,7 @@ class MinWordTables:
         return tuple(out)
 
     def __repr__(self) -> str:
-        return f"MinWordTables(length={self.length}, states={self.state_count})"
+        return f"MinWordTables(length={self.length}, states={self.nfa.state_count})"
 
 
 def check_length(length) -> None:

@@ -67,7 +67,7 @@ def rank_leq(tables, k: int, q: int, p: int) -> bool:
     ``q`` accepts a length-k word and (``p`` accepts none, or ``q``'s least
     one is lexicographically <= ``p``'s)."""
     rank = tables.rank[k]
-    return rank[q] < tables.state_count and rank[q] <= rank[p]
+    return rank[q] < tables.nfa.state_count and rank[q] <= rank[p]
 
 
 def tables_snapshot(tables):

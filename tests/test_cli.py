@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,33 @@ class TestLineBreakGlyphs:
         assert (code, out) == (0, "c\na b\n")
         code, out, _ = run(capsys, "enum", "--regex", "a b|c", "--length", "3")
         assert (code, out) == (0, "a b\n")
+
+
+class TestUnencodableGlyphs:
+    """A glyph that standard output's encoding cannot write would stop the
+    stream with a traceback once a word holds it, so enum and radix refuse
+    such an automaton before any word is written. Each run is a subprocess
+    whose standard output is ASCII."""
+
+    @pytest.mark.parametrize(
+        "command", [("enum", "--regex", "é", "--length", "1"), ("radix", "--regex", "a|é")]
+    )
+    def test_enum_and_radix_exit_two_before_any_word(self, command):
+        # The subprocess does not see pytest's pythonpath setting, so it is
+        # given the checkout's src/ explicitly.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONIOENCODING": "ascii",
+            "PYTHONPATH": src + os.pathsep + inherited if inherited else src,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "lexenum", *command], capture_output=True, timeout=30, env=env
+        )
+        assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+        assert proc.stderr.startswith(b"error: symbol ")
+        assert b"cannot be written in the output encoding ascii" in proc.stderr
 
 
 class TestBench:

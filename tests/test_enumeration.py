@@ -58,6 +58,10 @@ class TestBuildRunStack:
     def test_empty_word(self, a1):
         stack = build_run_stack((), a1)
         assert [set(s) for s in stack] == [{0}]
+        # On the bit kernel the default start is the initial set's mask.
+        nfa = compile_regex("(a|b|c)*b(a|c)*")
+        assert nfa.kernel == "bit"
+        assert build_run_stack((), nfa) == [state_mask(nfa.initial)]
 
     def test_dead_end_word(self, a1):
         stack = build_run_stack(a1.word_from_str("bb"), a1)
@@ -350,7 +354,7 @@ class TestSharedTables:
 
 
 def _live_masks(tables):
-    n = tables.state_count
+    n = tables.nfa.state_count
     return [state_mask(q for q in range(n) if rank[q] < n) for rank in tables.rank]
 
 

@@ -87,7 +87,7 @@ def test_measure_delays_reports_all_outputs():
     nfa = make_a1()
     report = measure_delays(nfa, 2)
     assert [r.index for r in report.records] == [0, 1]
-    assert all(r.word_len == 2 for r in report.records)
+    assert all(len(r.word) == 2 for r in report.records)
     assert report.exhausted
     assert report.final_gap_ops is not None
     assert report.transition_count == 3
