@@ -12,13 +12,15 @@
     1 a 1
 
 Files are UTF-8, optionally behind one byte-order mark
-(:func:`decode_automaton` turns bytes into text).
-Tokens are whitespace-separated. The ``alphabet`` and ``states`` lines are
-required (each exactly once); ``initial``/``final`` lines may repeat and
-accumulate. Line order is otherwise free. Every rejection is a
-:class:`ParseError` that names the offending line; only a missing
-``alphabet`` or ``states`` line, which has no line, is named by its
-directive instead.
+(:func:`decode_automaton` turns bytes into text). Lines end at ``\\n``,
+``\\r\\n`` or ``\\r`` only: a form feed, U+2028 or another character at
+which :meth:`str.splitlines` also breaks ends no line, so inside a comment
+it is part of the comment. Tokens are whitespace-separated. The
+``alphabet`` and ``states`` lines are required (each exactly once);
+``initial``/``final`` lines may repeat and accumulate. Line order is
+otherwise free. Every rejection is a :class:`ParseError` that names the
+offending line; only a missing ``alphabet`` or ``states`` line, which has
+no line, is named by its directive instead.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def _state_token(token: str, line_no: int) -> int:
         raise ParseError(f"state number of {len(token)} digits is too long", line_no) from None
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r`` only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def decode_automaton(data: bytes) -> str:
     """Decode the bytes of an automaton file as UTF-8, after dropping one
     leading byte-order mark.
@@ -62,8 +69,8 @@ def decode_automaton(data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Number lines as parse_automaton does; the bytes before the bad one
-        # decode, and the appended character stands in for the bad one.
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # decode, and the bad one is on the last of their lines.
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
 
 
@@ -84,7 +91,7 @@ def parse_automaton(text: str) -> Nfa:
     final_entries: list[tuple[int, int]] = []
     transition_entries: list[tuple[int, tuple[int, str, int]]] = []  # (line, (src, glyph, dst))
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         comment = raw.find("#")
         if comment != -1:
             raw = raw[:comment]

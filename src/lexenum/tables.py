@@ -26,21 +26,22 @@ alone, so the tables grow one level at a time: a radix run extends one table
 as its length rises instead of building a table per length.
 
 A state is live at level k exactly when it has a transition into a state live
-at level k-1. So the candidates for level k, the predecessors of level k-1's
-live states, are level k's live set, and level k scans their rows only, for
-each one's first step and rank. Each state's predecessors are listed once,
-with level 0, in O(|Q| + #transitions); the candidate set is their union over
-the live states. Since a live set is a function of the one below it, a
-candidate set equal to the live set it was built from is also the next
-level's, so it is kept, and rebuilt only after the live set changes. A level
-costs O(|Q|) for its two rows, plus the candidates' adjacency lists, m log m
-to rank its m live states, and, when the candidates are rebuilt, the previous
-live states' predecessor counts. That is never more than a scan of every row,
-so building levels ``0 .. length`` costs O(|Q| + length * (#transitions + |Q|
-log |Q|)) at worst, and a radix length in which few states are live costs
-their frontier, not |Q| rows. The tables hold O(length * |Q|) entries; every
-later access is O(1). With the automaton's layout, O(|alphabet| + |Q| +
-#transitions), that is the whole preprocessing.
+at level k-1. So level k's live set is the union of the predecessors of level
+k-1's live states, L(k) = pred(L(k-1)), and level k scans those states' rows
+only, for each one's first step and rank. Each state's predecessors are listed
+once, with level 0, in O(|Q| + #transitions). Since a live set is a function
+of the one below it, once two consecutive live sets are equal every later one
+is equal too: the live set has settled. From then on a level reuses the settled
+set, and on the bit kernel its mask, and the predecessor lists are dropped.
+A level costs O(|Q|) for its two rows, plus its live states' adjacency lists
+and m log m to rank its m live states; until the live set settles it also
+costs the previous live states' predecessor counts, to derive the new live
+set and compare it with the previous one. That is never more than a scan of
+every row, so building levels ``0 .. length`` costs O(|Q| + length *
+(#transitions + |Q| log |Q|)) at worst, and a radix length in which few states
+are live costs their frontier, not |Q| rows. The tables hold O(length * |Q|)
+entries; every later access is O(1). With the automaton's layout,
+O(|alphabet| + |Q| + #transitions), that is the whole preprocessing.
 """
 
 from __future__ import annotations
@@ -60,16 +61,21 @@ class MinWordTables:
     rewritten, so readers of levels up to ``length`` are unaffected by growth;
     only the owner of the tables appends, and cursors never write.
 
-    A level's live set is the candidate set it scans, the predecessors of the
-    level below's live states. On the bit kernel each level also gets that
-    set as a mask in ``live``; building it is charged one unit per live
+    A level's live set, the set of states it scans, is the union of the
+    predecessors of the level below's live states. Once a level's live set
+    equals the one below it, it is a fixed point: every later level has the
+    same live set, so the predecessor lists are dropped and later levels
+    reuse it. On the bit kernel each level also gets its live set as a mask
+    in ``live``; a level whose live set equals the one below it holds the
+    same mask object, and building a new mask is charged one unit per live
     state.
 
-    The predecessor lists, the top level's live set and the cached candidate
-    set are private to the tables and only :meth:`add_level` reads them.
+    The predecessor lists (None once the live set has settled) and the top
+    level's live set are private to the tables and only :meth:`add_level`
+    reads them.
 
     ``fill_ops`` records how many adjacency pairs were inspected and target
-    comparisons made while filling ``first_step``; only candidates' pairs are
+    comparisons made while filling ``first_step``; only live states' pairs are
     inspected, so it is bounded by 4 * length * #transitions and exists so
     tests can check that bound.
     """
@@ -83,7 +89,6 @@ class MinWordTables:
         "fill_ops",
         "_pred",
         "_frontier",
-        "_candidates",
     )
 
     def __init__(self, nfa: Nfa):
@@ -107,11 +112,10 @@ class MinWordTables:
             for _, targets in row:
                 for t in targets:
                     pred[t].append(q)
-        self._pred = [tuple(p) for p in pred]
-        # The top level's live states, and the candidates for the level above
-        # it, or None until they are built from those states.
+        # Dropped, set to None, once the live set has settled.
+        self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
+        # The top level's live states.
         self._frontier = frozenset(nfa.final_states)
-        self._candidates: Optional[frozenset[int]] = None
         self.live: Optional[list[int]] = None
         if nfa.images is not None:
             self.live = [state_mask(nfa.final_states)]
@@ -123,22 +127,26 @@ class MinWordTables:
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
-        Only the candidates are scanned: the predecessors of the states live
-        at level ``length``. They are exactly the states live at the new
-        level, since each has a transition into a live state and no other
-        state has one. The candidate set is cached and rebuilt only when it
-        differs from the live set it was built from. Each candidate's
-        adjacency list is scanned in increasing symbol order, within each
-        target tuple the target of least top-level rank is selected, and the
-        first symbol whose selected target is live wins. The candidates are
-        then ranked by the key (first symbol, top-level rank of the selected
-        target), which orders their least words.
+        Until the live set settles, the new level's live set is the union of
+        the predecessors of the states live at level ``length``: each has a
+        transition into a live state and no other state has one. It is
+        compared with level ``length``'s live set; when the two are equal the
+        live set has settled, since L(k+1) = pred(L(k)) makes every later level
+        equal too, and the predecessor lists are dropped. A settled level
+        takes level ``length``'s live set, and on the bit kernel its mask
+        object, as they are. Each live state's adjacency list is scanned in
+        increasing symbol order, within each target tuple the target of least
+        top-level rank is selected, and the first symbol whose selected
+        target is live wins. The live states are then ranked by the key
+        (first symbol, top-level rank of the selected target), which orders
+        their least words.
 
-        With m candidates the level is charged the pairs and targets
-        visited, 2|Q| for its two rows, m for the rank writes, m for
-        comparing the candidate set with the previous live set,
-        m * ceil(log2 m) for the sort, and, on a rebuild, one unit per
-        predecessor entry of the previous live states.
+        With m live states the level is charged the pairs and targets
+        visited, 2|Q| for its two rows, m for the rank writes and
+        m * ceil(log2 m) for the sort. A level that derives its live set is
+        also charged one unit per predecessor entry of the previous live
+        states and m for the comparison, plus, on the bit kernel, m for a
+        new mask when the live set changed.
         """
         n = self.nfa.state_count
         prev_rank = self.rank[-1]
@@ -146,18 +154,21 @@ class MinWordTables:
         adjacency = self.nfa.adjacency
         cur_step: list[Optional[tuple[int, int]]] = [None] * n
 
-        candidates = self._candidates
-        rebuilt = 0
-        if candidates is None:
-            pred = self._pred
-            candidates = frozenset().union(*map(pred.__getitem__, self._frontier))
-            self._candidates = candidates
+        below = live = self._frontier
+        pred = self._pred
+        derived = 0
+        if pred is not None:
+            candidates = frozenset().union(*map(pred.__getitem__, below))
             if _ops.enabled:
-                rebuilt = sum(len(pred[t]) for t in self._frontier)
+                derived = sum(len(pred[t]) for t in below) + len(candidates)
+            if candidates == below:
+                self._pred = None
+            else:
+                live = self._frontier = candidates
 
         visited = 0
         keys = []
-        for q in candidates:
+        for q in live:
             for a, targets in adjacency[q]:
                 q_min = min(targets, key=prev_key)
                 visited += 2 + 2 * len(targets)
@@ -179,15 +190,12 @@ class MinWordTables:
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
         if self.live is not None:
-            self.live.append(state_mask(candidates))
-        if candidates != self._frontier:
-            self._frontier = candidates
-            self._candidates = None
+            self.live.append(self.live[-1] if live is below else state_mask(live))
         self.length += 1
         if _ops.enabled:
-            m = len(candidates)
-            _ops.ops += rebuilt + visited + 2 * n + 2 * m + m * (m - 1).bit_length()
-            if self.live is not None:
+            m = len(live)
+            _ops.ops += derived + visited + 2 * n + m + m * (m - 1).bit_length()
+            if self.live is not None and live is not below:
                 _ops.ops += m
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:

@@ -89,6 +89,30 @@ def test_decode_rejects_invalid_utf8_naming_its_line():
         decode_automaton(b"alphabet a\r\nstates 1\r\rfinal \xc3\n")
 
 
+# Characters at which str.splitlines breaks but the format does not.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_only_newlines_end_a_line(a1, char):
+    # Inside a comment the character is comment text, not a line end that
+    # would leave "page 2" to be read as a directive.
+    text = A1_TEXT.replace("# comment lines", f"# comment{char}page 2 lines")
+    assert parse_automaton(text) == a1
+    # Errors on later lines are numbered by newlines alone.
+    with pytest.raises(ParseError, match=r"^line 3: transition line"):
+        parse_automaton(f"alphabet a # x{char}y\nstates 1\n0 a\n")
+    with pytest.raises(ParseError, match=r"^line 3: byte 0xff"):
+        decode_automaton(f"alphabet a # x{char}y\nstates 1\n# ".encode() + b"\xff\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_files_parse(a1, newline):
+    assert parse_automaton(A1_TEXT.replace("\n", newline)) == a1
+    with pytest.raises(ParseError, match=r"^line 3: transition line"):
+        parse_automaton(newline.join(["alphabet a", "states 1", "0 a", ""]))
+
+
 def test_decode_drops_one_byte_order_mark(a1):
     bom = b"\xef\xbb\xbf"
     assert parse_automaton(decode_automaton(bom + A1_TEXT.encode())) == a1

@@ -12,6 +12,7 @@ from lexenum import (
     precompute,
     random_automaton,
 )
+from lexenum.instrument import counting
 from helpers import (
     assert_tables_match_full_scan,
     corpus_automaton,
@@ -184,12 +185,53 @@ def test_frontier_fill_equals_full_scan_on_a_seeded_corpus():
         assert_tables_match_full_scan(precompute(nfa, rng.randint(0, 12)))
 
 
-def test_frontier_fill_equals_full_scan_on_a_period_two_automaton():
-    # Its live set stops changing at level 4, while its ranks settle into a
-    # period of 2 only from level 16: one cached candidate set serves levels
-    # whose ranks differ.
-    nfa = random_automaton(random.Random(2), 500, 4, 3000, 50, 50)
-    assert_tables_match_full_scan(precompute(nfa, 40))
+# Unary automata with F = {0} whose live sets alternate forever and never
+# settle: {0}, {1}, {0}, ... on the 2-cycle, and {0}, {2, 3}, {0, 1},
+# {2, 3}, ... on {0, 1} <-> {2, 3}.
+UNARY_2_CYCLE = build_nfa("a", 2, [0], [0], [(0, "a", 1), (1, "a", 0)])
+BIPARTITE_4 = build_nfa(
+    "a", 4, [0], [0], [(p, "a", q) for p in range(4) for q in range(4) if p // 2 != q // 2]
+)
+
+
+@pytest.mark.parametrize(
+    "nfa,length,kernel",
+    [
+        # Its live set stops changing at level 4, while its ranks settle into
+        # a period of 2 only from level 16: the settled live set serves
+        # levels whose ranks differ.
+        (random_automaton(random.Random(2), 500, 4, 3000, 50, 50), 40, "list"),
+        (UNARY_2_CYCLE, 12, "list"),
+        (BIPARTITE_4, 12, "bit"),
+    ],
+    ids=["random-500", "unary-2-cycle", "bipartite-4"],
+)
+def test_frontier_fill_equals_full_scan_on_a_period_two_automaton(nfa, length, kernel):
+    assert nfa.kernel == kernel
+    assert_tables_match_full_scan(precompute(nfa, length))
+
+
+def test_a_settled_level_reuses_the_live_set_below():
+    # The live set is all 7 states from level 1 on, so it settles at level
+    # 2: every later level holds level 1's mask object and pays neither the
+    # live-set comparison nor a new mask.
+    nfa = compile_regex("(a|b|c)*b(a|c)*")
+    assert nfa.kernel == "bit"
+    n = nfa.state_count
+    tables = precompute(nfa, 3)
+    fill = tables.fill_ops
+    with counting() as counter:
+        tables.add_level()
+        m = sum(r < n for r in tables.rank[4])
+        assert counter.ops == tables.fill_ops - fill + 2 * n + m + m * (m - 1).bit_length() == 70
+    while tables.length < 40:
+        tables.add_level()
+    assert all(tables.live[k] is tables.live[1] for k in range(1, 41))
+    # A mask of 200 states is an int no interpreter caches, so here "is"
+    # shows that the settled levels build no new mask.
+    tables = precompute(random_automaton(random.Random(1), 200, 4, 2000, 50, 50), 12)
+    assert tables.nfa.kernel == "bit"
+    assert [tables.live[k] is tables.live[k - 1] for k in range(1, 13)] == [False] * 2 + [True] * 10
 
 
 def test_frontier_fill_equals_full_scan_on_a_finite_alternation():
