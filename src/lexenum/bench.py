@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Union
 
 from .automaton import Nfa, build_nfa
@@ -66,10 +66,57 @@ class DelayReport:
             f"preproc_ops={self.preproc_ops}, preproc_nanos={self.preproc_nanos}"
         )
         yield "index,word_len,op_count,wall_nanos"
-        for r in self.records:
-            yield f"{r.index},{len(r.word)},{r.op_count},{r.wall_nanos}"
-        if self.final_gap_ops is not None:
-            yield f"# final_gap_ops={self.final_gap_ops}, final_gap_nanos={self.final_gap_nanos}"
+        yield from map(_csv_row, self.records)
+        if self.exhausted:
+            index = len(self.records)
+            yield _csv_row(DelayRecord(index, EXHAUSTED, self.final_gap_ops, self.final_gap_nanos))
+
+
+def _csv_row(r: DelayRecord) -> str:
+    """A record's CSV data row; the comment row of the final gap for the
+    record whose word is EXHAUSTED."""
+    if r.word is EXHAUSTED:
+        return f"# final_gap_ops={r.op_count}, final_gap_nanos={r.wall_nanos}"
+    return f"{r.index},{len(r.word)},{r.op_count},{r.wall_nanos}"
+
+
+def _measure(
+    source: Union[Nfa, Callable[[], Nfa]], length: int, limit: Optional[int]
+) -> Iterator[Union[DelayReport, DelayRecord]]:
+    """The measurement of :func:`measure_delays`, streamed.
+
+    Yields a :class:`DelayReport` with the sizes and the preprocessing tally
+    and no records, then a :class:`DelayRecord` per output as it is measured
+    and, when the cursor ran out within ``limit``, a last record whose word is
+    EXHAUSTED, for the final gap. What the consumer does between two records
+    is outside every gap: each gap's clock and tally start when it resumes.
+    """
+    with counting() as ops:
+        t0 = time.perf_counter_ns()
+        nfa = source() if callable(source) else source
+        tables = precompute(nfa, length)
+        preproc_nanos = time.perf_counter_ns() - t0
+        # The first gap's tally also covers setting the cursor up.
+        mark = ops.ops
+        cursor = CrossSectionCursor(nfa, length, tables=tables)
+        yield DelayReport(
+            length=length,
+            state_count=nfa.state_count,
+            symbol_count=nfa.symbol_count,
+            transition_count=nfa.transition_count,
+            preproc_ops=mark,
+            preproc_nanos=preproc_nanos,
+        )
+        index = 0
+        while limit is None or index < limit:
+            t_prev = time.perf_counter_ns()
+            word = cursor.next()
+            now = time.perf_counter_ns()
+            yield DelayRecord(index, word, ops.ops - mark, now - t_prev)
+            if word is EXHAUSTED:
+                break
+            mark = ops.ops
+            index += 1
 
 
 def measure_delays(
@@ -85,41 +132,17 @@ def measure_delays(
     :func:`~lexenum.instrument.counting` block the whole tally, preprocessing
     and every gap, is added to the enclosing count.
     """
-    with counting() as ops:
-        t0 = time.perf_counter_ns()
-        nfa = source() if callable(source) else source
-        tables = precompute(nfa, length)
-        preproc_nanos = time.perf_counter_ns() - t0
-        preproc_ops = mark = ops.ops
-
-        cursor = CrossSectionCursor(nfa, length, tables=tables)
-        records: list[DelayRecord] = []
-        final_gap_ops = final_gap_nanos = None
-        index = 0
-        t_prev = time.perf_counter_ns()
-        while limit is None or index < limit:
-            word = cursor.next()
-            now = time.perf_counter_ns()
-            gap_ops = ops.ops - mark
-            mark = ops.ops
-            if word is EXHAUSTED:
-                final_gap_ops = gap_ops
-                final_gap_nanos = now - t_prev
-                break
-            records.append(DelayRecord(index, word, gap_ops, now - t_prev))
-            t_prev = now
-            index += 1
-        return DelayReport(
-            length=length,
-            state_count=nfa.state_count,
-            symbol_count=nfa.symbol_count,
-            transition_count=nfa.transition_count,
-            preproc_ops=preproc_ops,
-            preproc_nanos=preproc_nanos,
-            records=records,
-            final_gap_ops=final_gap_ops,
-            final_gap_nanos=final_gap_nanos,
-        )
+    rows = _measure(source, length, limit)
+    report = next(rows)
+    final = None
+    for record in rows:
+        if record.word is EXHAUSTED:
+            final = record
+        else:
+            report.records.append(record)
+    if final is None:
+        return report
+    return replace(report, final_gap_ops=final.op_count, final_gap_nanos=final.wall_nanos)
 
 
 def random_automaton(

@@ -16,10 +16,12 @@ import argparse
 import os
 import random
 import sys
+from contextlib import closing
+from itertools import chain
 from typing import Optional
 
 from .automaton import AutomatonError, Nfa
-from .bench import MAX_SYMBOLS, measure_delays, random_automaton
+from .bench import MAX_SYMBOLS, _csv_row, _measure, random_automaton
 from .enumeration import cross_section, radix_words
 from .fileformat import ParseError, decode_automaton, parse_automaton
 from .instrument import counting
@@ -182,11 +184,12 @@ def _cmd_bench(args) -> int:
         def factory() -> Nfa:
             return _load_automaton(args)
 
-    report = measure_delays(factory, args.length, args.limit)
+    # Each row is written as it is measured, so no run holds its records.
     out = sys.stdout
-    for line in report.csv_lines():
-        out.write(line)
-        out.write("\n")
+    with closing(_measure(factory, args.length, args.limit)) as rows:
+        for line in chain(next(rows).csv_lines(), map(_csv_row, rows)):
+            out.write(line)
+            out.write("\n")
     return 0
 
 

@@ -27,21 +27,19 @@ symbol, per state and per distinct transition frozen into a row: ``raw +
 |alphabet| + |Q| + #transitions`` in all. Finding a symbol in a row by
 binary search is not charged. On the bit kernel the layout also charges, for
 the chunk image tables, one unit per transition plus ``ceil(|Q|/64)`` per
-table entry, and each table level whose live set differs from the one below
-it charges one unit per state of its new live mask; a level whose live set
-equals the one below it holds that level's mask and charges nothing for it.
+table entry, and each table level built before the tables settle charges
+one unit per state of its live mask.
 
 The tables charge, with level 0, ``|Q|`` for its rank row, one unit per
 final state, and ``|Q| + #transitions`` for the lists of each state's
-predecessors. Each later level charges ``2 + 2 * |targets|`` per adjacency
-pair its live states visit, ``2 * |Q|`` for its two rows, one unit per live
-state for its rank write, and ``m * ceil(log2 m)`` for ranking its ``m``
-live states. A level that computes a new live set, the union of the
-previous level's live states' predecessors, also charges one unit per
-predecessor entry it reads and one per live state for comparing that set
-with the previous level's. Once the two are equal the live set has settled:
-every later level has the same one, takes it as it is, and charges neither
-the predecessors nor the comparison.
+predecessors. Until the tables settle, each later level charges one unit per
+predecessor entry of the previous level's live states, from which it takes
+its live set, ``2 + 2 * |targets|`` per adjacency pair its live states visit,
+``2 * |Q|`` for its two rows, ``|Q|`` for comparing its rank row with the
+previous level's, one unit per live state for its rank write, and ``m *
+ceil(log2 m)`` for ranking its ``m`` live states. Once two consecutive rank
+rows are equal the tables have settled: every later level is the top level,
+appended as it is for one unit.
 
 A radix run charges, once, ``|Q|`` plus one unit per adjacency pair
 and per target it visits while it collects the states reachable from the
@@ -56,8 +54,8 @@ in the replay, one on entering the search, one on the bit search's hit, and
 two in spelling the word (``min_word`` and ``MinWordTables.min_word_from``).
 On top of those come one per position the list search retries and two per
 symbol the bit search tries, for the symbol's image and its charge. The
-tables make one per level built, and one more at each level that computes a
-new live set; a radix run makes one at its start and one per length.
+tables make one per level built; a radix run makes one at its start and one
+per length.
 :func:`counting` blocks nest; what an inner block counts also reaches the
 enclosing count.
 """

@@ -29,19 +29,21 @@ A state is live at level k exactly when it has a transition into a state live
 at level k-1. So level k's live set is the union of the predecessors of level
 k-1's live states, L(k) = pred(L(k-1)), and level k scans those states' rows
 only, for each one's first step and rank. Each state's predecessors are listed
-once, with level 0, in O(|Q| + #transitions). Since a live set is a function
-of the one below it, once two consecutive live sets are equal every later one
-is equal too: the live set has settled. From then on a level reuses the settled
-set, and on the bit kernel its mask, and the predecessor lists are dropped.
-A level costs O(|Q|) for its two rows, plus its live states' adjacency lists
-and m log m to rank its m live states; until the live set settles it also
-costs the previous live states' predecessor counts, to derive the new live
-set and compare it with the previous one. That is never more than a scan of
-every row, so building levels ``0 .. length`` costs O(|Q| + length *
-(#transitions + |Q| log |Q|)) at worst, and a radix length in which few states
-are live costs their frontier, not |Q| rows. The tables hold O(length * |Q|)
-entries; every later access is O(1). With the automaton's layout,
-O(|alphabet| + |Q| + #transitions), that is the whole preprocessing.
+once, with level 0, in O(|Q| + #transitions). Level k is a function of
+``rank[k-1]`` alone, so once a level's rank row equals the one below it, every
+later level equals it too: the tables have settled. From then on a level
+appends the top level's rows, and on the bit kernel its mask, themselves, in
+O(1) time and memory, and the predecessor lists are dropped. Until then a
+level costs O(|Q|) for its two rows and for comparing its rank row with the
+one below, plus its live states' adjacency lists, m log m to rank its m live
+states, and the previous live states' predecessor counts. That is never more
+than a scan of every row, so building levels ``0 .. length`` costs O(|Q| +
+length * (#transitions + |Q| log |Q|)) at worst, and O(|Q| + s *
+(#transitions + |Q| log |Q|) + length) when the tables settle at level s; a
+radix length in which few states are live costs their frontier, not |Q| rows.
+The tables hold O(s * |Q| + length) entries; every later access is O(1). With
+the automaton's layout, O(|alphabet| + |Q| + #transitions), that is the whole
+preprocessing.
 """
 
 from __future__ import annotations
@@ -62,15 +64,13 @@ class MinWordTables:
     only the owner of the tables appends, and cursors never write.
 
     A level's live set, the set of states it scans, is the union of the
-    predecessors of the level below's live states. Once a level's live set
-    equals the one below it, it is a fixed point: every later level has the
-    same live set, so the predecessor lists are dropped and later levels
-    reuse it. On the bit kernel each level also gets its live set as a mask
-    in ``live``; a level whose live set equals the one below it holds the
-    same mask object, and building a new mask is charged one unit per live
-    state.
+    predecessors of the level below's live states. On the bit kernel each
+    level also gets its live set as a mask in ``live``. Once a level's rank
+    row equals the one below it, the tables have settled: every later level
+    is that level, so it holds the same ``first_step``, ``rank`` and ``live``
+    objects, and the predecessor lists are dropped.
 
-    The predecessor lists (None once the live set has settled) and the top
+    The predecessor lists (None once the tables have settled) and the top
     level's live set are private to the tables and only :meth:`add_level`
     reads them.
 
@@ -112,7 +112,7 @@ class MinWordTables:
             for _, targets in row:
                 for t in targets:
                     pred[t].append(q)
-        # Dropped, set to None, once the live set has settled.
+        # Dropped, set to None, once the tables have settled.
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         # The top level's live states.
         self._frontier = frozenset(nfa.final_states)
@@ -127,44 +127,45 @@ class MinWordTables:
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
-        Until the live set settles, the new level's live set is the union of
-        the predecessors of the states live at level ``length``: each has a
-        transition into a live state and no other state has one. It is
-        compared with level ``length``'s live set; when the two are equal the
-        live set has settled, since L(k+1) = pred(L(k)) makes every later level
-        equal too, and the predecessor lists are dropped. A settled level
-        takes level ``length``'s live set, and on the bit kernel its mask
-        object, as they are. Each live state's adjacency list is scanned in
-        increasing symbol order, within each target tuple the target of least
-        top-level rank is selected, and the first symbol whose selected
-        target is live wins. The live states are then ranked by the key
-        (first symbol, top-level rank of the selected target), which orders
-        their least words.
+        Once the tables have settled, the new level is level ``length``: its
+        ``first_step`` and ``rank`` rows and, on the bit kernel, its ``live``
+        mask are appended as they are, the same objects, and the level is
+        charged one unit.
 
-        With m live states the level is charged the pairs and targets
-        visited, 2|Q| for its two rows, m for the rank writes and
-        m * ceil(log2 m) for the sort. A level that derives its live set is
-        also charged one unit per predecessor entry of the previous live
-        states and m for the comparison, plus, on the bit kernel, m for a
-        new mask when the live set changed.
+        Until then the new level's live set is the union of the predecessors
+        of the states live at level ``length``: each has a transition into a
+        live state and no other state has one. Each live state's adjacency
+        list is scanned in increasing symbol order, within each target tuple
+        the target of least top-level rank is selected, and the first symbol
+        whose selected target is live wins. The live states are then ranked
+        by the key (first symbol, top-level rank of the selected target),
+        which orders their least words. The new rank row is compared with
+        level ``length``'s; since a level is a function of the rank row below
+        it, equal rows make every later level equal too, so the tables have
+        settled and the predecessor lists are dropped.
+
+        With m live states such a level is charged one unit per predecessor
+        entry of the previous live states, the pairs and targets visited, 2|Q|
+        for its two rows, |Q| for the row comparison, m for the rank writes,
+        m * ceil(log2 m) for the sort and, on the bit kernel, m for its mask.
         """
+        pred = self._pred
+        if pred is None:
+            # ``live`` is None on the list kernel, which has no masks.
+            for rows in filter(None, (self.first_step, self.rank, self.live)):
+                rows.append(rows[-1])
+            self.length += 1
+            if _ops.enabled:
+                _ops.ops += 1
+            return
+
         n = self.nfa.state_count
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
         adjacency = self.nfa.adjacency
         cur_step: list[Optional[tuple[int, int]]] = [None] * n
-
-        below = live = self._frontier
-        pred = self._pred
-        derived = 0
-        if pred is not None:
-            candidates = frozenset().union(*map(pred.__getitem__, below))
-            if _ops.enabled:
-                derived = sum(len(pred[t]) for t in below) + len(candidates)
-            if candidates == below:
-                self._pred = None
-            else:
-                live = self._frontier = candidates
+        below = self._frontier
+        live = self._frontier = frozenset().union(*map(pred.__getitem__, below))
 
         visited = 0
         keys = []
@@ -190,13 +191,14 @@ class MinWordTables:
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
         if self.live is not None:
-            self.live.append(self.live[-1] if live is below else state_mask(live))
+            self.live.append(state_mask(live))
+        if cur_rank == prev_rank:
+            self._pred = None
         self.length += 1
         if _ops.enabled:
             m = len(live)
-            _ops.ops += derived + visited + 2 * n + m + m * (m - 1).bit_length()
-            if self.live is not None and live is not below:
-                _ops.ops += m
+            _ops.ops += sum(len(pred[t]) for t in below) + visited + 3 * n + m
+            _ops.ops += m * (m - 1).bit_length() + (m if self.live is not None else 0)
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
         """Spell the least length-k word accepted from ``q``, or None when

@@ -265,6 +265,44 @@ class TestBench:
         strip = lambda text: [l.split(",")[:3] for l in text.splitlines() if "," in l]
         assert strip(first) == strip(second)
 
+    def test_unlimited_run_streams_rows_in_bounded_memory(self):
+        # (a|b)* at length 30 has 2**30 rows. Under a 300 MB address-space
+        # cap the rows must come out as they are measured, and closing the
+        # pipe after 1000 of them must end the run with exit 0; a run that
+        # held every record would print nothing and run out of memory.
+        resource = pytest.importorskip("resource")
+        cap = 300 * 2**20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        # The subprocess does not see pytest's pythonpath setting, so it is
+        # given the checkout's src/ explicitly.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lexenum", "bench", "--regex", "(a|b)*", "--length", "30"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            preexec_fn=limit_memory,
+        )
+        try:
+            header = proc.stdout.readline()
+            columns = proc.stdout.readline()
+            rows = [proc.stdout.readline() for _ in range(1000)]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert header.startswith(b"# l=30, Q=3, sigma=2, delta=6, preproc_ops="), err
+        assert columns == b"index,word_len,op_count,wall_nanos\n"
+        assert [row.split(b",")[:2] for row in rows] == [[b"%d" % i, b"30"] for i in range(1000)]
+        assert code == 0, err
+
     def test_bad_random_spec(self, capsys):
         for spec in ["10,3", "0,2,3", "3,0,3", "3,63,3", "3,2,-1"]:
             with pytest.raises(SystemExit) as excinfo:

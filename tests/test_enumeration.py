@@ -599,7 +599,7 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 3290
+    assert report.preproc_ops == 2878
     assert sum(r.op_count for r in report.records) == 9378
 
 

@@ -1,4 +1,8 @@
+import importlib.util
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from lexenum import (
     compile_regex,
     cross_section,
     min_words_by_state,
+    parse_automaton,
     precompute,
     random_automaton,
 )
@@ -198,8 +203,8 @@ BIPARTITE_4 = build_nfa(
     "nfa,length,kernel",
     [
         # Its live set stops changing at level 4, while its ranks settle into
-        # a period of 2 only from level 16: the settled live set serves
-        # levels whose ranks differ.
+        # a period of 2 only from level 16 and never into a period of 1, so
+        # its tables never settle and every level is built.
         (random_automaton(random.Random(2), 500, 4, 3000, 50, 50), 40, "list"),
         (UNARY_2_CYCLE, 12, "list"),
         (BIPARTITE_4, 12, "bit"),
@@ -211,27 +216,72 @@ def test_frontier_fill_equals_full_scan_on_a_period_two_automaton(nfa, length, k
     assert_tables_match_full_scan(precompute(nfa, length))
 
 
-def test_a_settled_level_reuses_the_live_set_below():
-    # The live set is all 7 states from level 1 on, so it settles at level
-    # 2: every later level holds level 1's mask object and pays neither the
-    # live-set comparison nor a new mask.
+def _dense_cross_automaton():
+    """perfbench's dense-cross automaton for seed 1: 200 states, 4 symbols,
+    2000 transitions, parsed from the workload's own file text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return parse_automaton(workloads.DenseCross(1).text)
+
+
+@pytest.mark.parametrize(
+    "nfa,length,settles",
+    [(_dense_cross_automaton(), 32, 5), (compile_regex("(a|b|c)*b(a|c)*"), 40, 2)],
+    ids=["dense-cross", "tiny-stream"],
+)
+def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
+    # Level k + 1 is a function of rank[k], so once rank[s] equals rank[s - 1]
+    # every later level is level s: the same row and mask objects, not copies.
+    assert nfa.kernel == "bit"
+    tables = precompute(nfa, length)
+    s = next(k for k in range(1, length + 1) if tables.rank[k] == tables.rank[k - 1])
+    assert s == settles
+    for k in range(s + 1, length + 1):
+        assert tables.rank[k] is tables.rank[s]
+        assert tables.first_step[k] is tables.first_step[s]
+        assert tables.live[k] is tables.live[s]
+    assert_tables_match_full_scan(tables)
+
+
+def test_a_settled_level_charges_one_unit_and_fills_nothing():
+    # The tiny-stream regex: all 7 states are live from level 1 on, and
+    # rank[2] == rank[1]. Level 2 pays the full charge, its row comparison
+    # included; level 3 is a settled level.
     nfa = compile_regex("(a|b|c)*b(a|c)*")
     assert nfa.kernel == "bit"
     n = nfa.state_count
-    tables = precompute(nfa, 3)
+    tables = precompute(nfa, 1)
     fill = tables.fill_ops
     with counting() as counter:
         tables.add_level()
-        m = sum(r < n for r in tables.rank[4])
-        assert counter.ops == tables.fill_ops - fill + 2 * n + m + m * (m - 1).bit_length() == 70
-    while tables.length < 40:
+        # Level 1 is all live, so its predecessor entries are every transition.
+        m = sum(r < n for r in tables.rank[2])
+        visited = tables.fill_ops - fill
+        expected = nfa.transition_count + visited + 3 * n + 2 * m + m * (m - 1).bit_length()
+        assert counter.ops == expected == 106
+    assert tables.rank[2] == tables.rank[1]
+    fill = tables.fill_ops
+    with counting() as counter:
         tables.add_level()
-    assert all(tables.live[k] is tables.live[1] for k in range(1, 41))
-    # A mask of 200 states is an int no interpreter caches, so here "is"
-    # shows that the settled levels build no new mask.
-    tables = precompute(random_automaton(random.Random(1), 200, 4, 2000, 50, 50), 12)
-    assert tables.nfa.kernel == "bit"
-    assert [tables.live[k] is tables.live[k - 1] for k in range(1, 13)] == [False] * 2 + [True] * 10
+        assert counter.ops == 1
+    assert tables.fill_ops == fill
+
+
+def test_settled_tables_take_constant_memory_per_level():
+    # (a|b)* settles at level 1, so each of 10**5 levels is two references
+    # (about 1.6 MB in all); a new |Q|-row pair per level took about 33 MB.
+    nfa = compile_regex("(a|b)*")
+    tracemalloc.start()
+    try:
+        precompute(nfa, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_frontier_fill_equals_full_scan_on_a_finite_alternation():
