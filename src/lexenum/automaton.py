@@ -44,10 +44,6 @@ Word = tuple[int, ...]
 # its low and of its high nibble.
 ChunkTables = list[tuple[list[int], list[int]]]
 
-# The bit positions set in each byte value, lowest first.
-_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
-
-
 class AutomatonError(ValueError):
     """Raw automaton input failed validation."""
 
@@ -295,16 +291,6 @@ def state_mask(states: Iterable[int]) -> int:
     """The mask of a duplicate-free collection of states: bit ``q`` set for
     each state ``q``."""
     return sum(map((1).__lshift__, states))
-
-
-def mask_states(mask: int) -> list[int]:
-    """The states of ``mask``, increasing."""
-    out = []
-    for c, b in enumerate(mask.to_bytes(-(-mask.bit_length() // 8), "little")):
-        if b:
-            base = 8 * c
-            out += [base + j for j in _BYTE_BITS[b]]
-    return out
 
 
 def replay(nfa: Nfa, word: Sequence[int], start: Collection[int]) -> list[Collection[int]]:

@@ -35,7 +35,6 @@ from .automaton import (  # noqa: F401
     Nfa,
     Word,
     delta_step,
-    mask_states,
     replay,
     replay_masks,
     state_mask,
@@ -99,9 +98,9 @@ def next_word(
     ``word``, or None when ``word`` is the maximum. Runs the successor search
     of the automaton's kernel.
     """
-    if tables.live is None:
+    if tables.rank_masks is None:
         return next_word_lists(word, length, stack, tables)
-    return next_word_masks(word, length, stack, tables, tables.nfa.images, tables.live)
+    return next_word_masks(word, length, stack, tables, tables.nfa.images, tables.rank_masks)
 
 
 def next_word_lists(
@@ -159,40 +158,58 @@ def next_word_masks(
     stack: list[int],
     tables: MinWordTables,
     images: list[ChunkTables],
-    live: list[int],
+    rank_masks: list[list[int]],
 ) -> Optional[tuple[Word, int]]:
     """The bit kernel's successor search; ``stack`` holds masks.
 
     ``images`` are the automaton's chunk image tables
-    (:func:`~lexenum.automaton.chunk_images`) and ``live[k]`` the mask of
-    the states whose level-k rank is live. Positions are retried from the
-    last to the first. At position ``i``, with ``k = length - i - 1``, each
-    symbol above ``word[i]`` is tried in order: the first whose image of
-    ``stack[i]``, intersected with ``live[k]``, is not empty is the successor
-    symbol, and :func:`min_word` over the members spells the suffix from the
-    one of least level-k rank. That is the least (symbol, rank) pair, as in
-    :func:`next_word_lists`. Each symbol tried is charged as a replay
-    position (its image comes from :func:`~lexenum.automaton.replay_masks`)
-    plus ``ceil(|Q|/64)`` for the intersection; the hit is charged one unit
-    per byte of the mask decoded.
+    (:func:`~lexenum.automaton.chunk_images`) and ``rank_masks[k]`` the
+    prefix rank masks of level k: entry ``r`` holds the states of level-k
+    rank ``<= r``, and the last entry the live ones. Positions are retried
+    from the last to the first. At position ``i``, with ``k = length - i -
+    1``, each symbol above ``word[i]`` is tried in order: the first whose
+    image of ``stack[i]``, intersected with the live mask, is not empty is
+    the successor symbol. A binary search over ``rank_masks[k]`` then finds
+    the least rank ``r`` whose mask meets the image; every state of that
+    intersection has the least rank, so the lowest one stands for it, and
+    :func:`min_word` spells the suffix from it alone. That is the least
+    (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol tried is
+    charged as a replay position (its image comes from
+    :func:`~lexenum.automaton.replay_masks`) plus ``ceil(|Q|/64)`` for the
+    intersection; each probe of the binary search, at most ``ceil(log2 m)``
+    over ``m`` masks, is charged ``ceil(|Q|/64)`` for its intersection.
     """
     sigma = len(images)
-    nbytes = len(images[0]) if images else 0
-    words = -(-nbytes // 8)
+    words = -(-len(images[0]) // 8) if images else 0
     counting = _ops.enabled
     for i in range(length - 1, -1, -1):
         source = stack[i]
         if not source:
             continue
         k = length - i - 1
+        masks = rank_masks[k]
+        live = masks[-1]
         for a in range(word[i] + 1, sigma):
-            image = replay_masks(images, (a,), source)[1] & live[k]
+            hit = replay_masks(images, (a,), source)[1] & live
             if counting:
                 _ops.ops += words
-            if image:
+            if hit:
+                # masks[hi] meets the image and no mask below lo does; hit
+                # is the image's intersection with masks[hi].
+                lo, hi = 0, len(masks) - 1
+                probes = 0
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    probes += 1
+                    least = hit & masks[mid]
+                    if least:
+                        hi, hit = mid, least
+                    else:
+                        lo = mid + 1
                 if counting:
-                    _ops.ops += nbytes
-                return word[:i] + (a,) + min_word(k, mask_states(image), tables), i
+                    _ops.ops += probes * words
+                q = (hit & -hit).bit_length() - 1
+                return word[:i] + (a,) + min_word(k, (q,), tables), i
     return None
 
 

@@ -19,16 +19,20 @@ one unit per byte scanned plus ``ceil(|Q|/64)``, the machine words of a
 mask, per lookup or OR: two lookups and two ORs per non-zero byte. A replay
 position takes one image. The successor search charges, per symbol it
 tries, one image plus ``ceil(|Q|/64)`` for intersecting it with the level's
-live mask, and on the hit one unit per byte of the mask it decodes into the
-states the suffix is spelled from.
+live mask. On the hit it binary-searches the level's prefix rank masks,
+one per live rank, for the least rank the image meets, and charges
+``ceil(|Q|/64)`` per probe, at most ``ceil(log2 #ranks)`` of them; the
+suffix is then spelled from one state, for ``1 + k``.
 
 Laying out an automaton charges one unit per raw transition bucketed, per
 symbol, per state and per distinct transition frozen into a row: ``raw +
 |alphabet| + |Q| + #transitions`` in all. Finding a symbol in a row by
 binary search is not charged. On the bit kernel the layout also charges, for
 the chunk image tables, one unit per transition plus ``ceil(|Q|/64)`` per
-table entry, and each table level built before the tables settle charges
-one unit per state of its live mask.
+table entry. There each table level built before the tables settle, level 0
+included, also charges its prefix rank masks: one unit per live state, for
+its bit in its rank's mask, plus ``ceil(|Q|/64)`` per prefix OR, one per
+live rank.
 
 The tables charge, with level 0, ``|Q|`` for its rank row, one unit per
 final state, and ``|Q| + #transitions`` for the lists of each state's

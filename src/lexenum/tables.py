@@ -15,9 +15,13 @@ questions in O(1):
   It is read only where the rank is live; other entries mean nothing.
 
 For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
-hold ``live[k]``, the mask of the states with ``rank[k][q] < |Q|``, which the
-bit kernel's successor search intersects with each image it tries; on the
-list kernel ``live`` is None.
+hold ``rank_masks[k]``, the prefix rank masks of level k: entry ``r`` is the
+mask of the states with ``rank[k][q] <= r``, for each live rank ``r``, so the
+last entry is the mask of the level's live states. A level with no live state
+holds ``[0]``. The bit kernel's successor search intersects each image it
+tries with the last entry and, on a hit, binary-searches the list for the
+least rank the image reaches. A level's masks, one per live rank, take
+ceil(|Q|/8) bytes each. On the list kernel ``rank_masks`` is None.
 
 The tables keep the automaton they were built for in ``nfa``, so readers
 take the adjacency lists and the alphabet from the tables themselves and
@@ -32,7 +36,7 @@ only, for each one's first step and rank. Each state's predecessors are listed
 once, with level 0, in O(|Q| + #transitions). Level k is a function of
 ``rank[k-1]`` alone, so once a level's rank row equals the one below it, every
 later level equals it too: the tables have settled. From then on a level
-appends the top level's rows, and on the bit kernel its mask, themselves, in
+appends the top level's rows, and on the bit kernel its masks, themselves, in
 O(1) time and memory, and the predecessor lists are dropped. Until then a
 level costs O(|Q|) for its two rows and for comparing its rank row with the
 one below, plus its live states' adjacency lists, m log m to rank its m live
@@ -65,10 +69,11 @@ class MinWordTables:
 
     A level's live set, the set of states it scans, is the union of the
     predecessors of the level below's live states. On the bit kernel each
-    level also gets its live set as a mask in ``live``. Once a level's rank
-    row equals the one below it, the tables have settled: every later level
-    is that level, so it holds the same ``first_step``, ``rank`` and ``live``
-    objects, and the predecessor lists are dropped.
+    level also gets its prefix rank masks in ``rank_masks``, built in full
+    before the level is appended. Once a level's rank row equals the one
+    below it, the tables have settled: every later level is that level, so it
+    holds the same ``first_step``, ``rank`` and ``rank_masks`` objects, and
+    the predecessor lists are dropped.
 
     The predecessor lists (None once the tables have settled) and the top
     level's live set are private to the tables and only :meth:`add_level`
@@ -85,7 +90,7 @@ class MinWordTables:
         "length",
         "first_step",
         "rank",
-        "live",
+        "rank_masks",
         "fill_ops",
         "_pred",
         "_frontier",
@@ -96,7 +101,9 @@ class MinWordTables:
 
         Also lists, once, each state's predecessors: one entry per transition
         into it. Charged |Q| for the rank row, |Q| + #transitions for the
-        predecessor lists, and one unit per final state."""
+        predecessor lists, and one unit per final state; on the bit kernel
+        also one unit per final state and, when there is one, ceil(|Q|/64)
+        for the level's one prefix mask."""
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
@@ -116,21 +123,22 @@ class MinWordTables:
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         # The top level's live states.
         self._frontier = frozenset(nfa.final_states)
-        self.live: Optional[list[int]] = None
+        self.rank_masks: Optional[list[list[int]]] = None
         if nfa.images is not None:
-            self.live = [state_mask(nfa.final_states)]
+            # Every final state has rank 0; with none the level holds [0].
+            self.rank_masks = [[state_mask(nfa.final_states)]]
         if _ops.enabled:
             _ops.ops += 2 * n + nfa.transition_count + len(nfa.final_states)
-            if self.live is not None:
-                _ops.ops += len(nfa.final_states)
+            if self.rank_masks is not None and nfa.final_states:
+                _ops.ops += len(nfa.final_states) + -(-n // 64)
 
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
         Once the tables have settled, the new level is level ``length``: its
-        ``first_step`` and ``rank`` rows and, on the bit kernel, its ``live``
-        mask are appended as they are, the same objects, and the level is
-        charged one unit.
+        ``first_step`` and ``rank`` rows and, on the bit kernel, its
+        ``rank_masks`` list are appended as they are, the same objects, and
+        the level is charged one unit.
 
         Until then the new level's live set is the union of the predecessors
         of the states live at level ``length``: each has a transition into a
@@ -142,17 +150,22 @@ class MinWordTables:
         which orders their least words. The new rank row is compared with
         level ``length``'s; since a level is a function of the rank row below
         it, equal rows make every later level equal too, so the tables have
-        settled and the predecessor lists are dropped.
+        settled and the predecessor lists are dropped. On the bit kernel the
+        ranked states are then taken rank by rank, in the sorted order: each
+        rank's states make one mask, ORed into the masks of the ranks before
+        it, so the level's ``rank_masks`` entry ``r`` holds the states of rank
+        ``<= r``.
 
         With m live states such a level is charged one unit per predecessor
         entry of the previous live states, the pairs and targets visited, 2|Q|
         for its two rows, |Q| for the row comparison, m for the rank writes,
-        m * ceil(log2 m) for the sort and, on the bit kernel, m for its mask.
+        m * ceil(log2 m) for the sort and, on the bit kernel, m for its masks'
+        bits plus ceil(|Q|/64) per prefix OR, one per live rank.
         """
         pred = self._pred
         if pred is None:
-            # ``live`` is None on the list kernel, which has no masks.
-            for rows in filter(None, (self.first_step, self.rank, self.live)):
+            # ``rank_masks`` is None on the list kernel, which has no masks.
+            for rows in filter(None, (self.first_step, self.rank, self.rank_masks)):
                 rows.append(rows[-1])
             self.length += 1
             if _ops.enabled:
@@ -183,22 +196,39 @@ class MinWordTables:
         cur_rank = [n] * n
         r = -1
         last_key = None
-        for key, q in sorted(keys):
+        keys.sort()
+        for key, q in keys:
             if key != last_key:
                 r += 1
                 last_key = key
             cur_rank[q] = r
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
-        if self.live is not None:
-            self.live.append(state_mask(live))
+        rank_masks = self.rank_masks
+        if rank_masks is not None:
+            # Each rank's states make one group mask, ORed into the prefix
+            # of the ranks below it when the next rank starts.
+            masks = []
+            prefix = group = 0
+            last_key = keys[0][0] if keys else None
+            for key, q in keys:
+                if key != last_key:
+                    prefix |= group
+                    masks.append(prefix)
+                    group = 0
+                    last_key = key
+                group |= 1 << q
+            masks.append(prefix | group)
+            rank_masks.append(masks)
         if cur_rank == prev_rank:
             self._pred = None
         self.length += 1
         if _ops.enabled:
             m = len(live)
             _ops.ops += sum(len(pred[t]) for t in below) + visited + 3 * n + m
-            _ops.ops += m * (m - 1).bit_length() + (m if self.live is not None else 0)
+            _ops.ops += m * (m - 1).bit_length()
+            if rank_masks is not None:
+                _ops.ops += m + (r + 1) * -(-n // 64)
 
     def min_word_from(self, k: int, q: int) -> Optional[Word]:
         """Spell the least length-k word accepted from ``q``, or None when

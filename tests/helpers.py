@@ -70,13 +70,27 @@ def rank_leq(tables, k: int, q: int, p: int) -> bool:
     return rank[q] < tables.nfa.state_count and rank[q] <= rank[p]
 
 
+def mask_states(mask: int) -> list[int]:
+    """The states of a bit-kernel mask, increasing."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def prefix_rank_masks(rank: list[int]) -> list[int]:
+    """Reference for one level's prefix rank masks: entry ``r`` is the mask
+    of the states of rank ``<= r``, for each live rank; ``[0]`` when no state
+    is live."""
+    n = len(rank)
+    live_ranks = len({r for r in rank if r < n})
+    return [state_mask(q for q in range(n) if rank[q] <= r) for r in range(live_ranks)] or [0]
+
+
 def tables_snapshot(tables):
-    """Deep, comparable copy of the table contents, the bit kernel's live
-    masks included (``()`` on the list kernel, which has none)."""
+    """Deep, comparable copy of the table contents, the bit kernel's prefix
+    rank masks included (``()`` on the list kernel, which has none)."""
     return (
         tuple(tuple(row) for row in tables.first_step),
         tuple(tuple(level) for level in tables.rank),
-        tuple(tables.live or ()),
+        tuple(tuple(level) for level in tables.rank_masks or ()),
     )
 
 
@@ -109,7 +123,8 @@ def full_scan_level(nfa: Nfa, prev_rank: list[int]):
 
 def assert_tables_match_full_scan(tables) -> None:
     """Compare ``tables`` level by level with :func:`full_scan_level`:
-    ``rank`` and the bit kernel's ``live`` masks everywhere, ``first_step``
+    ``rank`` and the bit kernel's prefix rank masks everywhere, each mask
+    against the states of rank ``<= r`` in the full scan, and ``first_step``
     on the live states, the only entries it defines."""
     nfa = tables.nfa
     n = nfa.state_count
@@ -124,8 +139,10 @@ def assert_tables_match_full_scan(tables) -> None:
         if k:
             got = [tables.first_step[k][q] for q in live]
             assert got == [step[q] for q in live], f"first_step differs at level {k}"
-        if tables.live is not None:
-            assert tables.live[k] == state_mask(live), f"live differs at level {k}"
+        if tables.rank_masks is not None:
+            masks = tables.rank_masks[k]
+            assert masks == prefix_rank_masks(rank), f"rank_masks differ at level {k}"
+            assert masks[-1] == state_mask(live), f"live mask differs at level {k}"
 
 
 def serialize_automaton(nfa: Nfa) -> str:

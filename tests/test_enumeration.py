@@ -25,10 +25,10 @@ from lexenum import (
     random_automaton,
 )
 from lexenum import enumeration
-from lexenum.automaton import chunk_images, mask_states, replay, replay_masks, state_mask
+from lexenum.automaton import chunk_images, replay, replay_masks, state_mask
 from lexenum.enumeration import next_word_lists, next_word_masks
 from lexenum.instrument import counting
-from helpers import corpus_automaton, make_a1, tables_snapshot
+from helpers import corpus_automaton, make_a1, mask_states, prefix_rank_masks, tables_snapshot
 
 
 class TestMinWord:
@@ -353,9 +353,9 @@ class TestSharedTables:
         assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
 
 
-def _live_masks(tables):
-    n = tables.nfa.state_count
-    return [state_mask(q for q in range(n) if rank[q] < n) for rank in tables.rank]
+def _rank_masks(tables):
+    # Built from the ranks, so the bit search also runs on list-kernel tables.
+    return [prefix_rank_masks(rank) for rank in tables.rank]
 
 
 class TestKernels:
@@ -366,13 +366,13 @@ class TestKernels:
         tables = precompute(nfa, length)
         images = chunk_images(nfa)
         start = state_mask(nfa.initial)
-        live = _live_masks(tables)
+        rank_masks = _rank_masks(tables)
         for word in words:
             lists = replay(nfa, word, nfa.initial)
             masks = replay_masks(images, word, start)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
             expected = next_word_lists(word, length, lists, tables)
-            assert next_word_masks(word, length, masks, tables, images, live) == expected
+            assert next_word_masks(word, length, masks, tables, images, rank_masks) == expected
             assert next_word(word, length, build_run_stack(word, nfa), tables) == expected
 
     def test_agree_on_every_short_word_of_the_corpus(self):
@@ -439,6 +439,104 @@ class TestKernels:
             assert list(radix_words(nfa, max_length=4)) == [
                 w for k in range(5) for w in cross_section_bruteforce(nfa, k)
             ]
+
+
+class TestWideRankSearch:
+    """The bit search on levels far wider than the benchmark workloads',
+    which hold 1-4 distinct live ranks: 100 states (13-byte masks) and one
+    final state, so that up to 68 states of a level spell distinct least
+    words. Seed 8 is the least seed for which
+    ``random_automaton(Random(seed), 100, 3, 312, 4, 1)`` reaches 64
+    distinct live ranks by level 12."""
+
+    NFA = random_automaton(random.Random(8), 100, 3, 312, 4, 1)
+    LENGTH = 13
+
+    def test_instance_is_wide_on_the_bit_kernel(self):
+        nfa = self.NFA
+        assert nfa.kernel == "bit" and len(nfa.images[0]) == 13
+        tables = precompute(nfa, self.LENGTH - 1)
+        assert max(map(len, tables.rank_masks)) == 68
+        assert sum(len(m) >= 64 for m in tables.rank_masks) == 4
+
+    def test_bit_search_equals_list_search_at_every_retried_position(self):
+        """Each position i of each word is retried on its own: the letters
+        after it are the last symbol, above which no symbol is tried. Where
+        the bit search's successor pivots at i, its charge is each tried
+        symbol's image and intersection, one ceil(|Q|/64) AND per binary
+        search probe, between floor(log2 m) and ceil(log2 m) of them over
+        the level's m prefix masks, and 1 + k for the suffix; that is at
+        most ceil(log2 m) + 1 ANDs for the hit, however many states the
+        intersection holds."""
+        nfa, length = self.NFA, self.LENGTH
+        sigma = nfa.symbol_count
+        words_per_and = -(-nfa.state_count // 64)
+        tables = precompute(nfa, length)
+        images = nfa.images
+        rng = random.Random(83)
+        words = list(itertools.islice(cross_section(nfa, length, tables), 60))
+        words += [tuple(rng.randrange(sigma) for _ in range(length)) for _ in range(60)]
+        wide_hits = 0
+        for word in words:
+            for i in range(length):
+                probe = word[: i + 1] + (sigma - 1,) * (length - i - 1)
+                lists = replay(nfa, probe, nfa.initial)
+                masks = replay_masks(images, probe, state_mask(nfa.initial))
+                expected = next_word_lists(probe, length, lists, tables)
+                with counting() as counter:
+                    found = next_word_masks(probe, length, masks, tables, images, tables.rank_masks)
+                    charged = counter.ops
+                assert found == expected
+                if found is None or found[1] != i:
+                    continue
+                k = length - i - 1
+                tried = 0
+                for a in range(probe[i] + 1, found[0][i] + 1):
+                    with counting() as counter:
+                        replay_masks(images, (a,), masks[i])
+                        tried += counter.ops + words_per_and
+                m = len(tables.rank_masks[k])
+                probes, rest = divmod(charged - tried - (1 + k), words_per_and)
+                assert rest == 0
+                assert m.bit_length() - 1 <= probes <= (m - 1).bit_length()
+                wide_hits += m >= 64
+        assert wide_hits >= 20, wide_hits
+
+    def test_prefix_masks_stay_within_a_multiple_of_the_transitions(self):
+        """An unsettled level holds two |Q|-entry rows, one first-step pair
+        per live state and m prefix masks of ceil(|Q|/8) bytes. The kernel
+        test keeps |Q| <= 2|delta|/sigma and m * ceil(|Q|/8) <= 16|delta|/sigma,
+        so a level's traced size stays within 48 |delta| bytes."""
+        nfa = self.NFA
+        delta = nfa.transition_count
+        nbytes = -(-nfa.state_count // 8)
+        sizes = []
+        for length in (0, self.LENGTH - 1):
+            tracemalloc.start()
+            try:
+                tables = precompute(nfa, length)
+                sizes.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert all(tables.rank[k] != tables.rank[k - 1] for k in range(1, self.LENGTH))
+        for masks in tables.rank_masks:
+            assert len(masks) * nbytes <= 16 * delta / nfa.symbol_count
+        per_level = (sizes[1] - sizes[0]) / (self.LENGTH - 1)
+        assert per_level <= 48 * delta, per_level
+
+    def test_no_final_state_misses_on_every_level(self):
+        # Every level holds the one empty mask [0], so each tried symbol's
+        # intersection is empty and the search never indexes past it.
+        nfa = random_automaton(random.Random(8), 100, 3, 312, 4, 0)
+        assert nfa.kernel == "bit" and not nfa.final_states
+        tables = precompute(nfa, 6)
+        assert tables.rank_masks == [[0]] * 7
+        rng = random.Random(84)
+        for _ in range(20):
+            word = tuple(rng.randrange(3) for _ in range(6))
+            stack = build_run_stack(word, nfa)
+            assert next_word(word, 6, stack, tables) is None
+        assert list(cross_section(nfa, 6, tables)) == []
 
 
 class TestRadix:
@@ -599,8 +697,8 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 2878
-    assert sum(r.op_count for r in report.records) == 9378
+    assert report.preproc_ops == 2894
+    assert sum(r.op_count for r in report.records) == 7608
 
 
 def test_list_search_charge_does_not_depend_on_set_order():
