@@ -13,9 +13,9 @@ derived from the previous one plus read-only tables of O(l*|Q|) entries
 (each state's first step and word-order rank per length), which keep the
 automaton they were built for. A state set is a set of states, or an int
 mask when the automaton is dense enough for the bit kernel (see
-:mod:`lexenum.automaton`); a cursor keeps the last word's l+1 sets
-(O(l*|Q|) bytes) and replays them only from the position the previous
-successor changed.
+:mod:`lexenum.automaton`); a cursor keeps the l sets reached after the last
+word's proper prefixes (O(l*|Q|) bytes), the ones its successor search reads,
+and replays them only from the position the previous successor changed.
 Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length over one table that grows a level per length; the
 run stops by itself after the longest word of a finite language, and

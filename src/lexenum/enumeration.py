@@ -3,12 +3,12 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions). Besides tables it only
-reads, it keeps the last output word and that word's run: the length + 1
-state sets reached after each of its prefixes (O(length * |Q|) bytes), of
-which a prefix is still valid. A successor keeps the previous word up to the
-position the search changed, the pivot, so the next call replays only from
-there (Ackerman and Shallit, *Efficient enumeration of words in regular
-languages*, TCS 2009). The held run never grows, so memory stays flat no
+reads, it keeps the last output word and that word's run: the length state
+sets reached after each of its proper prefixes (O(length * |Q|) bytes), the
+sets the successor search reads, of which a prefix is still valid. A
+successor keeps the previous word up to the position the search changed, the
+pivot, so the next call replays only from there (Ackerman and Shallit,
+*Efficient enumeration of words in regular languages*, TCS 2009). The held run never grows, so memory stays flat no
 matter how many words are produced. The tables carry the automaton they were
 built for, and a cursor refuses tables of another automaton.
 
@@ -20,7 +20,8 @@ its kernel's replay and successor search, :func:`next_word_lists` or
 above the retried letter, ranked by the tables' ranks alone, the key
 ``MinWordTables.add_level`` ranks states by, so both give the same successor
 and the same pivot. Every least word, the cursor's first and each suffix,
-is spelled by :func:`min_word`.
+is spelled by :func:`min_word`, which is also the only reader of the tables'
+first steps.
 """
 
 from __future__ import annotations
@@ -59,17 +60,26 @@ def min_word(k: int, states: Collection[int], tables: MinWordTables) -> Optional
 
     The only path that spells a least word: the cursor's first word and both
     successor searches' suffixes come through here. An argmin over the
-    level-k ranks picks the state, and :meth:`MinWordTables.min_word_from`
-    spells its word or finds it dead. The argmin is charged ``|states|``
-    and the spelling ``k``, so a miss costs O(|states|), a hit
+    level-k ranks picks the state; when its rank is the sentinel no state is
+    live, and otherwise its word is read off the first steps of levels
+    ``k .. 1``. The argmin is charged ``|states|`` and the spelling ``k``,
+    one unit per first step read, so a miss costs O(|states|), a hit
     O(k + |states|).
     """
     if not states:
         return None
-    q_min = min(states, key=tables.rank[k].__getitem__)
+    rank = tables.rank[k]
+    q = min(states, key=rank.__getitem__)
+    live = rank[q] < tables.nfa.state_count
     if _ops.enabled:
-        _ops.ops += len(states)
-    return tables.min_word_from(k, q_min)
+        _ops.ops += len(states) + k * live
+    if not live:
+        return None
+    out = []
+    for first_step in tables.first_step[k:0:-1]:
+        a, q = first_step[q]
+        out.append(a)
+    return tuple(out)
 
 
 def build_run_stack(word: Word, nfa: Nfa, start: Union[Collection[int], int, None] = None) -> list:
@@ -87,32 +97,27 @@ def build_run_stack(word: Word, nfa: Nfa, start: Union[Collection[int], int, Non
     return replay_masks(nfa.images, word, state_mask(nfa.initial) if start is None else start)
 
 
-def next_word(
-    word: Word, length: int, stack: list, tables: MinWordTables
-) -> Optional[tuple[Word, int]]:
+def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``stack`` must hold ``build_run_stack(word, tables.nfa)``; the search
-    reads its entries ``0 .. length - 1`` and writes none. Returns the
-    successor with its pivot, the first position at which it differs from
-    ``word``, or None when ``word`` is the maximum. Runs the successor search
-    of the automaton's kernel.
+    ``stack`` must hold entries ``0 .. len(word) - 1`` of
+    ``build_run_stack(word, tables.nfa)``; the search reads those, no later
+    one, and writes none. Returns the successor with its pivot, the first
+    position at which it differs from ``word``, or None when ``word`` is the
+    maximum. Runs the successor search of the automaton's kernel.
     """
     if tables.rank_masks is None:
-        return next_word_lists(word, length, stack, tables)
-    return next_word_masks(word, length, stack, tables, tables.nfa.images, tables.rank_masks)
+        return next_word_lists(word, stack, tables)
+    return next_word_masks(word, stack, tables, tables.nfa.images, tables.rank_masks)
 
 
 def next_word_lists(
-    word: Word,
-    length: int,
-    stack: list[Collection[int]],
-    tables: MinWordTables,
+    word: Word, stack: list[Collection[int]], tables: MinWordTables
 ) -> Optional[tuple[Word, int]]:
     """The list kernel's successor search; ``stack`` holds state sets.
 
     Positions are retried from the last to the first. At position ``i``,
-    with ``k = length - i - 1``, each state of ``stack[i]`` walks its
+    with ``k = len(word) - i - 1``, each state of ``stack[i]`` walks its
     adjacency list to its own first live pair: :meth:`MinWordTables.add_level`'s
     rule, started at the first symbol above ``word[i]``. The target of least
     level-k rank stands for a pair, and the pair is live when that target is.
@@ -128,6 +133,7 @@ def next_word_lists(
     adjacency = nfa.adjacency
     n = nfa.state_count
     counting = _ops.enabled
+    length = len(word)
     for i in range(length - 1, -1, -1):
         k = length - i - 1
         key = tables.rank[k].__getitem__
@@ -154,7 +160,6 @@ def next_word_lists(
 
 def next_word_masks(
     word: Word,
-    length: int,
     stack: list[int],
     tables: MinWordTables,
     images: list[ChunkTables],
@@ -166,8 +171,8 @@ def next_word_masks(
     (:func:`~lexenum.automaton.chunk_images`) and ``rank_masks[k]`` the
     prefix rank masks of level k: entry ``r`` holds the states of level-k
     rank ``<= r``, and the last entry the live ones. Positions are retried
-    from the last to the first. At position ``i``, with ``k = length - i -
-    1``, each symbol above ``word[i]`` is tried in order: the first whose
+    from the last to the first. At position ``i``, with ``k = len(word) -
+    i - 1``, each symbol above ``word[i]`` is tried in order: the first whose
     image of ``stack[i]``, intersected with the live mask, is not empty is
     the successor symbol. A binary search over ``rank_masks[k]`` then finds
     the least rank ``r`` whose mask meets the image; every state of that
@@ -182,6 +187,7 @@ def next_word_masks(
     sigma = len(images)
     words = -(-len(images[0]) // 8) if images else 0
     counting = _ops.enabled
+    length = len(word)
     for i in range(length - 1, -1, -1):
         source = stack[i]
         if not source:
@@ -222,11 +228,13 @@ class CrossSectionCursor:
     previous output up to date and searches it for the successor, so
     per-output work is O(length * #transitions) regardless of history.
 
-    The cursor keeps the last output's run, its ``length + 1`` state sets
-    (O(length * |Q|) bytes), together with the length ``v`` of the prefix
-    whose sets are still valid. A call replays only ``last[v:]``, from
-    ``stack[v]``, and the successor search's pivot becomes the new ``v``:
-    the successor keeps the previous word before it. The replay happens at
+    The cursor keeps the last output's run, the ``length`` state sets reached
+    after its proper prefixes (O(length * |Q|) bytes), which are all the
+    successor search reads, together with the length ``v`` of the prefix
+    whose sets are still valid. A call replays only ``last[v:-1]``, from
+    ``stack[v]``, so the last letter is never replayed, and the successor
+    search's pivot becomes the new ``v``: the successor keeps the previous
+    word before it. The replay happens at
     the start of the call, so the worst gap is still one full replay plus
     one search, and a word nobody asks for is never replayed. The first
     call after the least word, and the first after :meth:`seek`, which drops
@@ -276,8 +284,8 @@ class CrossSectionCursor:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
             v, stack = self._valid, self._stack
-            stack[v + 1 :] = build_run_stack(self._last[v:], self.nfa, stack[v])[1:]
-            found = next_word(self._last, self.length, stack, self.tables)
+            stack[v + 1 :] = build_run_stack(self._last[v:-1], self.nfa, stack[v])[1:]
+            found = next_word(self._last, stack, self.tables)
             word, self._valid = found or (None, 0)
         if word is None:
             self._exhausted = True

@@ -53,9 +53,9 @@ liveness it checks.
 The core modules funnel every increment through the single ``ops`` object
 below. When counting is disabled (the default) they pay only tests of
 ``ops.enabled``, or of a search's local copy of it, and their observable
-behaviour is identical either way. A cursor's call makes at most five: one
+behaviour is identical either way. A cursor's call makes at most four: one
 in the replay, one on entering the search, one on the bit search's hit, and
-two in spelling the word (``min_word`` and ``MinWordTables.min_word_from``).
+one in spelling the word, all of which ``min_word`` does.
 On top of those come one per position the list search retries and two per
 symbol the bit search tries, for the symbol's image and its charge. The
 tables make one per level built; a radix run makes one at its start and one

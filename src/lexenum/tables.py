@@ -14,6 +14,10 @@ questions in O(1):
   first transition of that least word, a ``(symbol_id, next_state)`` pair.
   It is read only where the rank is live; other entries mean nothing.
 
+This module only builds the tables. Every reader is in
+:mod:`lexenum.enumeration`, whose :func:`~lexenum.enumeration.min_word`
+spells a least word by following the first steps down from level k.
+
 For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
 hold ``rank_masks[k]``, the prefix rank masks of level k: entry ``r`` is the
 mask of the states with ``rank[k][q] <= r``, for each live rank ``r``, so the
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Nfa, Word, state_mask
+from .automaton import Nfa, state_mask
 from .instrument import ops as _ops
 
 
@@ -229,20 +233,6 @@ class MinWordTables:
             _ops.ops += m * (m - 1).bit_length()
             if rank_masks is not None:
                 _ops.ops += m + (r + 1) * -(-n // 64)
-
-    def min_word_from(self, k: int, q: int) -> Optional[Word]:
-        """Spell the least length-k word accepted from ``q``, or None when
-        ``q``'s level-k rank is the sentinel. A spelled word is charged
-        ``k``, one unit per first-step entry read."""
-        if self.rank[k][q] == self.nfa.state_count:
-            return None
-        if _ops.enabled:
-            _ops.ops += k
-        out = []
-        for level in range(k, 0, -1):
-            a, q = self.first_step[level][q]
-            out.append(a)
-        return tuple(out)
 
     def __repr__(self) -> str:
         return f"MinWordTables(length={self.length}, states={self.nfa.state_count})"

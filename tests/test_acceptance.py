@@ -43,6 +43,7 @@ from lexenum import (
     cross_section,
     cross_section_bruteforce,
     measure_delays,
+    min_word,
     min_words_by_state,
     precompute,
     radix_words,
@@ -150,7 +151,7 @@ def test_criterion_2_tables_match_minimal_word_oracle():
         for k in range(MAX_LEN + 1):
             mins = min_words_by_state(nfa, k)
             for q in range(n):
-                assert tables.min_word_from(k, q) == mins[q]
+                assert min_word(k, (q,), tables) == mins[q]
                 accepts = mins[q] is not None
                 for qp in range(n):
                     expected = accepts and (mins[qp] is None or mins[q] <= mins[qp])

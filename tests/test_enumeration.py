@@ -49,6 +49,30 @@ class TestMinWord:
         tables = precompute(a1, 3)
         assert min_word(3, [], tables) is None
 
+    def test_charge_is_the_states_plus_the_letters_spelled(self, a1):
+        """On either kernel a hit is charged one unit per state the argmin
+        reads plus one per letter, a miss (no state live) the states alone,
+        and an empty set nothing."""
+        bit = compile_regex("(a|b|c)*b(a|c)*")
+        assert (a1.kernel, bit.kernel) == ("list", "bit")
+        for nfa in (a1, bit):
+            n = nfa.state_count
+            tables = precompute(nfa, 3)
+            misses = 0
+            for k in range(4):
+                least = min(w for w in min_words_by_state(nfa, k) if w is not None)
+                dead = [q for q in range(n) if tables.rank[k][q] == n]
+                misses += bool(dead)
+                for states, word, charge in (
+                    (range(n), least, n + k),
+                    (dead, None, len(dead)),
+                    ((), None, 0),
+                ):
+                    with counting() as counter:
+                        assert min_word(k, states, tables) == word
+                        assert counter.ops == charge
+            assert misses
+
 
 class TestBuildRunStack:
     def test_accepted_word(self, a1):
@@ -116,7 +140,7 @@ class TestNextWord:
         tables = tables or precompute(nfa, length)
         word = nfa.word_from_str(text)
         stack = build_run_stack(word, nfa)
-        return next_word(word, length, stack, tables)
+        return next_word(word, stack, tables)
 
     def test_successor_replaces_first_position(self, a1):
         assert self._next(a1, "ab", 2) == ((1, 0), 0)  # "ba", pivot 0
@@ -149,7 +173,7 @@ def test_successor_of_every_word_is_least_greater_member(seed, length):
     cursor = CrossSectionCursor(nfa, length, tables)
     for word in itertools.product(range(nfa.symbol_count), repeat=length):
         expected = next((w for w in members if w > word), None)
-        found = next_word(word, length, build_run_stack(word, nfa), tables)
+        found = next_word(word, build_run_stack(word, nfa), tables)
         if expected is None:
             assert found is None
         else:
@@ -261,7 +285,7 @@ class TestCursor:
         assert kernels == {"list", "bit"}
 
     def test_memory_stays_flat(self):
-        """The cursor holds one run of l+1 masks, replaced in place from the
+        """The cursor holds one run of l masks, replaced in place from the
         pivot on, so the traced heap after word 500 is within a small
         constant of its size after word 20."""
         nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
@@ -281,11 +305,11 @@ class TestCursor:
 
 
 def _assert_held_prefix_is_fresh(cursor):
-    """The held run has length + 1 entries, or only the initial set after
-    the least word, and its entries 0 .. v, v the valid prefix, equal those
-    of a run of the cursor's last word built from scratch."""
+    """The held run has length entries, or only the initial set after the
+    least word, and its entries 0 .. v, v the valid prefix, equal those of a
+    run of the cursor's last word built from scratch."""
     v = cursor._valid
-    assert len(cursor._stack) in (1, cursor.length + 1)
+    assert len(cursor._stack) in (1, cursor.length)
     held = cursor._stack[: v + 1]
     assert held == build_run_stack(cursor.current, cursor.nfa)[: v + 1]
 
@@ -371,9 +395,9 @@ class TestKernels:
             lists = replay(nfa, word, nfa.initial)
             masks = replay_masks(images, word, start)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
-            expected = next_word_lists(word, length, lists, tables)
-            assert next_word_masks(word, length, masks, tables, images, rank_masks) == expected
-            assert next_word(word, length, build_run_stack(word, nfa), tables) == expected
+            expected = next_word_lists(word, lists, tables)
+            assert next_word_masks(word, masks, tables, images, rank_masks) == expected
+            assert next_word(word, build_run_stack(word, nfa), tables) == expected
 
     def test_agree_on_every_short_word_of_the_corpus(self):
         rng = random.Random(20250809)  # the seed of acceptance criterion 1
@@ -482,9 +506,9 @@ class TestWideRankSearch:
                 probe = word[: i + 1] + (sigma - 1,) * (length - i - 1)
                 lists = replay(nfa, probe, nfa.initial)
                 masks = replay_masks(images, probe, state_mask(nfa.initial))
-                expected = next_word_lists(probe, length, lists, tables)
+                expected = next_word_lists(probe, lists, tables)
                 with counting() as counter:
-                    found = next_word_masks(probe, length, masks, tables, images, tables.rank_masks)
+                    found = next_word_masks(probe, masks, tables, images, tables.rank_masks)
                     charged = counter.ops
                 assert found == expected
                 if found is None or found[1] != i:
@@ -535,7 +559,7 @@ class TestWideRankSearch:
         for _ in range(20):
             word = tuple(rng.randrange(3) for _ in range(6))
             stack = build_run_stack(word, nfa)
-            assert next_word(word, 6, stack, tables) is None
+            assert next_word(word, stack, tables) is None
         assert list(cross_section(nfa, 6, tables)) == []
 
 
@@ -698,7 +722,7 @@ def test_golden_op_counts():
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
     assert report.preproc_ops == 2894
-    assert sum(r.op_count for r in report.records) == 7608
+    assert sum(r.op_count for r in report.records) == 4623
 
 
 def test_list_search_charge_does_not_depend_on_set_order():
@@ -719,7 +743,7 @@ def test_list_search_charge_does_not_depend_on_set_order():
     results = []
     for states in (forward, backward):
         with counting() as counter:
-            found = next_word_lists((0, 0), 2, [{0}, states, set()], tables)
+            found = next_word_lists((0, 0), [{0}, states], tables)
             results.append((found, counter.ops))
     assert results[0][0] == ((0, 1), 1)  # "ab", pivot 1
     assert results[0] == results[1]
@@ -743,3 +767,49 @@ def test_every_word_is_spelled_by_min_word(monkeypatch):
         calls.clear()
         words = list(CrossSectionCursor(nfa, 6))
         assert words and len(calls) == len(words)
+
+
+def test_the_last_letter_is_never_replayed(monkeypatch):
+    """The successor search reads the sets after the word's proper prefixes
+    only, so a call replays positions v .. l - 2 of the held word, l - 1 - v
+    of them: v is the previous pivot, or 0 after the least word and after a
+    seek. At l = 1 no call replays a letter."""
+    replayed = []
+    build = enumeration.build_run_stack
+
+    def counted(word, nfa, start=None):
+        replayed.append(len(word))
+        return build(word, nfa, start)
+
+    monkeypatch.setattr(enumeration, "build_run_stack", counted)
+    bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
+    assert (bit.kernel, lists.kernel) == ("bit", "list")
+    for nfa in (bit, lists):
+        for length in (0, 1, 2, 6):
+            words = cross_section_bruteforce(nfa, length)
+            # Each length but 0 runs successor searches.
+            assert len(words) >= 2 or not length
+            seek_at = max(len(words) // 2, 1)
+            start = words[len(words) // 4] if words else (0,) * length
+            cursor = CrossSectionCursor(nfa, length)
+            replayed.clear()
+            got, expected, pivot = [], 0, None
+            while True:
+                if len(got) == seek_at:
+                    cursor.seek(start)
+                    pivot = 0
+                prev = cursor.current
+                word = cursor.next()
+                if pivot is not None:
+                    expected += max(length - 1 - pivot, 0)
+                if word is EXHAUSTED:
+                    break
+                got.append(word)
+                pivot = 0 if prev is None else next(
+                    i for i, (a, b) in enumerate(zip(prev, word)) if a != b
+                )
+            assert got == words[:seek_at] + [w for w in words if w > start]
+            assert sum(replayed) == expected
+            if length <= 1:
+                assert not any(replayed)

@@ -12,6 +12,7 @@ from lexenum import (
     build_nfa,
     compile_regex,
     cross_section,
+    min_word,
     min_words_by_state,
     parse_automaton,
     precompute,
@@ -65,12 +66,12 @@ def test_ranks_are_dense_with_sentinel_on_dead_states():
 
 def test_spelled_words_a1(a1):
     tables = precompute(a1, 2)
-    assert tables.min_word_from(1, 0) == (1,)  # "b"
-    assert tables.min_word_from(1, 1) == (0,)  # "a"
-    assert tables.min_word_from(2, 0) == (0, 1)  # "ab"
-    assert tables.min_word_from(2, 1) == (0, 0)  # "aa"
-    assert tables.min_word_from(0, 0) is None
-    assert tables.min_word_from(0, 1) == ()
+    assert min_word(1, (0,), tables) == (1,)  # "b"
+    assert min_word(1, (1,), tables) == (0,)  # "a"
+    assert min_word(2, (0,), tables) == (0, 1)  # "ab"
+    assert min_word(2, (1,), tables) == (0, 0)  # "aa"
+    assert min_word(0, (0,), tables) is None
+    assert min_word(0, (1,), tables) == ()
 
 
 def test_no_final_states_leaves_tables_empty():
@@ -137,7 +138,7 @@ def test_spelled_words_match_bruteforce():
         for k in range(6):
             mins = min_words_by_state(nfa, k)
             for q in range(nfa.state_count):
-                assert tables.min_word_from(k, q) == mins[q]
+                assert min_word(k, (q,), tables) == mins[q]
 
 
 def test_order_table_matches_bruteforce_predicate():
