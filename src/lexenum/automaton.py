@@ -15,11 +15,13 @@ Two kernels run the subset step. The list kernel holds a state set as a
 set of states: :func:`replay` runs the step over a whole word and returns a
 new list of sets, one per prefix, and :func:`delta_step` is its one-symbol
 case. The bit kernel holds a state set as an int mask, bit ``q`` for state
-``q``, and takes the image of a mask on a symbol as an OR of table lookups,
-two per non-zero byte of the mask, however many states it holds (the "Four
-Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
-used for NFA simulation by Navarro and Raffinot, 2001); :func:`replay_masks`
-is its replay. An automaton is on the bit kernel when
+``q``. Its subset step is :func:`mask_image`, which takes the image of a
+mask on a symbol as an OR of table lookups, two per non-zero byte of the
+mask, however many states it holds (the "Four Russians" table trick of
+Arlazarov, Dinic, Kronrod and Faradzev, 1970, as used for NFA simulation by
+Navarro and Raffinot, 2001). Its replay, :func:`replay_masks`, loops that
+step over a word, and its successor search takes the same step for each
+symbol it tries. An automaton is on the bit kernel when
 ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <= #transitions``
 (:func:`fits_bit_kernel`): a retried successor position then costs about
 #transitions either way. The :class:`Nfa` constructor makes the choice; no
@@ -335,43 +337,45 @@ def replay(nfa: Nfa, word: Sequence[int], start: Collection[int]) -> list[Collec
     return stack
 
 
+def mask_image(images: list[ChunkTables], mask: int, symbol: int) -> int:
+    """The bit kernel's subset step: the image of the mask ``mask`` on
+    ``symbol`` under the tables ``images`` from :func:`chunk_images`.
+
+    The image is the OR, over the mask's non-zero bytes, of the two nibble
+    tables' entries. Each image is charged as it is taken: one unit per byte
+    of the mask, plus ``ceil(|Q|/64)`` per lookup or OR, two of each per
+    non-zero byte.
+    """
+    tables = images[symbol]
+    nbytes = len(tables)
+    if nbytes == 1:
+        # A one-byte mask needs no byte string and no chunk loop; a zero
+        # byte's lookups read entry 0.
+        ((low, high),) = tables
+        image = low[mask & 15] | high[mask >> 4]
+    else:
+        image = 0
+        # This loop is the per-output hot path.
+        for (low, high), b in zip(tables, mask.to_bytes(nbytes, "little")):
+            if b:
+                image |= low[b & 15] | high[b >> 4]
+    if _ops.enabled:
+        _ops.ops += nbytes + 4 * -(-nbytes // 8) * (nbytes - mask.to_bytes(nbytes, "little").count(0))
+    return image
+
+
 def replay_masks(images: list[ChunkTables], word: Sequence[int], start: int) -> list[int]:
     """The bit kernel's :func:`replay`: the masks reached from the mask
     ``start`` after each prefix of ``word``, under the tables ``images``
     from :func:`chunk_images`.
 
-    Returns a new list of ``len(word) + 1`` masks, ``start`` first. The image
-    of a mask is the OR, over its non-zero bytes, of the two nibble tables'
-    entries. The call is charged once, after the loop: per position, one
-    unit per byte of the source mask, plus ``ceil(|Q|/64)`` per lookup or
-    OR, two of each per non-zero byte.
+    Returns a new list of ``len(word) + 1`` masks, ``start`` first. Each
+    position takes one :func:`mask_image` step, which charges it.
     """
     stack = [start]
-    if not word:
-        return stack
-    nbytes = len(images[0])
-    source = start
-    if nbytes == 1:
-        # A one-byte mask needs no byte string and no chunk loop; a zero
-        # byte's lookups read entry 0.
-        for a in word:
-            ((low, high),) = images[a]
-            source = low[source & 15] | high[source >> 4]
-            stack.append(source)
-    else:
-        for a in word:
-            image = 0
-            # This loop is the per-output hot path.
-            for (low, high), b in zip(images[a], source.to_bytes(nbytes, "little")):
-                if b:
-                    image |= low[b & 15] | high[b >> 4]
-            stack.append(image)
-            source = image
-    if _ops.enabled:
-        per_byte = 4 * -(-nbytes // 8)
-        _ops.ops += sum(
-            nbytes + per_byte * (nbytes - m.to_bytes(nbytes, "little").count(0)) for m in stack[:-1]
-        )
+    for a in word:
+        start = mask_image(images, start, a)
+        stack.append(start)
     return stack
 
 

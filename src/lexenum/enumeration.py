@@ -36,6 +36,7 @@ from .automaton import (  # noqa: F401
     Nfa,
     Word,
     delta_step,
+    mask_image,
     replay,
     replay_masks,
     state_mask,
@@ -178,9 +179,9 @@ def next_word_masks(
     the least rank ``r`` whose mask meets the image; every state of that
     intersection has the least rank, so the lowest one stands for it, and
     :func:`min_word` spells the suffix from it alone. That is the least
-    (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol tried is
-    charged as a replay position (its image comes from
-    :func:`~lexenum.automaton.replay_masks`) plus ``ceil(|Q|/64)`` for the
+    (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol tried
+    takes one :func:`~lexenum.automaton.mask_image` step, the replay's step,
+    which charges its image, and is charged ``ceil(|Q|/64)`` for the
     intersection; each probe of the binary search, at most ``ceil(log2 m)``
     over ``m`` masks, is charged ``ceil(|Q|/64)`` for its intersection.
     """
@@ -196,7 +197,7 @@ def next_word_masks(
         masks = rank_masks[k]
         live = masks[-1]
         for a in range(word[i] + 1, sigma):
-            hit = replay_masks(images, (a,), source)[1] & live
+            hit = mask_image(images, source, a) & live
             if counting:
                 _ops.ops += words
             if hit:
@@ -215,7 +216,7 @@ def next_word_masks(
                 if counting:
                     _ops.ops += probes * words
                 q = (hit & -hit).bit_length() - 1
-                return word[:i] + (a,) + min_word(k, (q,), tables), i
+                return word[:i] + (a, *min_word(k, (q,), tables)), i
     return None
 
 

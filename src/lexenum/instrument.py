@@ -3,8 +3,9 @@
 One unit is charged per transition inspected, per state-set insertion, per
 table cell read or written, and per word-order comparison. On the list
 kernel a replay position charges one unit per state of its source set and
-one per target it visits; on either kernel a replay is charged once per
-call, after its loop, for all its positions. Wherever a least length-k word
+one per target it visits, and a replay is charged once per call, after its
+loop, for all its positions; on the bit kernel each image is charged as it
+is taken. Wherever a least length-k word
 is spelled, for the cursor's first word or a successor's suffix, the charge
 is ``|states| + k``: one unit per state the least-rank state is picked
 from, and one per letter spelled; a miss, no state live, is charged
@@ -53,11 +54,14 @@ liveness it checks.
 The core modules funnel every increment through the single ``ops`` object
 below. When counting is disabled (the default) they pay only tests of
 ``ops.enabled``, or of a search's local copy of it, and their observable
-behaviour is identical either way. A cursor's call makes at most four: one
-in the replay, one on entering the search, one on the bit search's hit, and
-one in spelling the word, all of which ``min_word`` does.
+behaviour is identical either way. A cursor's call makes, besides its
+replay's, at most three: one on entering the search, one on the bit search's
+hit, and one in spelling the word, which ``min_word`` does. The replay makes
+one on the list kernel and one per position on the bit kernel, where each
+image is a :func:`~lexenum.automaton.mask_image` step that charges itself.
 On top of those come one per position the list search retries and two per
-symbol the bit search tries, for the symbol's image and its charge. The
+symbol the bit search tries, one in the symbol's image step and one for its
+intersection's charge. The
 tables make one per level built; a radix run makes one at its start and one
 per length.
 :func:`counting` blocks nest; what an inner block counts also reaches the

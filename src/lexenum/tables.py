@@ -56,6 +56,8 @@ preprocessing.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .automaton import Nfa, state_mask
@@ -155,10 +157,10 @@ class MinWordTables:
         level ``length``'s; since a level is a function of the rank row below
         it, equal rows make every later level equal too, so the tables have
         settled and the predecessor lists are dropped. On the bit kernel the
-        ranked states are then taken rank by rank, in the sorted order: each
-        rank's states make one mask, ORed into the masks of the ranks before
-        it, so the level's ``rank_masks`` entry ``r`` holds the states of rank
-        ``<= r``.
+        states of each rank make one group mask, and the level's
+        ``rank_masks`` entry is the running OR of the groups in rank order, so
+        its entry ``r`` holds the states of rank ``<= r``; a level with no
+        live state gets ``[0]``.
 
         With m live states such a level is charged one unit per predecessor
         entry of the previous live states, the pairs and targets visited, 2|Q|
@@ -210,20 +212,11 @@ class MinWordTables:
         self.rank.append(cur_rank)
         rank_masks = self.rank_masks
         if rank_masks is not None:
-            # Each rank's states make one group mask, ORed into the prefix
-            # of the ranks below it when the next rank starts.
-            masks = []
-            prefix = group = 0
-            last_key = keys[0][0] if keys else None
-            for key, q in keys:
-                if key != last_key:
-                    prefix |= group
-                    masks.append(prefix)
-                    group = 0
-                    last_key = key
-                group |= 1 << q
-            masks.append(prefix | group)
-            rank_masks.append(masks)
+            # groups[r] is the mask of the states of rank r.
+            groups = [0] * (r + 1)
+            for _, q in keys:
+                groups[cur_rank[q]] |= 1 << q
+            rank_masks.append(list(accumulate(groups, or_)) or [0])
         if cur_rank == prev_rank:
             self._pred = None
         self.length += 1

@@ -12,7 +12,7 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
-from lexenum.automaton import replay
+from lexenum.automaton import chunk_images, mask_image, replay, state_mask
 from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1
 
@@ -240,6 +240,43 @@ class TestDeltaStep:
                 tracemalloc.stop()
             assert [set(s) for s in stack] == [{q} for q in range(31)]
         assert peaks[1] <= 2 * peaks[0], peaks
+
+
+class TestMaskImage:
+    def test_matches_the_naive_union_and_charges_each_byte(self):
+        """The image of a mask on a symbol is the mask of the union of its
+        states' targets, read off their adjacency rows, and the step charges
+        ceil(|Q|/8) plus 4 * ceil(|Q|/64) per non-zero byte of the mask: on
+        one-byte masks and on the chunk loop's wider ones alike."""
+        rng = random.Random(53)
+        for n in (0, 1, 7, 8, 9, 64, 65, 130):
+            nbytes = -(-n // 8)
+            words = -(-n // 64)
+            for _ in range(8):
+                sigma = rng.randint(1, 4)
+                if n:
+                    nfa = random_automaton(rng, n, sigma, rng.randint(0, 4 * n))
+                else:
+                    nfa = build_nfa("abcd"[:sigma], 0, [], [], [])
+                images = chunk_images(nfa)
+                for _ in range(12):
+                    states = rng.sample(range(n), rng.choice((rng.randint(0, min(n, 3)), rng.randint(0, n))))
+                    for mask in (0, (1 << n) - 1, state_mask(states)):
+                        for a in range(sigma):
+                            expected = {
+                                t
+                                for q in range(n)
+                                if mask >> q & 1
+                                for b, targets in nfa.adjacency[q]
+                                if b == a
+                                for t in targets
+                            }
+                            with counting() as ops:
+                                image = mask_image(images, mask, a)
+                                charged = ops.ops
+                            assert image == state_mask(expected)
+                            nonzero = sum(1 for c in range(nbytes) if mask >> 8 * c & 255)
+                            assert charged == nbytes + 4 * words * nonzero
 
 
 def test_random_automaton_respects_requested_sizes():

@@ -25,7 +25,7 @@ from lexenum import (
     random_automaton,
 )
 from lexenum import enumeration
-from lexenum.automaton import chunk_images, replay, replay_masks, state_mask
+from lexenum.automaton import chunk_images, mask_image, replay, replay_masks, state_mask
 from lexenum.enumeration import next_word_lists, next_word_masks
 from lexenum.instrument import counting
 from helpers import corpus_automaton, make_a1, mask_states, prefix_rank_masks, tables_snapshot
@@ -96,7 +96,7 @@ class TestBuildRunStack:
         initial set gives, which is the naive union at each position: on the
         list kernel as duplicate-free sets with a charge of |source| plus the
         targets visited per position, on the bit kernel as masks of the same
-        sets."""
+        sets with a charge of one mask_image step per position."""
         rng = random.Random(79)
         dead_ends = live = 0
         for _ in range(300):
@@ -127,6 +127,12 @@ class TestBuildRunStack:
                 assert charge == naive_charge
             else:
                 assert [mask_states(s) for s in stack] == [sorted(s) for s in expected]
+                steps = 0
+                for source, a in zip(stack, word):
+                    with counting() as ops:
+                        mask_image(nfa.images, source, a)
+                        steps += ops.ops
+                assert charge == steps
             if length:
                 if expected[-1]:
                     live += 1
@@ -517,7 +523,7 @@ class TestWideRankSearch:
                 tried = 0
                 for a in range(probe[i] + 1, found[0][i] + 1):
                     with counting() as counter:
-                        replay_masks(images, (a,), masks[i])
+                        mask_image(images, masks[i], a)
                         tried += counter.ops + words_per_and
                 m = len(tables.rank_masks[k])
                 probes, rest = divmod(charged - tried - (1 + k), words_per_and)
@@ -813,3 +819,51 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
             assert sum(replayed) == expected
             if length <= 1:
                 assert not any(replayed)
+
+
+def test_the_bit_search_takes_one_image_per_symbol_tried(monkeypatch):
+    """Each symbol the bit search tries costs one mask_image call, and it
+    makes no other. At a retried position i whose set is not empty it tries
+    every symbol above word[i] when i is above the pivot, and the symbols up
+    to the successor's letter at the pivot; after the last word every
+    position is above the pivot. The sets come from the list kernel's
+    replay."""
+    calls = []
+    step = enumeration.mask_image
+
+    def counted(images, mask, symbol):
+        calls.append(symbol)
+        return step(images, mask, symbol)
+
+    monkeypatch.setattr(enumeration, "mask_image", counted)
+    wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    narrow = compile_regex("(a|b|c)*b(a|c)*")
+    for nfa in (wide, narrow):
+        assert nfa.kernel == "bit"
+        sigma = nfa.symbol_count
+        for length in (1, 2, 6):
+            words = cross_section_bruteforce(nfa, length)
+            assert words
+            seek_at = max(len(words) // 2, 1)
+            start = words[len(words) // 4]
+            cursor = CrossSectionCursor(nfa, length)
+            calls.clear()
+            got, expected = [], 0
+            while True:
+                if len(got) == seek_at:
+                    cursor.seek(start)
+                prev = cursor.current
+                word = cursor.next()
+                if prev is not None:
+                    sets = replay(nfa, prev, nfa.initial)
+                    pivot = -1 if word is EXHAUSTED else next(
+                        i for i, (a, b) in enumerate(zip(prev, word)) if a != b
+                    )
+                    for i in range(max(pivot, 0), length):
+                        if sets[i]:
+                            expected += (word[i] if i == pivot else sigma - 1) - prev[i]
+                if word is EXHAUSTED:
+                    break
+                got.append(word)
+            assert got == words[:seek_at] + [w for w in words if w > start]
+            assert expected and len(calls) == expected
