@@ -12,6 +12,7 @@ import random
 import string
 import time
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Callable, Iterator, Optional, Union
 
 from .automaton import Nfa, build_nfa
@@ -107,8 +108,7 @@ def _measure(
             preproc_ops=mark,
             preproc_nanos=preproc_nanos,
         )
-        index = 0
-        while limit is None or index < limit:
+        for index in count() if limit is None else range(limit):
             t_prev = time.perf_counter_ns()
             word = cursor.next()
             now = time.perf_counter_ns()
@@ -116,7 +116,6 @@ def _measure(
             if word is EXHAUSTED:
                 break
             mark = ops.ops
-            index += 1
 
 
 def measure_delays(

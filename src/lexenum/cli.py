@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from contextlib import closing
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional
 
 from .automaton import AutomatonError, Nfa
@@ -138,14 +138,9 @@ def _printable(nfa: Nfa) -> Nfa:
 
 
 def _stream_words(nfa: Nfa, words, limit: Optional[int]) -> None:
-    out = sys.stdout
-    emitted = 0
-    for word in words:
-        out.write(nfa.format_word(word))
-        out.write("\n")
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            break
+    write = sys.stdout.write
+    for word in islice(words, limit):
+        write(nfa.format_word(word) + "\n")
 
 
 def _cmd_enum(args) -> int:
@@ -185,11 +180,10 @@ def _cmd_bench(args) -> int:
             return _load_automaton(args)
 
     # Each row is written as it is measured, so no run holds its records.
-    out = sys.stdout
+    write = sys.stdout.write
     with closing(_measure(factory, args.length, args.limit)) as rows:
         for line in chain(next(rows).csv_lines(), map(_csv_row, rows)):
-            out.write(line)
-            out.write("\n")
+            write(line + "\n")
     return 0
 
 

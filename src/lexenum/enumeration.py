@@ -182,8 +182,9 @@ def next_word_masks(
     (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol tried
     takes one :func:`~lexenum.automaton.mask_image` step, the replay's step,
     which charges its image, and is charged ``ceil(|Q|/64)`` for the
-    intersection; each probe of the binary search, at most ``ceil(log2 m)``
-    over ``m`` masks, is charged ``ceil(|Q|/64)`` for its intersection.
+    intersection. The hit is charged the binary search's bound over its
+    ``m`` masks, ``ceil(log2 m)`` intersections of ``ceil(|Q|/64)`` each,
+    whatever path the search takes.
     """
     sigma = len(images)
     words = -(-len(images[0]) // 8) if images else 0
@@ -204,17 +205,15 @@ def next_word_masks(
                 # masks[hi] meets the image and no mask below lo does; hit
                 # is the image's intersection with masks[hi].
                 lo, hi = 0, len(masks) - 1
-                probes = 0
+                if counting:
+                    _ops.ops += hi.bit_length() * words
                 while lo < hi:
                     mid = (lo + hi) // 2
-                    probes += 1
                     least = hit & masks[mid]
                     if least:
                         hi, hit = mid, least
                     else:
                         lo = mid + 1
-                if counting:
-                    _ops.ops += probes * words
                 q = (hit & -hit).bit_length() - 1
                 return word[:i] + (a, *min_word(k, (q,), tables)), i
     return None
@@ -224,9 +223,11 @@ class CrossSectionCursor:
     """Pull-based enumerator of one cross-section, least word first.
 
     Every call to :meth:`next` returns the next accepted word of length
-    ``length`` or :data:`EXHAUSTED` (sticky once returned). The first call
-    costs one least-word lookup; each later call brings the run of the
-    previous output up to date and searches it for the successor, so
+    ``length`` or :data:`EXHAUSTED` (sticky once returned). Iterating the
+    cursor yields what those calls return before :data:`EXHAUSTED`; an
+    iterator that has ended stays ended, even after a :meth:`seek`. The
+    first call costs one least-word lookup; each later call brings the run
+    of the previous output up to date and searches it for the successor, so
     per-output work is O(length * #transitions) regardless of history.
 
     The cursor keeps the last output's run, the ``length`` state sets reached
@@ -318,11 +319,7 @@ class CrossSectionCursor:
         self._valid = 0
 
     def __iter__(self) -> Iterator[Word]:
-        while True:
-            word = self.next()
-            if word is EXHAUSTED:
-                return
-            yield word
+        return iter(self.next, EXHAUSTED)
 
 
 def cross_section(nfa: Nfa, length: int, tables: Optional[MinWordTables] = None) -> Iterator[Word]:
@@ -338,7 +335,8 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     it, which builds no level beyond the last word taken. Besides
     ``max_length``, the run stops by itself at the first length k at which no
     state reachable from the initial set accepts a length-k word; the
-    reachable states are collected once, in O(|Q| + #transitions). That rule
+    reachable states are collected once, in O(|Q| + #transitions), charged
+    |Q| plus one unit per adjacency pair and per target visited. That rule
     is exact: a reachable state accepting a longer word reaches, after the
     extra letters, a reachable state accepting a length-k word, so no longer
     word exists; and every accepted word of length >= k runs through a

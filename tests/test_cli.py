@@ -9,6 +9,7 @@ import pytest
 
 from lexenum import cli
 from lexenum.cli import main
+from lexenum.enumeration import CrossSectionCursor
 from lexenum.instrument import counting
 
 A1_TEXT = """\
@@ -309,3 +310,46 @@ class TestBench:
                 main(["bench", "--random", spec, "--length", "2"])
             assert excinfo.value.code == 2, spec
             assert "--random" in capsys.readouterr().err, spec
+
+
+class _RecordingStdout:
+    """Stand-in for stdout that keeps the text of each write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestOneWritePerLine:
+    """Each line goes out in one write, and enum pulls no word past its
+    limit."""
+
+    def test_enum_writes_and_pulls_exactly_limit_words(self, monkeypatch):
+        calls = []
+        step = CrossSectionCursor.next
+
+        def counted(self):
+            calls.append(1)
+            return step(self)
+
+        monkeypatch.setattr(CrossSectionCursor, "next", counted)
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["enum", "--regex", "(a|b|c)*b(a|c)*", "--length", "6", "--limit", "3"])
+        assert code == 0
+        assert out.writes == ["aaaaab\n", "aaaaba\n", "aaaabb\n"]
+        assert len(calls) == 3
+
+    def test_bench_writes_each_csv_line_whole(self, monkeypatch):
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["bench", "--regex", "(a|b)*", "--length", "4", "--limit", "2"]) == 0
+        assert len(out.writes) == 4
+        for text in out.writes:
+            assert text.endswith("\n") and text.count("\n") == 1, out.writes

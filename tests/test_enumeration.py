@@ -252,6 +252,33 @@ class TestCursor:
             cursor.seek((0, 1, 0))
             assert cursor.next() == next(w for w in cross_section(nfa, 3) if w > (0, 1, 0))
 
+    def test_iteration_is_repeated_next_up_to_exhausted(self, a1):
+        """On both kernels an iterator over a cursor yields what repeated
+        next() calls return before EXHAUSTED; after seek(w) a new iterator
+        yields exactly the words after w; and an iterator that has ended
+        stays ended after a later seek on its cursor."""
+        tiny = compile_regex("(a|b|c)*b(a|c)*")
+        wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+        assert (a1.kernel, tiny.kernel, wide.kernel) == ("list", "bit", "bit")
+        for nfa in (a1, tiny, wide):
+            length = 5
+            stepped = CrossSectionCursor(nfa, length)
+            expected = []
+            while (word := stepped.next()) is not EXHAUSTED:
+                expected.append(word)
+            assert len(expected) >= 5
+            cursor = CrossSectionCursor(nfa, length)
+            ended = iter(cursor)
+            assert list(ended) == expected
+            sigma = nfa.symbol_count
+            starts = expected[::2] + [(0,) * length, (sigma - 1,) * length]
+            for start in starts:
+                cursor.seek(start)
+                assert list(iter(cursor)) == [w for w in expected if w > start]
+            cursor.seek(expected[0])
+            assert next(ended, None) is None
+            assert next(iter(cursor)) == expected[1]
+
     def test_held_run_stays_coherent_under_seek(self):
         """After every call the held run's valid prefix equals the same
         prefix of a fresh run of the last word, and after every seek, to a
@@ -493,10 +520,10 @@ class TestWideRankSearch:
         """Each position i of each word is retried on its own: the letters
         after it are the last symbol, above which no symbol is tried. Where
         the bit search's successor pivots at i, its charge is each tried
-        symbol's image and intersection, one ceil(|Q|/64) AND per binary
-        search probe, between floor(log2 m) and ceil(log2 m) of them over
-        the level's m prefix masks, and 1 + k for the suffix; that is at
-        most ceil(log2 m) + 1 ANDs for the hit, however many states the
+        symbol's image and intersection, the binary search's bound of
+        ceil(log2 m) ANDs of ceil(|Q|/64) over the level's m prefix masks,
+        whatever path it takes, and 1 + k for the suffix; that is exactly
+        ceil(log2 m) + 1 ANDs for the hit, however many states the
         intersection holds."""
         nfa, length = self.NFA, self.LENGTH
         sigma = nfa.symbol_count
@@ -528,7 +555,7 @@ class TestWideRankSearch:
                 m = len(tables.rank_masks[k])
                 probes, rest = divmod(charged - tried - (1 + k), words_per_and)
                 assert rest == 0
-                assert m.bit_length() - 1 <= probes <= (m - 1).bit_length()
+                assert probes == (m - 1).bit_length()
                 wide_hits += m >= 64
         assert wide_hits >= 20, wide_hits
 
