@@ -11,17 +11,17 @@ list kernel's subset step finds one symbol in it by binary search. Automata
 on the bit kernel also get chunk image tables (see :func:`chunk_images`),
 derived from the rows.
 
-Two kernels run the subset step. The list kernel holds a state set as a
-set of states: :func:`replay` runs the step over a whole word and returns a
-new list of sets, one per prefix, and :func:`delta_step` is its one-symbol
-case. The bit kernel holds a state set as an int mask, bit ``q`` for state
-``q``. Its subset step is :func:`mask_image`, which takes the image of a
-mask on a symbol as an OR of table lookups, two per non-zero byte of the
-mask, however many states it holds (the "Four Russians" table trick of
-Arlazarov, Dinic, Kronrod and Faradzev, 1970, as used for NFA simulation by
-Navarro and Raffinot, 2001). Its replay, :func:`replay_masks`, loops that
-step over a word, and its successor search takes the same step for each
-symbol it tries. An automaton is on the bit kernel when
+Two kernels run the subset step, and each is exactly one step, from one
+state set on one symbol. The list kernel holds a state set as a set of
+states, and its step is :func:`delta_step`. The bit kernel holds a state set
+as an int mask, bit ``q`` for state ``q``. Its step is :func:`mask_image`,
+which takes the image of a mask on a symbol as an OR of table lookups, two
+per non-zero byte of the mask, however many states it holds (the "Four
+Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
+used for NFA simulation by Navarro and Raffinot, 2001). The one replay loop,
+:func:`lexenum.enumeration.build_run_stack`, takes a kernel's step once per
+letter, and the bit kernel's successor search takes it once per symbol it
+tries. An automaton is on the bit kernel when
 ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <= #transitions``
 (:func:`fits_bit_kernel`): a retried successor position then costs about
 #transitions either way. The :class:`Nfa` constructor makes the choice; no
@@ -295,46 +295,38 @@ def state_mask(states: Iterable[int]) -> int:
     return sum(map((1).__lshift__, states))
 
 
-def replay(nfa: Nfa, word: Sequence[int], start: Collection[int]) -> list[Collection[int]]:
-    """The state sets reached from ``start``, a duplicate-free collection of
-    states, after each prefix of ``word``.
+def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
+    """The list kernel's subset step: every target reachable on ``symbol``
+    from ``source``, a duplicate-free collection of states, as a new set.
 
-    Returns a new list of ``len(word) + 1`` entries: entry 0 is ``start``
-    itself, and entry ``i`` a new set of the states reached after reading
-    ``word[:i]``. Each source state finds the letter in its adjacency row, a
-    row of one pair by one comparison and a longer row by binary search. The
-    call is charged once, after the loop: per position, the size of the
-    source set plus the targets visited, which is the work up to the
+    Each source state finds the symbol in its adjacency row, a row of one
+    pair by one comparison and a longer row by binary search. Charged
+    ``len(source)`` plus the targets visited, which is the work up to the
     O(log |row|) comparisons of each search.
     """
     adjacency = nfa.adjacency
-    stack = [start]
-    sources = start
-    for a in word:
-        probe = (a,)
-        reached: set[int] = set()
-        # This loop is the per-output hot path.
-        for q in sources:
-            row = adjacency[q]
-            # Most rows hold one pair; a search only pays off beyond that.
-            if len(row) > 1:
-                i = bisect_left(row, probe)
-                if i == len(row):
-                    continue
-                b, targets = row[i]
-            elif row:
-                b, targets = row[0]
-            else:
+    probe = (symbol,)
+    reached: set[int] = set()
+    visited = 0
+    # This loop is the per-output hot path.
+    for q in source:
+        row = adjacency[q]
+        # Most rows hold one pair; a search only pays off beyond that.
+        if len(row) > 1:
+            i = bisect_left(row, probe)
+            if i == len(row):
                 continue
-            if b == a:
-                reached.update(targets)
-        stack.append(reached)
-        sources = reached
+            b, targets = row[i]
+        elif row:
+            b, targets = row[0]
+        else:
+            continue
+        if b == symbol:
+            reached.update(targets)
+            visited += len(targets)
     if _ops.enabled:
-        _ops.ops += sum(
-            len(s) + sum(len(nfa.targets(q, a)) for q in s) for s, a in zip(stack, word)
-        )
-    return stack
+        _ops.ops += len(source) + visited
+    return reached
 
 
 def mask_image(images: list[ChunkTables], mask: int, symbol: int) -> int:
@@ -362,27 +354,3 @@ def mask_image(images: list[ChunkTables], mask: int, symbol: int) -> int:
     if _ops.enabled:
         _ops.ops += nbytes + 4 * -(-nbytes // 8) * (nbytes - mask.to_bytes(nbytes, "little").count(0))
     return image
-
-
-def replay_masks(images: list[ChunkTables], word: Sequence[int], start: int) -> list[int]:
-    """The bit kernel's :func:`replay`: the masks reached from the mask
-    ``start`` after each prefix of ``word``, under the tables ``images``
-    from :func:`chunk_images`.
-
-    Returns a new list of ``len(word) + 1`` masks, ``start`` first. Each
-    position takes one :func:`mask_image` step, which charges it.
-    """
-    stack = [start]
-    for a in word:
-        start = mask_image(images, start, a)
-        stack.append(start)
-    return stack
-
-
-def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
-    """Every target reachable from ``source`` on ``symbol``, as a new set.
-
-    The one-symbol case of :func:`replay`, charged ``len(source)`` plus the
-    number of targets visited.
-    """
-    return replay(nfa, (symbol,), source)[1]

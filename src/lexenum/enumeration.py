@@ -3,25 +3,27 @@
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions). Besides tables it only
-reads, it keeps the last output word and that word's run: the length state
-sets reached after each of its proper prefixes (O(length * |Q|) bytes), the
-sets the successor search reads, of which a prefix is still valid. A
-successor keeps the previous word up to the position the search changed, the
-pivot, so the next call replays only from there (Ackerman and Shallit,
-*Efficient enumeration of words in regular languages*, TCS 2009). The held run never grows, so memory stays flat no
-matter how many words are produced. The tables carry the automaton they were
-built for, and a cursor refuses tables of another automaton.
+reads, it keeps the last output word and a prefix of that word's run, the
+state sets reached after each of its proper prefixes (O(length * |Q|)
+bytes), which the successor search reads. A successor keeps the previous
+word up to the position the search changed, the pivot, so the cursor keeps
+the sets up to the pivot and the next call replays only from there
+(Ackerman and Shallit, *Efficient enumeration of words in regular
+languages*, TCS 2009). The held run never grows beyond ``length`` sets, so
+memory stays flat no matter how many words are produced. The tables carry
+the automaton they were built for, and a cursor refuses tables of another
+automaton.
 
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run: a set of states per position on the list kernel, an int mask on the bit
-kernel. :func:`build_run_stack` and :func:`next_word` pass each automaton to
-its kernel's replay and successor search, :func:`next_word_lists` or
-:func:`next_word_masks`. Both searches take the least (symbol, rank) pair
-above the retried letter, ranked by the tables' ranks alone, the key
-``MinWordTables.add_level`` ranks states by, so both give the same successor
-and the same pivot. Every least word, the cursor's first and each suffix,
-is spelled by :func:`min_word`, which is also the only reader of the tables'
-first steps.
+kernel. :func:`build_run_stack`, the one replay loop, takes the kernel's
+subset step once per letter, and :func:`next_word` runs the kernel's
+successor search, :func:`next_word_lists` or :func:`next_word_masks`. Both
+searches take the least (symbol, rank) pair above the retried letter, ranked
+by the tables' ranks alone, the key ``MinWordTables.add_level`` ranks states
+by, so both give the same successor and the same pivot. Every least word,
+the cursor's first and each suffix, is spelled by :func:`min_word`, which is
+also the only reader of the tables' first steps.
 """
 
 from __future__ import annotations
@@ -30,17 +32,7 @@ from bisect import bisect_left
 from itertools import count
 from typing import Collection, Iterator, Optional, Union
 
-# delta_step stays importable from here for callers that wrap this module's names.
-from .automaton import (  # noqa: F401
-    ChunkTables,
-    Nfa,
-    Word,
-    delta_step,
-    mask_image,
-    replay,
-    replay_masks,
-    state_mask,
-)
+from .automaton import ChunkTables, Nfa, Word, delta_step, mask_image, state_mask
 from .instrument import ops as _ops
 from .tables import MinWordTables, check_length, precompute
 
@@ -83,19 +75,31 @@ def min_word(k: int, states: Collection[int], tables: MinWordTables) -> Optional
     return tuple(out)
 
 
-def build_run_stack(word: Word, nfa: Nfa, start: Union[Collection[int], int, None] = None) -> list:
-    """State sets reachable from ``start`` after each prefix of a word.
+def build_run_stack(word: Word, nfa: Nfa, run: Optional[list] = None) -> list:
+    """Extend ``run`` by the state sets reached after each prefix of a word.
 
-    Returns a new list whose entry ``i`` holds the states reached after
-    reading ``word[:i]``: a set of states on the list kernel, an int mask on
-    the bit kernel. Entry 0 is ``start`` itself, by default the initial set
-    in the kernel's form, ``nfa.initial`` or its mask. The word need not be
+    The one replay loop: entry ``i`` of a run holds the states reached after
+    reading the first ``i`` letters, a set of states on the list kernel and
+    an int mask on the bit kernel. Each letter of ``word`` takes one subset
+    step of the automaton's kernel, :func:`delta_step` or :func:`mask_image`,
+    from the last entry of ``run``, and appends its result; ``run`` itself is
+    returned, longer by ``len(word)`` entries, and an empty word leaves it
+    unchanged. By default ``run`` is a new list holding the initial set in
+    the kernel's form, ``nfa.initial`` or its mask. The word need not be
     accepted; trailing entries may be empty. The charge is that of the
-    ``len(word)`` positions replayed.
+    ``len(word)`` steps taken.
     """
     if nfa.images is None:
-        return replay(nfa, word, nfa.initial if start is None else start)
-    return replay_masks(nfa.images, word, state_mask(nfa.initial) if start is None else start)
+        step, layout = delta_step, nfa
+    else:
+        step, layout = mask_image, nfa.images
+    if run is None:
+        run = [nfa.initial if nfa.images is None else state_mask(nfa.initial)]
+    source = run[-1]
+    for a in word:
+        source = step(layout, source, a)
+        run.append(source)
+    return run
 
 
 def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
@@ -230,17 +234,16 @@ class CrossSectionCursor:
     of the previous output up to date and searches it for the successor, so
     per-output work is O(length * #transitions) regardless of history.
 
-    The cursor keeps the last output's run, the ``length`` state sets reached
-    after its proper prefixes (O(length * |Q|) bytes), which are all the
-    successor search reads, together with the length ``v`` of the prefix
-    whose sets are still valid. A call replays only ``last[v:-1]``, from
-    ``stack[v]``, so the last letter is never replayed, and the successor
-    search's pivot becomes the new ``v``: the successor keeps the previous
-    word before it. The replay happens at
-    the start of the call, so the worst gap is still one full replay plus
-    one search, and a word nobody asks for is never replayed. The first
-    call after the least word, and the first after :meth:`seek`, which drops
-    the held run, replay from ``v = 0``.
+    The cursor holds the valid prefix of the last output's run: the state
+    sets reached after the word's prefixes up to the last search's pivot
+    (at most ``length`` sets, O(length * |Q|) bytes). The successor keeps
+    the previous word before the pivot, so those sets still hold. A call
+    extends the held run by replaying the held word from the run's end up
+    to, not including, its last letter, which the search never reads; it
+    then searches the run for the successor and cuts the run back to the new
+    pivot. So the worst gap is one full replay plus one search, and a word
+    nobody asks for is never replayed. After the least word, and after
+    :meth:`seek`, the held run is the initial set alone.
 
     ``tables`` must be built for ``nfa`` itself (``tables.nfa is nfa``) and
     cover ``length``; otherwise :class:`ValueError` is raised. The automaton
@@ -251,7 +254,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_stack", "_valid")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_run")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         check_length(length)
@@ -268,9 +271,8 @@ class CrossSectionCursor:
         self.tables = tables
         self._last: Optional[Word] = None
         self._exhausted = False
-        # The run of _last; entries 0 .. _valid hold for the current _last.
-        self._stack = build_run_stack((), nfa)
-        self._valid = 0
+        # The valid prefix of the run of _last.
+        self._run = build_run_stack((), nfa)
 
     @property
     def current(self) -> Optional[Word]:
@@ -282,13 +284,13 @@ class CrossSectionCursor:
     def next(self) -> Union[Word, _ExhaustedType]:
         if self._exhausted:
             return EXHAUSTED
-        if self._last is None:
+        last, run = self._last, self._run
+        if last is None:
             word = min_word(self.length, self.nfa.initial, self.tables)
         else:
-            v, stack = self._valid, self._stack
-            stack[v + 1 :] = build_run_stack(self._last[v:-1], self.nfa, stack[v])[1:]
-            found = next_word(self._last, stack, self.tables)
-            word, self._valid = found or (None, 0)
+            build_run_stack(last[len(run) - 1 : -1], self.nfa, run)
+            word, pivot = next_word(last, run, self.tables) or (None, 0)
+            del run[pivot + 1 :]
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -302,8 +304,8 @@ class CrossSectionCursor:
         (not bools or other int subclasses) in ``0 .. |alphabet| - 1``, but
         need not be accepted: the following :meth:`next` yields the least
         member of the cross-section greater than ``word``, or
-        :data:`EXHAUSTED` when there is none. The held run is dropped; that
-        call replays ``word`` in full.
+        :data:`EXHAUSTED` when there is none. The held run is cut back to
+        the initial set, so that call replays ``word`` from position 0.
         """
         word = tuple(word)
         if len(word) != self.length:
@@ -316,7 +318,7 @@ class CrossSectionCursor:
                 raise ValueError(f"symbol id {a!r} out of range")
         self._last = word
         self._exhausted = False
-        self._valid = 0
+        del self._run[1:]
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.next, EXHAUSTED)

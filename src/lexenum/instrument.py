@@ -8,9 +8,11 @@ Each function that charges states its charge in its own docstring: the
 layout's :func:`~lexenum.automaton.build_nfa` and
 :func:`~lexenum.automaton.chunk_images`; the tables'
 :class:`~lexenum.tables.MinWordTables` and
-:meth:`~lexenum.tables.MinWordTables.add_level`; the replays'
-:func:`~lexenum.automaton.replay` and :func:`~lexenum.automaton.mask_image`;
-the successor searches' :func:`~lexenum.enumeration.next_word_lists` and
+:meth:`~lexenum.tables.MinWordTables.add_level`; the kernels' subset steps,
+:func:`~lexenum.automaton.delta_step` and
+:func:`~lexenum.automaton.mask_image`, which every replay position and every
+image the bit search takes go through; the successor searches'
+:func:`~lexenum.enumeration.next_word_lists` and
 :func:`~lexenum.enumeration.next_word_masks`; every least word's
 :func:`~lexenum.enumeration.min_word`; and
 :func:`~lexenum.enumeration.radix_words` for a radix run's liveness checks.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from lexenum import Nfa, build_nfa, random_automaton
-from lexenum.automaton import state_mask
+from lexenum.automaton import delta_step, mask_image, state_mask
 
 
 def make_a1() -> Nfa:
@@ -60,6 +60,23 @@ def rebuild_factory(nfa: Nfa):
     initial = list(nfa.initial)
     final = list(nfa.final_states)
     return lambda: build_nfa(glyphs, nfa.state_count, initial, final, triples)
+
+
+def kernel_run(nfa: Nfa, word, images=None) -> list:
+    """The run of ``word`` from ``nfa``'s initial set, one kernel step per
+    letter, whatever kernel ``nfa`` is on: the list kernel's
+    :func:`delta_step` on sets when ``images`` is None, else the bit
+    kernel's :func:`mask_image` on masks under ``images``, which
+    ``chunk_images`` builds for an automaton on either kernel."""
+    if images is None:
+        run = [nfa.initial]
+        for a in word:
+            run.append(delta_step(nfa, run[-1], a))
+    else:
+        run = [state_mask(nfa.initial)]
+        for a in word:
+            run.append(mask_image(images, run[-1], a))
+    return run
 
 
 def rank_leq(tables, k: int, q: int, p: int) -> bool:

@@ -12,9 +12,9 @@ from lexenum import (
     radix_words,
     random_automaton,
 )
-from lexenum.automaton import chunk_images, mask_image, replay, state_mask
+from lexenum.automaton import chunk_images, mask_image, state_mask
 from lexenum.instrument import counting
-from helpers import corpus_automaton, make_a1
+from helpers import corpus_automaton, kernel_run, make_a1
 
 
 class TestBuildNfa:
@@ -234,7 +234,7 @@ class TestDeltaStep:
             assert nfa.kernel == "list"
             tracemalloc.start()
             try:
-                stack = replay(nfa, (0,) * 30, nfa.initial)
+                stack = kernel_run(nfa, (0,) * 30)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

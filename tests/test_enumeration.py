@@ -25,10 +25,17 @@ from lexenum import (
     random_automaton,
 )
 from lexenum import enumeration
-from lexenum.automaton import chunk_images, mask_image, replay, replay_masks, state_mask
+from lexenum.automaton import chunk_images, mask_image, state_mask
 from lexenum.enumeration import next_word_lists, next_word_masks
 from lexenum.instrument import counting
-from helpers import corpus_automaton, make_a1, mask_states, prefix_rank_masks, tables_snapshot
+from helpers import (
+    corpus_automaton,
+    kernel_run,
+    make_a1,
+    mask_states,
+    prefix_rank_masks,
+    tables_snapshot,
+)
 
 
 class TestMinWord:
@@ -139,6 +146,30 @@ class TestBuildRunStack:
                 else:
                     dead_ends += 1
         assert dead_ends >= 30 and live >= 30, (dead_ends, live)
+
+
+    def test_extends_the_given_run_in_place(self):
+        """On both kernels build_run_stack(word, nfa, run) appends one entry
+        per letter of word to run, keeps the entries it had and returns run
+        itself, so a run built in two pieces equals one built at once; an
+        empty word leaves run unchanged."""
+        rng = random.Random(97)
+        kernels = set()
+        for _ in range(200):
+            nfa = corpus_automaton(rng)
+            kernels.add(nfa.kernel)
+            word = tuple(rng.randrange(nfa.symbol_count) for _ in range(rng.randint(0, 7)))
+            cut = rng.randint(0, len(word))
+            run = build_run_stack(word[:cut], nfa)
+            head = list(run)
+            assert len(head) == cut + 1
+            assert build_run_stack((), nfa, run) is run
+            assert run == head
+            assert build_run_stack(word[cut:], nfa, run) is run
+            assert len(run) == len(word) + 1
+            assert run[: cut + 1] == head
+            assert run == build_run_stack(word, nfa)
+        assert kernels == {"list", "bit"}
 
 
 class TestNextWord:
@@ -280,10 +311,10 @@ class TestCursor:
             assert next(iter(cursor)) == expected[1]
 
     def test_held_run_stays_coherent_under_seek(self):
-        """After every call the held run's valid prefix equals the same
-        prefix of a fresh run of the last word, and after every seek, to a
-        word before or after the cursor, the continuation equals a fresh
-        cursor's from that word."""
+        """After every call the held run is its valid prefix, equal to the
+        same prefix of a fresh run of the last word, and after every seek, to
+        a word before or after the cursor, it is the initial set alone and
+        the continuation equals a fresh cursor's from that word."""
         rng = random.Random(89)
         kernels = set()
         checked = 0
@@ -298,29 +329,32 @@ class TestCursor:
             cursor = CrossSectionCursor(nfa, length, tables)
             for _ in range(5):
                 for _ in range(rng.randint(1, 6)):
+                    prev = cursor.current
                     if cursor.next() is EXHAUSTED:
                         break
-                    _assert_held_prefix_is_fresh(cursor)
+                    _assert_held_run_is_the_valid_prefix(cursor, prev)
                 if rng.random() < 0.7:
                     start = words[rng.randrange(len(words))]
                 else:
                     start = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
                 cursor.seek(start)
+                _assert_held_run_is_the_valid_prefix(cursor, None)
                 fresh = CrossSectionCursor(nfa, length, tables)
                 fresh.seek(start)
                 for _ in range(rng.randint(1, 6)):
+                    prev = cursor.current
                     word = cursor.next()
                     assert word == fresh.next()
                     if word is EXHAUSTED:
                         break
-                    _assert_held_prefix_is_fresh(cursor)
+                    _assert_held_run_is_the_valid_prefix(cursor, prev)
             checked += 1
         assert kernels == {"list", "bit"}
 
     def test_memory_stays_flat(self):
-        """The cursor holds one run of l masks, replaced in place from the
-        pivot on, so the traced heap after word 500 is within a small
-        constant of its size after word 20."""
+        """The cursor holds at most l masks of one run, extended in place and
+        cut back to the pivot, so the traced heap after word 500 is within a
+        small constant of its size after word 20."""
         nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
         assert nfa.kernel == "bit"
         tables = precompute(nfa, 32)
@@ -337,14 +371,15 @@ class TestCursor:
         assert late - early <= 16 * 1024, (early, late)
 
 
-def _assert_held_prefix_is_fresh(cursor):
-    """The held run has length entries, or only the initial set after the
-    least word, and its entries 0 .. v, v the valid prefix, equal those of a
-    run of the cursor's last word built from scratch."""
-    v = cursor._valid
-    assert len(cursor._stack) in (1, cursor.length)
-    held = cursor._stack[: v + 1]
-    assert held == build_run_stack(cursor.current, cursor.nfa)[: v + 1]
+def _assert_held_run_is_the_valid_prefix(cursor, prev):
+    """The held run has pivot + 1 entries, the pivot being the first
+    position at which the cursor's current word differs from ``prev``, or 0
+    when ``prev`` is None (after the least word or a seek), and they equal
+    the same prefix of a run of the current word built from scratch."""
+    word = cursor.current
+    pivot = 0 if prev is None else next(i for i, (a, b) in enumerate(zip(prev, word)) if a != b)
+    assert len(cursor._run) == pivot + 1
+    assert cursor._run == build_run_stack(word, cursor.nfa)[: pivot + 1]
 
 
 class TestSharedTables:
@@ -422,11 +457,10 @@ class TestKernels:
     def _check(self, nfa, length, words):
         tables = precompute(nfa, length)
         images = chunk_images(nfa)
-        start = state_mask(nfa.initial)
         rank_masks = _rank_masks(tables)
         for word in words:
-            lists = replay(nfa, word, nfa.initial)
-            masks = replay_masks(images, word, start)
+            lists = kernel_run(nfa, word)
+            masks = kernel_run(nfa, word, images)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
             expected = next_word_lists(word, lists, tables)
             assert next_word_masks(word, masks, tables, images, rank_masks) == expected
@@ -465,7 +499,7 @@ class TestKernels:
             images = chunk_images(nfa)
             word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 6)))
             with counting() as ops:
-                stack = replay_masks(images, word, state_mask(nfa.initial))
+                stack = kernel_run(nfa, word, images)
                 charged = ops.ops
             nbytes = -(-n // 8)
             words = -(-n // 64)
@@ -537,8 +571,8 @@ class TestWideRankSearch:
         for word in words:
             for i in range(length):
                 probe = word[: i + 1] + (sigma - 1,) * (length - i - 1)
-                lists = replay(nfa, probe, nfa.initial)
-                masks = replay_masks(images, probe, state_mask(nfa.initial))
+                lists = kernel_run(nfa, probe)
+                masks = kernel_run(nfa, probe, images)
                 expected = next_word_lists(probe, lists, tables)
                 with counting() as counter:
                     found = next_word_masks(probe, masks, tables, images, tables.rank_masks)
@@ -810,9 +844,9 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
     replayed = []
     build = enumeration.build_run_stack
 
-    def counted(word, nfa, start=None):
+    def counted(word, nfa, run=None):
         replayed.append(len(word))
-        return build(word, nfa, start)
+        return build(word, nfa, run)
 
     monkeypatch.setattr(enumeration, "build_run_stack", counted)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
@@ -848,21 +882,63 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
                 assert not any(replayed)
 
 
+def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
+    """The list kernel's replay looks its step up as enumeration.delta_step
+    at every call, so a wrapper installed on that module attribute, as a
+    tracer installs one, sees exactly one call per position the cursor
+    replays, before and after a seek."""
+    steps, replayed = [], []
+    step, build = enumeration.delta_step, enumeration.build_run_stack
+
+    def counted_step(nfa, source, symbol):
+        steps.append(symbol)
+        return step(nfa, source, symbol)
+
+    def counted_build(word, nfa, run=None):
+        replayed.append(len(word))
+        return build(word, nfa, run)
+
+    nfa = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
+    assert nfa.kernel == "list"
+    words = cross_section_bruteforce(nfa, 6)
+    start = words[len(words) // 4]
+    monkeypatch.setattr(enumeration, "delta_step", counted_step)
+    monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
+    cursor = CrossSectionCursor(nfa, 6)
+    got = list(itertools.islice(cursor, len(words) // 2))
+    before = len(steps)
+    assert before and before == sum(replayed)
+    cursor.seek(start)
+    got += cursor
+    assert got == words[: len(words) // 2] + [w for w in words if w > start]
+    assert len(steps) > before and len(steps) == sum(replayed)
+
+
 def test_the_bit_search_takes_one_image_per_symbol_tried(monkeypatch):
     """Each symbol the bit search tries costs one mask_image call, and it
     makes no other. At a retried position i whose set is not empty it tries
     every symbol above word[i] when i is above the pivot, and the symbols up
     to the successor's letter at the pivot; after the last word every
-    position is above the pivot. The sets come from the list kernel's
-    replay."""
+    position is above the pivot. The replay's images, taken outside the
+    search, are not counted. The sets come from the list kernel's step."""
     calls = []
-    step = enumeration.mask_image
+    searching = []
+    step, search = enumeration.mask_image, enumeration.next_word
 
     def counted(images, mask, symbol):
-        calls.append(symbol)
+        if searching:
+            calls.append(symbol)
         return step(images, mask, symbol)
 
+    def flagged(word, stack, tables):
+        searching.append(word)
+        try:
+            return search(word, stack, tables)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(enumeration, "mask_image", counted)
+    monkeypatch.setattr(enumeration, "next_word", flagged)
     wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     narrow = compile_regex("(a|b|c)*b(a|c)*")
     for nfa in (wide, narrow):
@@ -882,7 +958,7 @@ def test_the_bit_search_takes_one_image_per_symbol_tried(monkeypatch):
                 prev = cursor.current
                 word = cursor.next()
                 if prev is not None:
-                    sets = replay(nfa, prev, nfa.initial)
+                    sets = kernel_run(nfa, prev)
                     pivot = -1 if word is EXHAUSTED else next(
                         i for i, (a, b) in enumerate(zip(prev, word)) if a != b
                     )
