@@ -20,11 +20,11 @@ per non-zero byte of the mask, however many states it holds (the "Four
 Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
 used for NFA simulation by Navarro and Raffinot, 2001). The one replay loop,
 :func:`lexenum.enumeration.build_run_stack`, takes a kernel's step once per
-letter, and the bit kernel's successor search takes it once per symbol it
-tries. An automaton is on the bit kernel when
-``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <= #transitions``
-(:func:`fits_bit_kernel`): a retried successor position then costs about
-#transitions either way. The :class:`Nfa` constructor makes the choice; no
+letter. The bit kernel's successor search takes no image: it ANDs a run's
+mask with the tables' per-symbol predecessor masks. An automaton is on the
+bit kernel when ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <=
+#transitions`` (:func:`fits_bit_kernel`): a replayed or retried position
+then costs at most about #transitions either way. The :class:`Nfa` constructor makes the choice; no
 option does.
 
 ``Nfa`` instances are immutable after construction and safe to share across
@@ -100,16 +100,6 @@ class Nfa:
         """``"bit"`` when state sets are int masks, else ``"list"``."""
         return "list" if self.images is None else "bit"
 
-    def targets(self, state: int, symbol_id: int) -> tuple[int, ...]:
-        """Target states of ``state`` on ``symbol_id``; () when none.
-
-        A binary search of the state's row: O(log |row|) comparisons, which
-        are not charged to the operation counter.
-        """
-        row = self.adjacency[state]
-        i = bisect_left(row, (symbol_id,))
-        return row[i][1] if i < len(row) and row[i][0] == symbol_id else ()
-
     def symbol_id(self, glyph: str) -> int:
         try:
             return self._glyph_ids[glyph]
@@ -120,9 +110,6 @@ class Nfa:
         alphabet = self.alphabet
         # A list comprehension joins faster than a generator expression.
         return "".join([alphabet[a] for a in word])
-
-    def word_from_str(self, text: str) -> Word:
-        return tuple(self.symbol_id(ch) for ch in text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Nfa):
@@ -243,11 +230,15 @@ def fits_bit_kernel(symbol_count: int, state_count: int, transition_count: int) 
     """The kernel choice: True when ``4 * symbol_count * ceil(state_count/8)
     * ceil(state_count/64) <= transition_count``.
 
-    A retried successor position takes up to ``symbol_count`` images, and an
-    image makes at most four lookups or ORs of ``ceil(state_count/64)``
-    machine words per byte of the mask. Under this test they cost at most
-    #transitions, the most the list kernel's search examines at a position,
-    so a gap stays within the same constant times ``length * #transitions``.
+    An image makes at most four lookups or ORs of ``ceil(state_count/64)``
+    machine words per byte of the mask, so under this test a replayed
+    position costs at most #transitions / ``symbol_count``. A retried
+    successor position makes up to ``symbol_count`` ANDs and a binary search
+    over at most ``state_count`` ranks, within #transitions as well, the
+    most the list kernel's search examines at a position; so a gap stays
+    within the same constant times ``length * #transitions``. The test also
+    keeps the tables' per-symbol masks of a level within a multiple of
+    #transitions (see :mod:`lexenum.tables`).
     """
     return 4 * symbol_count * -(-state_count // 8) * -(-state_count // 64) <= transition_count
 

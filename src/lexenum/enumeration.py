@@ -18,10 +18,13 @@ The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run: a set of states per position on the list kernel, an int mask on the bit
 kernel. :func:`build_run_stack`, the one replay loop, takes the kernel's
 subset step once per letter, and :func:`next_word` runs the kernel's
-successor search, :func:`next_word_lists` or :func:`next_word_masks`. Both
-searches take the least (symbol, rank) pair above the retried letter, ranked
-by the tables' ranks alone, the key ``MinWordTables.add_level`` ranks states
-by, so both give the same successor and the same pivot. Every least word,
+successor search, :func:`next_word_lists` or :func:`next_word_masks`. The
+list search walks adjacency rows; the bit search takes no subset step, and
+instead ANDs the run's mask with the tables' per-symbol prefix predecessor
+masks. Both searches take the least (symbol, rank) pair above the retried
+letter, ranked by the tables' ranks alone, the key
+``MinWordTables.add_level`` ranks states by, so both give the same successor
+and the same pivot. Every least word,
 the cursor's first and each suffix, is spelled by :func:`min_word`, which is
 also the only reader of the tables' first steps.
 """
@@ -32,7 +35,7 @@ from bisect import bisect_left
 from itertools import count
 from typing import Collection, Iterator, Optional, Union
 
-from .automaton import ChunkTables, Nfa, Word, delta_step, mask_image, state_mask
+from .automaton import Nfa, Word, delta_step, mask_image, state_mask
 from .instrument import ops as _ops
 from .tables import MinWordTables, check_length, precompute
 
@@ -111,9 +114,9 @@ def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[
     position at which it differs from ``word``, or None when ``word`` is the
     maximum. Runs the successor search of the automaton's kernel.
     """
-    if tables.rank_masks is None:
+    if tables.pred_masks is None:
         return next_word_lists(word, stack, tables)
-    return next_word_masks(word, stack, tables, tables.nfa.images, tables.rank_masks)
+    return next_word_masks(word, stack, tables, tables.pred_masks, tables.rep)
 
 
 def next_word_lists(
@@ -167,31 +170,31 @@ def next_word_masks(
     word: Word,
     stack: list[int],
     tables: MinWordTables,
-    images: list[ChunkTables],
-    rank_masks: list[list[int]],
+    pred_masks: list[list[list[int]]],
+    rep: list[list[int]],
 ) -> Optional[tuple[Word, int]]:
     """The bit kernel's successor search; ``stack`` holds masks.
 
-    ``images`` are the automaton's chunk image tables
-    (:func:`~lexenum.automaton.chunk_images`) and ``rank_masks[k]`` the
-    prefix rank masks of level k: entry ``r`` holds the states of level-k
-    rank ``<= r``, and the last entry the live ones. Positions are retried
-    from the last to the first. At position ``i``, with ``k = len(word) -
-    i - 1``, each symbol above ``word[i]`` is tried in order: the first whose
-    image of ``stack[i]``, intersected with the live mask, is not empty is
-    the successor symbol. A binary search over ``rank_masks[k]`` then finds
-    the least rank ``r`` whose mask meets the image; every state of that
-    intersection has the least rank, so the lowest one stands for it, and
-    :func:`min_word` spells the suffix from it alone. That is the least
-    (symbol, rank) pair, as in :func:`next_word_lists`. Each symbol tried
-    takes one :func:`~lexenum.automaton.mask_image` step, the replay's step,
-    which charges its image, and is charged ``ceil(|Q|/64)`` for the
-    intersection. The hit is charged the binary search's bound over its
-    ``m`` masks, ``ceil(log2 m)`` intersections of ``ceil(|Q|/64)`` each,
-    whatever path the search takes.
+    ``pred_masks[k][a]`` and ``rep[k]`` are level k's prefix predecessor
+    masks of symbol ``a`` and its representatives, as the tables hold them
+    (see :mod:`lexenum.tables`): entry ``r`` of ``pred_masks[k][a]`` holds
+    the states with an ``a``-transition into a state of level-k rank
+    ``<= r``, and ``rep[k][r]`` is a state of rank ``r``. Positions are
+    retried from the last to the first. At position ``i``, with ``k =
+    len(word) - i - 1``, each symbol above ``word[i]`` is tried in order:
+    the first whose last entry meets ``stack[i]`` is the successor symbol,
+    since some state of ``stack[i]`` has a transition on it into a live
+    state. A binary search over that symbol's entries then finds the least
+    rank ``r`` whose entry meets ``stack[i]``, the least rank the symbol
+    reaches, and :func:`min_word` spells the suffix from ``rep[k][r]``
+    alone. That is the least (symbol, rank) pair, as in
+    :func:`next_word_lists`, and the search takes no image. Each symbol
+    tried is charged ``ceil(|Q|/64)`` for its AND. The hit is charged the
+    binary search's bound over the level's ``m`` live ranks,
+    ``ceil(log2 m)`` ANDs of ``ceil(|Q|/64)`` each, whatever path the
+    search takes.
     """
-    sigma = len(images)
-    words = -(-len(images[0]) // 8) if images else 0
+    words = -(-tables.nfa.state_count // 64)
     counting = _ops.enabled
     length = len(word)
     for i in range(length - 1, -1, -1):
@@ -199,27 +202,22 @@ def next_word_masks(
         if not source:
             continue
         k = length - i - 1
-        masks = rank_masks[k]
-        live = masks[-1]
-        for a in range(word[i] + 1, sigma):
-            hit = mask_image(images, source, a) & live
+        wi = word[i]
+        for a, masks in enumerate(pred_masks[k][wi + 1 :], wi + 1):
             if counting:
                 _ops.ops += words
-            if hit:
-                # masks[hi] meets the image and no mask below lo does; hit
-                # is the image's intersection with masks[hi].
+            if source & masks[-1]:
+                # masks[hi] meets the source and no mask below lo does.
                 lo, hi = 0, len(masks) - 1
                 if counting:
                     _ops.ops += hi.bit_length() * words
                 while lo < hi:
                     mid = (lo + hi) // 2
-                    least = hit & masks[mid]
-                    if least:
-                        hi, hit = mid, least
+                    if source & masks[mid]:
+                        hi = mid
                     else:
                         lo = mid + 1
-                q = (hit & -hit).bit_length() - 1
-                return word[:i] + (a, *min_word(k, (q,), tables)), i
+                return word[:i] + (a, *min_word(k, (rep[k][lo],), tables)), i
     return None
 
 

@@ -10,8 +10,8 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 :class:`~lexenum.tables.MinWordTables` and
 :meth:`~lexenum.tables.MinWordTables.add_level`; the kernels' subset steps,
 :func:`~lexenum.automaton.delta_step` and
-:func:`~lexenum.automaton.mask_image`, which every replay position and every
-image the bit search takes go through; the successor searches'
+:func:`~lexenum.automaton.mask_image`, which every replayed position goes
+through; the successor searches'
 :func:`~lexenum.enumeration.next_word_lists` and
 :func:`~lexenum.enumeration.next_word_masks`; every least word's
 :func:`~lexenum.enumeration.min_word`; and

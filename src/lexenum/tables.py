@@ -19,13 +19,15 @@ This module only builds the tables. Every reader is in
 spells a least word by following the first steps down from level k.
 
 For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
-hold ``rank_masks[k]``, the prefix rank masks of level k: entry ``r`` is the
-mask of the states with ``rank[k][q] <= r``, for each live rank ``r``, so the
-last entry is the mask of the level's live states. A level with no live state
-holds ``[0]``. The bit kernel's successor search intersects each image it
-tries with the last entry and, on a hit, binary-searches the list for the
-least rank the image reaches. A level's masks, one per live rank, take
-ceil(|Q|/8) bytes each. On the list kernel ``rank_masks`` is None.
+hold, per level k, what the bit kernel's successor search reads in place of
+an image. ``pred_masks[k][a]`` lists prefix masks over the live ranks: entry
+``r`` is the mask of the states with an ``a``-transition into a state of
+level-k rank ``<= r``, so the last entry holds every state with an
+``a``-transition into a live state. A level with no live state holds ``[0]``
+per symbol. ``rep[k][r]`` is the least state of rank ``r``; states of equal
+rank share their least word, so it spells that word for all of them. A
+level's masks, one per symbol and live rank, take ceil(|Q|/8) bytes each.
+On the list kernel ``pred_masks`` and ``rep`` are None.
 
 The tables keep the automaton they were built for in ``nfa``, so readers
 take the adjacency lists and the alphabet from the tables themselves and
@@ -37,14 +39,19 @@ A state is live at level k exactly when it has a transition into a state live
 at level k-1. So level k's live set is the union of the predecessors of level
 k-1's live states, L(k) = pred(L(k-1)), and level k scans those states' rows
 only, for each one's first step and rank. Each state's predecessors are listed
-once, with level 0, in O(|Q| + #transitions). Level k is a function of
-``rank[k-1]`` alone, so once a level's rank row equals the one below it, every
-later level equals it too: the tables have settled. From then on a level
-appends the top level's rows, and on the bit kernel its masks, themselves, in
-O(1) time and memory, and the predecessor lists are dropped. Until then a
-level costs O(|Q|) for its two rows and for comparing its rank row with the
-one below, plus its live states' adjacency lists, m log m to rank its m live
-states, and the previous live states' predecessor counts. That is never more
+once, with level 0, in O(|Q| + #transitions); on the bit kernel so is
+``pm[a][t]``, the mask of the states with an ``a``-transition into ``t``.
+Level k is a function of ``rank[k-1]`` alone, so once a level's rank row
+equals the one below it, every later level equals it too: the tables have
+settled. From then on a level appends the top level's rows, and on the bit
+kernel its masks, themselves, in O(1) time and memory, and the predecessor
+lists and masks are dropped. Until then a level costs O(|Q|) for its two rows
+and for comparing its rank row with the one below, plus its live states'
+adjacency lists, m log m to rank its m live states, and the previous live
+states' predecessor counts. On the bit kernel it also ORs each live state's
+``pm`` masks into running prefixes over its ranks: |alphabet| times m ORs
+plus one per live rank, of ceil(|Q|/64) words each, which the kernel test
+keeps within 4 * #transitions. That is never more
 than a scan of every row, so building levels ``0 .. length`` costs O(|Q| +
 length * (#transitions + |Q| log |Q|)) at worst, and O(|Q| + s *
 (#transitions + |Q| log |Q|) + length) when the tables settle at level s; a
@@ -56,11 +63,12 @@ preprocessing.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .automaton import Nfa, state_mask
+from .automaton import Nfa
 from .instrument import ops as _ops
 
 
@@ -75,15 +83,15 @@ class MinWordTables:
 
     A level's live set, the set of states it scans, is the union of the
     predecessors of the level below's live states. On the bit kernel each
-    level also gets its prefix rank masks in ``rank_masks``, built in full
+    level also gets its ``pred_masks`` and ``rep`` entries, built in full
     before the level is appended. Once a level's rank row equals the one
     below it, the tables have settled: every later level is that level, so it
-    holds the same ``first_step``, ``rank`` and ``rank_masks`` objects, and
-    the predecessor lists are dropped.
+    holds the same ``first_step``, ``rank``, ``pred_masks`` and ``rep``
+    objects, and the predecessor lists and masks are dropped.
 
-    The predecessor lists (None once the tables have settled) and the top
-    level's live set are private to the tables and only :meth:`add_level`
-    reads them.
+    The predecessor lists and masks (None once the tables have settled) and
+    the top level's live set are private to the tables and only
+    :meth:`add_level` reads them.
 
     ``fill_ops`` records how many adjacency pairs were inspected and target
     comparisons made while filling ``first_step``; only live states' pairs are
@@ -96,9 +104,11 @@ class MinWordTables:
         "length",
         "first_step",
         "rank",
-        "rank_masks",
+        "pred_masks",
+        "rep",
         "fill_ops",
         "_pred",
+        "_pm",
         "_frontier",
     )
 
@@ -107,9 +117,10 @@ class MinWordTables:
 
         Also lists, once, each state's predecessors: one entry per transition
         into it. Charged |Q| for the rank row, |Q| + #transitions for the
-        predecessor lists, and one unit per final state; on the bit kernel
-        also one unit per final state and, when there is one, ceil(|Q|/64)
-        for the level's one prefix mask."""
+        predecessor lists, and one unit per final state. On the bit kernel
+        ``pm[a][t]`` is built with one OR per transition, charged one unit
+        each, and the level's masks are charged as :meth:`add_level`
+        charges a level's."""
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
@@ -129,22 +140,33 @@ class MinWordTables:
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         # The top level's live states.
         self._frontier = frozenset(nfa.final_states)
-        self.rank_masks: Optional[list[list[int]]] = None
+        self._pm: Optional[list[list[int]]] = None
+        self.pred_masks: Optional[list[list[list[int]]]] = None
+        self.rep: Optional[list[list[int]]] = None
         if nfa.images is not None:
-            # Every final state has rank 0; with none the level holds [0].
-            self.rank_masks = [[state_mask(nfa.final_states)]]
+            # pm[a][t]: the states with an a-transition into t. Dropped
+            # with the predecessor lists.
+            pm = self._pm = [[0] * n for _ in nfa.alphabet]
+            for q, row in enumerate(nfa.adjacency):
+                bit = 1 << q
+                for a, targets in row:
+                    into = pm[a]
+                    for t in targets:
+                        into[t] |= bit
+            self.pred_masks, self.rep = [], []
+            # Every final state has rank 0.
+            self._append_masks([sorted(nfa.final_states)] if nfa.final_states else [])
         if _ops.enabled:
             _ops.ops += 2 * n + nfa.transition_count + len(nfa.final_states)
-            if self.rank_masks is not None and nfa.final_states:
-                _ops.ops += len(nfa.final_states) + -(-n // 64)
+            _ops.ops += nfa.transition_count * (self._pm is not None)
 
     def add_level(self) -> None:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
         Once the tables have settled, the new level is level ``length``: its
         ``first_step`` and ``rank`` rows and, on the bit kernel, its
-        ``rank_masks`` list are appended as they are, the same objects, and
-        the level is charged one unit.
+        ``pred_masks`` and ``rep`` lists are appended as they are, the same
+        objects, and the level is charged one unit.
 
         Until then the new level's live set is the union of the predecessors
         of the states live at level ``length``: each has a transition into a
@@ -156,22 +178,20 @@ class MinWordTables:
         which orders their least words. The new rank row is compared with
         level ``length``'s; since a level is a function of the rank row below
         it, equal rows make every later level equal too, so the tables have
-        settled and the predecessor lists are dropped. On the bit kernel the
-        states of each rank make one group mask, and the level's
-        ``rank_masks`` entry is the running OR of the groups in rank order, so
-        its entry ``r`` holds the states of rank ``<= r``; a level with no
-        live state gets ``[0]``.
+        settled and the predecessor lists and masks are dropped. On the bit
+        kernel the live states are grouped by rank for the level's masks
+        (see :meth:`_append_masks`).
 
         With m live states such a level is charged one unit per predecessor
         entry of the previous live states, the pairs and targets visited, 2|Q|
         for its two rows, |Q| for the row comparison, m for the rank writes,
-        m * ceil(log2 m) for the sort and, on the bit kernel, m for its masks'
-        bits plus ceil(|Q|/64) per prefix OR, one per live rank.
+        m * ceil(log2 m) for the sort and, on the bit kernel, what its masks
+        are charged.
         """
         pred = self._pred
         if pred is None:
-            # ``rank_masks`` is None on the list kernel, which has no masks.
-            for rows in filter(None, (self.first_step, self.rank, self.rank_masks)):
+            # pred_masks and rep are None on the list kernel.
+            for rows in filter(None, (self.first_step, self.rank, self.pred_masks, self.rep)):
                 rows.append(rows[-1])
             self.length += 1
             if _ops.enabled:
@@ -210,22 +230,41 @@ class MinWordTables:
             cur_rank[q] = r
         self.first_step.append(cur_step)
         self.rank.append(cur_rank)
-        rank_masks = self.rank_masks
-        if rank_masks is not None:
-            # groups[r] is the mask of the states of rank r.
-            groups = [0] * (r + 1)
+        if self._pm is not None:
+            # groups[r] lists the states of rank r, least first, as keys do.
+            groups: list[list[int]] = [[] for _ in range(r + 1)]
             for _, q in keys:
-                groups[cur_rank[q]] |= 1 << q
-            rank_masks.append(list(accumulate(groups, or_)) or [0])
+                groups[cur_rank[q]].append(q)
+            self._append_masks(groups)
         if cur_rank == prev_rank:
-            self._pred = None
+            self._pred = self._pm = None
         self.length += 1
         if _ops.enabled:
             m = len(live)
             _ops.ops += sum(len(pred[t]) for t in below) + visited + 3 * n + m
             _ops.ops += m * (m - 1).bit_length()
-            if rank_masks is not None:
-                _ops.ops += m + (r + 1) * -(-n // 64)
+
+    def _append_masks(self, groups: list[list[int]]) -> None:
+        """Append a bit-kernel level's ``rep`` and ``pred_masks`` entries,
+        given ``groups[r]``, the states of rank ``r``, least first.
+
+        ``rep`` takes each group's first state. For each symbol ``a`` the
+        ``pm[a]`` masks of each group's states are ORed into one group mask,
+        and the groups are folded in rank order into running ORs, so entry
+        ``r`` holds the states with an ``a``-transition into a state of rank
+        ``<= r``; with no group the entry is ``[0]``. With m states in the
+        groups, charged m for the grouping and ceil(|Q|/64) per OR and per
+        fold step: |alphabet| times m ORs plus one step per group.
+        """
+        self.rep.append([group[0] for group in groups])
+        self.pred_masks.append([
+            list(accumulate([reduce(or_, map(into.__getitem__, group)) for group in groups], or_))
+            or [0]
+            for into in self._pm
+        ])
+        if _ops.enabled:
+            m = sum(map(len, groups))
+            _ops.ops += m + len(self._pm) * (m + len(groups)) * -(-self.nfa.state_count // 64)
 
     def __repr__(self) -> str:
         return f"MinWordTables(length={self.length}, states={self.nfa.state_count})"

@@ -8,6 +8,20 @@ from lexenum import Nfa, build_nfa, random_automaton
 from lexenum.automaton import delta_step, mask_image, state_mask
 
 
+def targets(nfa: Nfa, state: int, symbol_id: int) -> tuple[int, ...]:
+    """Target states of ``state`` on ``symbol_id``, () when none: the naive
+    reference for a subset step, read off the state's adjacency row."""
+    for a, into in nfa.adjacency[state]:
+        if a == symbol_id:
+            return into
+    return ()
+
+
+def word_from_str(nfa: Nfa, text: str):
+    """The word spelled by ``text``, one glyph per letter."""
+    return tuple(map(nfa.symbol_id, text))
+
+
 def make_a1() -> Nfa:
     """Two-state automaton accepting a*ba*, the worked example used throughout."""
     return build_nfa(
@@ -92,22 +106,39 @@ def mask_states(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
-def prefix_rank_masks(rank: list[int]) -> list[int]:
-    """Reference for one level's prefix rank masks: entry ``r`` is the mask
-    of the states of rank ``<= r``, for each live rank; ``[0]`` when no state
-    is live."""
-    n = len(rank)
+def pred_prefix_masks(nfa: Nfa, rank: list[int]):
+    """Reference for one level's bit-search tables, ``(pred_masks, rep)``,
+    read off the adjacency rows and ``rank``: for each symbol ``a``, entry
+    ``r`` is the mask of the states with an ``a``-transition into a state of
+    rank ``<= r``, for each live rank, or ``[0]`` when no state is live; and
+    ``rep[r]`` is the least state of rank ``r``."""
+    n = nfa.state_count
     live_ranks = len({r for r in rank if r < n})
-    return [state_mask(q for q in range(n) if rank[q] <= r) for r in range(live_ranks)] or [0]
+    pred_masks = [
+        [
+            state_mask(
+                q
+                for q in range(n)
+                if any(rank[t] <= r for t in targets(nfa, q, a))
+            )
+            for r in range(live_ranks)
+        ]
+        or [0]
+        for a in range(nfa.symbol_count)
+    ]
+    rep = [rank.index(r) for r in range(live_ranks)]
+    return pred_masks, rep
 
 
 def tables_snapshot(tables):
-    """Deep, comparable copy of the table contents, the bit kernel's prefix
-    rank masks included (``()`` on the list kernel, which has none)."""
+    """Deep, comparable copy of the table contents, the bit kernel's
+    predecessor masks and representatives included (``()`` on the list
+    kernel, which has none)."""
     return (
         tuple(tuple(row) for row in tables.first_step),
         tuple(tuple(level) for level in tables.rank),
-        tuple(tuple(level) for level in tables.rank_masks or ()),
+        tuple(tuple(map(tuple, level)) for level in tables.pred_masks or ()),
+        tuple(tuple(level) for level in tables.rep or ()),
     )
 
 
@@ -140,9 +171,9 @@ def full_scan_level(nfa: Nfa, prev_rank: list[int]):
 
 def assert_tables_match_full_scan(tables) -> None:
     """Compare ``tables`` level by level with :func:`full_scan_level`:
-    ``rank`` and the bit kernel's prefix rank masks everywhere, each mask
-    against the states of rank ``<= r`` in the full scan, and ``first_step``
-    on the live states, the only entries it defines."""
+    ``rank`` everywhere, ``first_step`` on the live states, the only entries
+    it defines, and on the bit kernel ``pred_masks`` and ``rep`` against
+    :func:`pred_prefix_masks` of the full scan's ranks."""
     nfa = tables.nfa
     n = nfa.state_count
     rank = [n] * n
@@ -156,10 +187,10 @@ def assert_tables_match_full_scan(tables) -> None:
         if k:
             got = [tables.first_step[k][q] for q in live]
             assert got == [step[q] for q in live], f"first_step differs at level {k}"
-        if tables.rank_masks is not None:
-            masks = tables.rank_masks[k]
-            assert masks == prefix_rank_masks(rank), f"rank_masks differ at level {k}"
-            assert masks[-1] == state_mask(live), f"live mask differs at level {k}"
+        if tables.pred_masks is not None:
+            pred_masks, rep = pred_prefix_masks(nfa, rank)
+            assert tables.pred_masks[k] == pred_masks, f"pred_masks differ at level {k}"
+            assert tables.rep[k] == rep, f"rep differs at level {k}"
 
 
 def serialize_automaton(nfa: Nfa) -> str:

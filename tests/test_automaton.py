@@ -14,7 +14,7 @@ from lexenum import (
 )
 from lexenum.automaton import chunk_images, mask_image, state_mask
 from lexenum.instrument import counting
-from helpers import corpus_automaton, kernel_run, make_a1
+from helpers import corpus_automaton, kernel_run, make_a1, targets, word_from_str
 
 
 class TestBuildNfa:
@@ -133,7 +133,7 @@ class TestBuildNfa:
                     for src, sym, dst in triples:
                         if src == q and sym == a and dst not in expected:
                             expected.append(dst)
-                    assert list(nfa.targets(q, a)) == expected
+                    assert list(targets(nfa, q, a)) == expected
 
 
 def _cursor_on_shared_tables(length):
@@ -216,13 +216,13 @@ class TestDeltaStep:
             order = list(range(nfa.state_count))
             rng.shuffle(order)
             source = order[: rng.randint(0, nfa.state_count)]
-            expected = {t for q in source for t in nfa.targets(q, a)}
+            expected = {t for q in source for t in targets(nfa, q, a)}
             with counting() as ops:
                 into = delta_step(nfa, source, a)
                 charged = ops.ops
             assert len(set(into)) == len(into)
             assert set(into) == expected
-            assert charged == len(source) + sum(len(nfa.targets(q, a)) for q in source)
+            assert charged == len(source) + sum(len(targets(nfa, q, a)) for q in source)
 
     def test_replay_memory_does_not_grow_with_the_state_count(self):
         """A replay allocates per position only for the states it reaches:
@@ -316,6 +316,6 @@ def test_random_automaton_rejects_set_sizes_outside_the_states(counts, name):
 
 def test_format_and_parse_word(a1):
     assert a1.format_word((0, 1, 0)) == "aba"
-    assert a1.word_from_str("aba") == (0, 1, 0)
+    assert word_from_str(a1, "aba") == (0, 1, 0)
     with pytest.raises(AutomatonError):
-        a1.word_from_str("ax")
+        word_from_str(a1, "ax")

@@ -33,8 +33,10 @@ from helpers import (
     kernel_run,
     make_a1,
     mask_states,
-    prefix_rank_masks,
+    pred_prefix_masks,
     tables_snapshot,
+    targets,
+    word_from_str,
 )
 
 
@@ -83,7 +85,7 @@ class TestMinWord:
 
 class TestBuildRunStack:
     def test_accepted_word(self, a1):
-        stack = build_run_stack(a1.word_from_str("ab"), a1)
+        stack = build_run_stack(word_from_str(a1, "ab"), a1)
         assert [set(s) for s in stack] == [{0}, {0}, {1}]
 
     def test_empty_word(self, a1):
@@ -95,7 +97,7 @@ class TestBuildRunStack:
         assert build_run_stack((), nfa) == [state_mask(nfa.initial)]
 
     def test_dead_end_word(self, a1):
-        stack = build_run_stack(a1.word_from_str("bb"), a1)
+        stack = build_run_stack(word_from_str(a1, "bb"), a1)
         assert [set(s) for s in stack] == [{0}, {1}, set()]
 
     def test_matches_chained_delta_step(self):
@@ -115,8 +117,8 @@ class TestBuildRunStack:
             naive_charge = 0
             for a in word:
                 source = expected[-1]
-                expected.append({t for q in source for t in nfa.targets(q, a)})
-                naive_charge += len(source) + sum(len(nfa.targets(q, a)) for q in source)
+                expected.append({t for q in source for t in targets(nfa, q, a)})
+                naive_charge += len(source) + sum(len(targets(nfa, q, a)) for q in source)
             chained = [nfa.initial]
             with counting() as ops:
                 for a in word:
@@ -175,7 +177,7 @@ class TestBuildRunStack:
 class TestNextWord:
     def _next(self, nfa, text, length, tables=None):
         tables = tables or precompute(nfa, length)
-        word = nfa.word_from_str(text)
+        word = word_from_str(nfa, text)
         stack = build_run_stack(word, nfa)
         return next_word(word, stack, tables)
 
@@ -445,9 +447,11 @@ class TestSharedTables:
         assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
 
 
-def _rank_masks(tables):
-    # Built from the ranks, so the bit search also runs on list-kernel tables.
-    return [prefix_rank_masks(rank) for rank in tables.rank]
+def _search_tables(tables):
+    """Every level's ``(pred_masks, rep)`` from the reference, so the bit
+    search also runs on list-kernel tables."""
+    levels = [pred_prefix_masks(tables.nfa, rank) for rank in tables.rank]
+    return [masks for masks, _ in levels], [rep for _, rep in levels]
 
 
 class TestKernels:
@@ -457,13 +461,13 @@ class TestKernels:
     def _check(self, nfa, length, words):
         tables = precompute(nfa, length)
         images = chunk_images(nfa)
-        rank_masks = _rank_masks(tables)
+        pred_masks, rep = _search_tables(tables)
         for word in words:
             lists = kernel_run(nfa, word)
             masks = kernel_run(nfa, word, images)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
             expected = next_word_lists(word, lists, tables)
-            assert next_word_masks(word, masks, tables, images, rank_masks) == expected
+            assert next_word_masks(word, masks, tables, pred_masks, rep) == expected
             assert next_word(word, build_run_stack(word, nfa), tables) == expected
 
     def test_agree_on_every_short_word_of_the_corpus(self):
@@ -547,23 +551,21 @@ class TestWideRankSearch:
         nfa = self.NFA
         assert nfa.kernel == "bit" and len(nfa.images[0]) == 13
         tables = precompute(nfa, self.LENGTH - 1)
-        assert max(map(len, tables.rank_masks)) == 68
-        assert sum(len(m) >= 64 for m in tables.rank_masks) == 4
+        assert max(map(len, tables.rep)) == 68
+        assert sum(len(rep) >= 64 for rep in tables.rep) == 4
 
     def test_bit_search_equals_list_search_at_every_retried_position(self):
         """Each position i of each word is retried on its own: the letters
         after it are the last symbol, above which no symbol is tried. Where
-        the bit search's successor pivots at i, its charge is each tried
-        symbol's image and intersection, the binary search's bound of
-        ceil(log2 m) ANDs of ceil(|Q|/64) over the level's m prefix masks,
-        whatever path it takes, and 1 + k for the suffix; that is exactly
-        ceil(log2 m) + 1 ANDs for the hit, however many states the
-        intersection holds."""
+        the bit search's successor pivots at i, its charge is one AND of
+        ceil(|Q|/64) per tried symbol, the binary search's bound of
+        ceil(log2 m) ANDs over the level's m live ranks, whatever path it
+        takes, and 1 + k for the suffix, however many states of the set
+        reach the least rank."""
         nfa, length = self.NFA, self.LENGTH
         sigma = nfa.symbol_count
         words_per_and = -(-nfa.state_count // 64)
         tables = precompute(nfa, length)
-        images = nfa.images
         rng = random.Random(83)
         words = list(itertools.islice(cross_section(nfa, length, tables), 60))
         words += [tuple(rng.randrange(sigma) for _ in range(length)) for _ in range(60)]
@@ -572,32 +574,29 @@ class TestWideRankSearch:
             for i in range(length):
                 probe = word[: i + 1] + (sigma - 1,) * (length - i - 1)
                 lists = kernel_run(nfa, probe)
-                masks = kernel_run(nfa, probe, images)
+                masks = kernel_run(nfa, probe, nfa.images)
                 expected = next_word_lists(probe, lists, tables)
                 with counting() as counter:
-                    found = next_word_masks(probe, masks, tables, images, tables.rank_masks)
+                    found = next_word_masks(probe, masks, tables, tables.pred_masks, tables.rep)
                     charged = counter.ops
                 assert found == expected
                 if found is None or found[1] != i:
                     continue
                 k = length - i - 1
-                tried = 0
-                for a in range(probe[i] + 1, found[0][i] + 1):
-                    with counting() as counter:
-                        mask_image(images, masks[i], a)
-                        tried += counter.ops + words_per_and
-                m = len(tables.rank_masks[k])
-                probes, rest = divmod(charged - tried - (1 + k), words_per_and)
+                tried = found[0][i] - probe[i]
+                m = len(tables.rep[k])
+                ands, rest = divmod(charged - (1 + k), words_per_and)
                 assert rest == 0
-                assert probes == (m - 1).bit_length()
+                assert ands == tried + (m - 1).bit_length()
                 wide_hits += m >= 64
         assert wide_hits >= 20, wide_hits
 
     def test_prefix_masks_stay_within_a_multiple_of_the_transitions(self):
         """An unsettled level holds two |Q|-entry rows, one first-step pair
-        per live state and m prefix masks of ceil(|Q|/8) bytes. The kernel
-        test keeps |Q| <= 2|delta|/sigma and m * ceil(|Q|/8) <= 16|delta|/sigma,
-        so a level's traced size stays within 48 |delta| bytes."""
+        per live state, m representatives and, per symbol, m prefix masks of
+        ceil(|Q|/8) bytes. The kernel test keeps |Q| <= 2|delta|/sigma and
+        m * ceil(|Q|/8) <= 16|delta|/sigma, so a level's traced size stays
+        within 48 |delta| bytes."""
         nfa = self.NFA
         delta = nfa.transition_count
         nbytes = -(-nfa.state_count // 8)
@@ -610,18 +609,21 @@ class TestWideRankSearch:
             finally:
                 tracemalloc.stop()
         assert all(tables.rank[k] != tables.rank[k - 1] for k in range(1, self.LENGTH))
-        for masks in tables.rank_masks:
-            assert len(masks) * nbytes <= 16 * delta / nfa.symbol_count
+        for by_symbol in tables.pred_masks:
+            for masks in by_symbol:
+                assert len(masks) * nbytes <= 16 * delta / nfa.symbol_count
         per_level = (sizes[1] - sizes[0]) / (self.LENGTH - 1)
         assert per_level <= 48 * delta, per_level
 
     def test_no_final_state_misses_on_every_level(self):
-        # Every level holds the one empty mask [0], so each tried symbol's
-        # intersection is empty and the search never indexes past it.
+        # Every level holds the one empty mask [0] per symbol and no
+        # representative, so each tried symbol's AND is empty and the search
+        # never indexes past it.
         nfa = random_automaton(random.Random(8), 100, 3, 312, 4, 0)
         assert nfa.kernel == "bit" and not nfa.final_states
         tables = precompute(nfa, 6)
-        assert tables.rank_masks == [[0]] * 7
+        assert tables.pred_masks == [[[0]] * 3] * 7
+        assert tables.rep == [[]] * 7
         rng = random.Random(84)
         for _ in range(20):
             word = tuple(rng.randrange(3) for _ in range(6))
@@ -788,8 +790,8 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 2894
-    assert sum(r.op_count for r in report.records) == 4623
+    assert report.preproc_ops == 3550
+    assert sum(r.op_count for r in report.records) == 1638
 
 
 def test_list_search_charge_does_not_depend_on_set_order():
@@ -914,20 +916,17 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
     assert len(steps) > before and len(steps) == sum(replayed)
 
 
-def test_the_bit_search_takes_one_image_per_symbol_tried(monkeypatch):
-    """Each symbol the bit search tries costs one mask_image call, and it
-    makes no other. At a retried position i whose set is not empty it tries
-    every symbol above word[i] when i is above the pivot, and the symbols up
-    to the successor's letter at the pivot; after the last word every
-    position is above the pivot. The replay's images, taken outside the
-    search, are not counted. The sets come from the list kernel's step."""
-    calls = []
+def test_the_bit_search_takes_no_image(monkeypatch):
+    """The bit search calls mask_image zero times: it reads the tables'
+    predecessor masks instead. The replay, outside the search, still takes
+    one image per position it replays, before and after a seek."""
+    searched, replayed_images, replayed = [], [], []
     searching = []
-    step, search = enumeration.mask_image, enumeration.next_word
+    step = enumeration.mask_image
+    search, build = enumeration.next_word, enumeration.build_run_stack
 
     def counted(images, mask, symbol):
-        if searching:
-            calls.append(symbol)
+        (searched if searching else replayed_images).append(symbol)
         return step(images, mask, symbol)
 
     def flagged(word, stack, tables):
@@ -937,36 +936,26 @@ def test_the_bit_search_takes_one_image_per_symbol_tried(monkeypatch):
         finally:
             searching.pop()
 
+    def counted_build(word, nfa, run=None):
+        replayed.append(len(word))
+        return build(word, nfa, run)
+
     monkeypatch.setattr(enumeration, "mask_image", counted)
     monkeypatch.setattr(enumeration, "next_word", flagged)
+    monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
     wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     narrow = compile_regex("(a|b|c)*b(a|c)*")
     for nfa in (wide, narrow):
         assert nfa.kernel == "bit"
-        sigma = nfa.symbol_count
         for length in (1, 2, 6):
             words = cross_section_bruteforce(nfa, length)
             assert words
             seek_at = max(len(words) // 2, 1)
             start = words[len(words) // 4]
             cursor = CrossSectionCursor(nfa, length)
-            calls.clear()
-            got, expected = [], 0
-            while True:
-                if len(got) == seek_at:
-                    cursor.seek(start)
-                prev = cursor.current
-                word = cursor.next()
-                if prev is not None:
-                    sets = kernel_run(nfa, prev)
-                    pivot = -1 if word is EXHAUSTED else next(
-                        i for i, (a, b) in enumerate(zip(prev, word)) if a != b
-                    )
-                    for i in range(max(pivot, 0), length):
-                        if sets[i]:
-                            expected += (word[i] if i == pivot else sigma - 1) - prev[i]
-                if word is EXHAUSTED:
-                    break
-                got.append(word)
+            got = list(itertools.islice(cursor, seek_at))
+            cursor.seek(start)
+            got += cursor
             assert got == words[:seek_at] + [w for w in words if w > start]
-            assert expected and len(calls) == expected
+    assert not searched
+    assert replayed_images and len(replayed_images) == sum(replayed)

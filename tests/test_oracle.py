@@ -10,22 +10,22 @@ from lexenum import (
     min_word_oracle,
     min_words_by_state,
 )
-from helpers import corpus_automaton
+from helpers import corpus_automaton, word_from_str
 
 
 class TestMember:
     def test_accepted(self, a1):
-        assert member(a1, a1.word_from_str("ab"))
+        assert member(a1, word_from_str(a1, "ab"))
 
     def test_rejected(self, a1):
-        assert not member(a1, a1.word_from_str("aa"))
+        assert not member(a1, word_from_str(a1, "aa"))
 
     def test_empty_word(self, a1):
         assert not member(a1, ())
 
     def test_custom_start(self, a1):
-        assert member(a1, a1.word_from_str("a"), start=[1])
-        assert not member(a1, a1.word_from_str("b"), start=[1])
+        assert member(a1, word_from_str(a1, "a"), start=[1])
+        assert not member(a1, word_from_str(a1, "b"), start=[1])
 
 
 class TestCrossSectionBruteforce:

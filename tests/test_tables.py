@@ -236,8 +236,8 @@ def _dense_cross_automaton():
 )
 def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
     # Level k + 1 is a function of rank[k], so once rank[s] equals rank[s - 1]
-    # every later level is level s: the same row and mask-list objects, not
-    # copies.
+    # every later level is level s: the same row, mask-list and
+    # representative-list objects, not copies.
     assert nfa.kernel == "bit"
     tables = precompute(nfa, length)
     s = next(k for k in range(1, length + 1) if tables.rank[k] == tables.rank[k - 1])
@@ -245,7 +245,8 @@ def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
     for k in range(s + 1, length + 1):
         assert tables.rank[k] is tables.rank[s]
         assert tables.first_step[k] is tables.first_step[s]
-        assert tables.rank_masks[k] is tables.rank_masks[s]
+        assert tables.pred_masks[k] is tables.pred_masks[s]
+        assert tables.rep[k] is tables.rep[s]
     assert_tables_match_full_scan(tables)
 
 
@@ -263,10 +264,12 @@ def test_a_settled_level_charges_one_unit_and_fills_nothing():
         # Level 1 is all live, so its predecessor entries are every transition.
         m = sum(r < n for r in tables.rank[2])
         visited = tables.fill_ops - fill
-        expected = nfa.transition_count + visited + 3 * n + 2 * m + m * (m - 1).bit_length()
-        # One ceil(|Q|/64)-word prefix OR per live rank for its rank masks.
-        expected += len(tables.rank_masks[2]) * -(-n // 64)
-        assert counter.ops == expected == 108
+        expected = nfa.transition_count + visited + 3 * n + m + m * (m - 1).bit_length()
+        # Its masks: m for the grouping, then per symbol one ceil(|Q|/64)-word
+        # OR per live state and one fold step per live rank.
+        ranks = len(tables.rep[2])
+        expected += m + nfa.symbol_count * (m + ranks) * -(-n // 64)
+        assert counter.ops == expected == 133
     assert tables.rank[2] == tables.rank[1]
     fill = tables.fill_ops
     with counting() as counter:
