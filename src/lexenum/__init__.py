@@ -37,6 +37,7 @@ from .enumeration import (
     cross_section,
     min_word,
     next_word,
+    radix_cursors,
     radix_words,
 )
 from .fileformat import ParseError, parse_automaton
@@ -78,6 +79,7 @@ __all__ = [
     "next_word",
     "parse_automaton",
     "precompute",
+    "radix_cursors",
     "radix_words",
     "random_automaton",
 ]

@@ -18,11 +18,11 @@ import random
 import sys
 from contextlib import closing
 from itertools import chain, islice
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automaton import AutomatonError, Nfa
 from .bench import MAX_SYMBOLS, _csv_row, _measure, random_automaton
-from .enumeration import cross_section, radix_words
+from .enumeration import CrossSectionCursor, radix_cursors
 from .fileformat import ParseError, decode_automaton, parse_automaton
 from .instrument import counting
 from .regex import RegexSyntaxError, compile_regex
@@ -137,10 +137,25 @@ def _printable(nfa: Nfa) -> Nfa:
     return nfa
 
 
-def _stream_words(nfa: Nfa, words, limit: Optional[int]) -> None:
+def _lines(nfa: Nfa, cursors) -> Iterator[str]:
+    """Each word of each cursor as a line. Consecutive words of a cursor
+    share their letters before its pivot, so a line keeps the previous
+    line's up to there and spells only the rest; a cursor's first word has
+    pivot 0 and is spelled whole. Each glyph is one character, so letter
+    positions are character positions."""
+    format_word = nfa.format_word
+    for cursor in cursors:
+        line = ""
+        for word in cursor:
+            pivot = cursor.pivot
+            line = line[:pivot] + format_word(word[pivot:]) + "\n"
+            yield line
+
+
+def _stream_words(nfa: Nfa, cursors, limit: Optional[int]) -> None:
     write = sys.stdout.write
-    for word in islice(words, limit):
-        write(nfa.format_word(word) + "\n")
+    for line in islice(_lines(nfa, cursors), limit):
+        write(line)
 
 
 def _cmd_enum(args) -> int:
@@ -148,7 +163,7 @@ def _cmd_enum(args) -> int:
     with counting(args.count_ops) as counter:
         tables = precompute(nfa, args.length)
         preproc = counter.ops
-        _stream_words(nfa, cross_section(nfa, args.length, tables), args.limit)
+        _stream_words(nfa, [CrossSectionCursor(nfa, args.length, tables)], args.limit)
         enumeration = counter.ops - preproc
     if args.count_ops:
         print(f"# ops: preproc={preproc}, enumeration={enumeration}", file=sys.stderr)
@@ -158,7 +173,7 @@ def _cmd_enum(args) -> int:
 def _cmd_radix(args) -> int:
     nfa = _printable(_load_automaton(args))
     with counting(args.count_ops) as counter:
-        _stream_words(nfa, radix_words(nfa, args.max_length), args.limit)
+        _stream_words(nfa, radix_cursors(nfa, args.max_length), args.limit)
         total = counter.ops
     if args.count_ops:
         print(f"# ops: total={total}", file=sys.stderr)

@@ -32,7 +32,7 @@ also the only reader of the tables' first steps.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import count
+from itertools import chain, count
 from typing import Collection, Iterator, Optional, Union
 
 from .automaton import Nfa, Word, delta_step, mask_image, state_mask
@@ -279,6 +279,18 @@ class CrossSectionCursor:
         before the first call or seek."""
         return self._last
 
+    @property
+    def pivot(self) -> int:
+        """The first position at which the word the last :meth:`next`
+        returned differs from :attr:`current` before that call; after a
+        :meth:`seek`, that is the sought word. 0 for the least word, before
+        any call, between a seek and the next call, and once
+        :data:`EXHAUSTED` is returned. A caller that keeps the previous
+        word's spelling need only spell the new word from here on. It is the
+        held run's length less one, which :meth:`next` leaves at the
+        search's pivot."""
+        return len(self._run) - 1
+
     def next(self) -> Union[Word, _ExhaustedType]:
         if self._exhausted:
             return EXHAUSTED
@@ -330,11 +342,21 @@ def cross_section(nfa: Nfa, length: int, tables: Optional[MinWordTables] = None)
 def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     """Yield the language in radix order: shorter first, ties lexicographic.
 
-    Chains one cross-section cursor per length over a single table that gains
-    one level per length. A prefix of the run is :func:`itertools.islice` of
-    it, which builds no level beyond the last word taken. Besides
-    ``max_length``, the run stops by itself at the first length k at which no
-    state reachable from the initial set accepts a length-k word; the
+    The words of :func:`radix_cursors`' cursors, one after another. A prefix
+    of the run is :func:`itertools.islice` of it, which builds no level
+    beyond the last word taken.
+    """
+    return chain.from_iterable(radix_cursors(nfa, max_length))
+
+
+def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossSectionCursor]:
+    """Yield one cross-section cursor per length, shortest first.
+
+    The cursors share a single table that gains one level per length, built
+    when the cursor of that length is taken, so a run that stops taking
+    cursors builds no further level. Each cursor's first word has pivot 0.
+    Besides ``max_length``, the run stops by itself at the first length k at
+    which no state reachable from the initial set accepts a length-k word; the
     reachable states are collected once, in O(|Q| + #transitions), charged
     |Q| plus one unit per adjacency pair and per target visited. That rule
     is exact: a reachable state accepting a longer word reaches, after the
@@ -345,7 +367,8 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     each length the check reads reachable states' ranks up to the first live
     one and is charged one unit per rank read. ``max_length``, when given,
     must be a non-negative int (not a bool); since this is a generator, a
-    bad one raises :class:`ValueError` on the first ``next``.
+    bad one raises :class:`ValueError` on the first ``next``, and so does
+    :func:`radix_words`' iterator.
     """
     if max_length is not None:
         check_length(max_length)
@@ -375,4 +398,4 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
             _ops.ops += live_at or len(reachable)
         if not live_at:
             return
-        yield from CrossSectionCursor(nfa, length, tables)
+        yield CrossSectionCursor(nfa, length, tables)

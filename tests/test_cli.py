@@ -3,13 +3,15 @@ import random
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from lexenum import cli
+from lexenum import compile_regex, cross_section, radix_words
 from lexenum.cli import main
-from lexenum.enumeration import CrossSectionCursor
+from lexenum.enumeration import EXHAUSTED, CrossSectionCursor
 from lexenum.instrument import counting
 
 A1_TEXT = """\
@@ -172,6 +174,34 @@ class TestRadix:
             code, out, _ = run(capsys, "radix", "--automaton", a1_file, "--max-length", "3")
             assert code == 0
             assert counter.enabled and counter.ops > 0
+
+
+class TestSplicedLines:
+    """enum and radix keep each line up to the cursor's pivot and spell only
+    the rest; the bytes equal every word spelled whole."""
+
+    def test_enum_matches_whole_spelling(self, capsys):
+        pattern = "(a|b|c)*b(a|c)*"
+        nfa = compile_regex(pattern)
+        code, out, _ = run(
+            capsys, "enum", "--regex", pattern, "--length", "40", "--limit", "5000"
+        )
+        words = islice(cross_section(nfa, 40), 5000)
+        assert code == 0
+        assert out == "".join(nfa.format_word(w) + "\n" for w in words)
+
+    def test_radix_matches_whole_spelling(self, capsys):
+        # The empty word comes first, and each length starts a new line.
+        for pattern, argv in [
+            ("(b|ab|ba|abc|bca|cab|cba)?", ()),
+            ("(a|b|c)*b(a|c)*", ("--max-length", "6")),
+        ]:
+            nfa = compile_regex(pattern)
+            code, out, _ = run(capsys, "radix", "--regex", pattern, *argv)
+            words = radix_words(nfa, 6)
+            assert code == 0
+            assert out == "".join(nfa.format_word(w) + "\n" for w in words), pattern
+        assert out.startswith("b\nab\nba\nbb\nbc\ncb\naab\n")
 
 
 class TestLineBreakGlyphs:
@@ -345,6 +375,33 @@ class TestOneWritePerLine:
         assert code == 0
         assert out.writes == ["aaaaab\n", "aaaaba\n", "aaaabb\n"]
         assert len(calls) == 3
+
+    def test_radix_writes_and_pulls_exactly_limit_words(self, monkeypatch):
+        """Each length's cursor is pulled until it returns EXHAUSTED, but the
+        last one no further than the limit's word. (a|b)* has the empty word;
+        (a|b|c)*b(a|c)* has none, one word of length 1 and six of length 2."""
+        returned = []
+        step = CrossSectionCursor.next
+
+        def recorded(self):
+            returned.append(step(self))
+            return returned[-1]
+
+        monkeypatch.setattr(CrossSectionCursor, "next", recorded)
+        for pattern, limit, lines, exhausted in [
+            ("(a|b)*", 1, ["\n"], 0),
+            ("(a|b)*", 3, ["\n", "a\n", "b\n"], 1),
+            ("(a|b|c)*b(a|c)*", 4, ["b\n", "ab\n", "ba\n", "bb\n"], 2),
+        ]:
+            out = _RecordingStdout()
+            monkeypatch.setattr(sys, "stdout", out)
+            returned.clear()
+            code = main(["radix", "--regex", pattern, "--limit", str(limit)])
+            assert code == 0
+            assert out.writes == lines
+            assert len(returned) == limit + exhausted
+            assert returned.count(EXHAUSTED) == exhausted
+            assert returned[-1] is not EXHAUSTED
 
     def test_bench_writes_each_csv_line_whole(self, monkeypatch):
         out = _RecordingStdout()

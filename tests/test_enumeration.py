@@ -21,6 +21,7 @@ from lexenum import (
     min_words_by_state,
     next_word,
     precompute,
+    radix_cursors,
     radix_words,
     random_automaton,
 )
@@ -220,6 +221,7 @@ def test_successor_of_every_word_is_least_greater_member(seed, length):
             assert found == (expected, pivot)
         cursor.seek(word)
         assert cursor.next() == (EXHAUSTED if expected is None else expected)
+        assert cursor.pivot == (0 if expected is None else pivot)
 
 
 class TestCursor:
@@ -373,13 +375,77 @@ class TestCursor:
         assert late - early <= 16 * 1024, (early, late)
 
 
+def _first_difference(u, v):
+    return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+
+
+def _words_checking_pivots(cursor):
+    """The cursor's words; after each, its pivot is the first position where
+    the word differs from the one before, or 0 on the first."""
+    words = []
+    for word in cursor:
+        expected = _first_difference(words[-1], word) if words else 0
+        assert cursor.pivot == expected, (cursor.nfa.kernel, words[-1:], word)
+        words.append(word)
+    return words
+
+
+class TestPivot:
+    """``pivot`` is the first position at which the word the last ``next``
+    returned differs from the cursor's current word before that call, and 0
+    on every least word, on both kernels."""
+
+    @pytest.fixture
+    def kernels(self, a1):
+        tiny = compile_regex("(a|b|c)*b(a|c)*")
+        assert (a1.kernel, tiny.kernel) == ("list", "bit")
+        return a1, tiny
+
+    def test_consecutive_words(self, kernels):
+        for nfa in kernels:
+            for length in range(1, 8):
+                cursor = CrossSectionCursor(nfa, length)
+                assert cursor.pivot == 0
+                assert _words_checking_pivots(cursor)
+                assert cursor.pivot == 0
+
+    def test_after_seek_is_measured_against_the_sought_word(self, kernels):
+        # Every word of the length is sought, accepted or not.
+        for nfa in kernels:
+            length = 5
+            members = list(cross_section(nfa, length))
+            cursor = CrossSectionCursor(nfa, length)
+            for start in itertools.product(range(nfa.symbol_count), repeat=length):
+                cursor.seek(start)
+                assert cursor.pivot == 0
+                word = cursor.next()
+                expected = next((w for w in members if w > start), EXHAUSTED)
+                assert word == expected
+                if word is EXHAUSTED:
+                    assert cursor.pivot == 0
+                    continue
+                assert cursor.pivot == _first_difference(start, word), (start, word)
+                after = cursor.next()
+                if after is not EXHAUSTED:
+                    assert cursor.pivot == _first_difference(word, after)
+
+    def test_each_radix_cursor_starts_at_zero(self, kernels):
+        epsilon = compile_regex("(b|ab|ba|abc|bca|cab)?")
+        for nfa in (*kernels, epsilon):
+            words = []
+            for cursor in radix_cursors(nfa, 5):
+                words += _words_checking_pivots(cursor)
+            assert words == list(radix_words(nfa, 5))
+        assert words[0] == ()
+
+
 def _assert_held_run_is_the_valid_prefix(cursor, prev):
     """The held run has pivot + 1 entries, the pivot being the first
     position at which the cursor's current word differs from ``prev``, or 0
     when ``prev`` is None (after the least word or a seek), and they equal
     the same prefix of a run of the current word built from scratch."""
     word = cursor.current
-    pivot = 0 if prev is None else next(i for i, (a, b) in enumerate(zip(prev, word)) if a != b)
+    pivot = 0 if prev is None else _first_difference(prev, word)
     assert len(cursor._run) == pivot + 1
     assert cursor._run == build_run_stack(word, cursor.nfa)[: pivot + 1]
 
