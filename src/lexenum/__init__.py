@@ -10,12 +10,13 @@ linear in the automaton's size plus the work of l table levels, consecutive
 words are produced with O(l*#transitions) work between outputs, independent
 of how many words have been emitted, and with flat memory: each word is
 derived from the previous one plus read-only tables of O(l*|Q|) entries
-(each state's first step and word-order rank per length), which keep the
-automaton they were built for. A state set is a set of states, or an int
-mask when the automaton is dense enough for the bit kernel (see
-:mod:`lexenum.automaton`); a cursor keeps the l sets reached after the last
-word's proper prefixes (O(l*|Q|) bytes), the ones its successor search reads,
-and replays them only from the position the previous successor changed.
+(each state's word-order rank and each rank's first step per length),
+which keep the automaton they were built for. A state set is a set of
+states, or an int mask when the automaton is dense enough for the bit
+kernel (see :mod:`lexenum.automaton`); a cursor keeps the l sets reached
+after the last word's proper prefixes (O(l*|Q|) bytes), the ones its
+successor search reads, and replays them only from the position the
+previous successor changed.
 Radix (shortlex) order over a whole language comes from chaining one
 cross-section per length over one table that grows a level per length; the
 run stops by itself after the longest word of a finite language, and

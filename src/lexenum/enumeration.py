@@ -24,9 +24,9 @@ instead ANDs the run's mask with the tables' per-symbol prefix predecessor
 masks. Both searches take the least (symbol, rank) pair above the retried
 letter, ranked by the tables' ranks alone, the key
 ``MinWordTables.add_level`` ranks states by, so both give the same successor
-and the same pivot. Every least word,
-the cursor's first and each suffix, is spelled by :func:`min_word`, which is
-also the only reader of the tables' first steps.
+and the same pivot. A rank stands for one word, so every least word, the
+cursor's first and each suffix, is spelled from its rank alone by
+:func:`min_word`, which is also the only reader of the tables' first steps.
 """
 
 from __future__ import annotations
@@ -51,29 +51,24 @@ class _ExhaustedType:
 EXHAUSTED = _ExhaustedType()
 
 
-def min_word(k: int, states: Collection[int], tables: MinWordTables) -> Optional[Word]:
-    """Least length-k word accepted from any state in ``states``, or None.
+def min_word(k: int, r: int, tables: MinWordTables) -> Optional[Word]:
+    """The length-k word of level-k rank ``r``, or None for the sentinel.
 
     The only path that spells a least word: the cursor's first word and both
-    successor searches' suffixes come through here. An argmin over the
-    level-k ranks picks the state; when its rank is the sentinel no state is
-    live, and otherwise its word is read off the first steps of levels
-    ``k .. 1``. The argmin is charged ``|states|`` and the spelling ``k``,
-    one unit per first step read, so a miss costs O(|states|), a hit
-    O(k + |states|).
+    successor searches' suffixes come through here, each from the least rank
+    its caller found. A rank ``r >= |Q|`` is the sentinel of states that
+    accept no length-k word, and gives None at no charge. Otherwise the word
+    is read off the first steps of levels ``k .. 1``, each step a letter and
+    the rank of the rest one level down, and charged ``k``, one unit per
+    first step read.
     """
-    if not states:
+    if r >= tables.nfa.state_count:
         return None
-    rank = tables.rank[k]
-    q = min(states, key=rank.__getitem__)
-    live = rank[q] < tables.nfa.state_count
     if _ops.enabled:
-        _ops.ops += len(states) + k * live
-    if not live:
-        return None
+        _ops.ops += k
     out = []
     for first_step in tables.first_step[k:0:-1]:
-        a, q = first_step[q]
+        a, r = first_step[r]
         out.append(a)
     return tuple(out)
 
@@ -116,7 +111,7 @@ def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[
     """
     if tables.pred_masks is None:
         return next_word_lists(word, stack, tables)
-    return next_word_masks(word, stack, tables, tables.pred_masks, tables.rep)
+    return next_word_masks(word, stack, tables, tables.pred_masks)
 
 
 def next_word_lists(
@@ -127,15 +122,15 @@ def next_word_lists(
     Positions are retried from the last to the first. At position ``i``,
     with ``k = len(word) - i - 1``, each state of ``stack[i]`` walks its
     adjacency list to its own first live pair: :meth:`MinWordTables.add_level`'s
-    rule, started at the first symbol above ``word[i]``. The target of least
-    level-k rank stands for a pair, and the pair is live when that target is.
-    The least (symbol, rank) pair over the states gives the successor:
-    ``word[:i]``, that symbol, then the target's least length-k word, which
-    :func:`min_word` spells from the target alone; ``i`` is the pivot. A
-    retried position is charged one unit per state of ``stack[i]`` and 1 plus
-    its target count per adjacency pair examined. No walk depends on another
-    state's, so the charge depends on the set and not on the order in which
-    it is iterated.
+    rule, started at the first symbol above ``word[i]``. The least level-k
+    rank among a pair's targets ranks the pair, and the pair is live when
+    that rank is. The least (symbol, rank) pair over the states gives the
+    successor: ``word[:i]``, that symbol, then the length-k word of that
+    rank, which :func:`min_word` spells from the rank alone; ``i`` is the
+    pivot. A retried position is charged one unit per state of ``stack[i]``
+    and 1 plus its target count per adjacency pair examined. No walk depends
+    on another state's, so the charge depends on the set and not on the
+    order in which it is iterated.
     """
     nfa = tables.nfa
     adjacency = nfa.adjacency
@@ -147,7 +142,7 @@ def next_word_lists(
         key = tables.rank[k].__getitem__
         cur = stack[i]
         wi = word[i]
-        best_a, best_r, best_targets = len(nfa.alphabet), n, ()
+        best_a, best_r = len(nfa.alphabet), n
         examined = len(cur)
         for q in cur:
             row = adjacency[q]
@@ -156,38 +151,31 @@ def next_word_lists(
                 r = min(map(key, targets))
                 if r < n:
                     if a < best_a or (a == best_a and r < best_r):
-                        best_a, best_r, best_targets = a, r, targets
+                        best_a, best_r = a, r
                     break
         if counting:
             _ops.ops += examined
-        if best_targets:
-            t = min(best_targets, key=key)
-            return word[:i] + (best_a,) + min_word(k, (t,), tables), i
+        if best_r < n:
+            return word[:i] + (best_a,) + min_word(k, best_r, tables), i
     return None
 
 
 def next_word_masks(
-    word: Word,
-    stack: list[int],
-    tables: MinWordTables,
-    pred_masks: list[list[list[int]]],
-    rep: list[list[int]],
+    word: Word, stack: list[int], tables: MinWordTables, pred_masks: list[list[list[int]]]
 ) -> Optional[tuple[Word, int]]:
     """The bit kernel's successor search; ``stack`` holds masks.
 
-    ``pred_masks[k][a]`` and ``rep[k]`` are level k's prefix predecessor
-    masks of symbol ``a`` and its representatives, as the tables hold them
-    (see :mod:`lexenum.tables`): entry ``r`` of ``pred_masks[k][a]`` holds
-    the states with an ``a``-transition into a state of level-k rank
-    ``<= r``, and ``rep[k][r]`` is a state of rank ``r``. Positions are
-    retried from the last to the first. At position ``i``, with ``k =
-    len(word) - i - 1``, each symbol above ``word[i]`` is tried in order:
-    the first whose last entry meets ``stack[i]`` is the successor symbol,
-    since some state of ``stack[i]`` has a transition on it into a live
-    state. A binary search over that symbol's entries then finds the least
-    rank ``r`` whose entry meets ``stack[i]``, the least rank the symbol
-    reaches, and :func:`min_word` spells the suffix from ``rep[k][r]``
-    alone. That is the least (symbol, rank) pair, as in
+    ``pred_masks[k][a]`` is level k's prefix predecessor masks of symbol
+    ``a``, as the tables hold them (see :mod:`lexenum.tables`): entry ``r``
+    holds the states with an ``a``-transition into a state of level-k rank
+    ``<= r``. Positions are retried from the last to the first. At position
+    ``i``, with ``k = len(word) - i - 1``, each symbol above ``word[i]`` is
+    tried in order: the first whose last entry meets ``stack[i]`` is the
+    successor symbol, since some state of ``stack[i]`` has a transition on
+    it into a live state. A binary search over that symbol's entries then
+    finds the least rank ``r`` whose entry meets ``stack[i]``, the least
+    rank the symbol reaches, and :func:`min_word` spells the suffix from
+    ``r`` alone. That is the least (symbol, rank) pair, as in
     :func:`next_word_lists`, and the search takes no image. Each symbol
     tried is charged ``ceil(|Q|/64)`` for its AND. The hit is charged the
     binary search's bound over the level's ``m`` live ranks,
@@ -217,7 +205,7 @@ def next_word_masks(
                         hi = mid
                     else:
                         lo = mid + 1
-                return word[:i] + (a, *min_word(k, (rep[k][lo],), tables)), i
+                return word[:i] + (a, *min_word(k, lo, tables)), i
     return None
 
 
@@ -228,9 +216,10 @@ class CrossSectionCursor:
     ``length`` or :data:`EXHAUSTED` (sticky once returned). Iterating the
     cursor yields what those calls return before :data:`EXHAUSTED`; an
     iterator that has ended stays ended, even after a :meth:`seek`. The
-    first call costs one least-word lookup; each later call brings the run
-    of the previous output up to date and searches it for the successor, so
-    per-output work is O(length * #transitions) regardless of history.
+    first call takes the least rank over the initial states and spells its
+    word; each later call brings the run of the previous output up to date
+    and searches it for the successor, so per-output work is O(length *
+    #transitions) regardless of history.
 
     The cursor holds the valid prefix of the last output's run: the state
     sets reached after the word's prefixes up to the last search's pivot
@@ -296,7 +285,11 @@ class CrossSectionCursor:
             return EXHAUSTED
         last, run = self._last, self._run
         if last is None:
-            word = min_word(self.length, self.nfa.initial, self.tables)
+            initial, rank = self.nfa.initial, self.tables.rank[self.length]
+            if _ops.enabled:
+                _ops.ops += len(initial)
+            r = min(map(rank.__getitem__, initial), default=self.nfa.state_count)
+            word = min_word(self.length, r, self.tables)
         else:
             build_run_stack(last[len(run) - 1 : -1], self.nfa, run)
             word, pivot = next_word(last, run, self.tables) or (None, 0)

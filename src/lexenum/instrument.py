@@ -14,8 +14,11 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 through; the successor searches'
 :func:`~lexenum.enumeration.next_word_lists` and
 :func:`~lexenum.enumeration.next_word_masks`; every least word's
-:func:`~lexenum.enumeration.min_word`; and
-:func:`~lexenum.enumeration.radix_words` for a radix run's liveness checks.
+:func:`~lexenum.enumeration.min_word`, ``k`` per word of length ``k``,
+with the cursor's :meth:`~lexenum.enumeration.CrossSectionCursor.next`
+adding ``|initial|`` for the first word's least rank; and
+:func:`~lexenum.enumeration.radix_cursors` for a radix run's liveness
+checks.
 
 The core modules funnel every increment through the single ``ops`` object
 below, and :func:`counting` turns it on for a block. Blocks nest: what an

@@ -1,7 +1,7 @@
 """Precomputed guidance tables for minimal-word reconstruction.
 
-For every length ``k <= length`` and state ``q`` the tables answer two
-questions in O(1):
+For every length ``k <= length`` the tables hold the order of the least
+length-k words, which answers two questions in O(1):
 
 * ``rank[k][q]`` is the dense rank of the least length-k word accepted
   starting from ``q`` among the least length-k words of all states that
@@ -10,13 +10,16 @@ questions in O(1):
   ``nfa.state_count``, above every live rank. So ``q`` is live at level k
   iff ``rank[k][q] < nfa.state_count``, and ``q``'s word is
   lexicographically <= ``q'``'s iff ``rank[k][q] <= rank[k][q']``.
-* ``first_step[k][q]``, for ``k >= 1`` and ``q`` live at level k, is the
-  first transition of that least word, a ``(symbol_id, next_state)`` pair.
-  It is read only where the rank is live; other entries mean nothing.
+* ``first_step[k][r]``, for ``k >= 1`` and each live rank ``r`` of level k,
+  is the pair ``(symbol_id, r')`` that the level-k word of rank ``r`` is
+  made of: its first letter, then the level-(k-1) word of rank ``r'``. The
+  list holds one pair per live rank, in rank order, so the pairs increase
+  strictly, and ``first_step[0]`` is empty.
 
 This module only builds the tables. Every reader is in
 :mod:`lexenum.enumeration`, whose :func:`~lexenum.enumeration.min_word`
-spells a least word by following the first steps down from level k.
+spells a least word by following the first steps down from a rank of level
+k; no state is needed for that, since a rank stands for one word.
 
 For automata on the bit kernel (``nfa.kernel == "bit"``) the tables also
 hold, per level k, what the bit kernel's successor search reads in place of
@@ -24,10 +27,8 @@ an image. ``pred_masks[k][a]`` lists prefix masks over the live ranks: entry
 ``r`` is the mask of the states with an ``a``-transition into a state of
 level-k rank ``<= r``, so the last entry holds every state with an
 ``a``-transition into a live state. A level with no live state holds ``[0]``
-per symbol. ``rep[k][r]`` is the least state of rank ``r``; states of equal
-rank share their least word, so it spells that word for all of them. A
-level's masks, one per symbol and live rank, take ceil(|Q|/8) bytes each.
-On the list kernel ``pred_masks`` and ``rep`` are None.
+per symbol. A level's masks, one per symbol and live rank, take
+ceil(|Q|/8) bytes each. On the list kernel ``pred_masks`` is None.
 
 The tables keep the automaton they were built for in ``nfa``, so readers
 take the adjacency lists and the alphabet from the tables themselves and
@@ -38,20 +39,20 @@ as its length rises instead of building a table per length.
 A state is live at level k exactly when it has a transition into a state live
 at level k-1. So level k's live set is the union of the predecessors of level
 k-1's live states, L(k) = pred(L(k-1)), and level k scans those states' rows
-only, for each one's first step and rank. Each state's predecessors are listed
-once, with level 0, in O(|Q| + #transitions); on the bit kernel so is
+only, for each one's least (symbol, rank) pair. Each state's predecessors are
+listed once, with level 0, in O(|Q| + #transitions); on the bit kernel so is
 ``pm[a][t]``, the mask of the states with an ``a``-transition into ``t``.
 Level k is a function of ``rank[k-1]`` alone, so once a level's rank row
 equals the one below it, every later level equals it too: the tables have
-settled. From then on a level appends the top level's rows, and on the bit
+settled. From then on a level appends the top level's lists, and on the bit
 kernel its masks, themselves, in O(1) time and memory, and the predecessor
-lists and masks are dropped. Until then a level costs O(|Q|) for its two rows
-and for comparing its rank row with the one below, plus its live states'
-adjacency lists, m log m to rank its m live states, and the previous live
-states' predecessor counts. On the bit kernel it also ORs each live state's
-``pm`` masks into running prefixes over its ranks: |alphabet| times m ORs
-plus one per live rank, of ceil(|Q|/64) words each, which the kernel test
-keeps within 4 * #transitions. That is never more
+lists and masks are dropped. Until then a level costs O(|Q|) for its rank
+row and for comparing it with the one below, plus its live states'
+adjacency lists, m log m to rank its m live states, one first step per live
+rank, and the previous live states' predecessor counts. On the bit kernel it
+also ORs each live state's ``pm`` masks into running prefixes over its
+ranks: |alphabet| times m ORs plus one per live rank, of ceil(|Q|/64) words
+each, which the kernel test keeps within 4 * #transitions. That is never more
 than a scan of every row, so building levels ``0 .. length`` costs O(|Q| +
 length * (#transitions + |Q| log |Q|)) at worst, and O(|Q| + s *
 (#transitions + |Q| log |Q|) + length) when the tables settle at level s; a
@@ -83,20 +84,20 @@ class MinWordTables:
 
     A level's live set, the set of states it scans, is the union of the
     predecessors of the level below's live states. On the bit kernel each
-    level also gets its ``pred_masks`` and ``rep`` entries, built in full
-    before the level is appended. Once a level's rank row equals the one
-    below it, the tables have settled: every later level is that level, so it
-    holds the same ``first_step``, ``rank``, ``pred_masks`` and ``rep``
-    objects, and the predecessor lists and masks are dropped.
+    level also gets its ``pred_masks`` entry, built in full before the level
+    is appended. Once a level's rank row equals the one below it, the tables
+    have settled: every later level is that level, so it holds the same
+    ``first_step``, ``rank`` and ``pred_masks`` objects, and the predecessor
+    lists and masks are dropped.
 
     The predecessor lists and masks (None once the tables have settled) and
     the top level's live set are private to the tables and only
     :meth:`add_level` reads them.
 
     ``fill_ops`` records how many adjacency pairs were inspected and target
-    comparisons made while filling ``first_step``; only live states' pairs are
-    inspected, so it is bounded by 4 * length * #transitions and exists so
-    tests can check that bound.
+    comparisons made while picking the live states' first steps; only live
+    states' pairs are inspected, so it is bounded by 4 * length *
+    #transitions and exists so tests can check that bound.
     """
 
     __slots__ = (
@@ -105,7 +106,6 @@ class MinWordTables:
         "first_step",
         "rank",
         "pred_masks",
-        "rep",
         "fill_ops",
         "_pred",
         "_pm",
@@ -124,9 +124,9 @@ class MinWordTables:
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
-        # Level 0 has no first steps; the empty placeholder keeps
+        # The empty word has no first step; the empty list keeps
         # ``first_step[k]`` at index k.
-        self.first_step: list[list[Optional[tuple[int, int]]]] = [[]]
+        self.first_step: list[list[tuple[int, int]]] = [[]]
         self.rank = [[n] * n]
         self.fill_ops = 0
         for q in nfa.final_states:
@@ -142,7 +142,6 @@ class MinWordTables:
         self._frontier = frozenset(nfa.final_states)
         self._pm: Optional[list[list[int]]] = None
         self.pred_masks: Optional[list[list[list[int]]]] = None
-        self.rep: Optional[list[list[int]]] = None
         if nfa.images is not None:
             # pm[a][t]: the states with an a-transition into t. Dropped
             # with the predecessor lists.
@@ -153,9 +152,9 @@ class MinWordTables:
                     into = pm[a]
                     for t in targets:
                         into[t] |= bit
-            self.pred_masks, self.rep = [], []
+            self.pred_masks = []
             # Every final state has rank 0.
-            self._append_masks([sorted(nfa.final_states)] if nfa.final_states else [])
+            self._append_masks([list(nfa.final_states)] if nfa.final_states else [])
         if _ops.enabled:
             _ops.ops += 2 * n + nfa.transition_count + len(nfa.final_states)
             _ops.ops += nfa.transition_count * (self._pm is not None)
@@ -164,34 +163,35 @@ class MinWordTables:
         """Append level ``length + 1``, derived from level ``length`` alone.
 
         Once the tables have settled, the new level is level ``length``: its
-        ``first_step`` and ``rank`` rows and, on the bit kernel, its
-        ``pred_masks`` and ``rep`` lists are appended as they are, the same
-        objects, and the level is charged one unit.
+        ``first_step`` and ``rank`` lists and, on the bit kernel, its
+        ``pred_masks`` list are appended as they are, the same objects, and
+        the level is charged one unit.
 
         Until then the new level's live set is the union of the predecessors
         of the states live at level ``length``: each has a transition into a
         live state and no other state has one. Each live state's adjacency
-        list is scanned in increasing symbol order, within each target tuple
-        the target of least top-level rank is selected, and the first symbol
-        whose selected target is live wins. The live states are then ranked
-        by the key (first symbol, top-level rank of the selected target),
-        which orders their least words. The new rank row is compared with
-        level ``length``'s; since a level is a function of the rank row below
-        it, equal rows make every later level equal too, so the tables have
-        settled and the predecessor lists and masks are dropped. On the bit
-        kernel the live states are grouped by rank for the level's masks
-        (see :meth:`_append_masks`).
+        list is scanned in increasing symbol order for the least top-level
+        rank among each pair's targets, and the first symbol with a live one
+        wins. The live states are then ranked by the key (first symbol, that
+        rank), which orders their least words, and each distinct key, in
+        rank order, is the new level's first step of its rank. The new rank
+        row is compared with level ``length``'s; since a level is a function
+        of the rank row below it, equal rows make every later level equal
+        too, so the tables have settled and the predecessor lists and masks
+        are dropped. On the bit kernel the live states are grouped by rank
+        for the level's masks (see :meth:`_append_masks`).
 
-        With m live states such a level is charged one unit per predecessor
-        entry of the previous live states, the pairs and targets visited, 2|Q|
-        for its two rows, |Q| for the row comparison, m for the rank writes,
-        m * ceil(log2 m) for the sort and, on the bit kernel, what its masks
-        are charged.
+        With m live states and ``ranks`` live ranks such a level is charged
+        one unit per predecessor entry of the previous live states, the pairs
+        and targets visited, |Q| for its rank row, ``ranks`` for its first
+        steps, |Q| for the row comparison, m for the rank writes, m *
+        ceil(log2 m) for the sort and, on the bit kernel, what its masks are
+        charged.
         """
         pred = self._pred
         if pred is None:
-            # pred_masks and rep are None on the list kernel.
-            for rows in filter(None, (self.first_step, self.rank, self.pred_masks, self.rep)):
+            # pred_masks is None on the list kernel.
+            for rows in filter(None, (self.first_step, self.rank, self.pred_masks)):
                 rows.append(rows[-1])
             self.length += 1
             if _ops.enabled:
@@ -202,7 +202,6 @@ class MinWordTables:
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
         adjacency = self.nfa.adjacency
-        cur_step: list[Optional[tuple[int, int]]] = [None] * n
         below = self._frontier
         live = self._frontier = frozenset().union(*map(pred.__getitem__, below))
 
@@ -210,15 +209,14 @@ class MinWordTables:
         keys = []
         for q in live:
             for a, targets in adjacency[q]:
-                q_min = min(targets, key=prev_key)
+                r = min(map(prev_key, targets))
                 visited += 2 + 2 * len(targets)
-                r = prev_rank[q_min]
                 if r < n:
-                    cur_step[q] = (a, q_min)
                     keys.append((a * n + r, q))
                     break
         self.fill_ops += visited
 
+        steps = []
         cur_rank = [n] * n
         r = -1
         last_key = None
@@ -227,12 +225,14 @@ class MinWordTables:
             if key != last_key:
                 r += 1
                 last_key = key
+                steps.append(divmod(key, n))
+            # One int object per rank, shared by the rank's states.
             cur_rank[q] = r
-        self.first_step.append(cur_step)
+        self.first_step.append(steps)
         self.rank.append(cur_rank)
         if self._pm is not None:
-            # groups[r] lists the states of rank r, least first, as keys do.
-            groups: list[list[int]] = [[] for _ in range(r + 1)]
+            # groups[r] lists the states of rank r.
+            groups: list[list[int]] = [[] for _ in steps]
             for _, q in keys:
                 groups[cur_rank[q]].append(q)
             self._append_masks(groups)
@@ -241,22 +241,21 @@ class MinWordTables:
         self.length += 1
         if _ops.enabled:
             m = len(live)
-            _ops.ops += sum(len(pred[t]) for t in below) + visited + 3 * n + m
+            _ops.ops += sum(len(pred[t]) for t in below) + visited + 2 * n + len(steps) + m
             _ops.ops += m * (m - 1).bit_length()
 
     def _append_masks(self, groups: list[list[int]]) -> None:
-        """Append a bit-kernel level's ``rep`` and ``pred_masks`` entries,
-        given ``groups[r]``, the states of rank ``r``, least first.
+        """Append a bit-kernel level's ``pred_masks`` entry, given
+        ``groups[r]``, the states of rank ``r``.
 
-        ``rep`` takes each group's first state. For each symbol ``a`` the
-        ``pm[a]`` masks of each group's states are ORed into one group mask,
-        and the groups are folded in rank order into running ORs, so entry
-        ``r`` holds the states with an ``a``-transition into a state of rank
-        ``<= r``; with no group the entry is ``[0]``. With m states in the
-        groups, charged m for the grouping and ceil(|Q|/64) per OR and per
-        fold step: |alphabet| times m ORs plus one step per group.
+        For each symbol ``a`` the ``pm[a]`` masks of each group's states are
+        ORed into one group mask, and the groups are folded in rank order
+        into running ORs, so entry ``r`` holds the states with an
+        ``a``-transition into a state of rank ``<= r``; with no group the
+        entry is ``[0]``. With m states in the groups, charged m for the
+        grouping and ceil(|Q|/64) per OR and per fold step: |alphabet| times
+        m ORs plus one step per group.
         """
-        self.rep.append([group[0] for group in groups])
         self.pred_masks.append([
             list(accumulate([reduce(or_, map(into.__getitem__, group)) for group in groups], or_))
             or [0]

@@ -107,14 +107,13 @@ def mask_states(mask: int) -> list[int]:
 
 
 def pred_prefix_masks(nfa: Nfa, rank: list[int]):
-    """Reference for one level's bit-search tables, ``(pred_masks, rep)``,
-    read off the adjacency rows and ``rank``: for each symbol ``a``, entry
-    ``r`` is the mask of the states with an ``a``-transition into a state of
-    rank ``<= r``, for each live rank, or ``[0]`` when no state is live; and
-    ``rep[r]`` is the least state of rank ``r``."""
+    """Reference for one level's bit-search masks, read off the adjacency
+    rows and ``rank``: for each symbol ``a``, entry ``r`` is the mask of the
+    states with an ``a``-transition into a state of rank ``<= r``, for each
+    live rank, or ``[0]`` when no state is live."""
     n = nfa.state_count
     live_ranks = len({r for r in rank if r < n})
-    pred_masks = [
+    return [
         [
             state_mask(
                 q
@@ -126,71 +125,59 @@ def pred_prefix_masks(nfa: Nfa, rank: list[int]):
         or [0]
         for a in range(nfa.symbol_count)
     ]
-    rep = [rank.index(r) for r in range(live_ranks)]
-    return pred_masks, rep
 
 
 def tables_snapshot(tables):
     """Deep, comparable copy of the table contents, the bit kernel's
-    predecessor masks and representatives included (``()`` on the list
-    kernel, which has none)."""
+    predecessor masks included (``()`` on the list kernel, which has
+    none)."""
     return (
         tuple(tuple(row) for row in tables.first_step),
         tuple(tuple(level) for level in tables.rank),
         tuple(tuple(map(tuple, level)) for level in tables.pred_masks or ()),
-        tuple(tuple(level) for level in tables.rep or ()),
     )
 
 
 def full_scan_level(nfa: Nfa, prev_rank: list[int]):
     """Reference for one table level: ``(first_step, rank)`` of the level
     above ``prev_rank``, found by walking every state's adjacency row, dead
-    states included. Each row is scanned in symbol order, the target of least
-    previous rank is taken, and the first live pair wins; the live states are
-    densely ranked by (symbol, previous rank of that target)."""
+    states included. Each row is scanned in symbol order for the least
+    previous rank among a pair's targets, and the first live pair wins. The
+    live states are densely ranked by their pairs (symbol, previous rank),
+    and ``first_step[r]`` is the pair of rank ``r``."""
     n = nfa.state_count
-    step = [None] * n
-    live = []
+    pairs = {}
     for q, row in enumerate(nfa.adjacency):
         for a, targets in row:
-            q_min = min(targets, key=prev_rank.__getitem__)
-            if prev_rank[q_min] < n:
-                step[q] = (a, q_min)
-                live.append((a * n + prev_rank[q_min], q))
+            r = min(prev_rank[t] for t in targets)
+            if r < n:
+                pairs[q] = (a, r)
                 break
+    step = sorted(set(pairs.values()))
     rank = [n] * n
-    r = -1
-    last_key = None
-    for key, q in sorted(live):
-        if key != last_key:
-            r += 1
-            last_key = key
-        rank[q] = r
+    for q, pair in pairs.items():
+        rank[q] = step.index(pair)
     return step, rank
 
 
 def assert_tables_match_full_scan(tables) -> None:
     """Compare ``tables`` level by level with :func:`full_scan_level`:
-    ``rank`` everywhere, ``first_step`` on the live states, the only entries
-    it defines, and on the bit kernel ``pred_masks`` and ``rep`` against
-    :func:`pred_prefix_masks` of the full scan's ranks."""
+    ``rank`` and ``first_step``, and on the bit kernel ``pred_masks``
+    against :func:`pred_prefix_masks` of the full scan's ranks."""
     nfa = tables.nfa
     n = nfa.state_count
     rank = [n] * n
     for q in nfa.final_states:
         rank[q] = 0
+    step = []
     for k in range(tables.length + 1):
         if k:
             step, rank = full_scan_level(nfa, rank)
-        live = [q for q in range(n) if rank[q] < n]
         assert tables.rank[k] == rank, f"rank differs at level {k}"
-        if k:
-            got = [tables.first_step[k][q] for q in live]
-            assert got == [step[q] for q in live], f"first_step differs at level {k}"
+        assert tables.first_step[k] == step, f"first_step differs at level {k}"
         if tables.pred_masks is not None:
-            pred_masks, rep = pred_prefix_masks(nfa, rank)
+            pred_masks = pred_prefix_masks(nfa, rank)
             assert tables.pred_masks[k] == pred_masks, f"pred_masks differ at level {k}"
-            assert tables.rep[k] == rep, f"rep differs at level {k}"
 
 
 def serialize_automaton(nfa: Nfa) -> str:

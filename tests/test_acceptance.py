@@ -151,7 +151,7 @@ def test_criterion_2_tables_match_minimal_word_oracle():
         for k in range(MAX_LEN + 1):
             mins = min_words_by_state(nfa, k)
             for q in range(n):
-                assert min_word(k, (q,), tables) == mins[q]
+                assert min_word(k, tables.rank[k][q], tables) == mins[q]
                 accepts = mins[q] is not None
                 for qp in range(n):
                     expected = accepts and (mins[qp] is None or mins[q] <= mins[qp])

@@ -44,44 +44,56 @@ from helpers import (
 class TestMinWord:
     def test_from_single_state(self, a1):
         tables = precompute(a1, 2)
-        assert min_word(2, [0], tables) == (0, 1)  # "ab"
+        assert min_word(2, tables.rank[2][0], tables) == (0, 1)  # "ab"
+        assert min_word(2, tables.rank[2][1], tables) == (0, 0)  # "aa"
 
-    def test_picks_best_state(self, a1):
-        tables = precompute(a1, 2)
-        assert min_word(1, [0, 1], tables) == (0,)  # via state 1
+    def test_picks_best_state(self):
+        """The cursor's first word is the least over its initial states,
+        charged |initial| for the argmin over their ranks plus one unit per
+        letter."""
+        nfa = build_nfa("ab", 2, [0, 1], [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1)])
+        tables = precompute(nfa, 1)
+        with counting() as counter:
+            assert CrossSectionCursor(nfa, 1, tables).next() == (0,)  # via state 1
+            assert counter.ops == 2 + 1
 
     def test_empty_word_cases(self, a1):
+        """a1's initial state is live at no rank of level 0, so its cursor
+        ends at once, charged the argmin's |initial| alone."""
         tables = precompute(a1, 0)
-        assert min_word(0, a1.initial, tables) is None  # initial not final
-        assert min_word(0, [1], tables) == ()
+        assert min_word(0, tables.rank[0][0], tables) is None  # not final
+        assert min_word(0, tables.rank[0][1], tables) == ()
+        cursor = CrossSectionCursor(a1, 0, tables)
+        with counting() as counter:
+            assert cursor.next() is EXHAUSTED
+            assert counter.ops == len(a1.initial) == 1
 
-    def test_empty_state_set(self, a1):
-        tables = precompute(a1, 3)
-        assert min_word(3, [], tables) is None
+    def test_empty_state_set(self):
+        """A cursor with no initial state ends at once at no charge."""
+        nfa = build_nfa("ab", 2, [], [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1)])
+        cursor = CrossSectionCursor(nfa, 3)
+        with counting() as counter:
+            assert cursor.next() is EXHAUSTED
+            assert counter.ops == 0
+        assert cursor.next() is EXHAUSTED
 
-    def test_charge_is_the_states_plus_the_letters_spelled(self, a1):
-        """On either kernel a hit is charged one unit per state the argmin
-        reads plus one per letter, a miss (no state live) the states alone,
-        and an empty set nothing."""
+    def test_charge_is_the_letters_spelled_and_the_sentinel_is_free(self, a1):
+        """On either kernel the word of each live rank is the least word of
+        that rank's states, charged one unit per letter, and the sentinel
+        rank |Q| gives None at no charge."""
         bit = compile_regex("(a|b|c)*b(a|c)*")
         assert (a1.kernel, bit.kernel) == ("list", "bit")
         for nfa in (a1, bit):
             n = nfa.state_count
             tables = precompute(nfa, 3)
-            misses = 0
             for k in range(4):
-                least = min(w for w in min_words_by_state(nfa, k) if w is not None)
-                dead = [q for q in range(n) if tables.rank[k][q] == n]
-                misses += bool(dead)
-                for states, word, charge in (
-                    (range(n), least, n + k),
-                    (dead, None, len(dead)),
-                    ((), None, 0),
-                ):
+                mins = min_words_by_state(nfa, k)
+                spelled = {tables.rank[k][q]: mins[q] for q in range(n)}
+                spelled[n] = None
+                for r, word in spelled.items():
                     with counting() as counter:
-                        assert min_word(k, states, tables) == word
-                        assert counter.ops == charge
-            assert misses
+                        assert min_word(k, r, tables) == word
+                        assert counter.ops == (k if r < n else 0)
 
 
 class TestBuildRunStack:
@@ -513,11 +525,10 @@ class TestSharedTables:
         assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
 
 
-def _search_tables(tables):
-    """Every level's ``(pred_masks, rep)`` from the reference, so the bit
+def _search_masks(tables):
+    """Every level's prefix predecessor masks from the reference, so the bit
     search also runs on list-kernel tables."""
-    levels = [pred_prefix_masks(tables.nfa, rank) for rank in tables.rank]
-    return [masks for masks, _ in levels], [rep for _, rep in levels]
+    return [pred_prefix_masks(tables.nfa, rank) for rank in tables.rank]
 
 
 class TestKernels:
@@ -527,13 +538,13 @@ class TestKernels:
     def _check(self, nfa, length, words):
         tables = precompute(nfa, length)
         images = chunk_images(nfa)
-        pred_masks, rep = _search_tables(tables)
+        pred_masks = _search_masks(tables)
         for word in words:
             lists = kernel_run(nfa, word)
             masks = kernel_run(nfa, word, images)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
             expected = next_word_lists(word, lists, tables)
-            assert next_word_masks(word, masks, tables, pred_masks, rep) == expected
+            assert next_word_masks(word, masks, tables, pred_masks) == expected
             assert next_word(word, build_run_stack(word, nfa), tables) == expected
 
     def test_agree_on_every_short_word_of_the_corpus(self):
@@ -617,8 +628,8 @@ class TestWideRankSearch:
         nfa = self.NFA
         assert nfa.kernel == "bit" and len(nfa.images[0]) == 13
         tables = precompute(nfa, self.LENGTH - 1)
-        assert max(map(len, tables.rep)) == 68
-        assert sum(len(rep) >= 64 for rep in tables.rep) == 4
+        assert max(map(len, tables.first_step)) == 68
+        assert sum(len(steps) >= 64 for steps in tables.first_step) == 4
 
     def test_bit_search_equals_list_search_at_every_retried_position(self):
         """Each position i of each word is retried on its own: the letters
@@ -626,8 +637,8 @@ class TestWideRankSearch:
         the bit search's successor pivots at i, its charge is one AND of
         ceil(|Q|/64) per tried symbol, the binary search's bound of
         ceil(log2 m) ANDs over the level's m live ranks, whatever path it
-        takes, and 1 + k for the suffix, however many states of the set
-        reach the least rank."""
+        takes, and k for the suffix, however many states of the set reach
+        the least rank."""
         nfa, length = self.NFA, self.LENGTH
         sigma = nfa.symbol_count
         words_per_and = -(-nfa.state_count // 64)
@@ -643,24 +654,24 @@ class TestWideRankSearch:
                 masks = kernel_run(nfa, probe, nfa.images)
                 expected = next_word_lists(probe, lists, tables)
                 with counting() as counter:
-                    found = next_word_masks(probe, masks, tables, tables.pred_masks, tables.rep)
+                    found = next_word_masks(probe, masks, tables, tables.pred_masks)
                     charged = counter.ops
                 assert found == expected
                 if found is None or found[1] != i:
                     continue
                 k = length - i - 1
                 tried = found[0][i] - probe[i]
-                m = len(tables.rep[k])
-                ands, rest = divmod(charged - (1 + k), words_per_and)
+                m = len(tables.pred_masks[k][0])
+                ands, rest = divmod(charged - k, words_per_and)
                 assert rest == 0
                 assert ands == tried + (m - 1).bit_length()
                 wide_hits += m >= 64
         assert wide_hits >= 20, wide_hits
 
     def test_prefix_masks_stay_within_a_multiple_of_the_transitions(self):
-        """An unsettled level holds two |Q|-entry rows, one first-step pair
-        per live state, m representatives and, per symbol, m prefix masks of
-        ceil(|Q|/8) bytes. The kernel test keeps |Q| <= 2|delta|/sigma and
+        """An unsettled level holds one |Q|-entry rank row, one first-step
+        pair per live rank and, per symbol, m prefix masks of ceil(|Q|/8)
+        bytes. The kernel test keeps |Q| <= 2|delta|/sigma and
         m * ceil(|Q|/8) <= 16|delta|/sigma, so a level's traced size stays
         within 48 |delta| bytes."""
         nfa = self.NFA
@@ -682,14 +693,14 @@ class TestWideRankSearch:
         assert per_level <= 48 * delta, per_level
 
     def test_no_final_state_misses_on_every_level(self):
-        # Every level holds the one empty mask [0] per symbol and no
-        # representative, so each tried symbol's AND is empty and the search
-        # never indexes past it.
+        # Every level holds the one empty mask [0] per symbol and no first
+        # step, so each tried symbol's AND is empty and the search never
+        # indexes past it.
         nfa = random_automaton(random.Random(8), 100, 3, 312, 4, 0)
         assert nfa.kernel == "bit" and not nfa.final_states
         tables = precompute(nfa, 6)
         assert tables.pred_masks == [[[0]] * 3] * 7
-        assert tables.rep == [[]] * 7
+        assert tables.first_step == [[]] * 7
         rng = random.Random(84)
         for _ in range(20):
             word = tuple(rng.randrange(3) for _ in range(6))
@@ -856,8 +867,8 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 3550
-    assert sum(r.op_count for r in report.records) == 1638
+    assert report.preproc_ops == 3465
+    assert sum(r.op_count for r in report.records) == 1439
 
 
 def test_list_search_charge_does_not_depend_on_set_order():
@@ -890,9 +901,9 @@ def test_every_word_is_spelled_by_min_word(monkeypatch):
     calls = []
     spell = enumeration.min_word
 
-    def counted(k, states, tables):
+    def counted(k, r, tables):
         calls.append(k)
-        return spell(k, states, tables)
+        return spell(k, r, tables)
 
     monkeypatch.setattr(enumeration, "min_word", counted)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)

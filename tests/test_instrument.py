@@ -52,7 +52,7 @@ def test_measure_delays_tally_reaches_an_enclosing_count():
         total = outer.ops
     assert report.exhausted
     parts = report.preproc_ops + sum(r.op_count for r in report.records)
-    assert total == parts + report.final_gap_ops == 754
+    assert total == parts + report.final_gap_ops == 680
 
 
 def test_enumeration_is_identical_with_counters_on_and_off():

@@ -29,10 +29,35 @@ from helpers import (
 
 
 def test_a1_first_step_levels(a1):
-    tables = precompute(a1, 2)
-    assert tables.rank[0] == [2, 0]  # only the final state is live
-    assert tables.first_step[1] == [(1, 1), (0, 1)]
-    assert tables.first_step[2] == [(0, 0), (0, 1)]
+    # a1 (a*ba*): level 1 spells "a" (rank 0) and "b" (rank 1), each a
+    # letter before the empty word of rank 0; level 2 spells "aa" and "ab",
+    # and settles, so level 3 is level 2.
+    tables = precompute(a1, 3)
+    assert tables.rank[:3] == [[2, 0], [1, 0], [1, 0]]
+    assert tables.first_step[:3] == [[], [(0, 0), (1, 0)], [(0, 0), (0, 1)]]
+    assert tables.first_step[3] is tables.first_step[2]
+
+
+def test_chain_never_dangles():
+    # On either kernel: one step per live rank, strictly increasing, each
+    # onto a rank live one level down, and a settled level's list object.
+    rng = random.Random(37)
+    kernels = set()
+    for _ in range(60):
+        nfa = corpus_automaton(rng)
+        kernels.add(nfa.kernel)
+        n = nfa.state_count
+        tables = precompute(nfa, 6)
+        assert tables.first_step[0] == []
+        for k in range(1, 7):
+            steps = tables.first_step[k]
+            assert len(steps) == len({r for r in tables.rank[k] if r < n})
+            assert all(p < q for p, q in zip(steps, steps[1:]))
+            below = set(tables.rank[k - 1]) - {n}
+            assert all(r in below for _, r in steps)
+            if k >= 2 and tables.rank[k - 1] == tables.rank[k - 2]:
+                assert steps is tables.first_step[k - 1]
+    assert kernels == {"list", "bit"}
 
 
 def test_a1_order_levels(a1):
@@ -66,12 +91,12 @@ def test_ranks_are_dense_with_sentinel_on_dead_states():
 
 def test_spelled_words_a1(a1):
     tables = precompute(a1, 2)
-    assert min_word(1, (0,), tables) == (1,)  # "b"
-    assert min_word(1, (1,), tables) == (0,)  # "a"
-    assert min_word(2, (0,), tables) == (0, 1)  # "ab"
-    assert min_word(2, (1,), tables) == (0, 0)  # "aa"
-    assert min_word(0, (0,), tables) is None
-    assert min_word(0, (1,), tables) == ()
+    assert min_word(1, 1, tables) == (1,)  # "b", state 0's rank
+    assert min_word(1, 0, tables) == (0,)  # "a", state 1's rank
+    assert min_word(2, 1, tables) == (0, 1)  # "ab", state 0's rank
+    assert min_word(2, 0, tables) == (0, 0)  # "aa", state 1's rank
+    assert min_word(0, 2, tables) is None  # the sentinel, state 0's rank
+    assert min_word(0, 0, tables) == ()
 
 
 def test_no_final_states_leaves_tables_empty():
@@ -117,19 +142,6 @@ def test_negative_length_rejected(a1):
         precompute(a1, -1)
 
 
-def test_chain_never_dangles():
-    rng = random.Random(37)
-    for _ in range(60):
-        nfa = corpus_automaton(rng)
-        n = nfa.state_count
-        tables = precompute(nfa, 6)
-        for k in range(1, 7):
-            for q in range(n):
-                if tables.rank[k][q] < n:
-                    _, target = tables.first_step[k][q]
-                    assert tables.rank[k - 1][target] < n
-
-
 def test_spelled_words_match_bruteforce():
     rng = random.Random(41)
     for _ in range(60):
@@ -138,7 +150,7 @@ def test_spelled_words_match_bruteforce():
         for k in range(6):
             mins = min_words_by_state(nfa, k)
             for q in range(nfa.state_count):
-                assert min_word(k, (q,), tables) == mins[q]
+                assert min_word(k, tables.rank[k][q], tables) == mins[q]
 
 
 def test_order_table_matches_bruteforce_predicate():
@@ -236,8 +248,8 @@ def _dense_cross_automaton():
 )
 def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
     # Level k + 1 is a function of rank[k], so once rank[s] equals rank[s - 1]
-    # every later level is level s: the same row, mask-list and
-    # representative-list objects, not copies.
+    # every later level is level s: the same rank row, first-step list and
+    # mask list objects, not copies.
     assert nfa.kernel == "bit"
     tables = precompute(nfa, length)
     s = next(k for k in range(1, length + 1) if tables.rank[k] == tables.rank[k - 1])
@@ -246,7 +258,6 @@ def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
         assert tables.rank[k] is tables.rank[s]
         assert tables.first_step[k] is tables.first_step[s]
         assert tables.pred_masks[k] is tables.pred_masks[s]
-        assert tables.rep[k] is tables.rep[s]
     assert_tables_match_full_scan(tables)
 
 
@@ -264,12 +275,12 @@ def test_a_settled_level_charges_one_unit_and_fills_nothing():
         # Level 1 is all live, so its predecessor entries are every transition.
         m = sum(r < n for r in tables.rank[2])
         visited = tables.fill_ops - fill
-        expected = nfa.transition_count + visited + 3 * n + m + m * (m - 1).bit_length()
+        ranks = len(tables.first_step[2])
+        expected = nfa.transition_count + visited + 2 * n + ranks + m + m * (m - 1).bit_length()
         # Its masks: m for the grouping, then per symbol one ceil(|Q|/64)-word
         # OR per live state and one fold step per live rank.
-        ranks = len(tables.rep[2])
         expected += m + nfa.symbol_count * (m + ranks) * -(-n // 64)
-        assert counter.ops == expected == 133
+        assert counter.ops == expected == 128
     assert tables.rank[2] == tables.rank[1]
     fill = tables.fill_ops
     with counting() as counter:
