@@ -17,7 +17,12 @@ automaton.
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run: a set of states per position on the list kernel, an int mask on the bit
 kernel. :func:`build_run_stack`, the one replay loop, takes the kernel's
-subset step once per letter, and :func:`next_word` runs the kernel's
+subset step once per letter. On the list kernel a cursor's run is trimmed:
+entry i keeps only the states that accept a word of the remaining length
+``length - i``, read off the tables' rank row of that level, since the
+search can finish the word from no other state. The bit kernel's run holds
+whole masks, which its search ANDs at a cost that does not depend on how
+many states they hold. :func:`next_word` runs the kernel's
 successor search, :func:`next_word_lists` or :func:`next_word_masks`. The
 list search walks adjacency rows; the bit search takes no subset step, and
 instead ANDs the run's mask with the tables' per-symbol prefix predecessor
@@ -73,7 +78,9 @@ def min_word(k: int, r: int, tables: MinWordTables) -> Optional[Word]:
     return tuple(out)
 
 
-def build_run_stack(word: Word, nfa: Nfa, run: Optional[list] = None) -> list:
+def build_run_stack(
+    word: Word, nfa: Nfa, run: Optional[list] = None, ranks: Optional[list] = None
+) -> list:
     """Extend ``run`` by the state sets reached after each prefix of a word.
 
     The one replay loop: entry ``i`` of a run holds the states reached after
@@ -85,7 +92,17 @@ def build_run_stack(word: Word, nfa: Nfa, run: Optional[list] = None) -> list:
     unchanged. By default ``run`` is a new list holding the initial set in
     the kernel's form, ``nfa.initial`` or its mask. The word need not be
     accepted; trailing entries may be empty. The charge is that of the
-    ``len(word)`` steps taken.
+    ``len(word)`` steps taken, plus that of the trims below.
+
+    ``ranks``, given on the list kernel only, trims the run: entry ``i``
+    keeps the states ``q`` with ``ranks[i][q] < |Q|``, and so does the
+    default entry 0. A cursor of length l passes ``rank[l - i]`` as
+    ``ranks[i]``, so entry i keeps the states that accept a word of length
+    ``l - i``. Trimming loses no successor (see :func:`next_word`), and a
+    step from a trimmed entry reaches every state that a step from the full
+    entry reaches and that survives the next trim, since a state with a
+    transition into a state live at level k - 1 is live at level k. Each
+    trim is charged one unit per state it tests.
     """
     if nfa.images is None:
         step, layout = delta_step, nfa
@@ -93,11 +110,23 @@ def build_run_stack(word: Word, nfa: Nfa, run: Optional[list] = None) -> list:
         step, layout = mask_image, nfa.images
     if run is None:
         run = [nfa.initial if nfa.images is None else state_mask(nfa.initial)]
+        if ranks is not None:
+            run[0] = _live(run[0], ranks[0], nfa.state_count)
     source = run[-1]
     for a in word:
         source = step(layout, source, a)
+        if ranks is not None:
+            source = _live(source, ranks[len(run)], nfa.state_count)
         run.append(source)
     return run
+
+
+def _live(states: Collection[int], rank: list[int], n: int) -> set[int]:
+    """The states of ``states`` live at ``rank``'s level, charged one unit
+    per state tested."""
+    if _ops.enabled:
+        _ops.ops += len(states)
+    return {q for q in states if rank[q] < n}
 
 
 def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
@@ -105,9 +134,14 @@ def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[
 
     ``stack`` must hold entries ``0 .. len(word) - 1`` of
     ``build_run_stack(word, tables.nfa)``; the search reads those, no later
-    one, and writes none. Returns the successor with its pivot, the first
-    position at which it differs from ``word``, or None when ``word`` is the
-    maximum. Runs the successor search of the automaton's kernel.
+    one, and writes none. On the list kernel the entries may also be
+    trimmed, as a cursor's are, to the states live at level
+    ``len(word) - i``, with the same result: a state of entry ``i`` with a
+    live pair above ``word[i]`` accepts a word of length ``len(word) - i``,
+    so the trim keeps every state the search can use. Returns the successor
+    with its pivot, the first position at which it differs from ``word``, or
+    None when ``word`` is the maximum. Runs the successor search of the
+    automaton's kernel.
     """
     if tables.pred_masks is None:
         return next_word_lists(word, stack, tables)
@@ -117,7 +151,8 @@ def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[
 def next_word_lists(
     word: Word, stack: list[Collection[int]], tables: MinWordTables
 ) -> Optional[tuple[Word, int]]:
-    """The list kernel's successor search; ``stack`` holds state sets.
+    """The list kernel's successor search; ``stack`` holds state sets, full
+    or trimmed (see :func:`next_word`).
 
     Positions are retried from the last to the first. At position ``i``,
     with ``k = len(word) - i - 1``, each state of ``stack[i]`` walks its
@@ -230,7 +265,12 @@ class CrossSectionCursor:
     then searches the run for the successor and cuts the run back to the new
     pivot. So the worst gap is one full replay plus one search, and a word
     nobody asks for is never replayed. After the least word, and after
-    :meth:`seek`, the held run is the initial set alone.
+    :meth:`seek`, the held run is the initial set alone. On the list kernel
+    the held run is trimmed (see :func:`build_run_stack`): entry i keeps the
+    states live at level ``length - i``, the initial set included, so the
+    search and the replay skip the states that cannot finish the word. The
+    rank rows that trim it are taken from the tables once, when the cursor
+    is set up.
 
     ``tables`` must be built for ``nfa`` itself (``tables.nfa is nfa``) and
     cover ``length``; otherwise :class:`ValueError` is raised. The automaton
@@ -241,7 +281,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_run")
+    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_ranks", "_run")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         check_length(length)
@@ -258,8 +298,11 @@ class CrossSectionCursor:
         self.tables = tables
         self._last: Optional[Word] = None
         self._exhausted = False
+        # On the list kernel, the rank row that trims each entry of the run:
+        # entry i keeps the states live at level length - i.
+        self._ranks = tables.rank[length::-1] if nfa.images is None else None
         # The valid prefix of the run of _last.
-        self._run = build_run_stack((), nfa)
+        self._run = build_run_stack((), nfa, None, self._ranks)
 
     @property
     def current(self) -> Optional[Word]:
@@ -291,7 +334,7 @@ class CrossSectionCursor:
             r = min(map(rank.__getitem__, initial), default=self.nfa.state_count)
             word = min_word(self.length, r, self.tables)
         else:
-            build_run_stack(last[len(run) - 1 : -1], self.nfa, run)
+            build_run_stack(last[len(run) - 1 : -1], self.nfa, run, self._ranks)
             word, pivot = next_word(last, run, self.tables) or (None, 0)
             del run[pivot + 1 :]
         if word is None:
@@ -308,7 +351,8 @@ class CrossSectionCursor:
         need not be accepted: the following :meth:`next` yields the least
         member of the cross-section greater than ``word``, or
         :data:`EXHAUSTED` when there is none. The held run is cut back to
-        the initial set, so that call replays ``word`` from position 0.
+        its entry 0, the initial set (trimmed on the list kernel), so that
+        call replays ``word`` from position 0.
         """
         word = tuple(word)
         if len(word) != self.length:

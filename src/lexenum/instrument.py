@@ -11,8 +11,9 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 :meth:`~lexenum.tables.MinWordTables.add_level`; the kernels' subset steps,
 :func:`~lexenum.automaton.delta_step` and
 :func:`~lexenum.automaton.mask_image`, which every replayed position goes
-through; the successor searches'
-:func:`~lexenum.enumeration.next_word_lists` and
+through, and :func:`~lexenum.enumeration.build_run_stack`, one unit per
+state tested when it trims a list-kernel cursor's run; the successor
+searches' :func:`~lexenum.enumeration.next_word_lists` and
 :func:`~lexenum.enumeration.next_word_masks`; every least word's
 :func:`~lexenum.enumeration.min_word`, ``k`` per word of length ``k``,
 with the cursor's :meth:`~lexenum.enumeration.CrossSectionCursor.next`

@@ -118,9 +118,9 @@ class MinWordTables:
         Also lists, once, each state's predecessors: one entry per transition
         into it. Charged |Q| for the rank row, |Q| + #transitions for the
         predecessor lists, and one unit per final state. On the bit kernel
-        ``pm[a][t]`` is built with one OR per transition, charged one unit
-        each, and the level's masks are charged as :meth:`add_level`
-        charges a level's."""
+        ``pm[a][t]`` is built in the same walk over the transitions, with
+        one OR per transition, charged one unit each, and the level's masks
+        are charged as :meth:`add_level` charges a level's."""
         n = nfa.state_count
         self.nfa = nfa
         self.length = 0
@@ -132,26 +132,28 @@ class MinWordTables:
         for q in nfa.final_states:
             self.rank[0][q] = 0
         pred: list[list[int]] = [[] for _ in range(n)]
+        # On the bit kernel, pm[a][t]: the states with an a-transition into
+        # t, built in the same walk over the transitions.
+        pm = [[0] * n for _ in nfa.alphabet] if nfa.images is not None else None
         for q, row in enumerate(nfa.adjacency):
-            for _, targets in row:
-                for t in targets:
-                    pred[t].append(q)
-        # Dropped, set to None, once the tables have settled.
-        self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
-        # The top level's live states.
-        self._frontier = frozenset(nfa.final_states)
-        self._pm: Optional[list[list[int]]] = None
-        self.pred_masks: Optional[list[list[list[int]]]] = None
-        if nfa.images is not None:
-            # pm[a][t]: the states with an a-transition into t. Dropped
-            # with the predecessor lists.
-            pm = self._pm = [[0] * n for _ in nfa.alphabet]
-            for q, row in enumerate(nfa.adjacency):
+            if pm is None:
+                for _, targets in row:
+                    for t in targets:
+                        pred[t].append(q)
+            else:
                 bit = 1 << q
                 for a, targets in row:
                     into = pm[a]
                     for t in targets:
+                        pred[t].append(q)
                         into[t] |= bit
+        # Dropped, set to None, once the tables have settled, as is pm.
+        self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
+        # The top level's live states.
+        self._frontier = frozenset(nfa.final_states)
+        self._pm: Optional[list[list[int]]] = pm
+        self.pred_masks: Optional[list[list[list[int]]]] = None
+        if pm is not None:
             self.pred_masks = []
             # Every final state has rank 0.
             self._append_masks([list(nfa.final_states)] if nfa.final_states else [])

@@ -50,12 +50,14 @@ class TestMinWord:
     def test_picks_best_state(self):
         """The cursor's first word is the least over its initial states,
         charged |initial| for the argmin over their ranks plus one unit per
-        letter."""
+        letter. On the list kernel, setting the cursor up trims the held
+        run's entry 0, charged one unit per initial state tested."""
         nfa = build_nfa("ab", 2, [0, 1], [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1)])
+        assert nfa.kernel == "list"
         tables = precompute(nfa, 1)
         with counting() as counter:
             assert CrossSectionCursor(nfa, 1, tables).next() == (0,)  # via state 1
-            assert counter.ops == 2 + 1
+            assert counter.ops == 2 + 2 + 1
 
     def test_empty_word_cases(self, a1):
         """a1's initial state is live at no rank of level 0, so its cursor
@@ -234,6 +236,44 @@ def test_successor_of_every_word_is_least_greater_member(seed, length):
         cursor.seek(word)
         assert cursor.next() == (EXHAUSTED if expected is None else expected)
         assert cursor.pivot == (0 if expected is None else pivot)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 5))
+def test_trimmed_run_gives_the_full_runs_successor(seed, length):
+    """For every word of the length, accepted or not, next_word over the run
+    a cursor holds returns the same (word, pivot) as over the full run, and
+    a cursor sought to the word continues with that word. On the list
+    kernel the held run is trimmed: entry i keeps the states of the full
+    run's entry i that accept a word of length ``length - i``, whether it is
+    built at once or in two pieces, and the trim is charged one unit per
+    state tested on top of the steps from the trimmed entries. On the bit
+    kernel the held run is the full run."""
+    nfa = corpus_automaton(random.Random(seed))
+    tables = precompute(nfa, length)
+    cursor = CrossSectionCursor(nfa, length, tables)
+    ranks = tables.rank[length::-1] if nfa.kernel == "list" else None
+    for word in itertools.product(range(nfa.symbol_count), repeat=length):
+        full = build_run_stack(word, nfa)
+        expected = next_word(word, full, tables)
+        with counting() as counter:
+            held = build_run_stack(word[:-1], nfa, None, ranks)
+            charge = counter.ops
+        assert next_word(word, held, tables) == expected
+        cursor.seek(word)
+        assert cursor.next() == (EXHAUSTED if expected is None else expected[0])
+        assert cursor.pivot == (0 if expected is None else expected[1])
+        cut = length // 2
+        assert build_run_stack(word[cut:-1], nfa, held[: cut + 1], ranks) == held
+        if ranks is None:
+            assert held == full[:-1]
+            continue
+        assert held == _trimmed(full[:-1], tables, length)
+        steps = 0
+        for source, a in zip(held, word[:-1]):
+            with counting() as counter:
+                steps += len(delta_step(nfa, source, a)) + counter.ops
+        assert charge == len(nfa.initial) + steps
 
 
 class TestCursor:
@@ -454,12 +494,25 @@ class TestPivot:
 def _assert_held_run_is_the_valid_prefix(cursor, prev):
     """The held run has pivot + 1 entries, the pivot being the first
     position at which the cursor's current word differs from ``prev``, or 0
-    when ``prev`` is None (after the least word or a seek), and they equal
-    the same prefix of a run of the current word built from scratch."""
+    when ``prev`` is None (after the least word or a seek). On the bit
+    kernel they equal the same prefix of a run of the current word built
+    from scratch; on the list kernel, entry i equals that run's entry i cut
+    to the states live at level ``length - i``."""
     word = cursor.current
     pivot = 0 if prev is None else _first_difference(prev, word)
     assert len(cursor._run) == pivot + 1
-    assert cursor._run == build_run_stack(word, cursor.nfa)[: pivot + 1]
+    full = build_run_stack(word, cursor.nfa)[: pivot + 1]
+    if cursor.nfa.kernel == "bit":
+        assert cursor._run == full
+    else:
+        assert cursor._run == _trimmed(full, cursor.tables, cursor.length)
+
+
+def _trimmed(run, tables, length):
+    """A list-kernel run of a word of ``length`` letters with entry i cut to
+    the states that accept a word of length ``length - i``."""
+    n = tables.nfa.state_count
+    return [{q for q in states if tables.rank[length - i][q] < n} for i, states in enumerate(run)]
 
 
 class TestSharedTables:
@@ -923,9 +976,9 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
     replayed = []
     build = enumeration.build_run_stack
 
-    def counted(word, nfa, run=None):
+    def counted(word, nfa, run=None, ranks=None):
         replayed.append(len(word))
-        return build(word, nfa, run)
+        return build(word, nfa, run, ranks)
 
     monkeypatch.setattr(enumeration, "build_run_stack", counted)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
@@ -973,9 +1026,9 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
         steps.append(symbol)
         return step(nfa, source, symbol)
 
-    def counted_build(word, nfa, run=None):
+    def counted_build(word, nfa, run=None, ranks=None):
         replayed.append(len(word))
-        return build(word, nfa, run)
+        return build(word, nfa, run, ranks)
 
     nfa = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert nfa.kernel == "list"
@@ -1013,9 +1066,9 @@ def test_the_bit_search_takes_no_image(monkeypatch):
         finally:
             searching.pop()
 
-    def counted_build(word, nfa, run=None):
+    def counted_build(word, nfa, run=None, ranks=None):
         replayed.append(len(word))
-        return build(word, nfa, run)
+        return build(word, nfa, run, ranks)
 
     monkeypatch.setattr(enumeration, "mask_image", counted)
     monkeypatch.setattr(enumeration, "next_word", flagged)
