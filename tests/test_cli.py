@@ -148,13 +148,13 @@ class TestRadix:
         assert (code, out) == (0, "b\n")
 
     def test_limit_builds_no_level_past_the_last_word(self, capsys):
-        # "", "a" and "b" need levels 0 and 1; 74 is the tally of exactly
+        # "", "a" and "b" need levels 0 and 1; 78 is the tally of exactly
         # those, so a limit that let the run build level 2 would raise it.
         code, out, err = run(
             capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
         )
         assert (code, out) == (0, "\na\nb\n")
-        assert err == "# ops: total=74\n"
+        assert err == "# ops: total=78\n"
 
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")

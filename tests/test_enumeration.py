@@ -60,15 +60,37 @@ class TestMinWord:
             assert counter.ops == 2 + 2 + 1
 
     def test_empty_word_cases(self, a1):
-        """a1's initial state is live at no rank of level 0, so its cursor
-        ends at once, charged the argmin's |initial| alone."""
+        """a1's initial state is live at no rank of level 0, so the trimmed
+        entry 0 is empty and its cursor ends at once at no charge."""
         tables = precompute(a1, 0)
         assert min_word(0, tables.rank[0][0], tables) is None  # not final
         assert min_word(0, tables.rank[0][1], tables) == ()
         cursor = CrossSectionCursor(a1, 0, tables)
         with counting() as counter:
             assert cursor.next() is EXHAUSTED
-            assert counter.ops == len(a1.initial) == 1
+            assert counter.ops == 0
+
+    def test_first_word_ranks_the_live_initial_states(self):
+        """Of the initial states 0, 1 and 2, only 0 accepts a word of length
+        1. On the list kernel the first word ranks the held run's trimmed
+        entry 0 alone, charged len(run[0]) plus one unit per letter; on the
+        bit kernel, whose run is not trimmed, it ranks every initial state,
+        charged |initial| plus one unit per letter."""
+        list_nfa = build_nfa("ab", 3, [0, 1, 2], [2], [(0, "a", 2), (1, "b", 1)])
+        bit_nfa = build_nfa(
+            "ab",
+            3,
+            [0, 1, 2],
+            [2],
+            [(0, "a", 2), (0, "a", 0), (0, "b", 0), (1, "a", 1), (1, "a", 0), (1, "b", 1),
+             (2, "a", 0), (2, "a", 1), (2, "b", 1)],
+        )
+        assert (list_nfa.kernel, bit_nfa.kernel) == ("list", "bit")
+        for nfa, ranked in ((list_nfa, 1), (bit_nfa, 3)):
+            cursor = CrossSectionCursor(nfa, 1)
+            with counting() as counter:
+                assert cursor.next() == (0,)
+                assert counter.ops == ranked + 1
 
     def test_empty_state_set(self):
         """A cursor with no initial state ends at once at no charge."""
@@ -274,6 +296,39 @@ def test_trimmed_run_gives_the_full_runs_successor(seed, length):
             with counting() as counter:
                 steps += len(delta_step(nfa, source, a)) + counter.ops
         assert charge == len(nfa.initial) + steps
+
+
+def test_bit_search_tries_every_symbol_at_an_empty_entry():
+    """A seek to a non-member whose run goes empty: after "abc" no state is
+    left, so entry 3 of the run of "abca" is empty. The bit search still
+    tries b and c there, each charged ceil(|Q|/64) = 2 for its AND, then
+    finds "acaa" at pivot 1, the successor the list search finds on the same
+    run as sets. States 3 .. 71 are unreachable padding that puts the
+    automaton on the bit kernel with masks of two machine words."""
+    n = 72
+    padding = [(q, a, q) for q in range(3, n) for a in "abc"]
+    core = [(0, "a", t) for t in (0, 1, 2)] + [(0, "b", 1), (0, "c", 1)]
+    core += [(q, "a", t) for q in (1, 2) for t in (0, 1, 2)]
+    nfa = build_nfa("abc", n, [0], [2], core + padding)
+    assert nfa.kernel == "bit"
+    words = -(-n // 64)
+    word = word_from_str(nfa, "abca")
+    tables = precompute(nfa, len(word))
+    stack = build_run_stack(word[:-1], nfa)
+    assert stack[3] == 0
+    expected = (word_from_str(nfa, "acaa"), 1)
+    assert next_word_lists(word, [set(mask_states(m)) for m in stack], tables) == expected
+    with counting() as counter:
+        assert next_word_masks(word, stack, tables, tables.pred_masks) == expected
+        charge = counter.ops
+    # Position 3 tries b and c. No symbol lies above position 2's c. At
+    # position 1 c hits: one AND, the binary search over level 2's ranks,
+    # then min_word's 2 letters.
+    hit = (len(tables.pred_masks[2][2]) - 1).bit_length()
+    assert charge == 2 * words + words + hit * words + 2
+    cursor = CrossSectionCursor(nfa, len(word), tables)
+    cursor.seek(word)
+    assert (cursor.next(), cursor.pivot) == expected
 
 
 class TestCursor:
@@ -793,8 +848,8 @@ class TestRadix:
     def test_liveness_check_charges_each_state_it_reads(self):
         # Lengths 1-4, 6, 8, 9, 11 and 13 hold no word, but some reachable
         # state stays live at each, so all 15 lengths are checked. At each,
-        # the check reads reachable states in discovery order up to the
-        # first one that accepts a word of that length.
+        # the check tests the reachable set against the level's live set,
+        # charged the smaller set's size.
         nfa = compile_regex("(aaaaa|aaaaaaa)*")
         with counting() as counter:
             words = list(radix_words(nfa, max_length=14))
@@ -812,9 +867,9 @@ class TestRadix:
         parts += nfa.state_count + visited
         reads = []
         for length in range(15):
-            live = min_words_by_state(nfa, length)
-            reads.append(next(j for j, q in enumerate(reachable, 1) if live[q] is not None))
-        assert max(reads) > 1
+            live = sum(w is not None for w in min_words_by_state(nfa, length))
+            reads.append(min(len(reachable), live))
+        assert len(set(reads)) > 1
         assert radix_total - parts == sum(reads)
 
     def test_order_is_radix(self):

@@ -28,7 +28,7 @@ def test_disabled_block_leaves_the_counter_alone():
     with counting(False) as counter:
         assert not counter.enabled and counter.ops == 7
     assert ops.ops == 7
-    ops.reset()
+    ops.ops = 0
 
 
 def test_nested_count_reaches_the_enclosing_count():
@@ -70,7 +70,7 @@ def test_enumeration_is_identical_with_counters_on_and_off():
 
 def test_disabled_counter_stays_at_zero():
     ops.enabled = False
-    ops.reset()
+    ops.ops = 0
     nfa = make_a1()
     list(cross_section(nfa, 4))
     assert ops.ops == 0

@@ -9,6 +9,7 @@ import pytest
 from lexenum import (
     EXHAUSTED,
     CrossSectionCursor,
+    MinWordTables,
     build_nfa,
     compile_regex,
     cross_section,
@@ -227,6 +228,33 @@ BIPARTITE_4 = build_nfa(
 def test_frontier_fill_equals_full_scan_on_a_period_two_automaton(nfa, length, kernel):
     assert nfa.kernel == kernel
     assert_tables_match_full_scan(precompute(nfa, length))
+
+
+@pytest.mark.parametrize(
+    "automata,length",
+    [
+        ([corpus_automaton(random.Random(seed)) for seed in range(300)], 8),
+        ([UNARY_2_CYCLE], 12),
+        ([BIPARTITE_4], 12),
+    ],
+    ids=["corpus", "unary-2-cycle", "bipartite-4"],
+)
+def test_live_is_the_top_levels_live_set_after_every_level(automata, length):
+    # The tables' live set is the top level's, {q : rank[length][q] < |Q|},
+    # from level 0 on, through levels built in full and settled levels.
+    settled = 0
+    for nfa in automata:
+        n = nfa.state_count
+        tables = MinWordTables(nfa)
+        for k in range(length + 1):
+            if k:
+                tables.add_level()
+            assert type(tables.live) is frozenset
+            assert tables.live == {q for q in range(n) if tables.rank[k][q] < n}
+        settled += tables.rank[length] is tables.rank[length - 1]
+    if len(automata) > 1:
+        assert {nfa.kernel for nfa in automata} == {"list", "bit"}
+        assert settled > 0
 
 
 def _dense_cross_automaton():
