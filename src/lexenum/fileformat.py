@@ -99,7 +99,23 @@ def parse_automaton(text: str) -> Nfa:
         if not tokens:
             continue
         head = tokens[0]
-        if head == "alphabet":
+        # Transition lines come first: they are nearly every line of a file.
+        if head.isdigit() and head.isascii():
+            if len(tokens) != 3:
+                raise ParseError(
+                    "transition line must be 'from symbol to'", line_no
+                )
+            dst = tokens[2]
+            if dst.isdigit() and dst.isascii():
+                try:
+                    transition_entries.append((line_no, (int(head), tokens[1], int(dst))))
+                    continue
+                except ValueError:  # beyond int()'s limit on decimal digits
+                    pass
+            # Raises the diagnostic of the first bad state token.
+            _state_token(head, line_no)
+            _state_token(dst, line_no)
+        elif head == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
             alphabet = [(line_no, token) for token in tokens[1:]]
@@ -114,14 +130,6 @@ def parse_automaton(text: str) -> Nfa:
             initial_entries += [(line_no, _state_token(t, line_no)) for t in tokens[1:]]
         elif head == "final":
             final_entries += [(line_no, _state_token(t, line_no)) for t in tokens[1:]]
-        elif head.isascii() and head.isdigit():
-            if len(tokens) != 3:
-                raise ParseError(
-                    "transition line must be 'from symbol to'", line_no
-                )
-            src = _state_token(tokens[0], line_no)
-            dst = _state_token(tokens[2], line_no)
-            transition_entries.append((line_no, (src, tokens[1], dst)))
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 

@@ -258,12 +258,14 @@ class MinWordTables:
         ORed into one group mask, and the groups are folded in rank order
         into running ORs, so entry ``r`` holds the states with an
         ``a``-transition into a state of rank ``<= r``; with no group the
-        entry is ``[0]``. With m states in the groups, charged m for the
-        grouping and ceil(|Q|/64) per OR and per fold step: |alphabet| times
-        m ORs plus one step per group.
+        entry is ``[0]``. An entry equal to the one before it is that same
+        int object, so a group that adds no state costs no mask. With m
+        states in the groups, charged m for the grouping and ceil(|Q|/64)
+        per OR and per fold step: |alphabet| times m ORs plus one step per
+        group.
         """
         self.pred_masks.append([
-            list(accumulate([reduce(or_, map(into.__getitem__, group)) for group in groups], or_))
+            list(accumulate([reduce(or_, map(into.__getitem__, group)) for group in groups], _widen))
             or [0]
             for into in self._pm
         ])
@@ -273,6 +275,12 @@ class MinWordTables:
 
     def __repr__(self) -> str:
         return f"MinWordTables(length={self.length}, states={self.nfa.state_count})"
+
+
+def _widen(prefix: int, mask: int) -> int:
+    """``prefix | mask``, but ``prefix`` itself when the OR adds no bit."""
+    wider = prefix | mask
+    return prefix if wider == prefix else wider
 
 
 def check_length(length) -> None:

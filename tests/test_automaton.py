@@ -298,6 +298,34 @@ class TestMaskImage:
                             nonzero = sum(1 for c in range(nbytes) if mask >> 8 * c & 255)
                             assert charged == nbytes + 4 * words * nonzero
 
+    def test_every_table_entry_is_the_union_of_its_states_targets(self):
+        """Entry x of the nibble table of byte c and half h holds the union
+        of the targets of the states 8c + 4h + i whose bit i is set in x,
+        padding states past |Q| having none. Every third state has no
+        transition."""
+        rng = random.Random(57)
+        for n in (1, 7, 8, 9, 64, 65, 200):
+            sigma = rng.randint(1, 4)
+            triples = [
+                (q, a, t)
+                for q in range(n)
+                if q % 3 != 1
+                for a in range(sigma)
+                for t in rng.sample(range(n), rng.randint(0, min(n, 3)))
+            ]
+            nfa = build_nfa("abcd"[:sigma], n, [], [], triples)
+            images = chunk_images(nfa)
+            assert len(images) == sigma
+            for a, tables in enumerate(images):
+                assert len(tables) == -(-n // 8)
+                for c, halves in enumerate(tables):
+                    for h, table in enumerate(halves):
+                        states = range(8 * c + 4 * h, min(8 * c + 4 * h + 4, n))
+                        assert table == [
+                            state_mask({t for i, q in enumerate(states) if x >> i & 1 for t in targets(nfa, q, a)})
+                            for x in range(16)
+                        ]
+
 
 def test_random_automaton_respects_requested_sizes():
     rng = random.Random(3)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lexenum import ParseError, parse_automaton
+from lexenum import ParseError, parse_automaton, random_automaton
 from lexenum.fileformat import decode_automaton
 from helpers import corpus_automaton, serialize_automaton
 
@@ -74,6 +74,32 @@ def test_initial_out_of_range_names_line():
         ("alphabet a\nstates 1\n\u0660 a 0\n", "line 3.*unknown directive"),
         ("alphabet a\nstates 1\ninitial " + "0" * 5000 + "\n", "line 3.*too long"),
         ("alphabet a\nstates 99999999999999999999\n", "line 2.*state count"),
+        pytest.param(
+            "alphabet a\nstates 1\n0 a \u00b2\n",
+            r"^line 3: expected a state number, got '\u00b2'$",
+            id="non-ascii-digit-target",
+        ),
+        pytest.param(
+            "alphabet a\nstates 1\n0 a " + "0" * 5000 + "\n",
+            r"^line 3: state number of 5000 digits is too long$",
+            id="5000-digit-target",
+        ),
+        pytest.param(
+            "alphabet a\nstates 1\n" + "0" * 5000 + " a 0\n",
+            r"^line 3: state number of 5000 digits is too long$",
+            id="5000-digit-source",
+        ),
+        # Tokens are checked left to right: the source's diagnostic wins.
+        pytest.param(
+            "alphabet a\nstates 1\n" + "0" * 5000 + " a x\n",
+            r"^line 3: state number of 5000 digits is too long$",
+            id="5000-digit-source-before-bad-target",
+        ),
+        pytest.param(
+            "alphabet a\nstates 2\n" + "0 a 1\n" * 1497 + "2 a 0\n" + "1 a 0\n" * 500,
+            r"^line 1500: transition source 2 out of range for 2 states$",
+            id="out-of-range-source-on-line-1500-of-2000",
+        ),
     ],
 )
 def test_malformed_inputs(text, pattern):
@@ -143,3 +169,9 @@ def test_round_trip_on_random_corpus():
     for _ in range(60):
         nfa = corpus_automaton(rng)
         assert parse_automaton(serialize_automaton(nfa)) == nfa
+
+
+def test_round_trip_at_scale():
+    # The sparse-tables shape: 20000 states, 60000 transitions.
+    nfa = random_automaton(random.Random(5), 20000, 4, 60000, 500, 500)
+    assert parse_automaton(serialize_automaton(nfa)) == nfa
