@@ -69,7 +69,6 @@ class Nfa:
         "adjacency",
         "transition_count",
         "images",
-        "_glyph_ids",
     )
 
     def __init__(
@@ -87,7 +86,6 @@ class Nfa:
         self.final_states = final_states
         self.adjacency = adjacency
         self.transition_count = transition_count
-        self._glyph_ids = {glyph: a for a, glyph in enumerate(alphabet)}
         bit = fits_bit_kernel(len(alphabet), state_count, transition_count)
         self.images: Optional[list[ChunkTables]] = chunk_images(self) if bit else None
 
@@ -99,12 +97,6 @@ class Nfa:
     def kernel(self) -> str:
         """``"bit"`` when state sets are int masks, else ``"list"``."""
         return "list" if self.images is None else "bit"
-
-    def symbol_id(self, glyph: str) -> int:
-        try:
-            return self._glyph_ids[glyph]
-        except KeyError:
-            raise AutomatonError(f"unknown symbol {glyph!r}") from None
 
     def format_word(self, word: Iterable[int]) -> str:
         alphabet = self.alphabet

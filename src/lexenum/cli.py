@@ -181,7 +181,7 @@ def _cmd_radix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if getattr(args, "random", None) is not None:
+    if args.random is not None:
         states, symbols, transitions = args.random
         rng = random.Random(args.seed)
 

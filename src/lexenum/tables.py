@@ -70,7 +70,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Optional
+from typing import Optional, Sequence
 
 from .automaton import Nfa
 from .instrument import ops as _ops
@@ -106,7 +106,6 @@ class MinWordTables:
 
     __slots__ = (
         "nfa",
-        "length",
         "first_step",
         "rank",
         "pred_masks",
@@ -127,7 +126,6 @@ class MinWordTables:
         are charged as :meth:`add_level` charges a level's."""
         n = nfa.state_count
         self.nfa = nfa
-        self.length = 0
         # The empty word has no first step; the empty list keeps
         # ``first_step[k]`` at index k.
         self.first_step: list[list[tuple[int, int]]] = [[]]
@@ -140,18 +138,18 @@ class MinWordTables:
         # t, built in the same walk over the transitions.
         pm = [[0] * n for _ in nfa.alphabet] if nfa.images is not None else None
         for q, row in enumerate(nfa.adjacency):
-            if pm is None:
-                for _, targets in row:
+            for a, targets in row:
+                for t in targets:
+                    pred[t].append(q)
+                if pm is not None:
+                    into, bit = pm[a], 1 << q
                     for t in targets:
-                        pred[t].append(q)
-            else:
-                bit = 1 << q
-                for a, targets in row:
-                    into = pm[a]
-                    for t in targets:
-                        pred[t].append(q)
                         into[t] |= bit
         # Dropped, set to None, once the tables have settled, as is pm.
+        # Copied into tuples because it pays: without the copy, dict-radix's
+        # delay_p99_us, whose p99 gaps are its level builds, rose from 193 to
+        # 216 us and from 179 to 205 us in two sets of 10 perfbench pairs
+        # (parent IQR 25 and 18 us).
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         self.live = frozenset(nfa.final_states)
         self._pm: Optional[list[list[int]]] = pm
@@ -159,7 +157,7 @@ class MinWordTables:
         if pm is not None:
             self.pred_masks = []
             # Every final state has rank 0.
-            self._append_masks([list(nfa.final_states)] if nfa.final_states else [])
+            self._append_masks([nfa.final_states] if nfa.final_states else [])
         if _ops.enabled:
             _ops.ops += 2 * n + nfa.transition_count + len(nfa.final_states)
             _ops.ops += nfa.transition_count * (self._pm is not None)
@@ -199,7 +197,6 @@ class MinWordTables:
             # pred_masks is None on the list kernel.
             for rows in filter(None, (self.first_step, self.rank, self.pred_masks)):
                 rows.append(rows[-1])
-            self.length += 1
             if _ops.enabled:
                 _ops.ops += 1
             return
@@ -244,13 +241,17 @@ class MinWordTables:
             self._append_masks(groups)
         if cur_rank == prev_rank:
             self._pred = self._pm = None
-        self.length += 1
         if _ops.enabled:
             m = len(live)
             _ops.ops += sum(len(pred[t]) for t in below) + visited + 2 * n + len(steps) + m
             _ops.ops += m * (m - 1).bit_length()
 
-    def _append_masks(self, groups: list[list[int]]) -> None:
+    @property
+    def length(self) -> int:
+        """The top level: the tables cover word lengths ``0 .. length``."""
+        return len(self.rank) - 1
+
+    def _append_masks(self, groups: list[Sequence[int]]) -> None:
         """Append a bit-kernel level's ``pred_masks`` entry, given
         ``groups[r]``, the states of rank ``r``.
 

@@ -19,7 +19,7 @@ def targets(nfa: Nfa, state: int, symbol_id: int) -> tuple[int, ...]:
 
 def word_from_str(nfa: Nfa, text: str):
     """The word spelled by ``text``, one glyph per letter."""
-    return tuple(map(nfa.symbol_id, text))
+    return tuple(map(nfa.alphabet.index, text))
 
 
 def make_a1() -> Nfa:
