@@ -1,9 +1,11 @@
 """Delay measurement harness and random instance generation.
 
 :func:`measure_delays` runs one cross-section enumeration with the global
-operation counter enabled and records, per output word, the operations and
-wall time spent since the previous output. The preprocessing tally covers
-automaton layout construction (when a factory is passed) plus table building.
+operation counter enabled and records, per ``cursor.next()`` call, the
+operations and wall time spent since the previous call returned; the call
+that returns EXHAUSTED, when the run gets that far, records the final gap.
+The preprocessing tally covers automaton layout construction (when a
+factory is passed) plus table building.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import random
 import string
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterator, Optional, Union
 
-from .automaton import Nfa, build_nfa
+from .automaton import AutomatonError, Nfa, build_nfa
 from .enumeration import EXHAUSTED, CrossSectionCursor
 from .instrument import counting
 from .tables import precompute
@@ -27,6 +29,10 @@ MAX_SYMBOLS = len(_GLYPH_POOL)
 
 @dataclass(frozen=True, slots=True)
 class DelayRecord:
+    """One ``cursor.next()`` call: its index, the word it returned (EXHAUSTED
+    for the call that found the end), and its gap in operations and in
+    nanoseconds."""
+
     index: int
     word: tuple
     op_count: int
@@ -35,10 +41,11 @@ class DelayRecord:
 
 @dataclass(frozen=True)
 class DelayReport:
-    """Per-run measurement: instance sizes, preprocessing cost, per-output cost.
+    """Per-run measurement: instance sizes, preprocessing cost, per-call cost.
 
-    ``final_gap_ops``/``final_gap_nanos`` cover the work after the last output
-    that established exhaustion; they are None when a limit cut the run short.
+    ``records`` holds one :class:`DelayRecord` per ``cursor.next()`` call.
+    When the run reached the end within its limit, the last record is the
+    call that returned EXHAUSTED, and its gap is the final one.
     """
 
     length: int
@@ -48,12 +55,10 @@ class DelayReport:
     preproc_ops: int
     preproc_nanos: int
     records: list[DelayRecord] = field(default_factory=list)
-    final_gap_ops: Optional[int] = None
-    final_gap_nanos: Optional[int] = None
 
     @property
     def exhausted(self) -> bool:
-        return self.final_gap_ops is not None
+        return bool(self.records) and self.records[-1].word is EXHAUSTED
 
     def csv_lines(self) -> Iterator[str]:
         """The report in CSV form: a comment header, a column row, data rows.
@@ -68,9 +73,6 @@ class DelayReport:
         )
         yield "index,word_len,op_count,wall_nanos"
         yield from map(_csv_row, self.records)
-        if self.exhausted:
-            index = len(self.records)
-            yield _csv_row(DelayRecord(index, EXHAUSTED, self.final_gap_ops, self.final_gap_nanos))
 
 
 def _csv_row(r: DelayRecord) -> str:
@@ -87,35 +89,33 @@ def _measure(
     """The measurement of :func:`measure_delays`, streamed.
 
     Yields a :class:`DelayReport` with the sizes and the preprocessing tally
-    and no records, then a :class:`DelayRecord` per output as it is measured
-    and, when the cursor ran out within ``limit``, a last record whose word is
-    EXHAUSTED, for the final gap. What the consumer does between two records
-    is outside every gap: each gap's clock and tally start when it resumes.
+    and no records, then a :class:`DelayRecord` per ``cursor.next()`` call
+    as it is measured, at most ``limit`` of them; the call that returns
+    EXHAUSTED is the last. The first gap's clock and tally both cover setting
+    the cursor up. What the consumer does between two records is outside
+    every gap: each gap's clock and tally start when it resumes.
     """
     with counting() as ops:
         t0 = time.perf_counter_ns()
         nfa = source() if callable(source) else source
         tables = precompute(nfa, length)
         preproc_nanos = time.perf_counter_ns() - t0
-        # The first gap's tally also covers setting the cursor up.
-        mark = ops.ops
-        cursor = CrossSectionCursor(nfa, length, tables=tables)
         yield DelayReport(
             length=length,
             state_count=nfa.state_count,
             symbol_count=nfa.symbol_count,
             transition_count=nfa.transition_count,
-            preproc_ops=mark,
+            preproc_ops=ops.ops,
             preproc_nanos=preproc_nanos,
         )
+        mark, t_prev = ops.ops, time.perf_counter_ns()
+        cursor = CrossSectionCursor(nfa, length, tables=tables)
         for index in count() if limit is None else range(limit):
-            t_prev = time.perf_counter_ns()
             word = cursor.next()
-            now = time.perf_counter_ns()
-            yield DelayRecord(index, word, ops.ops - mark, now - t_prev)
+            yield DelayRecord(index, word, ops.ops - mark, time.perf_counter_ns() - t_prev)
             if word is EXHAUSTED:
                 break
-            mark = ops.ops
+            mark, t_prev = ops.ops, time.perf_counter_ns()
 
 
 def measure_delays(
@@ -127,21 +127,14 @@ def measure_delays(
 
     ``source`` is an automaton or a zero-argument factory; pass a factory to
     include the automaton layout construction in the preprocessing tally.
-    ``limit`` bounds the number of outputs measured. Under an enclosing
-    :func:`~lexenum.instrument.counting` block the whole tally, preprocessing
-    and every gap, is added to the enclosing count.
+    ``limit`` bounds the number of ``cursor.next()`` calls measured. Under an
+    enclosing :func:`~lexenum.instrument.counting` block the whole tally,
+    preprocessing and every gap, is added to the enclosing count.
     """
     rows = _measure(source, length, limit)
     report = next(rows)
-    final = None
-    for record in rows:
-        if record.word is EXHAUSTED:
-            final = record
-        else:
-            report.records.append(record)
-    if final is None:
-        return report
-    return replace(report, final_gap_ops=final.op_count, final_gap_nanos=final.wall_nanos)
+    report.records.extend(rows)
+    return report
 
 
 def random_automaton(
@@ -156,18 +149,20 @@ def random_automaton(
 
     ``transition_count`` is clamped to the ``state_count^2 * symbol_count``
     possible distinct triples. ``initial_count``/``final_count`` default to a
-    uniform size in ``0..state_count`` (so either set may come out empty);
-    a size given outside that range raises :class:`ValueError`.
+    uniform size in ``0..state_count`` (so either set may come out empty).
+    A size out of range raises :class:`~lexenum.automaton.AutomatonError`, a
+    :class:`ValueError`; this is the only check of the sizes that
+    ``lexenum bench --random`` passes.
     """
     if state_count < 1:
-        raise ValueError("need at least one state")
+        raise AutomatonError(f"state_count must be at least 1, got {state_count}")
     if not 1 <= symbol_count <= MAX_SYMBOLS:
-        raise ValueError(f"symbol count must be in 1..{MAX_SYMBOLS}")
+        raise AutomatonError(f"symbol_count must be in 1..{MAX_SYMBOLS}, got {symbol_count}")
     if transition_count < 0:
-        raise ValueError(f"transition_count must be non-negative, got {transition_count}")
+        raise AutomatonError(f"transition_count must be non-negative, got {transition_count}")
     for name, value in (("initial_count", initial_count), ("final_count", final_count)):
         if value is not None and not 0 <= value <= state_count:
-            raise ValueError(f"{name} must be in 0..{state_count}, got {value}")
+            raise AutomatonError(f"{name} must be in 0..{state_count}, got {value}")
     max_triples = state_count * state_count * symbol_count
     transition_count = min(transition_count, max_triples)
     span = symbol_count * state_count

@@ -17,11 +17,12 @@ import os
 import random
 import sys
 from contextlib import closing
+from functools import partial
 from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .automaton import AutomatonError, Nfa
-from .bench import MAX_SYMBOLS, _csv_row, _measure, random_automaton
+from .bench import _csv_row, _measure, random_automaton
 from .enumeration import CrossSectionCursor, radix_cursors
 from .fileformat import ParseError, decode_automaton, parse_automaton
 from .instrument import counting
@@ -45,20 +46,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _random_spec(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected STATES,SYMBOLS,TRANSITIONS")
+def _random_spec(text: str) -> tuple[int, int, int]:
+    """Three comma-separated ints; :func:`random_automaton` checks their range."""
     try:
-        states, symbols, transitions = (int(p) for p in parts)
+        states, symbols, transitions = map(int, text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("expected three integers") from None
-    if states < 1:
-        raise argparse.ArgumentTypeError("STATES must be at least 1")
-    if not 1 <= symbols <= MAX_SYMBOLS:
-        raise argparse.ArgumentTypeError(f"SYMBOLS must be in 1..{MAX_SYMBOLS}")
-    if transitions < 0:
-        raise argparse.ArgumentTypeError("TRANSITIONS must be non-negative")
+        raise argparse.ArgumentTypeError("expected three integers Q,S,T") from None
     return states, symbols, transitions
 
 
@@ -109,10 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_automaton(args) -> Nfa:
+    """The automaton of whichever input option is given: ``--automaton``,
+    ``--regex`` or (bench only) ``--random``, sampled from ``--seed`` with
+    ``max(1, STATES // 4)`` initial and final states."""
     if args.automaton is not None:
         with open(args.automaton, "rb") as handle:
             return parse_automaton(decode_automaton(handle.read()))
-    return compile_regex(args.regex)
+    if args.regex is not None:
+        return compile_regex(args.regex)
+    states, symbols, transitions = args.random
+    ends = max(1, states // 4)
+    return random_automaton(random.Random(args.seed), states, symbols, transitions, ends, ends)
 
 
 def _printable(nfa: Nfa) -> Nfa:
@@ -159,8 +159,8 @@ def _stream_words(nfa: Nfa, cursors, limit: Optional[int]) -> None:
 
 
 def _cmd_enum(args) -> int:
-    nfa = _printable(_load_automaton(args))
     with counting(args.count_ops) as counter:
+        nfa = _printable(_load_automaton(args))
         tables = precompute(nfa, args.length)
         preproc = counter.ops
         _stream_words(nfa, [CrossSectionCursor(nfa, args.length, tables)], args.limit)
@@ -171,8 +171,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_radix(args) -> int:
-    nfa = _printable(_load_automaton(args))
     with counting(args.count_ops) as counter:
+        nfa = _printable(_load_automaton(args))
         _stream_words(nfa, radix_cursors(nfa, args.max_length), args.limit)
         total = counter.ops
     if args.count_ops:
@@ -181,22 +181,9 @@ def _cmd_radix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.random is not None:
-        states, symbols, transitions = args.random
-        rng = random.Random(args.seed)
-
-        def factory() -> Nfa:
-            return random_automaton(rng, states, symbols, transitions,
-                                    initial_count=max(1, states // 4),
-                                    final_count=max(1, states // 4))
-
-    else:
-        def factory() -> Nfa:
-            return _load_automaton(args)
-
     # Each row is written as it is measured, so no run holds its records.
     write = sys.stdout.write
-    with closing(_measure(factory, args.length, args.limit)) as rows:
+    with closing(_measure(partial(_load_automaton, args), args.length, args.limit)) as rows:
         for line in chain(next(rows).csv_lines(), map(_csv_row, rows)):
             write(line + "\n")
     return 0

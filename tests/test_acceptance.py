@@ -37,6 +37,7 @@ from itertools import islice
 from pathlib import Path
 
 from lexenum import (
+    EXHAUSTED,
     CrossSectionCursor,
     build_nfa,
     compile_regex,
@@ -170,11 +171,11 @@ def test_criterion_3_delay_bound_on_scaling_family():
     for (ell, delta), reps in reports.items():
         bound = DELAY_C * ell * delta
         for report in reps:
-            assert report.records, f"family cell l={ell} delta={delta} produced nothing"
-            gaps = [r.op_count for r in report.records]
-            if report.final_gap_ops is not None:
-                gaps.append(report.final_gap_ops)
-            for gap in gaps:
+            assert report.records[0].word is not EXHAUSTED, (
+                f"family cell l={ell} delta={delta} produced nothing"
+            )
+            # One gap per next() call, the final one included.
+            for gap in (r.op_count for r in report.records):
                 assert gap <= bound, (ell, delta, gap, bound)
                 worst_ratio = max(worst_ratio, gap / (ell * delta))
     for ell in FAMILY_LENGTHS:
@@ -183,8 +184,6 @@ def test_criterion_3_delay_bound_on_scaling_family():
             worst = 0
             for report in reports[(ell, delta)]:
                 worst = max(worst, max(r.op_count for r in report.records))
-                if report.final_gap_ops is not None:
-                    worst = max(worst, report.final_gap_ops)
             maxima[delta] = worst
         for small, big in zip(FAMILY_DELTAS, FAMILY_DELTAS[1:]):
             assert maxima[big] <= DOUBLING_LIMIT * maxima[small], (
@@ -332,10 +331,8 @@ def test_criterion_9_delay_bound_on_list_kernel():
                     report = measure_delays(nfa, ell, limit=FAMILY_OUTPUT_LIMIT)
                     # An empty cross-section still has one gap, the one that
                     # finds it empty.
-                    with_words += bool(report.records)
+                    with_words += report.records[0].word is not EXHAUSTED
                     gaps = [r.op_count for r in report.records]
-                    if report.final_gap_ops is not None:
-                        gaps.append(report.final_gap_ops)
                     for gap in gaps:
                         assert gap <= DELAY_C * ell * delta, (state_count, ell, delta, gap)
                     worst_ratio = max(worst_ratio, max(gaps) / (ell * delta))

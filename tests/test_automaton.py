@@ -72,6 +72,13 @@ class TestBuildNfa:
         with pytest.raises(AutomatonError, match="unknown symbol"):
             build_nfa(["a"], 1, [0], [0], [(0, 4, 0)])
 
+    @pytest.mark.parametrize("entry", [(0, "a"), 5, (0, "a", 1, 2)])
+    def test_transition_that_is_not_a_triple_rejected(self, entry):
+        message = f"transition {entry!r} is not a (state, symbol, state) triple"
+        with pytest.raises(AutomatonError) as excinfo:
+            build_nfa(["a"], 2, [0], [1], [(0, "a", 1), entry])
+        assert str(excinfo.value) == message
+
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(AutomatonError, match="duplicate symbol"):
             build_nfa(["a", "a"], 1, [], [], [])

@@ -133,6 +133,30 @@ class TestEnum:
         assert counted == plain == "aab\naba\nbaa\n"
         assert "preproc=" in err
 
+    def test_count_ops_preproc_includes_the_automaton_layout(self, capsys):
+        # The layout of a's two-state automaton costs 17 of the 22 units, as
+        # in bench's preproc_ops.
+        code, out, err = run(capsys, "enum", "--regex", "a", "--length", "1", "--count-ops")
+        assert (code, out, err) == (0, "a\n", "# ops: preproc=22, enumeration=4\n")
+        code, bench, _ = run(capsys, "bench", "--regex", "a", "--length", "1")
+        assert bench.startswith("# l=1, Q=2, sigma=1, delta=1, preproc_ops=22, ")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["enum", "--regex", "a", "--length", "-1"], "--length"),
+            (["enum", "--regex", "a", "--length", "1", "--limit", "0"], "--limit"),
+            (["radix", "--regex", "a", "--limit", "0"], "--limit"),
+        ],
+    )
+    def test_bad_argument_exits_two_naming_the_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: " in err
+
 
 class TestRadix:
     def test_max_length(self, capsys, a1_file):
@@ -148,13 +172,14 @@ class TestRadix:
         assert (code, out) == (0, "b\n")
 
     def test_limit_builds_no_level_past_the_last_word(self, capsys):
-        # "", "a" and "b" need levels 0 and 1; 78 is the tally of exactly
-        # those, so a limit that let the run build level 2 would raise it.
+        # "", "a" and "b" need levels 0 and 1; 95 is the tally of exactly
+        # those plus the automaton layout's 17, so a limit that let the run
+        # build level 2 would raise it.
         code, out, err = run(
             capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
         )
         assert (code, out) == (0, "\na\nb\n")
-        assert err == "# ops: total=78\n"
+        assert err == "# ops: total=95\n"
 
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")
@@ -335,11 +360,23 @@ class TestBench:
         assert code == 0, err
 
     def test_bad_random_spec(self, capsys):
-        for spec in ["10,3", "0,2,3", "3,0,3", "3,63,3", "3,2,-1"]:
+        # A spec that is not three integers is argparse's to refuse.
+        for spec in ["10,3", "a,b,c", "1,2,3,4"]:
             with pytest.raises(SystemExit) as excinfo:
                 main(["bench", "--random", spec, "--length", "2"])
             assert excinfo.value.code == 2, spec
-            assert "--random" in capsys.readouterr().err, spec
+            assert "argument --random: " in capsys.readouterr().err, spec
+        # Sizes out of range are random_automaton's to refuse, before the
+        # CSV header is written.
+        for spec, size in [
+            ("0,2,3", "state_count"),
+            ("3,0,3", "symbol_count"),
+            ("3,63,3", "symbol_count"),
+            ("3,2,-1", "transition_count"),
+        ]:
+            code, out, err = run(capsys, "bench", "--random", spec, "--length", "2")
+            assert (code, out) == (2, ""), spec
+            assert err.startswith("error: " + size) and err.count("\n") == 1, (spec, err)
 
 
 class _RecordingStdout:

@@ -1,6 +1,8 @@
 import random
+from types import SimpleNamespace
 
-from lexenum import compile_regex, cross_section, measure_delays, precompute
+from lexenum import EXHAUSTED, compile_regex, cross_section, measure_delays, precompute
+from lexenum import bench
 from lexenum.instrument import counting, ops
 from helpers import corpus_automaton, make_a1, tables_snapshot
 
@@ -51,8 +53,7 @@ def test_measure_delays_tally_reaches_an_enclosing_count():
         report = measure_delays(nfa, 4)
         total = outer.ops
     assert report.exhausted
-    parts = report.preproc_ops + sum(r.op_count for r in report.records)
-    assert total == parts + report.final_gap_ops == 680
+    assert total == report.preproc_ops + sum(r.op_count for r in report.records) == 680
 
 
 def test_enumeration_is_identical_with_counters_on_and_off():
@@ -86,13 +87,31 @@ def test_counter_accumulates_when_enabled():
 def test_measure_delays_reports_all_outputs():
     nfa = make_a1()
     report = measure_delays(nfa, 2)
-    assert [r.index for r in report.records] == [0, 1]
-    assert all(len(r.word) == 2 for r in report.records)
+    # One record per next() call: two words, then the call that ends the run.
+    assert [r.index for r in report.records] == [0, 1, 2]
+    assert [len(r.word) for r in report.records[:2]] == [2, 2]
+    assert report.records[2].word is EXHAUSTED
     assert report.exhausted
-    assert report.final_gap_ops is not None
     assert report.transition_count == 3
     # measuring must leave the global counter as it found it
     assert not ops.enabled
+
+
+def test_first_gap_clock_covers_the_cursor_setup(monkeypatch):
+    # The first gap's tally counts building the cursor, so its clock must
+    # time it too. A fake clock moves only while the cursor is built.
+    clock = [0]
+
+    class SlowCursor(bench.CrossSectionCursor):
+        def __init__(self, *args, **kwargs):
+            clock[0] += 10**9
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "CrossSectionCursor", SlowCursor)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=lambda: clock[0]))
+    report = measure_delays(make_a1(), 2)
+    assert report.preproc_nanos == 0
+    assert [r.wall_nanos for r in report.records] == [10**9, 0, 0]
 
 
 def test_measure_delays_limit_cuts_short():
