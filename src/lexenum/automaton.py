@@ -27,14 +27,16 @@ bit kernel when ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <=
 then costs at most about #transitions either way. The :class:`Nfa` constructor makes the choice; no
 option does.
 
-``Nfa`` instances are immutable after construction and safe to share across
-threads.
+``Nfa`` is a frozen dataclass: rebinding a field of an instance raises
+:class:`dataclasses.FrozenInstanceError`, so instances are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
 from .instrument import ops as _ops
@@ -50,6 +52,7 @@ class AutomatonError(ValueError):
     """Raw automaton input failed validation."""
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Nfa:
     """Immutable nondeterministic finite automaton without epsilon moves.
 
@@ -58,36 +61,22 @@ class Nfa:
     ``initial`` and ``final_states`` are duplicate-free tuples of states in
     first-occurrence order. The constructor chooses the kernel: on the bit
     kernel ``images`` holds the chunk image tables; on the list kernel it is
-    None.
+    None. The dataclass is frozen: rebinding any field, ``images`` included,
+    raises :class:`dataclasses.FrozenInstanceError`. It compares by value
+    through :meth:`__eq__` and is unhashable.
     """
 
-    __slots__ = (
-        "alphabet",
-        "state_count",
-        "initial",
-        "final_states",
-        "adjacency",
-        "transition_count",
-        "images",
-    )
+    alphabet: str
+    state_count: int
+    initial: tuple[int, ...]
+    final_states: tuple[int, ...]
+    adjacency: list[list[tuple[int, tuple[int, ...]]]]
+    transition_count: int
+    images: Optional[list[ChunkTables]] = field(init=False)
 
-    def __init__(
-        self,
-        alphabet: str,
-        state_count: int,
-        initial: tuple[int, ...],
-        final_states: tuple[int, ...],
-        adjacency: list[list[tuple[int, tuple[int, ...]]]],
-        transition_count: int,
-    ):
-        self.alphabet = alphabet
-        self.state_count = state_count
-        self.initial = initial
-        self.final_states = final_states
-        self.adjacency = adjacency
-        self.transition_count = transition_count
-        bit = fits_bit_kernel(len(alphabet), state_count, transition_count)
-        self.images: Optional[list[ChunkTables]] = chunk_images(self) if bit else None
+    def __post_init__(self) -> None:
+        bit = fits_bit_kernel(len(self.alphabet), self.state_count, self.transition_count)
+        object.__setattr__(self, "images", chunk_images(self) if bit else None)
 
     @property
     def symbol_count(self) -> int:

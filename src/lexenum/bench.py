@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterator, Optional, Union
 
-from .automaton import AutomatonError, Nfa, build_nfa
-from .enumeration import EXHAUSTED, CrossSectionCursor
+from .automaton import AutomatonError, Nfa, Word, build_nfa
+from .enumeration import EXHAUSTED, CrossSectionCursor, _ExhaustedType
 from .instrument import counting
 from .tables import precompute
 
@@ -29,12 +29,12 @@ MAX_SYMBOLS = len(_GLYPH_POOL)
 
 @dataclass(frozen=True, slots=True)
 class DelayRecord:
-    """One ``cursor.next()`` call: its index, the word it returned (EXHAUSTED
-    for the call that found the end), and its gap in operations and in
-    nanoseconds."""
+    """One ``cursor.next()`` call: its index, the word it returned, and its
+    gap in operations and in nanoseconds. ``word`` is a :data:`Word`, or
+    EXHAUSTED for the call that found the end, which is a record too."""
 
     index: int
-    word: tuple
+    word: Union[Word, _ExhaustedType]
     op_count: int
     wall_nanos: int
 
@@ -151,16 +151,17 @@ def random_automaton(
     possible distinct triples. ``initial_count``/``final_count`` default to a
     uniform size in ``0..state_count`` (so either set may come out empty).
     A size out of range raises :class:`~lexenum.automaton.AutomatonError`, a
-    :class:`ValueError`; this is the only check of the sizes that
-    ``lexenum bench --random`` passes.
+    :class:`ValueError`, whose message names the size as the help of
+    ``lexenum bench --random`` does (``states must be at least 1, got 0``);
+    this is the only check of the sizes that ``--random`` passes.
     """
     if state_count < 1:
-        raise AutomatonError(f"state_count must be at least 1, got {state_count}")
+        raise AutomatonError(f"states must be at least 1, got {state_count}")
     if not 1 <= symbol_count <= MAX_SYMBOLS:
-        raise AutomatonError(f"symbol_count must be in 1..{MAX_SYMBOLS}, got {symbol_count}")
+        raise AutomatonError(f"symbols must be in 1..{MAX_SYMBOLS}, got {symbol_count}")
     if transition_count < 0:
-        raise AutomatonError(f"transition_count must be non-negative, got {transition_count}")
-    for name, value in (("initial_count", initial_count), ("final_count", final_count)):
+        raise AutomatonError(f"transitions must be non-negative, got {transition_count}")
+    for name, value in (("initial states", initial_count), ("final states", final_count)):
         if value is not None and not 0 <= value <= state_count:
             raise AutomatonError(f"{name} must be in 0..{state_count}, got {value}")
     max_triples = state_count * state_count * symbol_count

@@ -55,17 +55,11 @@ def _random_spec(text: str) -> tuple[int, int, int]:
     return states, symbols, transitions
 
 
-def _add_input_flags(parser: argparse.ArgumentParser, with_random: bool = False) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--automaton", metavar="FILE", help="automaton description file")
     group.add_argument("--regex", metavar="PATTERN", help="regular expression")
-    if with_random:
-        group.add_argument(
-            "--random",
-            metavar="Q,S,T",
-            type=_random_spec,
-            help="random automaton with Q states, S symbols, T transitions",
-        )
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     radix_p.set_defaults(handler=_cmd_radix)
 
     bench_p = sub.add_parser("bench", help="measure per-output cost as CSV")
-    _add_input_flags(bench_p, with_random=True)
+    _add_input_flags(bench_p).add_argument(
+        "--random",
+        metavar="Q,S,T",
+        type=_random_spec,
+        help="random automaton with Q states, S symbols, T transitions",
+    )
     bench_p.add_argument("--length", type=_nonneg, required=True, help="word length")
     bench_p.add_argument("--limit", type=_positive, help="measure at most N outputs")
     bench_p.add_argument("--seed", type=int, default=0, help="seed for --random")
@@ -206,7 +205,3 @@ def main(argv=None) -> int:
             return 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

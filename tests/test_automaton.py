@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -43,6 +44,22 @@ class TestBuildNfa:
         by_glyph = build_nfa("ab", 2, [0], [1], [(0, "b", 1)])
         by_id = build_nfa("ab", 2, [0], [1], [(0, 1, 1)])
         assert by_glyph == by_id
+
+    @pytest.mark.parametrize("name", ["images", "adjacency", "alphabet"])
+    def test_fields_cannot_be_rebound(self, a1, name):
+        before = getattr(a1, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(a1, name, object())
+        assert getattr(a1, name) is before
+
+    def test_compares_by_value_and_is_unhashable(self, a1):
+        assert a1 == make_a1()
+        # Against a non-automaton __eq__ returns NotImplemented, and Python
+        # falls back to identity.
+        assert (a1 == object()) is False
+        assert (a1 != object()) is True
+        with pytest.raises(TypeError):
+            hash(a1)
 
     def test_zero_state_automaton_is_legal_when_empty(self):
         nfa = build_nfa(["a"], 0, [], [], [])
@@ -351,8 +368,9 @@ def test_random_automaton_clamps_transition_count():
 
 
 def test_random_automaton_rejects_negative_transition_count():
-    with pytest.raises(ValueError, match="transition_count"):
+    with pytest.raises(ValueError) as excinfo:
         random_automaton(random.Random(3), 2, 1, -1)
+    assert str(excinfo.value) == "transitions must be non-negative, got -1"
 
 
 @pytest.mark.parametrize(
@@ -365,8 +383,10 @@ def test_random_automaton_rejects_negative_transition_count():
     ],
 )
 def test_random_automaton_rejects_set_sizes_outside_the_states(counts, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError) as excinfo:
         random_automaton(random.Random(1), 2, 1, 1, **counts)
+    # The message names the set, as in "initial states must be in 0..2, got 5".
+    assert str(excinfo.value) == f"{name.replace('_count', ' states')} must be in 0..2, got {counts[name]}"
 
 
 def test_format_and_parse_word(a1):

@@ -123,6 +123,15 @@ class TestEnum:
         with pytest.raises(SystemExit) as excinfo:
             main(["enum", "--length", "1"])
         assert excinfo.value.code == 2
+        # --random is one of bench's exclusive inputs, and only bench's.
+        for argv in [
+            ["bench", "--regex", "a", "--random", "2,1,1", "--length", "1"],
+            ["enum", "--random", "2,1,1", "--length", "1"],
+            ["radix", "--random", "2,1,1"],
+        ]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
 
     def test_count_ops_does_not_change_output(self, capsys, a1_file):
         _, plain, _ = run(capsys, "enum", "--automaton", a1_file, "--length", "3")
@@ -367,16 +376,15 @@ class TestBench:
             assert excinfo.value.code == 2, spec
             assert "argument --random: " in capsys.readouterr().err, spec
         # Sizes out of range are random_automaton's to refuse, before the
-        # CSV header is written.
-        for spec, size in [
-            ("0,2,3", "state_count"),
-            ("3,0,3", "symbol_count"),
-            ("3,63,3", "symbol_count"),
-            ("3,2,-1", "transition_count"),
+        # CSV header is written, naming each size as --random's help does.
+        for spec, message in [
+            ("0,2,3", "states must be at least 1, got 0"),
+            ("3,0,3", "symbols must be in 1..62, got 0"),
+            ("3,63,3", "symbols must be in 1..62, got 63"),
+            ("3,2,-1", "transitions must be non-negative, got -1"),
         ]:
             code, out, err = run(capsys, "bench", "--random", spec, "--length", "2")
-            assert (code, out) == (2, ""), spec
-            assert err.startswith("error: " + size) and err.count("\n") == 1, (spec, err)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), spec
 
 
 class _RecordingStdout:
