@@ -5,11 +5,13 @@ index ``a`` is symbol ``a``, and that index order is the lexicographic order.
 States are exactly the integers ``0 .. state_count-1``. The transitions are
 stored once, as read-only per-state adjacency rows built by
 :func:`build_nfa`: the row of ``q`` lists ``(symbol_id, targets)`` pairs,
-strictly increasing in symbol id, with non-empty duplicate-free target
-tuples. The tables and the successor search walk a row in symbol order; the
-list kernel's subset step finds one symbol in it by binary search. Automata
-on the bit kernel also get chunk image tables (see :func:`chunk_images`),
-derived from the rows.
+strictly increasing in symbol id, with non-empty target tuples strictly
+increasing in state. The initial and final states are strictly increasing
+tuples too, so each automaton has one canonical layout, whatever order its
+pieces were listed in. The tables and the successor search walk a row in
+symbol order; the list kernel's subset step finds one symbol in it by binary
+search. Automata on the bit kernel also get chunk image tables (see
+:func:`chunk_images`), derived from the rows.
 
 Two kernels run the subset step, and each is exactly one step, from one
 state set on one symbol. The list kernel holds a state set as a set of
@@ -29,7 +31,8 @@ option does.
 
 ``Nfa`` is a frozen dataclass: rebinding a field of an instance raises
 :class:`dataclasses.FrozenInstanceError`, so instances are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. The dataclass generates its
+equality and repr; an ``Nfa`` is unhashable.
 """
 
 from __future__ import annotations
@@ -52,27 +55,33 @@ class AutomatonError(ValueError):
     """Raw automaton input failed validation."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class Nfa:
     """Immutable nondeterministic finite automaton without epsilon moves.
 
     Build instances through :func:`build_nfa` (or the text/regex frontends);
     the constructor trusts its arguments. ``alphabet`` is the glyph string;
-    ``initial`` and ``final_states`` are duplicate-free tuples of states in
-    first-occurrence order. The constructor chooses the kernel: on the bit
-    kernel ``images`` holds the chunk image tables; on the list kernel it is
-    None. The dataclass is frozen: rebinding any field, ``images`` included,
-    raises :class:`dataclasses.FrozenInstanceError`. It compares by value
-    through :meth:`__eq__` and is unhashable.
+    ``initial`` and ``final_states`` are strictly increasing tuples of
+    states. The constructor chooses the kernel: on the bit kernel ``images``
+    holds the chunk image tables; on the list kernel it is None. The
+    dataclass is frozen: rebinding any field, ``images`` included, raises
+    :class:`dataclasses.FrozenInstanceError`. Its generated ``__eq__``
+    compares every field but ``images``, which the others determine;
+    :func:`build_nfa` lays each automaton out in one canonical order, so two
+    automata compare by value whatever order their pieces were listed in.
+    Its generated repr shows ``alphabet``, ``state_count``, ``initial``,
+    ``final_states`` and ``transition_count``. It is unhashable.
     """
 
     alphabet: str
     state_count: int
     initial: tuple[int, ...]
     final_states: tuple[int, ...]
-    adjacency: list[list[tuple[int, tuple[int, ...]]]]
+    adjacency: list[list[tuple[int, tuple[int, ...]]]] = field(repr=False)
     transition_count: int
-    images: Optional[list[ChunkTables]] = field(init=False)
+    images: Optional[list[ChunkTables]] = field(init=False, compare=False, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self) -> None:
         bit = fits_bit_kernel(len(self.alphabet), self.state_count, self.transition_count)
@@ -92,24 +101,6 @@ class Nfa:
         # A list comprehension joins faster than a generator expression.
         return "".join([alphabet[a] for a in word])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Nfa):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.state_count == other.state_count
-            and set(self.initial) == set(other.initial)
-            and set(self.final_states) == set(other.final_states)
-            and self.adjacency == other.adjacency
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Nfa(|Q|={self.state_count}, sigma={self.alphabet!r}, "
-            f"|delta|={self.transition_count}, I={list(self.initial)}, "
-            f"F={list(self.final_states)})"
-        )
-
 
 def _check_state(value, state_count: int, what: str) -> int:
     if type(value) is not int or not 0 <= value < state_count:
@@ -118,8 +109,9 @@ def _check_state(value, state_count: int, what: str) -> int:
 
 
 def _distinct_states(values: Iterable, state_count: int, what: str) -> tuple[int, ...]:
-    """The distinct checked states in first-occurrence order."""
-    return tuple(dict.fromkeys(_check_state(q, state_count, what) for q in values))
+    """The distinct checked states in ascending order. They are checked in
+    input order, so the first bad state is the one reported."""
+    return tuple(sorted({_check_state(q, state_count, what) for q in values}))
 
 
 def build_nfa(
@@ -136,20 +128,23 @@ def build_nfa(
     string or a sequence of strings) whose *declaration order* is the
     lexicographic order; it is stored as one string. Transitions are
     ``(state, symbol, state)`` triples where the symbol may be a glyph or a
-    symbol id. Each (state, symbol) bucket is deduplicated when it is frozen,
-    so target order within a pair is first-occurrence order and repeated
-    triples count once. ``state_count`` is checked first; then each other
-    argument, which may be any iterable, is read once, in parameter order.
-    States, the state count and symbol ids must be ints proper: a bool, or
-    any other subclass of int, is rejected.
+    symbol id. Each (state, symbol) bucket is frozen as its distinct targets
+    in ascending order, so repeated triples count once; the initial and
+    final states are likewise kept distinct and ascending. So the layout
+    does not depend on the order in which the pieces are listed, and pieces
+    listed in any order give equal automata. ``state_count`` is checked
+    first; then each other argument, which may be any iterable, is read
+    once, in parameter order. States, the state count and symbol ids must be
+    ints proper: a bool, or any other subclass of int, is rejected.
 
     Buckets exist only for the (state, symbol) pairs that occur, grouped by
     symbol, so freezing them symbol by symbol appends each row's pairs in
     increasing symbol order without a sort. The layout costs
-    O(#raw transitions + |alphabet| + state_count) time and memory, charged
-    one unit per raw transition, per symbol, per state and per distinct
-    transition, plus the chunk image tables when the automaton is on the bit
-    kernel.
+    O(#raw transitions + |alphabet| + state_count) memory and that time plus
+    the sorts of the state sets and the buckets, O(k log k) for k distinct
+    states in one. It is charged one unit per raw transition, per symbol,
+    per state and per distinct transition, plus the chunk image tables when
+    the automaton is on the bit kernel.
 
     Raises :class:`AutomatonError` for a state count beyond ``sys.maxsize``
     (no buffer can be indexed that far), for alphabet entries that are not
@@ -204,7 +199,7 @@ def build_nfa(
     adjacency: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(state_count)]
     for a, column in enumerate(buckets):
         for src, bucket in column.items():
-            targets = tuple(dict.fromkeys(bucket))
+            targets = tuple(sorted(set(bucket)))
             transition_count += len(targets)
             adjacency[src].append((a, targets))
 

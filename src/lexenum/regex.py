@@ -150,7 +150,8 @@ def compile_regex(pattern: str) -> Nfa:
 
     State 0 is the initial state and state i is the i-th literal of the
     pattern, entered only on that literal's symbol; there are no epsilon
-    moves. The transitions leaving a state are ordered by (symbol, target).
+    moves. The transitions leaving a state are ordered by (symbol, target),
+    the order in which :func:`build_nfa` lays out every automaton.
     Raises :class:`RegexSyntaxError` with the offending position, also for
     a pattern that may need more than :data:`MAX_TRANSITIONS` transitions
     (at the literal where the bound passed it; any syntax error in the
@@ -168,7 +169,7 @@ def compile_regex(pattern: str) -> Nfa:
         )
     offsets, follow = parser.offsets, parser.follow
     transitions = (
-        (p, pattern[offsets[q]], q) for p, targets in enumerate(follow) for q in sorted(targets)
+        (p, pattern[offsets[q]], q) for p, targets in enumerate(follow) for q in targets
     )
     alphabet = sorted({pattern[i] for i in offsets[1:]})
     return build_nfa(alphabet, len(follow), [0], last + [0] if nullable else last, transitions)

@@ -61,19 +61,34 @@ def nested_scaling_family(seed: int, deltas, state_count: int = 20, symbol_count
     }
 
 
-def rebuild_factory(nfa: Nfa):
-    """Zero-argument builder recreating ``nfa`` from raw pieces, so layout
-    construction happens inside a measured region."""
-    glyphs = nfa.alphabet
+def raw_pieces(nfa: Nfa) -> tuple:
+    """The arguments of :func:`build_nfa` that recreate ``nfa``: its glyph
+    string and state count, fresh lists of its initial and final states, and
+    a fresh list of one ``(state, symbol id, state)`` triple per
+    transition."""
     triples = [
         (q, a, t)
         for q in range(nfa.state_count)
         for a, targets in nfa.adjacency[q]
         for t in targets
     ]
-    initial = list(nfa.initial)
-    final = list(nfa.final_states)
-    return lambda: build_nfa(glyphs, nfa.state_count, initial, final, triples)
+    return nfa.alphabet, nfa.state_count, list(nfa.initial), list(nfa.final_states), triples
+
+
+def rebuild_factory(nfa: Nfa):
+    """Zero-argument builder recreating ``nfa`` from raw pieces, so layout
+    construction happens inside a measured region."""
+    pieces = raw_pieces(nfa)
+    return lambda: build_nfa(*pieces)
+
+
+def assert_canonical(nfa: Nfa) -> None:
+    """Assert that ``nfa`` has the one layout :func:`build_nfa` gives: its
+    initial states, its final states and each target tuple strictly
+    increase."""
+    target_tuples = (t for row in nfa.adjacency for _, t in row)
+    for states in (nfa.initial, nfa.final_states, *target_tuples):
+        assert all(p < q for p, q in zip(states, states[1:])), states
 
 
 def kernel_run(nfa: Nfa, word, images=None) -> list:

@@ -7,15 +7,27 @@ import pytest
 from lexenum import (
     AutomatonError,
     CrossSectionCursor,
+    Nfa,
     build_nfa,
+    cross_section,
     delta_step,
+    measure_delays,
     precompute,
     radix_words,
     random_automaton,
 )
 from lexenum.automaton import chunk_images, mask_image, state_mask
 from lexenum.instrument import counting
-from helpers import corpus_automaton, kernel_run, make_a1, targets, word_from_str
+from helpers import (
+    assert_canonical,
+    corpus_automaton,
+    kernel_run,
+    make_a1,
+    raw_pieces,
+    rebuild_factory,
+    targets,
+    word_from_str,
+)
 
 
 class TestBuildNfa:
@@ -37,7 +49,7 @@ class TestBuildNfa:
 
     def test_repeated_initial_and_final_states_collapse_in_order(self):
         nfa = build_nfa(["a"], 3, [2, 0, 2], [1, 2, 1], [])
-        assert nfa.initial == (2, 0)
+        assert nfa.initial == (0, 2)
         assert nfa.final_states == (1, 2)
 
     def test_symbols_accepted_as_ids_or_glyphs(self):
@@ -60,6 +72,18 @@ class TestBuildNfa:
         assert (a1 != object()) is True
         with pytest.raises(TypeError):
             hash(a1)
+        assert Nfa.__hash__ is None
+
+    def test_repr_shows_sizes_and_ends_not_layout(self, a1):
+        # One automaton per kernel: images is None on the list kernel only.
+        bit = build_nfa("a", 2, [0], [1], [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)])
+        assert (a1.kernel, bit.kernel) == ("list", "bit")
+        assert repr(a1) == (
+            "Nfa(alphabet='ab', state_count=2, initial=(0,), final_states=(1,), transition_count=3)"
+        )
+        assert repr(bit) == (
+            "Nfa(alphabet='a', state_count=2, initial=(0,), final_states=(1,), transition_count=4)"
+        )
 
     def test_zero_state_automaton_is_legal_when_empty(self):
         nfa = build_nfa(["a"], 0, [], [], [])
@@ -134,12 +158,12 @@ class TestBuildNfa:
         rng = random.Random(7)
         for _ in range(50):
             nfa = corpus_automaton(rng)
+            assert_canonical(nfa)
             for q in range(nfa.state_count):
                 symbols = [a for a, _ in nfa.adjacency[q]]
                 assert symbols == sorted(set(symbols))
                 for _, targets in nfa.adjacency[q]:
                     assert len(targets) > 0
-                    assert len(set(targets)) == len(targets)
 
     def test_target_lists_match_naive_map(self):
         rng = random.Random(11)
@@ -153,11 +177,34 @@ class TestBuildNfa:
             nfa = build_nfa("abc"[:s], n, [], [], triples)
             for q in range(n):
                 for a in range(s):
-                    expected = []
-                    for src, sym, dst in triples:
-                        if src == q and sym == a and dst not in expected:
-                            expected.append(dst)
+                    expected = sorted({dst for src, sym, dst in triples if (src, sym) == (q, a)})
                     assert list(targets(nfa, q, a)) == expected
+
+    def test_layout_does_not_depend_on_the_order_of_the_pieces(self):
+        """Each automaton's raw pieces, shuffled, build an equal automaton on
+        the same kernel that enumerates the same words at the same cost."""
+        rng = random.Random(41)
+        shuffle = random.Random(42).shuffle
+        kernels = set()
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            s = rng.randint(1, 3)
+            nfa = random_automaton(rng, n, s, rng.randint(0, 2 * n * s))
+            pieces = raw_pieces(nfa)
+            for piece in pieces[2:]:
+                shuffle(piece)
+            rebuilt = build_nfa(*pieces)
+            assert rebuilt == nfa
+            assert_canonical(rebuilt)
+            assert rebuilt.kernel == nfa.kernel
+            kernels.add(nfa.kernel)
+            for length in range(5):
+                assert list(cross_section(rebuilt, length)) == list(cross_section(nfa, length))
+                shuffled = measure_delays(lambda: build_nfa(*pieces), length)
+                listed = measure_delays(rebuild_factory(nfa), length)
+                assert shuffled.preproc_ops == listed.preproc_ops
+                assert [r.op_count for r in shuffled.records] == [r.op_count for r in listed.records]
+        assert kernels == {"list", "bit"}
 
 
 def _cursor_on_shared_tables(length):
@@ -359,6 +406,7 @@ def test_random_automaton_respects_requested_sizes():
     assert nfa.transition_count == 30
     assert len(nfa.initial) == 2
     assert len(nfa.final_states) == 4
+    assert_canonical(nfa)
 
 
 def test_random_automaton_clamps_transition_count():

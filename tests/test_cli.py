@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -268,8 +269,8 @@ class TestLineBreakGlyphs:
 class TestUnencodableGlyphs:
     """A glyph that standard output's encoding cannot write would stop the
     stream with a traceback once a word holds it, so enum and radix refuse
-    such an automaton before any word is written. Each run is a subprocess
-    whose standard output is ASCII."""
+    such an automaton before any word is written, whether standard output
+    is a subprocess's ASCII stream or an ASCII text wrapper in process."""
 
     @pytest.mark.parametrize(
         "command", [("enum", "--regex", "é", "--length", "1"), ("radix", "--regex", "a|é")]
@@ -290,6 +291,55 @@ class TestUnencodableGlyphs:
         assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
         assert proc.stderr.startswith(b"error: symbol ")
         assert b"cannot be written in the output encoding ascii" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", [("enum", "--regex", "é|a", "--length", "1"), ("radix", "--regex", "é|a")]
+    )
+    def test_refused_in_process_on_an_ascii_stdout(self, capsys, monkeypatch, command):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(command)) == 2
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        assert capsys.readouterr().err == (
+            "error: symbol 'é' cannot be written in the output encoding ascii\n"
+        )
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early, as ``| head`` does, ends enum and
+    radix with exit 0 and nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "command,first_line",
+        [
+            (("enum", "--regex", "(a|b)*", "--length", "20"), b"a" * 20 + b"\n"),
+            (("radix", "--regex", "(a|b)*"), b"\n"),
+        ],
+        ids=["enum", "radix"],
+    )
+    def test_exits_zero_when_the_reader_closes_the_pipe(self, command, first_line):
+        # The subprocess does not see pytest's pythonpath setting, so it is
+        # given the checkout's src/ explicitly.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lexenum", *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == first_line
+        assert (code, err) == (0, b"")
 
 
 class TestBench:

@@ -4,7 +4,7 @@ import pytest
 
 from lexenum import ParseError, parse_automaton, random_automaton
 from lexenum.fileformat import decode_automaton
-from helpers import corpus_automaton, serialize_automaton
+from helpers import assert_canonical, corpus_automaton, serialize_automaton
 
 A1_TEXT = """\
 # comment lines allowed anywhere
@@ -156,8 +156,18 @@ def test_directive_order_is_free(a1):
 def test_initial_final_lines_accumulate():
     text = "alphabet a\nstates 3\ninitial 0\ninitial 2\nfinal 1\nfinal 1 2\n"
     nfa = parse_automaton(text)
-    assert set(nfa.initial) == {0, 2}
-    assert set(nfa.final_states) == {1, 2}
+    assert nfa.initial == (0, 2)
+    assert nfa.final_states == (1, 2)
+
+
+def test_files_listing_the_same_lines_in_another_order_parse_equal():
+    text = "alphabet a b\nstates 3\ninitial 2 0\nfinal 1 2\n0 a 1\n0 a 0\n2 b 1\n"
+    reordered = "alphabet a b\nstates 3\ninitial 0 2\nfinal 2 1\n0 a 0\n0 a 1\n2 b 1\n"
+    nfa, other = parse_automaton(text), parse_automaton(reordered)
+    assert nfa == other
+    assert nfa.adjacency == other.adjacency == [[(0, (0, 1))], [], [(1, (1,))]]
+    assert nfa.initial == other.initial == (0, 2)
+    assert nfa.final_states == other.final_states == (1, 2)
 
 
 def test_round_trip_on_reference(a1):
@@ -168,7 +178,9 @@ def test_round_trip_on_random_corpus():
     rng = random.Random(89)
     for _ in range(60):
         nfa = corpus_automaton(rng)
-        assert parse_automaton(serialize_automaton(nfa)) == nfa
+        parsed = parse_automaton(serialize_automaton(nfa))
+        assert parsed == nfa
+        assert_canonical(parsed)
 
 
 def test_round_trip_at_scale():

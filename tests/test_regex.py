@@ -13,6 +13,7 @@ from lexenum import (
     radix_words,
 )
 from lexenum.regex import MAX_GROUP_DEPTH, MAX_TRANSITIONS
+from helpers import assert_canonical
 
 
 def words_of(nfa, length):
@@ -73,9 +74,12 @@ def test_alphabet_is_code_point_ordered():
 
 def test_no_epsilon_moves_result_has_plain_transitions():
     """The position automaton: one state per literal plus the initial state
-    0, which nothing enters; every other state is entered on one symbol."""
-    for pattern in ["(a|b)*c?", "", "a**|(b+a?)+c|", "((ab)*|c)+a"]:
+    0, which nothing enters; every other state is entered on one symbol. Its
+    layout is canonical, though in CPython the follow set of d in
+    abcd(efgh|i), {5, 9}, iterates as 9, 5."""
+    for pattern in ["(a|b)*c?", "", "a**|(b+a?)+c|", "((ab)*|c)+a", "abcd(efgh|i)"]:
         nfa = compile_regex(pattern)
+        assert_canonical(nfa)
         literals = sum(ch not in "|*+?()" for ch in pattern)
         assert nfa.state_count == literals + 1
         assert list(nfa.initial) == [0]
