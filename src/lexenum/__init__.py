@@ -23,32 +23,10 @@ run stops by itself after the longest word of a finite language, and
 ``itertools.islice`` takes a prefix of it.
 """
 
-from .automaton import (
-    AutomatonError,
-    Nfa,
-    Word,
-    build_nfa,
-    delta_step,
-)
+from .automaton import AutomatonError, Nfa, Word, build_nfa
 from .bench import DelayRecord, DelayReport, measure_delays, random_automaton
-from .enumeration import (
-    EXHAUSTED,
-    CrossSectionCursor,
-    build_run_stack,
-    cross_section,
-    min_word,
-    next_word,
-    radix_cursors,
-    radix_words,
-)
+from .enumeration import EXHAUSTED, CrossSectionCursor, cross_section, radix_cursors, radix_words
 from .fileformat import ParseError, parse_automaton
-from .oracle import (
-    OracleCapExceeded,
-    cross_section_bruteforce,
-    member,
-    min_word_oracle,
-    min_words_by_state,
-)
 from .regex import RegexSyntaxError, compile_regex
 from .tables import MinWordTables, precompute
 
@@ -62,22 +40,13 @@ __all__ = [
     "EXHAUSTED",
     "MinWordTables",
     "Nfa",
-    "OracleCapExceeded",
     "ParseError",
     "RegexSyntaxError",
     "Word",
     "build_nfa",
-    "build_run_stack",
     "compile_regex",
     "cross_section",
-    "cross_section_bruteforce",
-    "delta_step",
     "measure_delays",
-    "member",
-    "min_word",
-    "min_word_oracle",
-    "min_words_by_state",
-    "next_word",
     "parse_automaton",
     "precompute",
     "radix_cursors",

@@ -254,9 +254,14 @@ class CrossSectionCursor:
     word. On the list kernel it ranks only the states of the held run's
     entry 0, the initial states already trimmed to the live ones, and is
     charged ``len(run[0])`` for them; on the bit kernel it ranks every
-    initial state, charged ``|initial|``. Each later call brings the run of
-    the previous output up to date and searches it for the successor, so
-    per-output work is O(length * #transitions) regardless of history.
+    initial state, charged ``|initial|``. So the first call costs O(length)
+    plus O(|initial|), and building the cursor, which puts the initial
+    states in the run (trimmed on the list kernel), costs O(|initial|) more:
+    with many more initial states than transitions, the first output costs
+    more than any multiple of length * #transitions. Each later call brings
+    the run of the previous output up to date and searches it for the
+    successor, so each later output, and the call that returns
+    :data:`EXHAUSTED`, costs O(length * #transitions) regardless of history.
 
     The cursor holds the valid prefix of the last output's run: the state
     sets reached after the word's prefixes up to the last search's pivot

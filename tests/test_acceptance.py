@@ -42,15 +42,14 @@ from lexenum import (
     build_nfa,
     compile_regex,
     cross_section,
-    cross_section_bruteforce,
     measure_delays,
-    min_word,
-    min_words_by_state,
     precompute,
     radix_words,
     random_automaton,
 )
+from lexenum.enumeration import min_word
 from lexenum.instrument import counting
+from lexenum.oracle import cross_section_bruteforce, min_words_by_state
 from helpers import (
     corpus_automaton,
     make_a1,
@@ -65,7 +64,7 @@ CORPUS_SIZE = 1000
 MAX_LEN = 7
 
 # Delay and preprocessing constants, fixed from the cost model with margin:
-# measured worst ratios on the family below are ~0.46 and ~3.9.
+# measured worst ratios on the family below are ~0.27 and ~1.79.
 DELAY_C = 2.0
 PREPROC_C = 8.0
 DOUBLING_LIMIT = 2.5
@@ -90,9 +89,9 @@ WIDE_SYMBOLS, WIDE_STATES, WIDE_DELTA = 1000, 64, 128
 
 # Criterion 10: the first RADIX_WORDS outputs of each automaton in radix
 # order. Measured worst gap / ((l+1)*(|delta| + |Q|*ceil(log2 max(|Q|, 2))))
-# is 4.0, on the two-state a*ba* automaton of make_a1 at its first word,
+# is 4.70, on the two-state a*ba* automaton of make_a1 at its first word,
 # whose gap also pays the tables' setup and the reachable-state pass; every
-# later gap is at most 1.53.
+# later gap is at most 1.87, also make_a1's.
 RADIX_C = 8.0
 RADIX_WORDS = 300
 

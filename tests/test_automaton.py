@@ -10,13 +10,12 @@ from lexenum import (
     Nfa,
     build_nfa,
     cross_section,
-    delta_step,
     measure_delays,
     precompute,
     radix_words,
     random_automaton,
 )
-from lexenum.automaton import chunk_images, mask_image, state_mask
+from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
 from lexenum.instrument import counting
 from helpers import (
     assert_canonical,

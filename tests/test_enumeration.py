@@ -11,24 +11,25 @@ from lexenum import (
     EXHAUSTED,
     CrossSectionCursor,
     build_nfa,
-    build_run_stack,
     compile_regex,
     cross_section,
-    cross_section_bruteforce,
-    delta_step,
     measure_delays,
-    min_word,
-    min_words_by_state,
-    next_word,
     precompute,
     radix_cursors,
     radix_words,
     random_automaton,
 )
 from lexenum import enumeration
-from lexenum.automaton import chunk_images, mask_image, state_mask
-from lexenum.enumeration import next_word_lists, next_word_masks
+from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
+from lexenum.enumeration import (
+    build_run_stack,
+    min_word,
+    next_word,
+    next_word_lists,
+    next_word_masks,
+)
 from lexenum.instrument import counting
+from lexenum.oracle import cross_section_bruteforce, min_words_by_state
 from helpers import (
     corpus_automaton,
     kernel_run,
@@ -338,6 +339,7 @@ class TestCursor:
         assert cursor.next() == (1, 0)
         assert cursor.next() is EXHAUSTED
         assert cursor.next() is EXHAUSTED  # sticky
+        assert repr(EXHAUSTED) == "EXHAUSTED"
 
     def test_length_zero_without_epsilon(self, a1):
         cursor = CrossSectionCursor(a1, 0)

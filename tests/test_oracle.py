@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from lexenum import (
+from lexenum import build_nfa
+from lexenum.oracle import (
     OracleCapExceeded,
-    build_nfa,
     cross_section_bruteforce,
     member,
     min_word_oracle,

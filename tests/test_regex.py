@@ -5,13 +5,8 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexenum import (
-    RegexSyntaxError,
-    compile_regex,
-    cross_section,
-    cross_section_bruteforce,
-    radix_words,
-)
+from lexenum import RegexSyntaxError, compile_regex, cross_section, radix_words
+from lexenum.oracle import cross_section_bruteforce
 from lexenum.regex import MAX_GROUP_DEPTH, MAX_TRANSITIONS
 from helpers import assert_canonical
 

@@ -13,13 +13,13 @@ from lexenum import (
     build_nfa,
     compile_regex,
     cross_section,
-    min_word,
-    min_words_by_state,
     parse_automaton,
     precompute,
     random_automaton,
 )
+from lexenum.enumeration import min_word
 from lexenum.instrument import counting
+from lexenum.oracle import min_words_by_state
 from helpers import (
     assert_tables_match_full_scan,
     corpus_automaton,
@@ -37,6 +37,7 @@ def test_a1_first_step_levels(a1):
     assert tables.rank[:3] == [[2, 0], [1, 0], [1, 0]]
     assert tables.first_step[:3] == [[], [(0, 0), (1, 0)], [(0, 0), (0, 1)]]
     assert tables.first_step[3] is tables.first_step[2]
+    assert repr(tables) == "MinWordTables(length=3, states=2)"
 
 
 def test_chain_never_dangles():
