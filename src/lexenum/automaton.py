@@ -20,13 +20,14 @@ as an int mask, bit ``q`` for state ``q``. Its step is :func:`mask_image`,
 which takes the image of a mask on a symbol as an OR of table lookups, two
 per non-zero byte of the mask, however many states it holds (the "Four
 Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
-used for NFA simulation by Navarro and Raffinot, 2001). The one replay loop,
+used for NFA simulation by Navarro and Raffinot, 2001). The replay loop,
 :func:`lexenum.enumeration.build_run_stack`, takes a kernel's step once per
-letter. The bit kernel's successor search takes no image: it ANDs a run's
-mask with the tables' per-symbol predecessor masks. An automaton is on the
-bit kernel when ``4 * |alphabet| * ceil(|Q|/8) * ceil(|Q|/64) <=
-#transitions`` (:func:`fits_bit_kernel`): a replayed or retried position
-then costs at most about #transitions either way. The :class:`Nfa` constructor makes the choice; no
+letter. The bit kernel chooses a letter with no image: it ANDs a run's mask
+with the tables' per-symbol predecessor masks, and steps only the letter
+chosen. An automaton is on the bit kernel when ``4 * |alphabet| *
+ceil(|Q|/8) * ceil(|Q|/64) <= #transitions`` (:func:`fits_bit_kernel`): a
+stepped or retried position then costs at most about #transitions either
+way. The :class:`Nfa` constructor makes the choice; no
 option does.
 
 ``Nfa`` is a frozen dataclass: rebinding a field of an instance raises
@@ -214,14 +215,15 @@ def fits_bit_kernel(symbol_count: int, state_count: int, transition_count: int) 
     * ceil(state_count/64) <= transition_count``.
 
     An image makes at most four lookups or ORs of ``ceil(state_count/64)``
-    machine words per byte of the mask, so under this test a replayed
-    position costs at most #transitions / ``symbol_count``. A retried
-    successor position makes up to ``symbol_count`` ANDs and a binary search
-    over at most ``state_count`` ranks, within #transitions as well, the
-    most the list kernel's search examines at a position; so a gap stays
-    within the same constant times ``length * #transitions``. The test also
-    keeps the tables' per-symbol masks of a level within a multiple of
-    #transitions (see :mod:`lexenum.tables`).
+    machine words per byte of the mask, so under this test a stepped
+    position costs at most #transitions / ``symbol_count``. Choosing a
+    letter, in the successor search or in a completion, makes up to
+    ``symbol_count`` ANDs of ``ceil(state_count/64)`` words, within
+    #transitions as well, the most the list kernel's walks examine at a
+    position; so a gap stays within the same constant times ``length *
+    #transitions``. The test also keeps the tables' per-symbol masks of a
+    level, and the ORs that build them, within a multiple of #transitions
+    (see :mod:`lexenum.tables`).
     """
     return 4 * symbol_count * -(-state_count // 8) * -(-state_count // 64) <= transition_count
 

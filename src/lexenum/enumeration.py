@@ -1,37 +1,42 @@
-"""Cross-section enumeration: least word, successor search, pull cursors.
+"""Cross-section enumeration: least completion, successor search, pull cursors.
 
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
 bounded amount of work, O(length * #transitions). Besides tables it only
-reads, it keeps the last output word and a prefix of that word's run, the
-state sets reached after each of its proper prefixes (O(length * |Q|)
-bytes), which the successor search reads. A successor keeps the previous
-word up to the position the search changed, the pivot, so the cursor keeps
-the sets up to the pivot and the next call replays only from there
+reads, it keeps the last output word and the first ``length`` entries of
+that word's run, the state sets reached after each of its proper prefixes
+(O(length * |Q|) bytes), which the successor search reads. A successor keeps
+the previous word up to the position the search changed, the pivot, so the
+sets up to the pivot still hold, and the search steps only the sets after it
 (Ackerman and Shallit, *Efficient enumeration of words in regular
 languages*, TCS 2009). The held run never grows beyond ``length`` sets, so
 memory stays flat no matter how many words are produced. The tables carry
 the automaton they were built for, and a cursor refuses tables of another
 automaton.
 
+Every search reads one test from the tables: whether a set of states
+reaches, on a symbol, a state that accepts a word of some length k, a state
+of the live set L(k) (see :mod:`lexenum.tables`). A set's least completion of
+length k is built letter by letter by :func:`min_word`: each letter is the
+least symbol on which the set reaches L(k-1), and the set steps on it. The
+successor search, :func:`next_word`, retries the positions from the last
+one, each with the least symbol above its letter that passes the same test;
+at the first position that has one, the pivot, it steps that symbol and
+completes the word with :func:`min_word`.
+
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
-run: a set of states per position on the list kernel, an int mask on the bit
-kernel. :func:`build_run_stack`, the one replay loop, takes the kernel's
-subset step once per letter. On the list kernel a cursor's run is trimmed:
-entry i keeps only the states that accept a word of the remaining length
-``length - i``, read off the tables' rank row of that level, since the
-search can finish the word from no other state. The bit kernel's run holds
-whole masks, which its search ANDs at a cost that does not depend on how
-many states they hold. :func:`next_word` runs the kernel's
-successor search, :func:`next_word_lists` or :func:`next_word_masks`. The
-list search walks adjacency rows; the bit search takes no subset step, and
-instead ANDs the run's mask with the tables' per-symbol prefix predecessor
-masks. Both searches take the least (symbol, rank) pair above the retried
-letter, ranked by the tables' ranks alone, the key
-``MinWordTables.add_level`` ranks states by, so both give the same successor
-and the same pivot. A rank stands for one word, so every least word, the
-cursor's first and each suffix, is spelled from its rank alone by
-:func:`min_word`, which is also the only reader of the tables' first steps.
+run and of the test: a set of states per position on the list kernel, whose
+states walk their adjacency rows for a pair with a target in L(k); an int
+mask on the bit kernel, ANDed with the tables' per-symbol predecessor mask
+of L(k). :func:`build_run_stack`, the replay loop, takes the kernel's subset
+step once per letter. On the list kernel a cursor's run is trimmed: entry i
+keeps only the states that accept a word of the remaining length
+``length - i``, read off the tables' live set of that level, since the search
+can finish the word from no other state, and every list-kernel step, the
+searches' included, goes through :func:`build_run_stack` one letter at a
+time. The bit kernel's run holds whole masks, which its test ANDs at a cost
+that does not depend on how many states they hold, and its searches step
+with :func:`~lexenum.automaton.mask_image` directly.
 """
 
 from __future__ import annotations
@@ -56,34 +61,112 @@ class _ExhaustedType:
 EXHAUSTED = _ExhaustedType()
 
 
-def min_word(k: int, r: int, tables: MinWordTables) -> Optional[Word]:
-    """The length-k word of level-k rank ``r``, or None for the sentinel.
+def min_word(
+    k: int, run: list, tables: MinWordTables, lives: Optional[list] = None
+) -> Optional[Word]:
+    """The least length-k word that leads ``run[-1]`` to a final state, or
+    None when there is none.
 
-    The only path that spells a least word: the cursor's first word and both
-    successor searches' suffixes come through here, each from the least rank
-    its caller found. A rank ``r >= |Q|`` is the sentinel of states that
-    accept no length-k word, and gives None at no charge. Otherwise the word
-    is read off the first steps of levels ``k .. 1``, each step a letter and
-    the rank of the rest one level down, and charged ``k``, one unit per
-    first step read.
+    ``run`` is a run in the kernel's form (see :func:`build_run_stack`), of
+    which only the last entry is read; ``[start]`` for a start set ``start``
+    will do. The word is built letter by letter: with j letters left, the
+    letter is the least symbol on which the current set reaches L(j-1), and
+    the set steps on it; there is one whenever the set meets L(j), which
+    the first letter tests and each step keeps. Every letter but the last is
+    stepped and the set it reaches appended to ``run``, so on success ``run``
+    gains k - 1 entries; on None, which only the first letter can give,
+    ``run`` is unchanged. At ``k = 0`` the word is the empty word when
+    ``run[-1]`` holds a final state.
+
+    On the list kernel each letter is chosen as :func:`_least_letter` charges
+    it, and each step is one call of :func:`build_run_stack` with
+    ``lives``, which trims the new entry; ``lives[i]`` is the live set for
+    entry i, ``tables.live[len(run) - 1 + k :: -1]`` by default. On the bit
+    kernel each symbol tried is charged ``ceil(|Q|/64)`` for its AND with
+    ``tables.pred_masks[j - 1][a]``, and each step is one
+    :func:`~lexenum.automaton.mask_image`, charged as that charges. The test
+    at ``k = 0`` is charged one unit per state it tests: the smaller of the
+    two sets on the list kernel, every final state on the bit kernel.
     """
-    if r >= tables.nfa.state_count:
-        return None
-    if _ops.enabled:
-        _ops.ops += k
+    nfa = tables.nfa
+    source = run[-1]
+    if not k:
+        final = tables.live[0]
+        if nfa.images is None:
+            if _ops.enabled:
+                _ops.ops += min(len(source), len(final))
+            return None if final.isdisjoint(source) else ()
+        if _ops.enabled:
+            _ops.ops += len(final)
+        return () if source & state_mask(final) else None
     out = []
-    for first_step in tables.first_step[k:0:-1]:
-        a, r = first_step[r]
+    if nfa.images is None:
+        if lives is None:
+            lives = tables.live[len(run) - 1 + k :: -1]
+        adjacency = nfa.adjacency
+        for j in range(k - 1, -1, -1):
+            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+            if a is None:
+                return None
+            out.append(a)
+            if j:
+                build_run_stack((a,), nfa, run, lives)
+        return tuple(out)
+    images, pred_masks = nfa.images, tables.pred_masks
+    sigma = len(images)
+    words = -(-nfa.state_count // 64)
+    counting = _ops.enabled
+    for j in range(k - 1, -1, -1):
+        masks = pred_masks[j]
+        a = 0
+        while a < sigma and not source & masks[a]:
+            a += 1
+        if counting:
+            _ops.ops += words * min(a + 1, sigma)
+        if a == sigma:
+            return None
         out.append(a)
+        if j:
+            source = mask_image(images, source, a)
+            run.append(source)
     return tuple(out)
 
 
+def _least_letter(
+    states: Collection[int], lo: int, live: frozenset, adjacency: list
+) -> Optional[int]:
+    """The least symbol ``a >= lo`` on which some state of ``states`` has a
+    transition into ``live``, or None.
+
+    The list kernel's live test. Each state walks its adjacency row from the
+    first symbol ``>= lo`` to its own first pair with a target in ``live``,
+    and the least of those symbols wins. No walk stops early on another
+    state's result, so the charge depends on the set and not on the order in
+    which it is iterated: one unit per state, and 1 plus the target count per
+    pair examined.
+    """
+    best = None
+    examined = len(states)
+    probe = (lo,)
+    for q in states:
+        row = adjacency[q]
+        for a, targets in row[bisect_left(row, probe) :] if lo else row:
+            examined += 1 + len(targets)
+            if not live.isdisjoint(targets):
+                if best is None or a < best:
+                    best = a
+                break
+    if _ops.enabled:
+        _ops.ops += examined
+    return best
+
+
 def build_run_stack(
-    word: Word, nfa: Nfa, run: Optional[list] = None, ranks: Optional[list] = None
+    word: Word, nfa: Nfa, run: Optional[list] = None, lives: Optional[list] = None
 ) -> list:
     """Extend ``run`` by the state sets reached after each prefix of a word.
 
-    The one replay loop: entry ``i`` of a run holds the states reached after
+    The replay loop: entry ``i`` of a run holds the states reached after
     reading the first ``i`` letters, a set of states on the list kernel and
     an int mask on the bit kernel. Each letter of ``word`` takes one subset
     step of the automaton's kernel, :func:`delta_step` or :func:`mask_image`,
@@ -94,15 +177,15 @@ def build_run_stack(
     accepted; trailing entries may be empty. The charge is that of the
     ``len(word)`` steps taken, plus that of the trims below.
 
-    ``ranks``, given on the list kernel only, trims the run: entry ``i``
-    keeps the states ``q`` with ``ranks[i][q] < |Q|``, and so does the
-    default entry 0. A cursor of length l passes ``rank[l - i]`` as
-    ``ranks[i]``, so entry i keeps the states that accept a word of length
-    ``l - i``. Trimming loses no successor (see :func:`next_word`), and a
-    step from a trimmed entry reaches every state that a step from the full
-    entry reaches and that survives the next trim, since a state with a
-    transition into a state live at level k - 1 is live at level k. Each
-    trim is charged one unit per state it tests.
+    ``lives``, given on the list kernel only, trims the run: entry ``i``
+    keeps the states of ``lives[i]``, and so does the default entry 0. A
+    cursor of length l passes ``tables.live[l::-1]``, so entry i keeps the
+    states that accept a word of length ``l - i``. Trimming loses no
+    successor (see :func:`next_word`), and a step from a trimmed entry
+    reaches every state that a step from the full entry reaches and that
+    survives the next trim, since a state with a transition into a state
+    live at level k - 1 is live at level k. Each trim is charged one unit
+    per state it tests.
     """
     if nfa.images is None:
         step, layout = delta_step, nfa
@@ -110,137 +193,96 @@ def build_run_stack(
         step, layout = mask_image, nfa.images
     if run is None:
         run = [nfa.initial if nfa.images is None else state_mask(nfa.initial)]
-        if ranks is not None:
-            run[0] = _live(run[0], ranks[0], nfa.state_count)
+        if lives is not None:
+            run[0] = _trim(run[0], lives[0])
     source = run[-1]
     for a in word:
         source = step(layout, source, a)
-        if ranks is not None:
-            source = _live(source, ranks[len(run)], nfa.state_count)
+        if lives is not None:
+            source = _trim(source, lives[len(run)])
         run.append(source)
     return run
 
 
-def _live(states: Collection[int], rank: list[int], n: int) -> set[int]:
-    """The states of ``states`` live at ``rank``'s level, charged one unit
-    per state tested."""
+def _trim(states: Collection[int], live: frozenset) -> frozenset:
+    """The states of ``states`` in ``live``, charged one unit per state
+    tested."""
     if _ops.enabled:
         _ops.ops += len(states)
-    return {q for q in states if rank[q] < n}
+    return live.intersection(states)
 
 
-def next_word(word: Word, stack: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
+def next_word(
+    word: Word, run: list, tables: MinWordTables, lives: Optional[list] = None
+) -> Optional[tuple[Word, int]]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``stack`` must hold entries ``0 .. len(word) - 1`` of
-    ``build_run_stack(word, tables.nfa)``; the search reads those, no later
-    one, and writes none. On the list kernel the entries may also be
-    trimmed, as a cursor's are, to the states live at level
-    ``len(word) - i``, with the same result: a state of entry ``i`` with a
-    live pair above ``word[i]`` accepts a word of length ``len(word) - i``,
-    so the trim keeps every state the search can use. Returns the successor
-    with its pivot, the first position at which it differs from ``word``, or
-    None when ``word`` is the maximum. Runs the successor search of the
-    automaton's kernel.
-    """
-    if tables.pred_masks is None:
-        return next_word_lists(word, stack, tables)
-    return next_word_masks(word, stack, tables, tables.pred_masks)
-
-
-def next_word_lists(
-    word: Word, stack: list[Collection[int]], tables: MinWordTables
-) -> Optional[tuple[Word, int]]:
-    """The list kernel's successor search; ``stack`` holds state sets, full
-    or trimmed (see :func:`next_word`).
+    ``run`` must hold entries ``0 .. len(word) - 1`` of
+    ``build_run_stack(word, tables.nfa)``, and may hold more. On the list
+    kernel the entries may also be trimmed, as a cursor's are, to the states
+    live at level ``len(word) - i``, with the same result: a state of entry
+    ``i`` with a live pair above ``word[i]`` accepts a word of length
+    ``len(word) - i``, so the trim keeps every state the search can use.
+    Returns the successor with its pivot, the first position at which it
+    differs from ``word``, or None when ``word`` is the maximum, leaving
+    ``run`` unchanged.
 
     Positions are retried from the last to the first. At position ``i``,
-    with ``k = len(word) - i - 1``, each state of ``stack[i]`` walks its
-    adjacency list to its own first live pair: :meth:`MinWordTables.add_level`'s
-    rule, started at the first symbol above ``word[i]``. The least level-k
-    rank among a pair's targets ranks the pair, and the pair is live when
-    that rank is. The least (symbol, rank) pair over the states gives the
-    successor: ``word[:i]``, that symbol, then the length-k word of that
-    rank, which :func:`min_word` spells from the rank alone; ``i`` is the
-    pivot. A retried position is charged one unit per state of ``stack[i]``
-    and 1 plus its target count per adjacency pair examined. No walk depends
-    on another state's, so the charge depends on the set and not on the
-    order in which it is iterated.
+    with ``k = len(word) - i - 1``, the successor's letter is the least
+    symbol above ``word[i]`` on which ``run[i]`` reaches L(k), the test
+    :func:`min_word` chooses its letters by, and the charge per retried
+    position is that of the test: :func:`_least_letter`'s on the list
+    kernel, ``ceil(|Q|/64)`` per symbol tried on the bit kernel. An empty
+    entry, which only a seek to a non-member leaves, is not skipped. At the
+    first position with such a symbol, the pivot, ``run`` is cut to entries
+    ``0 .. i``; for ``k > 0`` the symbol is stepped, as :func:`min_word`
+    steps (``lives`` as there, ``tables.live[len(word)::-1]`` by default),
+    and :func:`min_word` completes the word. So on success ``run`` holds
+    entries ``0 .. len(word) - 1`` of the successor's run.
     """
     nfa = tables.nfa
-    adjacency = nfa.adjacency
-    n = nfa.state_count
-    counting = _ops.enabled
     length = len(word)
-    for i in range(length - 1, -1, -1):
-        k = length - i - 1
-        key = tables.rank[k].__getitem__
-        cur = stack[i]
-        wi = word[i]
-        best_a, best_r = len(nfa.alphabet), n
-        examined = len(cur)
-        for q in cur:
-            row = adjacency[q]
-            for a, targets in row[bisect_left(row, (wi + 1,)) :]:
-                examined += 1 + len(targets)
-                r = min(map(key, targets))
-                if r < n:
-                    if a < best_a or (a == best_a and r < best_r):
-                        best_a, best_r = a, r
-                    break
-        if counting:
-            _ops.ops += examined
-        if best_r < n:
-            return word[:i] + (best_a,) + min_word(k, best_r, tables), i
-    return None
-
-
-def next_word_masks(
-    word: Word, stack: list[int], tables: MinWordTables, pred_masks: list[list[list[int]]]
-) -> Optional[tuple[Word, int]]:
-    """The bit kernel's successor search; ``stack`` holds masks.
-
-    ``pred_masks[k][a]`` is level k's prefix predecessor masks of symbol
-    ``a``, as the tables hold them (see :mod:`lexenum.tables`): entry ``r``
-    holds the states with an ``a``-transition into a state of level-k rank
-    ``<= r``. Positions are retried from the last to the first. At position
-    ``i``, with ``k = len(word) - i - 1``, each symbol above ``word[i]`` is
-    tried in order: the first whose last entry meets ``stack[i]`` is the
-    successor symbol, since some state of ``stack[i]`` has a transition on
-    it into a live state. A binary search over that symbol's entries then
-    finds the least rank ``r`` whose entry meets ``stack[i]``, the least
-    rank the symbol reaches, and :func:`min_word` spells the suffix from
-    ``r`` alone. That is the least (symbol, rank) pair, as in
-    :func:`next_word_lists`, and the search takes no image. Each symbol
-    tried is charged ``ceil(|Q|/64)`` for its AND. An empty ``stack[i]``,
-    which only a seek to a non-member leaves, is not skipped: its ANDs all
-    fail, each charged the same. The hit is charged the binary search's
-    bound over the level's ``m`` live ranks, ``ceil(log2 m)`` ANDs of
-    ``ceil(|Q|/64)`` each, whatever path the search takes.
-    """
-    words = -(-tables.nfa.state_count // 64)
-    counting = _ops.enabled
-    length = len(word)
-    for i in range(length - 1, -1, -1):
-        source = stack[i]
-        k = length - i - 1
-        wi = word[i]
-        for a, masks in enumerate(pred_masks[k][wi + 1 :], wi + 1):
+    if nfa.images is None:
+        if lives is None:
+            lives = tables.live[length::-1]
+        adjacency = nfa.adjacency
+        for i in range(length - 1, -1, -1):
+            a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
+            if a is not None:
+                break
+        else:
+            return None
+    else:
+        pred_masks = tables.pred_masks
+        sigma = len(nfa.images)
+        words = -(-nfa.state_count // 64)
+        counting = _ops.enabled
+        # A while loop, not a range: this is the per-word hot path, and a
+        # range here took tiny-stream's cursor from 1.40 to 1.52 us per word
+        # in-process (Python 3.11.7, 2-vCPU container).
+        i = length
+        while i:
+            i -= 1
+            source = run[i]
+            masks = pred_masks[length - i - 1]
+            a = word[i] + 1
+            while a < sigma and not source & masks[a]:
+                a += 1
             if counting:
-                _ops.ops += words
-            if source & masks[-1]:
-                # masks[hi] meets the source and no mask below lo does.
-                lo, hi = 0, len(masks) - 1
-                if counting:
-                    _ops.ops += hi.bit_length() * words
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if source & masks[mid]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                return word[:i] + (a, *min_word(k, lo, tables)), i
-    return None
+                _ops.ops += words * (min(a + 1, sigma) - word[i] - 1)
+            if a < sigma:
+                break
+        else:
+            return None
+    del run[i + 1 :]
+    k = length - i - 1
+    if not k:
+        return word[:i] + (a,), i
+    if nfa.images is None:
+        build_run_stack((a,), nfa, run, lives)
+    else:
+        run.append(mask_image(nfa.images, run[i], a))
+    return word[:i] + (a, *min_word(k, run, tables, lives)), i
 
 
 class CrossSectionCursor:
@@ -249,35 +291,46 @@ class CrossSectionCursor:
     Every call to :meth:`next` returns the next accepted word of length
     ``length`` or :data:`EXHAUSTED` (sticky once returned). Iterating the
     cursor yields what those calls return before :data:`EXHAUSTED`; an
-    iterator that has ended stays ended, even after a :meth:`seek`. The
-    first call takes the least rank over the initial states and spells its
-    word. On the list kernel it ranks only the states of the held run's
-    entry 0, the initial states already trimmed to the live ones, and is
-    charged ``len(run[0])`` for them; on the bit kernel it ranks every
-    initial state, charged ``|initial|``. So the first call costs O(length)
-    plus O(|initial|), and building the cursor, which puts the initial
-    states in the run (trimmed on the list kernel), costs O(|initial|) more:
-    with many more initial states than transitions, the first output costs
-    more than any multiple of length * #transitions. Each later call brings
-    the run of the previous output up to date and searches it for the
-    successor, so each later output, and the call that returns
-    :data:`EXHAUSTED`, costs O(length * #transitions) regardless of history.
+    iterator that has ended stays ended, even after a :meth:`seek`.
 
-    The cursor holds the valid prefix of the last output's run: the state
-    sets reached after the word's prefixes up to the last search's pivot
-    (at most ``length`` sets, O(length * |Q|) bytes). The successor keeps
-    the previous word before the pivot, so those sets still hold. A call
-    extends the held run by replaying the held word from the run's end up
-    to, not including, its last letter, which the search never reads; it
-    then searches the run for the successor and cuts the run back to the new
-    pivot. So the worst gap is one full replay plus one search, and a word
-    nobody asks for is never replayed. After the least word, and after
-    :meth:`seek`, the held run is the initial set alone. On the list kernel
-    the held run is trimmed (see :func:`build_run_stack`): entry i keeps the
-    states live at level ``length - i``, the initial set included, so the
-    search and the replay skip the states that cannot finish the word. The
-    rank rows that trim it are taken from the tables once, when the cursor
-    is set up.
+    The first call completes the held run's entry 0, the initial set, with
+    :func:`min_word`: ``length`` letter choices and ``length - 1`` steps,
+    O(length * #transitions). On the list kernel entry 0 is the initial set
+    already trimmed to the states live at level ``length``, and building the
+    cursor, which tests every initial state for that, costs O(|initial|)
+    more: with many more initial states than transitions, the first output
+    costs more than any multiple of length * #transitions. On the bit kernel
+    entry 0 is the initial states' mask. In operation-count charges, as
+    :func:`~lexenum.bench.measure_delays` records them on the list kernel,
+    the two-state automaton whose states both loop on ``a`` and are both
+    initial and final has gaps [92, 16] at length 8 and [764, 128] at
+    length 64, and 100 initial states with the one transition ``0 a 1`` and
+    final state 1 give [103, 1] at length 1. Earlier versions, which spelled
+    the first word from a table and replayed the run in the next call, gave
+    [12, 58], [68, 506] and [102, 1].
+
+    After every call the cursor holds entries ``0 .. length - 1`` of the run
+    of its current word, the state sets reached after the word's proper
+    prefixes (at most ``length`` sets, O(length * |Q|) bytes), and
+    :attr:`pivot`. The successor keeps the previous word before the pivot,
+    so those sets still hold: a later call searches the held run for the
+    successor, cuts it back to the pivot and steps the new letters after it,
+    never the last one, which no search reads. So each later output, and the
+    call that returns :data:`EXHAUSTED`, costs O(length * #transitions)
+    regardless of history. After :meth:`seek` the held run is entry 0 alone,
+    and the next call first replays the sought word up to, not including,
+    its last letter. On the list kernel the held run is trimmed (see
+    :func:`build_run_stack`): entry i keeps the states live at level
+    ``length - i``, the initial set included, so the searches and the steps
+    skip the states that cannot finish the word. The live sets that trim it
+    are taken from the tables once, when the cursor is set up.
+
+    ``pivot`` is the first position at which the word the last :meth:`next`
+    returned differs from :attr:`current` before that call; after a
+    :meth:`seek`, that is the sought word. It is 0 for the least word, before
+    any call, between a seek and the next call, and once :data:`EXHAUSTED` is
+    returned. A caller that keeps the previous word's spelling need only
+    spell the new word from there on.
 
     ``tables`` must be built for ``nfa`` itself (``tables.nfa is nfa``) and
     cover ``length``; otherwise :class:`ValueError` is raised. The automaton
@@ -288,7 +341,7 @@ class CrossSectionCursor:
     thread-safe but may be moved between threads between calls.
     """
 
-    __slots__ = ("nfa", "length", "tables", "_last", "_exhausted", "_ranks", "_run")
+    __slots__ = ("nfa", "length", "tables", "pivot", "_last", "_exhausted", "_lives", "_run")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         check_length(length)
@@ -303,13 +356,14 @@ class CrossSectionCursor:
         self.nfa = nfa
         self.length = length
         self.tables = tables
+        self.pivot = 0
         self._last: Optional[Word] = None
         self._exhausted = False
-        # On the list kernel, the rank row that trims each entry of the run:
+        # On the list kernel, the live set that trims each entry of the run:
         # entry i keeps the states live at level length - i.
-        self._ranks = tables.rank[length::-1] if nfa.images is None else None
-        # The valid prefix of the run of _last.
-        self._run = build_run_stack((), nfa, None, self._ranks)
+        self._lives = tables.live[length::-1] if nfa.images is None else None
+        # Entries 0 .. length - 1 of the run of _last, or a prefix of them.
+        self._run = build_run_stack((), nfa, None, self._lives)
 
     @property
     def current(self) -> Optional[Word]:
@@ -318,35 +372,17 @@ class CrossSectionCursor:
         before the first call or seek."""
         return self._last
 
-    @property
-    def pivot(self) -> int:
-        """The first position at which the word the last :meth:`next`
-        returned differs from :attr:`current` before that call; after a
-        :meth:`seek`, that is the sought word. 0 for the least word, before
-        any call, between a seek and the next call, and once
-        :data:`EXHAUSTED` is returned. A caller that keeps the previous
-        word's spelling need only spell the new word from here on. It is the
-        held run's length less one, which :meth:`next` leaves at the
-        search's pivot."""
-        return len(self._run) - 1
-
     def next(self) -> Union[Word, _ExhaustedType]:
         if self._exhausted:
             return EXHAUSTED
         last, run = self._last, self._run
         if last is None:
-            # On the list kernel entry 0 holds the initial states already
-            # trimmed to the live ones.
-            initial = self.nfa.initial if self._ranks is None else run[0]
-            rank = self.tables.rank[self.length]
-            if _ops.enabled:
-                _ops.ops += len(initial)
-            r = min(map(rank.__getitem__, initial), default=self.nfa.state_count)
-            word = min_word(self.length, r, self.tables)
+            word, pivot = min_word(self.length, run, self.tables, self._lives), 0
         else:
-            build_run_stack(last[len(run) - 1 : -1], self.nfa, run, self._ranks)
-            word, pivot = next_word(last, run, self.tables) or (None, 0)
-            del run[pivot + 1 :]
+            if len(run) < self.length:
+                build_run_stack(last[len(run) - 1 : -1], self.nfa, run, self._lives)
+            word, pivot = next_word(last, run, self.tables, self._lives) or (None, 0)
+        self.pivot = pivot
         if word is None:
             self._exhausted = True
             return EXHAUSTED
@@ -375,6 +411,7 @@ class CrossSectionCursor:
                 raise ValueError(f"symbol id {a!r} out of range")
         self._last = word
         self._exhausted = False
+        self.pivot = 0
         del self._run[1:]
 
     def __iter__(self) -> Iterator[Word]:
@@ -438,8 +475,9 @@ def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossS
     for length in count() if max_length is None else range(max_length + 1):
         if length:
             tables.add_level()
+        live = tables.live[length]
         if _ops.enabled:
-            _ops.ops += min(len(reachable), len(tables.live))
-        if reachable.isdisjoint(tables.live):
+            _ops.ops += min(len(reachable), len(live))
+        if reachable.isdisjoint(live):
             return
         yield CrossSectionCursor(nfa, length, tables)

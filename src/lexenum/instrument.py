@@ -10,16 +10,13 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 :class:`~lexenum.tables.MinWordTables` and
 :meth:`~lexenum.tables.MinWordTables.add_level`; the kernels' subset steps,
 :func:`~lexenum.automaton.delta_step` and
-:func:`~lexenum.automaton.mask_image`, which every replayed position goes
+:func:`~lexenum.automaton.mask_image`, which every stepped letter goes
 through, and :func:`~lexenum.enumeration.build_run_stack`, one unit per
-state tested when it trims a list-kernel cursor's run; the successor
-searches' :func:`~lexenum.enumeration.next_word_lists` and
-:func:`~lexenum.enumeration.next_word_masks`; every least word's
-:func:`~lexenum.enumeration.min_word`, ``k`` per word of length ``k``,
-with the cursor's :meth:`~lexenum.enumeration.CrossSectionCursor.next`
-adding one unit per initial state it ranks for the first word's least
-rank: ``len(run[0])`` on the list kernel, whose held run's entry 0 keeps
-only the live ones, and ``|initial|`` on the bit kernel; and
+state tested when it trims a list-kernel cursor's run; the letter choices
+of the successor search :func:`~lexenum.enumeration.next_word` and of the
+least completion :func:`~lexenum.enumeration.min_word`, the list kernel's
+walks in :func:`~lexenum.enumeration._least_letter` and one AND per symbol
+tried on the bit kernel, plus ``min_word``'s test for the empty word; and
 :func:`~lexenum.enumeration.radix_cursors` for a radix run's liveness
 checks, ``min(|reachable|, |live|)`` per length.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from lexenum import Nfa, build_nfa, random_automaton
-from lexenum.automaton import delta_step, mask_image, state_mask
+from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
 
 
 def targets(nfa: Nfa, state: int, symbol_id: int) -> tuple[int, ...]:
@@ -108,12 +108,21 @@ def kernel_run(nfa: Nfa, word, images=None) -> list:
     return run
 
 
-def rank_leq(tables, k: int, q: int, p: int) -> bool:
-    """The word-order relation at level k, derived from the ranks: True iff
-    ``q`` accepts a length-k word and (``p`` accepts none, or ``q``'s least
-    one is lexicographically <= ``p``'s)."""
-    rank = tables.rank[k]
-    return rank[q] < tables.nfa.state_count and rank[q] <= rank[p]
+def start_run(nfa: Nfa, states) -> list:
+    """A run of one entry, the set ``states`` in the form of ``nfa``'s
+    kernel: a set on the list kernel, a mask on the bit kernel."""
+    return [set(states) if nfa.images is None else state_mask(states)]
+
+
+def on_kernel(nfa: Nfa, kernel: str) -> Nfa:
+    """An automaton equal to ``nfa`` that runs on ``kernel``, ``"list"`` or
+    ``"bit"``, whatever the kernel test chooses for it, so that both
+    kernels' searches can run on one automaton."""
+    forced = Nfa(
+        nfa.alphabet, nfa.state_count, nfa.initial, nfa.final_states, nfa.adjacency, nfa.transition_count
+    )
+    object.__setattr__(forced, "images", chunk_images(nfa) if kernel == "bit" else None)
+    return forced
 
 
 def mask_states(mask: int) -> list[int]:
@@ -121,78 +130,50 @@ def mask_states(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
-def pred_prefix_masks(nfa: Nfa, rank: list[int]):
-    """Reference for one level's bit-search masks, read off the adjacency
-    rows and ``rank``: for each symbol ``a``, entry ``r`` is the mask of the
-    states with an ``a``-transition into a state of rank ``<= r``, for each
-    live rank, or ``[0]`` when no state is live."""
-    n = nfa.state_count
-    live_ranks = len({r for r in rank if r < n})
+def reference_pred_masks(nfa: Nfa, live) -> list[int]:
+    """Reference for one level's bit-kernel masks, read off the adjacency
+    rows: for each symbol ``a``, the mask of the states with an
+    ``a``-transition into a state of ``live``."""
     return [
-        [
-            state_mask(
-                q
-                for q in range(n)
-                if any(rank[t] <= r for t in targets(nfa, q, a))
-            )
-            for r in range(live_ranks)
-        ]
-        or [0]
+        state_mask(q for q in range(nfa.state_count) if not live.isdisjoint(targets(nfa, q, a)))
         for a in range(nfa.symbol_count)
     ]
 
 
 def tables_snapshot(tables):
-    """Deep, comparable copy of the table contents, the bit kernel's
-    predecessor masks included (``()`` on the list kernel, which has
-    none)."""
+    """Deep, comparable copy of the table contents: each level's live set
+    and, on the bit kernel, its predecessor masks (``()`` on the list
+    kernel, which has none)."""
     return (
-        tuple(tuple(row) for row in tables.first_step),
-        tuple(tuple(level) for level in tables.rank),
-        tuple(tuple(map(tuple, level)) for level in tables.pred_masks or ()),
+        tuple(map(frozenset, tables.live)),
+        tuple(map(tuple, tables.pred_masks or ())),
     )
 
 
-def full_scan_level(nfa: Nfa, prev_rank: list[int]):
-    """Reference for one table level: ``(first_step, rank)`` of the level
-    above ``prev_rank``, found by walking every state's adjacency row, dead
-    states included. Each row is scanned in symbol order for the least
-    previous rank among a pair's targets, and the first live pair wins. The
-    live states are densely ranked by their pairs (symbol, previous rank),
-    and ``first_step[r]`` is the pair of rank ``r``."""
-    n = nfa.state_count
-    pairs = {}
-    for q, row in enumerate(nfa.adjacency):
-        for a, targets in row:
-            r = min(prev_rank[t] for t in targets)
-            if r < n:
-                pairs[q] = (a, r)
-                break
-    step = sorted(set(pairs.values()))
-    rank = [n] * n
-    for q, pair in pairs.items():
-        rank[q] = step.index(pair)
-    return step, rank
+def full_scan_level(nfa: Nfa, below) -> frozenset:
+    """Reference for one table level: the live set of the level above the
+    live set ``below``, found by walking every state's adjacency row, dead
+    states included, for a pair with a target in ``below``."""
+    return frozenset(
+        q
+        for q, row in enumerate(nfa.adjacency)
+        if any(not below.isdisjoint(into) for _, into in row)
+    )
 
 
 def assert_tables_match_full_scan(tables) -> None:
     """Compare ``tables`` level by level with :func:`full_scan_level`:
-    ``rank`` and ``first_step``, and on the bit kernel ``pred_masks``
-    against :func:`pred_prefix_masks` of the full scan's ranks."""
+    ``live``, and on the bit kernel ``pred_masks`` against
+    :func:`reference_pred_masks` of the full scan's live sets."""
     nfa = tables.nfa
-    n = nfa.state_count
-    rank = [n] * n
-    for q in nfa.final_states:
-        rank[q] = 0
-    step = []
+    live = frozenset(nfa.final_states)
     for k in range(tables.length + 1):
         if k:
-            step, rank = full_scan_level(nfa, rank)
-        assert tables.rank[k] == rank, f"rank differs at level {k}"
-        assert tables.first_step[k] == step, f"first_step differs at level {k}"
+            live = full_scan_level(nfa, live)
+        assert tables.live[k] == live, f"live differs at level {k}"
         if tables.pred_masks is not None:
-            pred_masks = pred_prefix_masks(nfa, rank)
-            assert tables.pred_masks[k] == pred_masks, f"pred_masks differ at level {k}"
+            expected = reference_pred_masks(nfa, live)
+            assert tables.pred_masks[k] == expected, f"pred_masks differ at level {k}"
 
 
 def serialize_automaton(nfa: Nfa) -> str:

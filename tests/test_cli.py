@@ -144,12 +144,12 @@ class TestEnum:
         assert "preproc=" in err
 
     def test_count_ops_preproc_includes_the_automaton_layout(self, capsys):
-        # The layout of a's two-state automaton costs 17 of the 22 units, as
+        # The layout of a's two-state automaton costs 5 of the 11 units, as
         # in bench's preproc_ops.
         code, out, err = run(capsys, "enum", "--regex", "a", "--length", "1", "--count-ops")
-        assert (code, out, err) == (0, "a\n", "# ops: preproc=22, enumeration=4\n")
+        assert (code, out, err) == (0, "a\n", "# ops: preproc=11, enumeration=5\n")
         code, bench, _ = run(capsys, "bench", "--regex", "a", "--length", "1")
-        assert bench.startswith("# l=1, Q=2, sigma=1, delta=1, preproc_ops=22, ")
+        assert bench.startswith("# l=1, Q=2, sigma=1, delta=1, preproc_ops=11, ")
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -182,14 +182,14 @@ class TestRadix:
         assert (code, out) == (0, "b\n")
 
     def test_limit_builds_no_level_past_the_last_word(self, capsys):
-        # "", "a" and "b" need levels 0 and 1; 95 is the tally of exactly
+        # "", "a" and "b" need levels 0 and 1; 69 is the tally of exactly
         # those plus the automaton layout's 17, so a limit that let the run
         # build level 2 would raise it.
         code, out, err = run(
             capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
         )
         assert (code, out) == (0, "\na\nb\n")
-        assert err == "# ops: total=95\n"
+        assert err == "# ops: total=69\n"
 
     def test_unbounded_stops_after_longest_word(self, capsys):
         code, out, _ = run(capsys, "radix", "--regex", "b|ab|a(a|b)c")

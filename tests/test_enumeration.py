@@ -21,13 +21,7 @@ from lexenum import (
 )
 from lexenum import enumeration
 from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
-from lexenum.enumeration import (
-    build_run_stack,
-    min_word,
-    next_word,
-    next_word_lists,
-    next_word_masks,
-)
+from lexenum.enumeration import build_run_stack, min_word, next_word
 from lexenum.instrument import counting
 from lexenum.oracle import cross_section_bruteforce, min_words_by_state
 from helpers import (
@@ -35,7 +29,8 @@ from helpers import (
     kernel_run,
     make_a1,
     mask_states,
-    pred_prefix_masks,
+    on_kernel,
+    start_run,
     tables_snapshot,
     targets,
     word_from_str,
@@ -45,27 +40,30 @@ from helpers import (
 class TestMinWord:
     def test_from_single_state(self, a1):
         tables = precompute(a1, 2)
-        assert min_word(2, tables.rank[2][0], tables) == (0, 1)  # "ab"
-        assert min_word(2, tables.rank[2][1], tables) == (0, 0)  # "aa"
+        assert min_word(2, start_run(a1, [0]), tables) == (0, 1)  # "ab"
+        assert min_word(2, start_run(a1, [1]), tables) == (0, 0)  # "aa"
 
     def test_picks_best_state(self):
-        """The cursor's first word is the least over its initial states,
-        charged |initial| for the argmin over their ranks plus one unit per
-        letter. On the list kernel, setting the cursor up trims the held
-        run's entry 0, charged one unit per initial state tested."""
+        """The cursor's first word is the least over its initial states: the
+        first letter is the least one on which some of them reaches a final
+        state. On the list kernel, setting the cursor up trims the held
+        run's entry 0, charged one unit per initial state tested, and the
+        letter's choice is charged one unit per state plus 1 and the target
+        count per pair walked: state 0 walks its a- and b-pairs, state 1 its
+        a-pair."""
         nfa = build_nfa("ab", 2, [0, 1], [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1)])
         assert nfa.kernel == "list"
         tables = precompute(nfa, 1)
         with counting() as counter:
             assert CrossSectionCursor(nfa, 1, tables).next() == (0,)  # via state 1
-            assert counter.ops == 2 + 2 + 1
+            assert counter.ops == 2 + 2 + 2 * 2 + 2
 
     def test_empty_word_cases(self, a1):
-        """a1's initial state is live at no rank of level 0, so the trimmed
-        entry 0 is empty and its cursor ends at once at no charge."""
+        """a1's initial state is not final, so the trimmed entry 0 of a
+        length-0 cursor is empty and the cursor ends at once at no charge."""
         tables = precompute(a1, 0)
-        assert min_word(0, tables.rank[0][0], tables) is None  # not final
-        assert min_word(0, tables.rank[0][1], tables) == ()
+        assert min_word(0, start_run(a1, [0]), tables) is None  # not final
+        assert min_word(0, start_run(a1, [1]), tables) == ()
         cursor = CrossSectionCursor(a1, 0, tables)
         with counting() as counter:
             assert cursor.next() is EXHAUSTED
@@ -73,10 +71,11 @@ class TestMinWord:
 
     def test_first_word_ranks_the_live_initial_states(self):
         """Of the initial states 0, 1 and 2, only 0 accepts a word of length
-        1. On the list kernel the first word ranks the held run's trimmed
-        entry 0 alone, charged len(run[0]) plus one unit per letter; on the
-        bit kernel, whose run is not trimmed, it ranks every initial state,
-        charged |initial| plus one unit per letter."""
+        1. On the list kernel the first word tests the held run's trimmed
+        entry 0 alone, charged len(run[0]) plus its one pair walked, 1 plus
+        one target; on the bit kernel, whose run is not trimmed, it ANDs the
+        initial states' mask with one predecessor mask per symbol tried,
+        ceil(|Q|/64) = 1 each, however many initial states there are."""
         list_nfa = build_nfa("ab", 3, [0, 1, 2], [2], [(0, "a", 2), (1, "b", 1)])
         bit_nfa = build_nfa(
             "ab",
@@ -87,11 +86,11 @@ class TestMinWord:
              (2, "a", 0), (2, "a", 1), (2, "b", 1)],
         )
         assert (list_nfa.kernel, bit_nfa.kernel) == ("list", "bit")
-        for nfa, ranked in ((list_nfa, 1), (bit_nfa, 3)):
+        for nfa, charge in ((list_nfa, 1 + 2), (bit_nfa, 1)):
             cursor = CrossSectionCursor(nfa, 1)
             with counting() as counter:
                 assert cursor.next() == (0,)
-                assert counter.ops == ranked + 1
+                assert counter.ops == charge
 
     def test_empty_state_set(self):
         """A cursor with no initial state ends at once at no charge."""
@@ -103,22 +102,65 @@ class TestMinWord:
         assert cursor.next() is EXHAUSTED
 
     def test_charge_is_the_letters_spelled_and_the_sentinel_is_free(self, a1):
-        """On either kernel the word of each live rank is the least word of
-        that rank's states, charged one unit per letter, and the sentinel
-        rank |Q| gives None at no charge."""
+        """On either kernel min_word completes each state to its least word
+        and is charged per letter spelled: the letter's choice, then its step
+        for every letter but the last. On the bit kernel a letter ``a`` costs
+        a + 1 ANDs of ceil(|Q|/64), one per symbol tried, and a step costs its
+        image. On the list kernel each state of the set walks its row up to
+        its first pair into the next live set, one unit per state plus 1 and
+        the target count per pair, and a step costs its delta_step and one
+        unit per state its trim tests. The empty set, all that the cursor's
+        trim leaves of a state without a word, gives None at no charge on the
+        list kernel."""
         bit = compile_regex("(a|b|c)*b(a|c)*")
         assert (a1.kernel, bit.kernel) == ("list", "bit")
         for nfa in (a1, bit):
-            n = nfa.state_count
             tables = precompute(nfa, 3)
-            for k in range(4):
-                mins = min_words_by_state(nfa, k)
-                spelled = {tables.rank[k][q]: mins[q] for q in range(n)}
-                spelled[n] = None
-                for r, word in spelled.items():
+            for k in range(1, 4):
+                lives = [
+                    {q for q, w in enumerate(min_words_by_state(nfa, j)) if w is not None}
+                    for j in range(k, -1, -1)
+                ]
+                for q, word in enumerate(min_words_by_state(nfa, k)):
                     with counting() as counter:
-                        assert min_word(k, r, tables) == word
-                        assert counter.ops == (k if r < n else 0)
+                        assert min_word(k, start_run(nfa, [q]), tables) == word
+                        charged = counter.ops
+                    if word is not None:
+                        assert charged == _spelling_charge(nfa, q, word, lives)
+        tables = precompute(a1, 3)
+        with counting() as counter:
+            assert min_word(3, [set()], tables) is None
+            assert counter.ops == 0
+
+
+def _spelling_charge(nfa, start, word, lives):
+    """What min_word is charged to spell ``word`` from ``start``, worked out
+    from the word: ``lives[i]`` is the set of states live with ``len(word) -
+    i`` letters left."""
+    if nfa.kernel == "bit":
+        words = -(-nfa.state_count // 64)
+        charge = words * sum(a + 1 for a in word)
+        source = state_mask([start])
+        for a in word[:-1]:
+            with counting() as counter:
+                source = mask_image(nfa.images, source, a)
+                charge += counter.ops
+        return charge
+    charge = 0
+    states = {start}
+    for i, a in enumerate(word):
+        charge += len(states)
+        for q in states:
+            for _, into in nfa.adjacency[q]:
+                charge += 1 + len(into)
+                if lives[i + 1] & set(into):
+                    break
+        if i < len(word) - 1:
+            charge += len(states) + sum(len(targets(nfa, q, a)) for q in states)
+            reached = {t for q in states for t in targets(nfa, q, a)}
+            charge += len(reached)
+            states = reached & lives[i + 1]
+    return charge
 
 
 class TestBuildRunStack:
@@ -275,20 +317,20 @@ def test_trimmed_run_gives_the_full_runs_successor(seed, length):
     nfa = corpus_automaton(random.Random(seed))
     tables = precompute(nfa, length)
     cursor = CrossSectionCursor(nfa, length, tables)
-    ranks = tables.rank[length::-1] if nfa.kernel == "list" else None
+    lives = tables.live[length::-1] if nfa.kernel == "list" else None
     for word in itertools.product(range(nfa.symbol_count), repeat=length):
         full = build_run_stack(word, nfa)
-        expected = next_word(word, full, tables)
+        expected = next_word(word, list(full), tables)
         with counting() as counter:
-            held = build_run_stack(word[:-1], nfa, None, ranks)
+            held = build_run_stack(word[:-1], nfa, None, lives)
             charge = counter.ops
-        assert next_word(word, held, tables) == expected
+        assert next_word(word, list(held), tables, lives) == expected
         cursor.seek(word)
         assert cursor.next() == (EXHAUSTED if expected is None else expected[0])
         assert cursor.pivot == (0 if expected is None else expected[1])
         cut = length // 2
-        assert build_run_stack(word[cut:-1], nfa, held[: cut + 1], ranks) == held
-        if ranks is None:
+        assert build_run_stack(word[cut:-1], nfa, held[: cut + 1], lives) == held
+        if lives is None:
             assert held == full[:-1]
             continue
         assert held == _trimmed(full[:-1], tables, length)
@@ -304,8 +346,9 @@ def test_bit_search_tries_every_symbol_at_an_empty_entry():
     left, so entry 3 of the run of "abca" is empty. The bit search still
     tries b and c there, each charged ceil(|Q|/64) = 2 for its AND, then
     finds "acaa" at pivot 1, the successor the list search finds on the same
-    run as sets. States 3 .. 71 are unreachable padding that puts the
-    automaton on the bit kernel with masks of two machine words."""
+    run as sets, and leaves the successor's first four entries in the run.
+    States 3 .. 71 are unreachable padding that puts the automaton on the
+    bit kernel with masks of two machine words."""
     n = 72
     padding = [(q, a, q) for q in range(3, n) for a in "abc"]
     core = [(0, "a", t) for t in (0, 1, 2)] + [(0, "b", 1), (0, "c", 1)]
@@ -318,15 +361,21 @@ def test_bit_search_tries_every_symbol_at_an_empty_entry():
     stack = build_run_stack(word[:-1], nfa)
     assert stack[3] == 0
     expected = (word_from_str(nfa, "acaa"), 1)
-    assert next_word_lists(word, [set(mask_states(m)) for m in stack], tables) == expected
+    lists = on_kernel(nfa, "list")
+    assert next_word(word, [set(mask_states(m)) for m in stack], precompute(lists, 4)) == expected
     with counting() as counter:
-        assert next_word_masks(word, stack, tables, tables.pred_masks) == expected
+        assert next_word(word, stack, tables) == expected
         charge = counter.ops
+    assert stack == build_run_stack(expected[0][:-1], nfa)
     # Position 3 tries b and c. No symbol lies above position 2's c. At
-    # position 1 c hits: one AND, the binary search over level 2's ranks,
-    # then min_word's 2 letters.
-    hit = (len(tables.pred_masks[2][2]) - 1).bit_length()
-    assert charge == 2 * words + words + hit * words + 2
+    # position 1 c hits: one AND. Then c and the first a of the completion
+    # are stepped, and each completion letter, a, costs one AND.
+    images = 0
+    for source, a in zip(stack[1:], expected[0][1:3]):
+        with counting() as counter:
+            mask_image(nfa.images, source, a)
+            images += counter.ops
+    assert charge == 2 * words + words + images + 2 * words
     cursor = CrossSectionCursor(nfa, len(word), tables)
     cursor.seek(word)
     assert (cursor.next(), cursor.pivot) == expected
@@ -424,10 +473,10 @@ class TestCursor:
             assert next(iter(cursor)) == expected[1]
 
     def test_held_run_stays_coherent_under_seek(self):
-        """After every call the held run is its valid prefix, equal to the
-        same prefix of a fresh run of the last word, and after every seek, to
-        a word before or after the cursor, it is the initial set alone and
-        the continuation equals a fresh cursor's from that word."""
+        """After every call the held run is the first ``length`` entries of
+        a fresh run of the last word, and after every seek, to a word before
+        or after the cursor, it is the initial set alone and the continuation
+        equals a fresh cursor's from that word."""
         rng = random.Random(89)
         kernels = set()
         checked = 0
@@ -442,25 +491,23 @@ class TestCursor:
             cursor = CrossSectionCursor(nfa, length, tables)
             for _ in range(5):
                 for _ in range(rng.randint(1, 6)):
-                    prev = cursor.current
                     if cursor.next() is EXHAUSTED:
                         break
-                    _assert_held_run_is_the_valid_prefix(cursor, prev)
+                    _assert_held_run_is_the_valid_prefix(cursor, length)
                 if rng.random() < 0.7:
                     start = words[rng.randrange(len(words))]
                 else:
                     start = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
                 cursor.seek(start)
-                _assert_held_run_is_the_valid_prefix(cursor, None)
+                _assert_held_run_is_the_valid_prefix(cursor, 1)
                 fresh = CrossSectionCursor(nfa, length, tables)
                 fresh.seek(start)
                 for _ in range(rng.randint(1, 6)):
-                    prev = cursor.current
                     word = cursor.next()
                     assert word == fresh.next()
                     if word is EXHAUSTED:
                         break
-                    _assert_held_run_is_the_valid_prefix(cursor, prev)
+                    _assert_held_run_is_the_valid_prefix(cursor, length)
             checked += 1
         assert kernels == {"list", "bit"}
 
@@ -548,17 +595,15 @@ class TestPivot:
         assert words[0] == ()
 
 
-def _assert_held_run_is_the_valid_prefix(cursor, prev):
-    """The held run has pivot + 1 entries, the pivot being the first
-    position at which the cursor's current word differs from ``prev``, or 0
-    when ``prev`` is None (after the least word or a seek). On the bit
-    kernel they equal the same prefix of a run of the current word built
-    from scratch; on the list kernel, entry i equals that run's entry i cut
-    to the states live at level ``length - i``."""
+def _assert_held_run_is_the_valid_prefix(cursor, entries):
+    """The held run has ``entries`` entries: ``length`` after a call that
+    returned a word, 1 after a seek. On the bit kernel they equal the same
+    prefix of a run of the current word built from scratch; on the list
+    kernel, entry i equals that run's entry i cut to the states live at
+    level ``length - i``."""
     word = cursor.current
-    pivot = 0 if prev is None else _first_difference(prev, word)
-    assert len(cursor._run) == pivot + 1
-    full = build_run_stack(word, cursor.nfa)[: pivot + 1]
+    assert len(cursor._run) == entries
+    full = build_run_stack(word, cursor.nfa)[:entries]
     if cursor.nfa.kernel == "bit":
         assert cursor._run == full
     else:
@@ -568,8 +613,7 @@ def _assert_held_run_is_the_valid_prefix(cursor, prev):
 def _trimmed(run, tables, length):
     """A list-kernel run of a word of ``length`` letters with entry i cut to
     the states that accept a word of length ``length - i``."""
-    n = tables.nfa.state_count
-    return [{q for q in states if tables.rank[length - i][q] < n} for i, states in enumerate(run)]
+    return [{q for q in states if q in tables.live[length - i]} for i, states in enumerate(run)]
 
 
 class TestSharedTables:
@@ -635,26 +679,21 @@ class TestSharedTables:
         assert got_second == expected[self.OFFSET : self.OFFSET + self.WORDS]
 
 
-def _search_masks(tables):
-    """Every level's prefix predecessor masks from the reference, so the bit
-    search also runs on list-kernel tables."""
-    return [pred_prefix_masks(tables.nfa, rank) for rank in tables.rank]
-
-
 class TestKernels:
-    """The list and the bit kernel, called directly on the same automaton,
-    give the same run stacks as state sets and the same successors."""
+    """The list and the bit kernel, run on the same automaton, give the same
+    run stacks as state sets and the same successors."""
 
     def _check(self, nfa, length, words):
         tables = precompute(nfa, length)
-        images = chunk_images(nfa)
-        pred_masks = _search_masks(tables)
+        list_tables = precompute(on_kernel(nfa, "list"), length)
+        bit_tables = precompute(on_kernel(nfa, "bit"), length)
+        images = bit_tables.nfa.images
         for word in words:
             lists = kernel_run(nfa, word)
             masks = kernel_run(nfa, word, images)
             assert [sorted(s) for s in lists] == [mask_states(m) for m in masks]
-            expected = next_word_lists(word, lists, tables)
-            assert next_word_masks(word, masks, tables, pred_masks) == expected
+            expected = next_word(word, lists, list_tables)
+            assert next_word(word, masks, bit_tables) == expected
             assert next_word(word, build_run_stack(word, nfa), tables) == expected
 
     def test_agree_on_every_short_word_of_the_corpus(self):
@@ -725,11 +764,11 @@ class TestKernels:
 
 class TestWideRankSearch:
     """The bit search on levels far wider than the benchmark workloads',
-    which hold 1-4 distinct live ranks: 100 states (13-byte masks) and one
-    final state, so that up to 68 states of a level spell distinct least
-    words. Seed 8 is the least seed for which
-    ``random_automaton(Random(seed), 100, 3, 312, 4, 1)`` reaches 64
-    distinct live ranks by level 12."""
+    whose live states spell 1-4 distinct least words per level: 100 states
+    (13-byte masks) and one final state, so that up to 92 states are live at
+    a level and up to 68 of them spell distinct least words. Seed 8 is the
+    least seed for which ``random_automaton(Random(seed), 100, 3, 312, 4,
+    1)`` reaches 64 distinct least words by level 12."""
 
     NFA = random_automaton(random.Random(8), 100, 3, 312, 4, 1)
     LENGTH = 13
@@ -738,21 +777,26 @@ class TestWideRankSearch:
         nfa = self.NFA
         assert nfa.kernel == "bit" and len(nfa.images[0]) == 13
         tables = precompute(nfa, self.LENGTH - 1)
-        assert max(map(len, tables.first_step)) == 68
-        assert sum(len(steps) >= 64 for steps in tables.first_step) == 4
+        assert max(map(len, tables.live)) == 92
+        distinct = [
+            len({min_word(k, start_run(nfa, [q]), tables) for q in tables.live[k]})
+            for k in range(self.LENGTH)
+        ]
+        assert max(distinct) == 68
+        assert sum(d >= 64 for d in distinct) == 4
 
     def test_bit_search_equals_list_search_at_every_retried_position(self):
         """Each position i of each word is retried on its own: the letters
         after it are the last symbol, above which no symbol is tried. Where
         the bit search's successor pivots at i, its charge is one AND of
-        ceil(|Q|/64) per tried symbol, the binary search's bound of
-        ceil(log2 m) ANDs over the level's m live ranks, whatever path it
-        takes, and k for the suffix, however many states of the set reach
-        the least rank."""
+        ceil(|Q|/64) per tried symbol, then, for the completion, a + 1 ANDs
+        per letter a and one image per letter stepped, the pivot's included
+        and the last excluded, however many states of the set are live."""
         nfa, length = self.NFA, self.LENGTH
         sigma = nfa.symbol_count
         words_per_and = -(-nfa.state_count // 64)
         tables = precompute(nfa, length)
+        list_tables = precompute(on_kernel(nfa, "list"), length)
         rng = random.Random(83)
         words = list(itertools.islice(cross_section(nfa, length, tables), 60))
         words += [tuple(rng.randrange(sigma) for _ in range(length)) for _ in range(60)]
@@ -762,69 +806,54 @@ class TestWideRankSearch:
                 probe = word[: i + 1] + (sigma - 1,) * (length - i - 1)
                 lists = kernel_run(nfa, probe)
                 masks = kernel_run(nfa, probe, nfa.images)
-                expected = next_word_lists(probe, lists, tables)
+                expected = next_word(probe, lists, list_tables)
                 with counting() as counter:
-                    found = next_word_masks(probe, masks, tables, tables.pred_masks)
+                    found = next_word(probe, masks, tables)
                     charged = counter.ops
                 assert found == expected
                 if found is None or found[1] != i:
                     continue
-                k = length - i - 1
-                tried = found[0][i] - probe[i]
-                m = len(tables.pred_masks[k][0])
-                ands, rest = divmod(charged - k, words_per_and)
-                assert rest == 0
-                assert ands == tried + (m - 1).bit_length()
-                wide_hits += m >= 64
+                successor = found[0]
+                ands = successor[i] - probe[i] + sum(a + 1 for a in successor[i + 1 :])
+                images = 0
+                for source, a in zip(masks[i:], successor[i:-1]):
+                    with counting() as counter:
+                        mask_image(nfa.images, source, a)
+                        images += counter.ops
+                assert charged == ands * words_per_and + images
+                assert masks == kernel_run(nfa, successor[:-1], nfa.images)
+                wide_hits += len(tables.live[length - i - 1]) >= 64
         assert wide_hits >= 20, wide_hits
 
-    def test_prefix_masks_stay_within_a_multiple_of_the_transitions(self):
-        """An unsettled level holds one |Q|-entry rank row, one first-step
-        pair per live rank and, per symbol, m prefix masks of ceil(|Q|/8)
-        bytes. The kernel test keeps |Q| <= 2|delta|/sigma and
-        m * ceil(|Q|/8) <= 16|delta|/sigma, so a level's traced size stays
-        within 48 |delta| bytes."""
+    def test_level_masks_stay_within_a_multiple_of_transitions(self):
+        """An unsettled level holds a live set of at most |Q| states and one
+        predecessor mask of ceil(|Q|/8) bytes per symbol. The kernel test
+        keeps |Q| <= 2|delta|/sigma, so a level's traced size stays within
+        48 |delta| bytes. The instance's live sets settle at level 8."""
         nfa = self.NFA
         delta = nfa.transition_count
-        nbytes = -(-nfa.state_count // 8)
+        settled = 8
         sizes = []
-        for length in (0, self.LENGTH - 1):
+        for length in (0, settled - 1):
             tracemalloc.start()
             try:
                 tables = precompute(nfa, length)
                 sizes.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
-        assert all(tables.rank[k] != tables.rank[k - 1] for k in range(1, self.LENGTH))
-        for by_symbol in tables.pred_masks:
-            for masks in by_symbol:
-                assert len(masks) * nbytes <= 16 * delta / nfa.symbol_count
-        per_level = (sizes[1] - sizes[0]) / (self.LENGTH - 1)
+        assert all(tables.live[k] != tables.live[k - 1] for k in range(1, settled))
+        assert precompute(nfa, settled).live[settled] == tables.live[settled - 1]
+        per_level = (sizes[1] - sizes[0]) / (settled - 1)
         assert per_level <= 48 * delta, per_level
 
-    def test_an_entry_equal_to_the_one_before_it_is_the_same_object(self):
-        """A rank group that adds no predecessor on a symbol allocates no
-        mask: its prefix entry is the entry before it. On this instance 615
-        of the 1548 entries that have a predecessor entry repeat it."""
-        tables = precompute(self.NFA, self.LENGTH - 1)
-        repeats = 0
-        for by_symbol in tables.pred_masks:
-            for masks in by_symbol:
-                for before, entry in zip(masks, masks[1:]):
-                    if entry == before:
-                        assert entry is before
-                        repeats += 1
-        assert repeats == 615
-
     def test_no_final_state_misses_on_every_level(self):
-        # Every level holds the one empty mask [0] per symbol and no first
-        # step, so each tried symbol's AND is empty and the search never
-        # indexes past it.
+        # Every level holds the one empty mask 0 per symbol and no live
+        # state, so each tried symbol's AND is empty.
         nfa = random_automaton(random.Random(8), 100, 3, 312, 4, 0)
         assert nfa.kernel == "bit" and not nfa.final_states
         tables = precompute(nfa, 6)
-        assert tables.pred_masks == [[[0]] * 3] * 7
-        assert tables.first_step == [[]] * 7
+        assert tables.pred_masks == [[0] * 3] * 7
+        assert tables.live == [frozenset()] * 7
         rng = random.Random(84)
         for _ in range(20):
             word = tuple(rng.randrange(3) for _ in range(6))
@@ -991,8 +1020,8 @@ def test_golden_op_counts():
     assert nfa.kernel == "bit"
     report = measure_delays(nfa, 8, limit=200)
     assert len(report.records) == 200
-    assert report.preproc_ops == 3465
-    assert sum(r.op_count for r in report.records) == 1439
+    assert report.preproc_ops == 1072
+    assert sum(r.op_count for r in report.records) == 1336
 
 
 def test_list_search_charge_does_not_depend_on_set_order():
@@ -1013,21 +1042,54 @@ def test_list_search_charge_does_not_depend_on_set_order():
     results = []
     for states in (forward, backward):
         with counting() as counter:
-            found = next_word_lists((0, 0), [{0}, states], tables)
+            found = next_word((0, 0), [{0}, states], tables)
             results.append((found, counter.ops))
     assert results[0][0] == ((0, 1), 1)  # "ab", pivot 1
     assert results[0] == results[1]
+    # The same holds for min_word, whose every letter is chosen by the same
+    # walks, and for a successor that pivots before the last position, which
+    # steps its new letter and completes the word: on seeded list-kernel
+    # automata, one start set yielded in several shuffled orders (as a
+    # duplicate-free list) gives the same word, the same run and the same
+    # charge.
+    rng = random.Random(101)
+    pivots = 0
+    for _ in range(60):
+        nfa = on_kernel(random_automaton(rng, 17, 3, 60, 17, 4), "list")
+        length = 4
+        tables = precompute(nfa, length)
+        last = nfa.symbol_count - 1
+        start = rng.sample(range(17), rng.randint(2, 8))
+        outcomes = {"min_word": set(), "next_word": set()}
+        for _ in range(6):
+            run = [rng.sample(start, len(start))]
+            with counting() as counter:
+                word = min_word(length, run, tables)
+                charge = counter.ops
+            outcomes["min_word"].add((word, tuple(map(frozenset, run)), charge))
+            probe = (0, last, last, last)
+            run = build_run_stack(probe[:-1], nfa, [rng.sample(start, len(start))])
+            with counting() as counter:
+                found = next_word(probe, run, tables)
+                charge = counter.ops
+            outcomes["next_word"].add((found, tuple(map(frozenset, run)), charge))
+            pivots += found is not None and found[1] == 0
+        assert all(len(seen) == 1 for seen in outcomes.values()), outcomes
+    assert pivots >= 20, pivots
 
 
-def test_every_word_is_spelled_by_min_word(monkeypatch):
-    # The first word and every suffix go through the module-global
-    # min_word, so a wrapper installed there sees one call per word.
+def test_every_completion_goes_through_min_word(monkeypatch):
+    # The first word and every successor that pivots before the last
+    # position are completed by the module-global min_word, so a wrapper
+    # installed there sees one call per such word, for the letters after the
+    # pivot; a successor that pivots at the last position has nothing left
+    # to complete.
     calls = []
     spell = enumeration.min_word
 
-    def counted(k, r, tables):
+    def counted(k, run, tables, lives=None):
         calls.append(k)
-        return spell(k, r, tables)
+        return spell(k, run, tables, lives)
 
     monkeypatch.setattr(enumeration, "min_word", counted)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
@@ -1035,23 +1097,36 @@ def test_every_word_is_spelled_by_min_word(monkeypatch):
     assert (bit.kernel, lists.kernel) == ("bit", "list")
     for nfa in (bit, lists):
         calls.clear()
-        words = list(CrossSectionCursor(nfa, 6))
-        assert words and len(calls) == len(words)
+        cursor = CrossSectionCursor(nfa, 6)
+        expected = []
+        for word in cursor:
+            if not expected:
+                expected.append(6)
+            elif cursor.pivot < 5:
+                expected.append(5 - cursor.pivot)
+        assert len(expected) > 1 and calls == expected
 
 
 def test_the_last_letter_is_never_replayed(monkeypatch):
-    """The successor search reads the sets after the word's proper prefixes
-    only, so a call replays positions v .. l - 2 of the held word, l - 1 - v
-    of them: v is the previous pivot, or 0 after the least word and after a
-    seek. At l = 1 no call replays a letter."""
-    replayed = []
-    build = enumeration.build_run_stack
+    """No kernel step takes a word's last letter, which no search reads. The
+    first call steps the least word's first l - 1 letters; a call that finds
+    a successor steps its letters after the pivot but the last, l - 1 -
+    pivot of them; and after a seek the next call first replays the sought
+    word's first l - 1 letters. So the held run never exceeds l entries, and
+    at l = 1 no call steps a letter."""
+    steps = []
+    list_step, bit_step = enumeration.delta_step, enumeration.mask_image
 
-    def counted(word, nfa, run=None, ranks=None):
-        replayed.append(len(word))
-        return build(word, nfa, run, ranks)
+    def counted_list(nfa, source, symbol):
+        steps.append(symbol)
+        return list_step(nfa, source, symbol)
 
-    monkeypatch.setattr(enumeration, "build_run_stack", counted)
+    def counted_bit(images, mask, symbol):
+        steps.append(symbol)
+        return bit_step(images, mask, symbol)
+
+    monkeypatch.setattr(enumeration, "delta_step", counted_list)
+    monkeypatch.setattr(enumeration, "mask_image", counted_bit)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert (bit.kernel, lists.kernel) == ("bit", "list")
@@ -1063,33 +1138,30 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
             seek_at = max(len(words) // 2, 1)
             start = words[len(words) // 4] if words else (0,) * length
             cursor = CrossSectionCursor(nfa, length)
-            replayed.clear()
-            got, expected, pivot = [], 0, None
+            steps.clear()
+            got, expected = [], 0
             while True:
                 if len(got) == seek_at:
                     cursor.seek(start)
-                    pivot = 0
-                prev = cursor.current
+                    expected += max(length - 1, 0)
                 word = cursor.next()
-                if pivot is not None:
-                    expected += max(length - 1 - pivot, 0)
+                assert len(cursor._run) <= max(length, 1)
                 if word is EXHAUSTED:
                     break
+                expected += max(length - 1 - cursor.pivot, 0)
                 got.append(word)
-                pivot = 0 if prev is None else next(
-                    i for i, (a, b) in enumerate(zip(prev, word)) if a != b
-                )
             assert got == words[:seek_at] + [w for w in words if w > start]
-            assert sum(replayed) == expected
+            assert len(steps) == expected
             if length <= 1:
-                assert not any(replayed)
+                assert not steps
 
 
 def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
-    """The list kernel's replay looks its step up as enumeration.delta_step
-    at every call, so a wrapper installed on that module attribute, as a
-    tracer installs one, sees exactly one call per position the cursor
-    replays, before and after a seek."""
+    """The list kernel steps every letter, replayed after a seek or new
+    after a pivot, through build_run_stack, which looks its step up as
+    enumeration.delta_step at every call, so a wrapper installed on that
+    module attribute, as a tracer installs one, sees exactly one call per
+    letter build_run_stack is given, before and after a seek."""
     steps, replayed = [], []
     step, build = enumeration.delta_step, enumeration.build_run_stack
 
@@ -1097,9 +1169,9 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
         steps.append(symbol)
         return step(nfa, source, symbol)
 
-    def counted_build(word, nfa, run=None, ranks=None):
+    def counted_build(word, nfa, run=None, lives=None):
         replayed.append(len(word))
-        return build(word, nfa, run, ranks)
+        return build(word, nfa, run, lives)
 
     nfa = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert nfa.kernel == "list"
@@ -1118,34 +1190,42 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
 
 
 def test_the_bit_search_takes_no_image(monkeypatch):
-    """The bit search calls mask_image zero times: it reads the tables'
-    predecessor masks instead. The replay, outside the search, still takes
-    one image per position it replays, before and after a seek."""
-    searched, replayed_images, replayed = [], [], []
-    searching = []
+    """The bit search tests a retried position by ANDs alone: within a
+    next_word call, mask_image steps only the successor's letters after the
+    pivot but the last, l - 1 - pivot of them, however many positions were
+    retried. The replay after a seek, in build_run_stack, takes one image
+    per position it replays, and the least word's completion l - 1."""
+    images = {"search": 0, "replay": 0, "first": 0}
+    phase = []
     step = enumeration.mask_image
     search, build = enumeration.next_word, enumeration.build_run_stack
+    replayed = []
 
-    def counted(images, mask, symbol):
-        (searched if searching else replayed_images).append(symbol)
-        return step(images, mask, symbol)
+    def counted(images_, mask, symbol):
+        images[phase[-1] if phase else "first"] += 1
+        return step(images_, mask, symbol)
 
-    def flagged(word, stack, tables):
-        searching.append(word)
+    def flagged(word, run, tables, lives=None):
+        phase.append("search")
         try:
-            return search(word, stack, tables)
+            return search(word, run, tables, lives)
         finally:
-            searching.pop()
+            phase.pop()
 
-    def counted_build(word, nfa, run=None, ranks=None):
+    def counted_build(word, nfa, run=None, lives=None):
         replayed.append(len(word))
-        return build(word, nfa, run, ranks)
+        phase.append("replay")
+        try:
+            return build(word, nfa, run, lives)
+        finally:
+            phase.pop()
 
     monkeypatch.setattr(enumeration, "mask_image", counted)
     monkeypatch.setattr(enumeration, "next_word", flagged)
     monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
     wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     narrow = compile_regex("(a|b|c)*b(a|c)*")
+    searches = 0
     for nfa in (wide, narrow):
         assert nfa.kernel == "bit"
         for length in (1, 2, 6):
@@ -1154,9 +1234,16 @@ def test_the_bit_search_takes_no_image(monkeypatch):
             seek_at = max(len(words) // 2, 1)
             start = words[len(words) // 4]
             cursor = CrossSectionCursor(nfa, length)
-            got = list(itertools.islice(cursor, seek_at))
+            images["first"] = 0
+            got = [cursor.next()]
+            assert images["first"] == length - 1
+            for _ in range(seek_at - 1):
+                before = images["search"]
+                got.append(cursor.next())
+                assert images["search"] - before == length - 1 - cursor.pivot
+                searches += 1
             cursor.seek(start)
             got += cursor
             assert got == words[:seek_at] + [w for w in words if w > start]
-    assert not searched
-    assert replayed_images and len(replayed_images) == sum(replayed)
+    assert searches > 100
+    assert images["replay"] == sum(replayed) > 0

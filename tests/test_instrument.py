@@ -53,7 +53,7 @@ def test_measure_delays_tally_reaches_an_enclosing_count():
         report = measure_delays(nfa, 4)
         total = outer.ops
     assert report.exhausted
-    assert total == report.preproc_ops + sum(r.op_count for r in report.records) == 680
+    assert total == report.preproc_ops + sum(r.op_count for r in report.records) == 448
 
 
 def test_enumeration_is_identical_with_counters_on_and_off():

@@ -24,96 +24,87 @@ from helpers import (
     assert_tables_match_full_scan,
     corpus_automaton,
     nested_scaling_family,
-    rank_leq,
+    start_run,
     tables_snapshot,
 )
 
 
+def _least_word(tables, k, q):
+    """The least length-k word from state ``q``, completed by min_word."""
+    return min_word(k, start_run(tables.nfa, [q]), tables)
+
+
 def test_a1_first_step_levels(a1):
-    # a1 (a*ba*): level 1 spells "a" (rank 0) and "b" (rank 1), each a
-    # letter before the empty word of rank 0; level 2 spells "aa" and "ab",
-    # and settles, so level 3 is level 2.
+    # a1 (a*ba*): level 0 is the final state 1. Both states have a
+    # transition into it, state 1 on "a" and state 0 on "b", so level 1
+    # holds both, and so does every later level: level 2 settles, and it and
+    # level 3 are level 1's set itself. Each state's least word takes as
+    # its first step the least such symbol.
     tables = precompute(a1, 3)
-    assert tables.rank[:3] == [[2, 0], [1, 0], [1, 0]]
-    assert tables.first_step[:3] == [[], [(0, 0), (1, 0)], [(0, 0), (0, 1)]]
-    assert tables.first_step[3] is tables.first_step[2]
+    assert tables.live == [{1}, {0, 1}, {0, 1}, {0, 1}]
+    assert tables.live[3] is tables.live[2] is tables.live[1]
+    assert [_least_word(tables, 1, q) for q in (0, 1)] == [(1,), (0,)]
+    assert [_least_word(tables, 2, q) for q in (0, 1)] == [(0, 1), (0, 0)]
     assert repr(tables) == "MinWordTables(length=3, states=2)"
 
 
 def test_chain_never_dangles():
-    # On either kernel: one step per live rank, strictly increasing, each
-    # onto a rank live one level down, and a settled level's list object.
+    # On either kernel: every state live at a level k >= 1 has a transition
+    # into a state live at level k - 1, so each completion letter leads on
+    # to a live state; no other state is live; and a settled level is its
+    # level's set object.
     rng = random.Random(37)
     kernels = set()
     for _ in range(60):
         nfa = corpus_automaton(rng)
         kernels.add(nfa.kernel)
-        n = nfa.state_count
         tables = precompute(nfa, 6)
-        assert tables.first_step[0] == []
+        assert tables.live[0] == set(nfa.final_states)
         for k in range(1, 7):
-            steps = tables.first_step[k]
-            assert len(steps) == len({r for r in tables.rank[k] if r < n})
-            assert all(p < q for p, q in zip(steps, steps[1:]))
-            below = set(tables.rank[k - 1]) - {n}
-            assert all(r in below for _, r in steps)
-            if k >= 2 and tables.rank[k - 1] == tables.rank[k - 2]:
-                assert steps is tables.first_step[k - 1]
+            below = tables.live[k - 1]
+            leads_on = {
+                q for q in range(nfa.state_count)
+                if any(not below.isdisjoint(targets) for _, targets in nfa.adjacency[q])
+            }
+            assert tables.live[k] == leads_on
+            if tables.live[k] == below:
+                assert tables.live[k] is below
     assert kernels == {"list", "bit"}
 
 
 def test_a1_order_levels(a1):
+    # The least words min_word completes order a1's states per level.
     tables = precompute(a1, 2)
-    # Level 0: only the final state accepts, and compares below everything.
-    level0 = [rank_leq(tables, 0, q, p) for q in (0, 1) for p in (0, 1)]
-    assert level0 == [False, False, True, True]
+    # Level 0: only the final state accepts.
+    assert [_least_word(tables, 0, q) for q in (0, 1)] == [None, ()]
     # Level 1: the least word from state 1 ("a") beats state 0's ("b").
-    assert rank_leq(tables, 1, 1, 0)
-    assert not rank_leq(tables, 1, 0, 1)
-    assert rank_leq(tables, 1, 0, 0)
+    assert _least_word(tables, 1, 1) < _least_word(tables, 1, 0)
     # Level 2: "ab" from state 0 vs "aa" from state 1.
-    assert not rank_leq(tables, 2, 0, 1)
-    assert rank_leq(tables, 2, 1, 0)
-
-
-def test_ranks_are_dense_with_sentinel_on_dead_states():
-    rng = random.Random(29)
-    for _ in range(60):
-        nfa = corpus_automaton(rng)
-        n = nfa.state_count
-        tables = precompute(nfa, 5)
-        for k in range(6):
-            ranks = tables.rank[k]
-            mins = min_words_by_state(nfa, k)
-            live = {ranks[q] for q in range(n) if ranks[q] < n}
-            assert live == set(range(len(live)))
-            for q in range(n):
-                assert (ranks[q] == n) == (mins[q] is None)
+    assert _least_word(tables, 2, 1) < _least_word(tables, 2, 0)
 
 
 def test_spelled_words_a1(a1):
     tables = precompute(a1, 2)
-    assert min_word(1, 1, tables) == (1,)  # "b", state 0's rank
-    assert min_word(1, 0, tables) == (0,)  # "a", state 1's rank
-    assert min_word(2, 1, tables) == (0, 1)  # "ab", state 0's rank
-    assert min_word(2, 0, tables) == (0, 0)  # "aa", state 1's rank
-    assert min_word(0, 2, tables) is None  # the sentinel, state 0's rank
-    assert min_word(0, 0, tables) == ()
+    assert _least_word(tables, 1, 0) == (1,)  # "b"
+    assert _least_word(tables, 1, 1) == (0,)  # "a"
+    assert _least_word(tables, 2, 0) == (0, 1)  # "ab"
+    assert _least_word(tables, 2, 1) == (0, 0)  # "aa"
+    assert _least_word(tables, 0, 0) is None  # not final
+    assert _least_word(tables, 0, 1) == ()
 
 
 def test_no_final_states_leaves_tables_empty():
     nfa = build_nfa("ab", 3, [0], [], [(0, "a", 1), (1, "b", 2)])
     tables = precompute(nfa, 4)
     for k in range(5):
-        assert tables.rank[k] == [3, 3, 3]
-        assert not any(rank_leq(tables, k, q, p) for q in range(3) for p in range(3))
+        assert tables.live[k] == frozenset()
+        assert all(_least_word(tables, k, q) is None for q in range(3))
 
 
 def test_length_zero_has_single_level(a1):
     tables = precompute(a1, 0)
-    assert len(tables.first_step) == 1
-    assert len(tables.rank) == 1
-    assert tables.rank[0] == [2, 0]
+    assert tables.live == [{1}]
+    assert tables.length == 0
 
 
 def test_add_level_leaves_existing_levels_and_cursors_alone():
@@ -152,42 +143,12 @@ def test_spelled_words_match_bruteforce():
         for k in range(6):
             mins = min_words_by_state(nfa, k)
             for q in range(nfa.state_count):
-                assert min_word(k, tables.rank[k][q], tables) == mins[q]
-
-
-def test_order_table_matches_bruteforce_predicate():
-    rng = random.Random(43)
-    for _ in range(40):
-        nfa = corpus_automaton(rng)
-        n = nfa.state_count
-        tables = precompute(nfa, 5)
-        for k in range(6):
-            mins = min_words_by_state(nfa, k)
-            for q in range(n):
-                for qp in range(n):
-                    expected = mins[q] is not None and (
-                        mins[qp] is None or mins[q] <= mins[qp]
-                    )
-                    assert rank_leq(tables, k, q, qp) == expected
-
-
-def test_order_table_reflexive_exactly_on_support():
-    rng = random.Random(47)
-    for _ in range(40):
-        nfa = corpus_automaton(rng)
-        n = nfa.state_count
-        tables = precompute(nfa, 4)
-        for k in range(5):
-            mins = min_words_by_state(nfa, k)
-            for q in range(n):
-                accepts = mins[q] is not None
-                assert rank_leq(tables, k, q, q) == accepts
-                assert any(rank_leq(tables, k, q, qp) for qp in range(n)) == accepts
+                assert _least_word(tables, k, q) == mins[q]
 
 
 def test_first_step_fill_work_is_linear_in_transitions():
-    # fill_ops counts adjacency-pair inspections plus target comparisons in
-    # the first_step pass; it must stay within a fixed multiple of l * |delta|.
+    # fill_ops counts the predecessor entries the levels visit; it must stay
+    # within a fixed multiple of l * |delta|.
     for ell in (2, 4, 8):
         for delta, nfa in nested_scaling_family(99, (40, 80, 160)).items():
             tables = precompute(nfa, ell)
@@ -217,9 +178,8 @@ BIPARTITE_4 = build_nfa(
 @pytest.mark.parametrize(
     "nfa,length,kernel",
     [
-        # Its live set stops changing at level 4, while its ranks settle into
-        # a period of 2 only from level 16 and never into a period of 1, so
-        # its tables never settle and every level is built.
+        # Its live set stops changing at level 4, so its tables settle at
+        # level 5.
         (random_automaton(random.Random(2), 500, 4, 3000, 50, 50), 40, "list"),
         (UNARY_2_CYCLE, 12, "list"),
         (BIPARTITE_4, 12, "bit"),
@@ -241,18 +201,20 @@ def test_frontier_fill_equals_full_scan_on_a_period_two_automaton(nfa, length, k
     ids=["corpus", "unary-2-cycle", "bipartite-4"],
 )
 def test_live_is_the_top_levels_live_set_after_every_level(automata, length):
-    # The tables' live set is the top level's, {q : rank[length][q] < |Q|},
-    # from level 0 on, through levels built in full and settled levels.
+    # After every level, from level 0 on, through levels built in full and
+    # settled levels, the top level's live set is a frozenset of exactly the
+    # states that accept a word of that length.
     settled = 0
     for nfa in automata:
-        n = nfa.state_count
         tables = MinWordTables(nfa)
         for k in range(length + 1):
             if k:
                 tables.add_level()
-            assert type(tables.live) is frozenset
-            assert tables.live == {q for q in range(n) if tables.rank[k][q] < n}
-        settled += tables.rank[length] is tables.rank[length - 1]
+            assert tables.length == k
+            assert type(tables.live[-1]) is frozenset
+            mins = min_words_by_state(nfa, k)
+            assert tables.live[-1] == {q for q, word in enumerate(mins) if word is not None}
+        settled += tables.live[length] is tables.live[length - 1]
     if len(automata) > 1:
         assert {nfa.kernel for nfa in automata} == {"list", "bit"}
         assert settled > 0
@@ -272,45 +234,39 @@ def _dense_cross_automaton():
 
 @pytest.mark.parametrize(
     "nfa,length,settles",
-    [(_dense_cross_automaton(), 32, 5), (compile_regex("(a|b|c)*b(a|c)*"), 40, 2)],
+    [(_dense_cross_automaton(), 32, 3), (compile_regex("(a|b|c)*b(a|c)*"), 40, 2)],
     ids=["dense-cross", "tiny-stream"],
 )
 def test_every_level_above_a_settled_one_is_that_level(nfa, length, settles):
-    # Level k + 1 is a function of rank[k], so once rank[s] equals rank[s - 1]
-    # every later level is level s: the same rank row, first-step list and
-    # mask list objects, not copies.
+    # Level k + 1 is a function of live[k], so once live[s] equals
+    # live[s - 1] every later level is level s: the same live set and mask
+    # list objects, not copies, and level s is level s - 1's.
     assert nfa.kernel == "bit"
     tables = precompute(nfa, length)
-    s = next(k for k in range(1, length + 1) if tables.rank[k] == tables.rank[k - 1])
+    s = next(k for k in range(1, length + 1) if tables.live[k] == tables.live[k - 1])
     assert s == settles
-    for k in range(s + 1, length + 1):
-        assert tables.rank[k] is tables.rank[s]
-        assert tables.first_step[k] is tables.first_step[s]
-        assert tables.pred_masks[k] is tables.pred_masks[s]
+    for k in range(s, length + 1):
+        assert tables.live[k] is tables.live[s - 1]
+        assert tables.pred_masks[k] is tables.pred_masks[s - 1]
     assert_tables_match_full_scan(tables)
 
 
 def test_a_settled_level_charges_one_unit_and_fills_nothing():
-    # The tiny-stream regex: all 7 states are live from level 1 on, and
-    # rank[2] == rank[1]. Level 2 pays the full charge, its row comparison
-    # included; level 3 is a settled level.
+    # The tiny-stream regex: all 7 states are live from level 1 on. Level 2
+    # visits level 1's predecessor entries, every transition, and finds the
+    # same set: it pays for the visit and for its 7 states, then settles as
+    # a settled level does, for one unit. Level 3 is a settled level.
     nfa = compile_regex("(a|b|c)*b(a|c)*")
     assert nfa.kernel == "bit"
     n = nfa.state_count
     tables = precompute(nfa, 1)
+    assert len(tables.live[1]) == n
     fill = tables.fill_ops
     with counting() as counter:
         tables.add_level()
-        # Level 1 is all live, so its predecessor entries are every transition.
-        m = sum(r < n for r in tables.rank[2])
-        visited = tables.fill_ops - fill
-        ranks = len(tables.first_step[2])
-        expected = nfa.transition_count + visited + 2 * n + ranks + m + m * (m - 1).bit_length()
-        # Its masks: m for the grouping, then per symbol one ceil(|Q|/64)-word
-        # OR per live state and one fold step per live rank.
-        expected += m + nfa.symbol_count * (m + ranks) * -(-n // 64)
-        assert counter.ops == expected == 128
-    assert tables.rank[2] == tables.rank[1]
+        assert tables.fill_ops - fill == nfa.transition_count
+        assert counter.ops == nfa.transition_count + n + 1 == 30
+    assert tables.live[2] is tables.live[1]
     fill = tables.fill_ops
     with counting() as counter:
         tables.add_level()
@@ -343,7 +299,7 @@ def test_frontier_fill_equals_full_scan_on_a_finite_alternation():
     nfa = compile_regex("|".join(sorted(words)))
     tables = precompute(nfa, 10)
     assert_tables_match_full_scan(tables)
-    assert tables.rank[9] == tables.rank[10] == [nfa.state_count] * nfa.state_count
+    assert tables.live[9] == tables.live[10] == frozenset()
 
 
 def test_fill_work_does_not_grow_with_dead_states():
