@@ -32,18 +32,19 @@ from .tables import precompute
 _INPUT_ERRORS = (AutomatonError, ParseError, RegexSyntaxError)
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+def _int_at_least(low: int, text: str) -> int:
+    """An argparse type: an int of at least ``low``, 0 or 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError("must be positive" if low else "must be non-negative")
     return value
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+_nonneg = partial(_int_at_least, 0)
+_positive = partial(_int_at_least, 1)
 
 
 def _random_spec(text: str) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-"""Cross-section enumeration: least completion, successor search, pull cursors.
+"""Cross-section enumeration: the successor search and the pull cursors over it.
 
 The cursor produces the words of one length accepted by an automaton in
 strictly increasing lexicographic order. Between two outputs it does a
@@ -14,15 +14,18 @@ memory stays flat no matter how many words are produced. The tables carry
 the automaton they were built for, and a cursor refuses tables of another
 automaton.
 
-Every search reads one test from the tables: whether a set of states
-reaches, on a symbol, a state that accepts a word of some length k, a state
-of the live set L(k) (see :mod:`lexenum.tables`). A set's least completion of
-length k is built letter by letter by :func:`min_word`: each letter is the
-least symbol on which the set reaches L(k-1), and the set steps on it. The
-successor search, :func:`next_word`, retries the positions from the last
-one, each with the least symbol above its letter that passes the same test;
-at the first position that has one, the pivot, it steps that symbol and
-completes the word with :func:`min_word`.
+There is one search, :func:`next_word`, and it reads one test from the
+tables: whether a set of states reaches, on a symbol, a state that accepts
+a word of some length k, a state of the live set L(k) (see
+:mod:`lexenum.tables`). It retries the positions from the last one, each
+with the least symbol above its letter on which the position's set reaches
+L(k), k the number of letters after it. At the first position that has
+one, the pivot, it steps that symbol and completes the word letter by
+letter, each letter the least symbol on which the set reached so far
+reaches the live set of the letters left after it, and each but the last
+stepped. A set's least word of length k, :func:`min_word`, is the same
+search's successor of a word below every word, retried at its first
+position only.
 
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run and of the test: a set of states per position on the list kernel, whose
@@ -33,9 +36,9 @@ step once per letter. On the list kernel a cursor's run is trimmed: entry i
 keeps only the states that accept a word of the remaining length
 ``length - i``, read off the tables' live set of that level, since the search
 can finish the word from no other state, and every list-kernel step, the
-searches' included, goes through :func:`build_run_stack` one letter at a
+search's included, goes through :func:`build_run_stack` one letter at a
 time. The bit kernel's run holds whole masks, which its test ANDs at a cost
-that does not depend on how many states they hold, and its searches step
+that does not depend on how many states they hold, and its search steps
 with :func:`~lexenum.automaton.mask_image` directly.
 """
 
@@ -61,75 +64,40 @@ class _ExhaustedType:
 EXHAUSTED = _ExhaustedType()
 
 
-def min_word(
-    k: int, run: list, tables: MinWordTables, lives: Optional[list] = None
-) -> Optional[Word]:
+def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
     """The least length-k word that leads ``run[-1]`` to a final state, or
     None when there is none.
 
     ``run`` is a run in the kernel's form (see :func:`build_run_stack`), of
     which only the last entry is read; ``[start]`` for a start set ``start``
-    will do. The word is built letter by letter: with j letters left, the
-    letter is the least symbol on which the current set reaches L(j-1), and
-    the set steps on it; there is one whenever the set meets L(j), which
-    the first letter tests and each step keeps. Every letter but the last is
-    stepped and the set it reaches appended to ``run``, so on success ``run``
-    gains k - 1 entries; on None, which only the first letter can give,
-    ``run`` is unchanged. At ``k = 0`` the word is the empty word when
-    ``run[-1]`` holds a final state.
-
-    On the list kernel each letter is chosen as :func:`_least_letter` charges
-    it, and each step is one call of :func:`build_run_stack` with
-    ``lives``, which trims the new entry; ``lives[i]`` is the live set for
-    entry i, ``tables.live[len(run) - 1 + k :: -1]`` by default. On the bit
-    kernel each symbol tried is charged ``ceil(|Q|/64)`` for its AND with
-    ``tables.pred_masks[j - 1][a]``, and each step is one
-    :func:`~lexenum.automaton.mask_image`, charged as that charges. The test
-    at ``k = 0`` is charged one unit per state it tests: the smaller of the
-    two sets on the list kernel, every final state on the bit kernel.
+    will do. For ``k > 0`` the word is the successor of a word below every
+    length-k word, ``(-1, 0, ..., 0)``, found by :func:`next_word` from the
+    one entry ``run[-1]``: it retries position 0 alone, with every symbol
+    above -1, and completes the rest. So each letter is the least symbol on
+    which the current set reaches the live set of the letters left after
+    it, and every letter but the last is stepped and the set it reaches
+    appended to ``run``: on success ``run`` gains k - 1 entries, each
+    trimmed on the list kernel as a cursor of length ``len(run) - 1 + k``
+    trims its run; on None ``run`` is unchanged. The charge is
+    :func:`next_word`'s. At ``k = 0`` the word is the empty word when
+    ``run[-1]`` holds a final state, a test charged one unit per state it
+    tests: the smaller of the two sets on the list kernel, every final
+    state on the bit kernel.
     """
-    nfa = tables.nfa
-    source = run[-1]
     if not k:
-        final = tables.live[0]
-        if nfa.images is None:
+        source, final = run[-1], tables.live[0]
+        if tables.nfa.images is None:
             if _ops.enabled:
                 _ops.ops += min(len(source), len(final))
             return None if final.isdisjoint(source) else ()
         if _ops.enabled:
             _ops.ops += len(final)
         return () if source & state_mask(final) else None
-    out = []
-    if nfa.images is None:
-        if lives is None:
-            lives = tables.live[len(run) - 1 + k :: -1]
-        adjacency = nfa.adjacency
-        for j in range(k - 1, -1, -1):
-            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
-            if a is None:
-                return None
-            out.append(a)
-            if j:
-                build_run_stack((a,), nfa, run, lives)
-        return tuple(out)
-    images, pred_masks = nfa.images, tables.pred_masks
-    sigma = len(images)
-    words = -(-nfa.state_count // 64)
-    counting = _ops.enabled
-    for j in range(k - 1, -1, -1):
-        masks = pred_masks[j]
-        a = 0
-        while a < sigma and not source & masks[a]:
-            a += 1
-        if counting:
-            _ops.ops += words * min(a + 1, sigma)
-        if a == sigma:
-            return None
-        out.append(a)
-        if j:
-            source = mask_image(images, source, a)
-            run.append(source)
-    return tuple(out)
+    start = run if len(run) == 1 else run[-1:]
+    found = next_word((-1,) + (0,) * (k - 1), start, tables)
+    if start is not run:
+        run += start[1:]
+    return None if found is None else found[0]
 
 
 def _least_letter(
@@ -212,55 +180,61 @@ def _trim(states: Collection[int], live: frozenset) -> frozenset:
     return live.intersection(states)
 
 
-def next_word(
-    word: Word, run: list, tables: MinWordTables, lives: Optional[list] = None
-) -> Optional[tuple[Word, int]]:
+def next_word(word: Word, run: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
     """Immediate lexicographic successor of ``word`` in the cross-section.
 
-    ``run`` must hold entries ``0 .. len(word) - 1`` of
-    ``build_run_stack(word, tables.nfa)``, and may hold more. On the list
-    kernel the entries may also be trimmed, as a cursor's are, to the states
-    live at level ``len(word) - i``, with the same result: a state of entry
-    ``i`` with a live pair above ``word[i]`` accepts a word of length
+    ``run`` must hold entries ``0 .. p`` of ``build_run_stack(word,
+    tables.nfa)`` for some ``p``, and may hold more. On the list kernel the
+    entries may also be trimmed, as a cursor's are, to the states live at
+    level ``len(word) - i``, with the same result: a state of entry ``i``
+    with a live pair above ``word[i]`` accepts a word of length
     ``len(word) - i``, so the trim keeps every state the search can use.
-    Returns the successor with its pivot, the first position at which it
-    differs from ``word``, or None when ``word`` is the maximum, leaving
-    ``run`` unchanged.
+    Returns the least member above ``word`` that differs from it first at a
+    position ``<= p``, where ``p = min(len(run), len(word)) - 1``, with its
+    pivot, that position; or None when there is none, leaving ``run``
+    unchanged. A cursor's run has ``len(word)`` entries, so this is the
+    successor itself.
 
-    Positions are retried from the last to the first. At position ``i``,
-    with ``k = len(word) - i - 1``, the successor's letter is the least
-    symbol above ``word[i]`` on which ``run[i]`` reaches L(k), the test
-    :func:`min_word` chooses its letters by, and the charge per retried
-    position is that of the test: :func:`_least_letter`'s on the list
-    kernel, ``ceil(|Q|/64)`` per symbol tried on the bit kernel. An empty
-    entry, which only a seek to a non-member leaves, is not skipped. At the
-    first position with such a symbol, the pivot, ``run`` is cut to entries
-    ``0 .. i``; for ``k > 0`` the symbol is stepped, as :func:`min_word`
-    steps (``lives`` as there, ``tables.live[len(word)::-1]`` by default),
-    and :func:`min_word` completes the word. So on success ``run`` holds
-    entries ``0 .. len(word) - 1`` of the successor's run.
+    Positions are retried from ``p`` down to 0. At position ``i``, with ``k =
+    len(word) - i - 1`` letters after it, the successor's letter is the
+    least symbol above ``word[i]`` on which ``run[i]`` reaches L(k): on the
+    list kernel as :func:`_least_letter` tests and charges it against the
+    live set ``tables.live[k]``; on the bit kernel by ANDing ``run[i]`` with
+    ``tables.pred_masks[k][a]`` for each symbol ``a`` tried, charged
+    ``ceil(|Q|/64)`` per AND. An empty entry, which only a seek to a
+    non-member leaves, is not skipped. At the first position with such a
+    symbol, the pivot, ``run`` is cut to entries ``0 .. i``, and the word is
+    completed from there: the new letter is stepped, and the least symbol on
+    which the set it reaches meets the live set one level down is the next
+    letter, and so on to the end, by the same test from symbol 0 and with
+    the same charge. Every letter but the last is stepped and its set
+    appended to ``run``: on the list kernel by one call of
+    :func:`build_run_stack`, trimmed with ``tables.live[len(word)::-1]``,
+    and on the bit kernel by one :func:`~lexenum.automaton.mask_image`,
+    charged as those charge. So on success ``run`` holds entries ``0 ..
+    len(word) - 1`` of the successor's run.
     """
     nfa = tables.nfa
     length = len(word)
+    held = len(run)
     if nfa.images is None:
-        if lives is None:
-            lives = tables.live[length::-1]
+        lives = tables.live[length::-1]
         adjacency = nfa.adjacency
-        for i in range(length - 1, -1, -1):
+        for i in range(held - 1 if held < length else length - 1, -1, -1):
             a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
             if a is not None:
                 break
         else:
             return None
     else:
-        pred_masks = tables.pred_masks
-        sigma = len(nfa.images)
+        images, pred_masks = nfa.images, tables.pred_masks
+        sigma = len(images)
         words = -(-nfa.state_count // 64)
         counting = _ops.enabled
         # A while loop, not a range: this is the per-word hot path, and a
         # range here took tiny-stream's cursor from 1.40 to 1.52 us per word
         # in-process (Python 3.11.7, 2-vCPU container).
-        i = length
+        i = held if held < length else length
         while i:
             i -= 1
             source = run[i]
@@ -275,14 +249,28 @@ def next_word(
         else:
             return None
     del run[i + 1 :]
-    k = length - i - 1
-    if not k:
+    if i == length - 1:
         return word[:i] + (a,), i
+    # The completion: every set stepped to meets the live set of the letters
+    # left, so each letter exists and the bit scan needs no bound.
+    tail = [a]
     if nfa.images is None:
-        build_run_stack((a,), nfa, run, lives)
+        for _ in range(length - i - 1):
+            build_run_stack((a,), nfa, run, lives)
+            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+            tail.append(a)
     else:
-        run.append(mask_image(nfa.images, run[i], a))
-    return word[:i] + (a, *min_word(k, run, tables, lives)), i
+        for k in range(length - i - 2, -1, -1):
+            source = mask_image(images, source, a)
+            run.append(source)
+            masks = pred_masks[k]
+            a = 0
+            while not source & masks[a]:
+                a += 1
+            if counting:
+                _ops.ops += words * (a + 1)
+            tail.append(a)
+    return word[:i] + tuple(tail), i
 
 
 class CrossSectionCursor:
@@ -305,9 +293,7 @@ class CrossSectionCursor:
     the two-state automaton whose states both loop on ``a`` and are both
     initial and final has gaps [92, 16] at length 8 and [764, 128] at
     length 64, and 100 initial states with the one transition ``0 a 1`` and
-    final state 1 give [103, 1] at length 1. Earlier versions, which spelled
-    the first word from a table and replayed the run in the next call, gave
-    [12, 58], [68, 506] and [102, 1].
+    final state 1 give [103, 1] at length 1.
 
     After every call the cursor holds entries ``0 .. length - 1`` of the run
     of its current word, the state sets reached after the word's proper
@@ -322,8 +308,9 @@ class CrossSectionCursor:
     its last letter. On the list kernel the held run is trimmed (see
     :func:`build_run_stack`): entry i keeps the states live at level
     ``length - i``, the initial set included, so the searches and the steps
-    skip the states that cannot finish the word. The live sets that trim it
-    are taken from the tables once, when the cursor is set up.
+    skip the states that cannot finish the word. The cursor takes the live
+    sets that trim its replay from the tables once, when it is set up, and
+    :func:`next_word` takes those that trim its steps at each call.
 
     ``pivot`` is the first position at which the word the last :meth:`next`
     returned differs from :attr:`current` before that call; after a
@@ -377,11 +364,11 @@ class CrossSectionCursor:
             return EXHAUSTED
         last, run = self._last, self._run
         if last is None:
-            word, pivot = min_word(self.length, run, self.tables, self._lives), 0
+            word, pivot = min_word(self.length, run, self.tables), 0
         else:
             if len(run) < self.length:
                 build_run_stack(last[len(run) - 1 : -1], self.nfa, run, self._lives)
-            word, pivot = next_word(last, run, self.tables, self._lives) or (None, 0)
+            word, pivot = next_word(last, run, self.tables) or (None, 0)
         self.pivot = pivot
         if word is None:
             self._exhausted = True

@@ -13,12 +13,12 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 :func:`~lexenum.automaton.mask_image`, which every stepped letter goes
 through, and :func:`~lexenum.enumeration.build_run_stack`, one unit per
 state tested when it trims a list-kernel cursor's run; the letter choices
-of the successor search :func:`~lexenum.enumeration.next_word` and of the
-least completion :func:`~lexenum.enumeration.min_word`, the list kernel's
-walks in :func:`~lexenum.enumeration._least_letter` and one AND per symbol
-tried on the bit kernel, plus ``min_word``'s test for the empty word; and
-:func:`~lexenum.enumeration.radix_cursors` for a radix run's liveness
-checks, ``min(|reachable|, |live|)`` per length.
+of the successor search :func:`~lexenum.enumeration.next_word`, which also
+builds the least words of :func:`~lexenum.enumeration.min_word`, the list
+kernel's walks in :func:`~lexenum.enumeration._least_letter` and one AND
+per symbol tried on the bit kernel, plus ``min_word``'s test for the empty
+word; and :func:`~lexenum.enumeration.radix_cursors` for a radix run's
+liveness checks, ``min(|reachable|, |live|)`` per length.
 
 The core modules funnel every increment through the single ``ops`` object
 below, and :func:`counting` turns it on for a block. Blocks nest: what an

@@ -167,6 +167,26 @@ class TestEnum:
         assert out == ""
         assert f"argument {option}: " in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["enum", "--regex", "a", "--length", "abc"], "--length"),
+            (["enum", "--regex", "a", "--length", "1", "--limit", "x"], "--limit"),
+            (["radix", "--regex", "a", "--max-length", "1.5"], "--max-length"),
+            (["bench", "--regex", "a", "--length", "2", "--limit", ""], "--limit"),
+        ],
+    )
+    def test_a_count_that_is_no_integer_exits_two_saying_so(self, capsys, argv, option):
+        # The error names the option and what it expects, not the private
+        # function that parses it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: expected an integer, got " in err
+        assert "_nonneg" not in err and "_positive" not in err
+
 
 class TestRadix:
     def test_max_length(self, capsys, a1_file):

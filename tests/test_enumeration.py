@@ -324,7 +324,7 @@ def test_trimmed_run_gives_the_full_runs_successor(seed, length):
         with counting() as counter:
             held = build_run_stack(word[:-1], nfa, None, lives)
             charge = counter.ops
-        assert next_word(word, list(held), tables, lives) == expected
+        assert next_word(word, list(held), tables) == expected
         cursor.seek(word)
         assert cursor.next() == (EXHAUSTED if expected is None else expected[0])
         assert cursor.pivot == (0 if expected is None else expected[1])
@@ -339,6 +339,51 @@ def test_trimmed_run_gives_the_full_runs_successor(seed, length):
             with counting() as counter:
                 steps += len(delta_step(nfa, source, a)) + counter.ops
         assert charge == len(nfa.initial) + steps
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_held_prefix_gives_the_least_member_pivoting_within_it(seed):
+    """next_word over the first p + 1 entries of a word's run returns the
+    least member above the word that first differs from it at a position
+    <= p, with that position, and leaves entries 0 .. len(word) - 1 of the
+    member's run; or None when there is none, leaving the entries as they
+    were. min_word from a one-entry run [S] returns the least word that some
+    state of S accepts, and appends its run but the last entry, the same
+    successor search from below every word. Every word of length 1 to 4
+    and every start set of a corpus automaton, on both kernels."""
+    nfa = corpus_automaton(random.Random(seed))
+    start_sets = [
+        [q for q in range(nfa.state_count) if bits >> q & 1]
+        for bits in range(2**nfa.state_count)
+    ]
+    for kernel in ("list", "bit"):
+        forced = on_kernel(nfa, kernel)
+        tables = precompute(forced, 4)
+        for length in range(1, 5):
+            lives = tables.live[length::-1] if kernel == "list" else None
+            members = cross_section_bruteforce(nfa, length)
+            for word in itertools.product(range(nfa.symbol_count), repeat=length):
+                run = build_run_stack(word, forced)
+                for p in range(length):
+                    held = run[: p + 1]
+                    found = next_word(word, held, tables)
+                    expected = next((w for w in members if w[: p + 1] > word[: p + 1]), None)
+                    if expected is None:
+                        assert found is None and held == run[: p + 1]
+                        continue
+                    pivot = next(i for i, (a, b) in enumerate(zip(word, expected)) if a != b)
+                    assert found == (expected, pivot)
+                    assert held == build_run_stack(expected[pivot:-1], forced, run[: pivot + 1], lives)
+        for k in range(5):
+            mins = min_words_by_state(nfa, k)
+            lives = tables.live[k::-1] if kernel == "list" else None
+            for states in start_sets:
+                expected = min((mins[q] for q in states if mins[q] is not None), default=None)
+                run = start_run(forced, states)
+                assert min_word(k, run, tables) == expected
+                tail = () if expected is None else expected[:-1]
+                assert run == build_run_stack(tail, forced, start_run(forced, states), lives)
 
 
 def test_bit_search_tries_every_symbol_at_an_empty_entry():
@@ -1078,18 +1123,18 @@ def test_list_search_charge_does_not_depend_on_set_order():
     assert pivots >= 20, pivots
 
 
-def test_every_completion_goes_through_min_word(monkeypatch):
-    # The first word and every successor that pivots before the last
-    # position are completed by the module-global min_word, so a wrapper
-    # installed there sees one call per such word, for the letters after the
-    # pivot; a successor that pivots at the last position has nothing left
-    # to complete.
+def test_only_the_first_word_goes_through_min_word(monkeypatch):
+    # A cursor calls the module-global min_word once, for its first word,
+    # and next_word completes every successor itself, so a wrapper installed
+    # on min_word sees one call per cursor, for the whole length, and none
+    # from the calls that find successors, those that pivot before the last
+    # position and complete the word included, nor after a seek.
     calls = []
     spell = enumeration.min_word
 
-    def counted(k, run, tables, lives=None):
+    def counted(k, run, tables):
         calls.append(k)
-        return spell(k, run, tables, lives)
+        return spell(k, run, tables)
 
     monkeypatch.setattr(enumeration, "min_word", counted)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
@@ -1098,13 +1143,13 @@ def test_every_completion_goes_through_min_word(monkeypatch):
     for nfa in (bit, lists):
         calls.clear()
         cursor = CrossSectionCursor(nfa, 6)
-        expected = []
+        words, completed = [cursor.next()], 0
         for word in cursor:
-            if not expected:
-                expected.append(6)
-            elif cursor.pivot < 5:
-                expected.append(5 - cursor.pivot)
-        assert len(expected) > 1 and calls == expected
+            words.append(word)
+            completed += cursor.pivot < 5
+        assert completed and calls == [6]
+        cursor.seek(words[0])
+        assert list(cursor) == words[1:] and calls == [6]
 
 
 def test_the_last_letter_is_never_replayed(monkeypatch):
@@ -1193,22 +1238,24 @@ def test_the_bit_search_takes_no_image(monkeypatch):
     """The bit search tests a retried position by ANDs alone: within a
     next_word call, mask_image steps only the successor's letters after the
     pivot but the last, l - 1 - pivot of them, however many positions were
-    retried. The replay after a seek, in build_run_stack, takes one image
-    per position it replays, and the least word's completion l - 1."""
-    images = {"search": 0, "replay": 0, "first": 0}
+    retried. The least word is the successor min_word asks next_word for,
+    so its l - 1 images fall in the search too, and none outside it. The
+    replay after a seek, in build_run_stack, takes one image per position it
+    replays."""
+    images = {"search": 0, "replay": 0, "other": 0}
     phase = []
     step = enumeration.mask_image
     search, build = enumeration.next_word, enumeration.build_run_stack
     replayed = []
 
     def counted(images_, mask, symbol):
-        images[phase[-1] if phase else "first"] += 1
+        images[phase[-1] if phase else "other"] += 1
         return step(images_, mask, symbol)
 
-    def flagged(word, run, tables, lives=None):
+    def flagged(word, run, tables):
         phase.append("search")
         try:
-            return search(word, run, tables, lives)
+            return search(word, run, tables)
         finally:
             phase.pop()
 
@@ -1234,9 +1281,9 @@ def test_the_bit_search_takes_no_image(monkeypatch):
             seek_at = max(len(words) // 2, 1)
             start = words[len(words) // 4]
             cursor = CrossSectionCursor(nfa, length)
-            images["first"] = 0
+            before = images["search"]
             got = [cursor.next()]
-            assert images["first"] == length - 1
+            assert images["search"] - before == length - 1
             for _ in range(seek_at - 1):
                 before = images["search"]
                 got.append(cursor.next())
@@ -1247,3 +1294,4 @@ def test_the_bit_search_takes_no_image(monkeypatch):
             assert got == words[:seek_at] + [w for w in words if w > start]
     assert searches > 100
     assert images["replay"] == sum(replayed) > 0
+    assert images["other"] == 0
