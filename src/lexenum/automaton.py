@@ -8,10 +8,11 @@ stored once, as read-only per-state adjacency rows built by
 strictly increasing in symbol id, with non-empty target tuples strictly
 increasing in state. The initial and final states are strictly increasing
 tuples too, so each automaton has one canonical layout, whatever order its
-pieces were listed in. The tables and the successor search walk a row in
-symbol order; the list kernel's subset step finds one symbol in it by binary
-search. Automata on the bit kernel also get chunk image tables (see
-:func:`chunk_images`), derived from the rows.
+pieces were listed in. Every reader of the rows walks them in symbol order
+from their first pair: the tables, the successor search, the chunk image
+tables and the list kernel's subset step, which stops at the first pair at
+or above its symbol. Automata on the bit kernel also get those chunk image
+tables (see :func:`chunk_images`), derived from the rows.
 
 Two kernels run the subset step, and each is exactly one step, from one
 state set on one symbol. The list kernel holds a state set as a set of
@@ -39,7 +40,6 @@ equality and repr; an ``Nfa`` is unhashable.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -281,22 +281,25 @@ def delta_step(nfa: Nfa, source: Collection[int], symbol: int) -> set[int]:
     """The list kernel's subset step: every target reachable on ``symbol``
     from ``source``, a duplicate-free collection of states, as a new set.
 
-    Each source state finds the symbol in its adjacency row by one binary
-    search. Charged ``len(source)`` plus the targets visited, which is the
-    work up to the O(log |row|) comparisons of each search.
+    Each source state walks its adjacency row from the first pair, skips
+    the pairs below ``symbol`` and stops at the first pair at or above it;
+    rows strictly increase in symbol id, so that pair holds the symbol's
+    targets or the row has none. Charged ``len(source)`` plus the targets
+    visited, which is the work up to the comparisons of each walk: at most
+    the state's row length, which its transitions bound, so a step stays
+    within O(len(source) + #transitions).
     """
     adjacency = nfa.adjacency
-    probe = (symbol,)
     reached: set[int] = set()
     visited = 0
     # This loop is the per-output hot path.
     for q in source:
-        row = adjacency[q]
-        i = bisect_left(row, probe)
-        if i < len(row) and row[i][0] == symbol:
-            targets = row[i][1]
-            reached.update(targets)
-            visited += len(targets)
+        for a, targets in adjacency[q]:
+            if a >= symbol:
+                if a == symbol:
+                    reached.update(targets)
+                    visited += len(targets)
+                break
     if _ops.enabled:
         _ops.ops += len(source) + visited
     return reached

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 import string
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import count
+from math import isqrt
 from typing import Callable, Iterator, Optional, Union
 
 from .automaton import AutomatonError, Nfa, Word, build_nfa
@@ -153,7 +155,9 @@ def random_automaton(
     A size out of range raises :class:`~lexenum.automaton.AutomatonError`, a
     :class:`ValueError`, whose message names the size as the help of
     ``lexenum bench --random`` does (``states must be at least 1, got 0``);
-    this is the only check of the sizes that ``--random`` passes.
+    this is the only check of the sizes that ``--random`` passes. The triples
+    are sampled from a range of ``state_count^2 * symbol_count`` codes, which
+    must not exceed ``sys.maxsize``; a larger state count is out of range.
     """
     if state_count < 1:
         raise AutomatonError(f"states must be at least 1, got {state_count}")
@@ -165,13 +169,12 @@ def random_automaton(
         if value is not None and not 0 <= value <= state_count:
             raise AutomatonError(f"{name} must be in 0..{state_count}, got {value}")
     max_triples = state_count * state_count * symbol_count
-    transition_count = min(transition_count, max_triples)
-    span = symbol_count * state_count
-    transitions = []
-    for code in rng.sample(range(max_triples), transition_count):
-        src, rest = divmod(code, span)
-        a, dst = divmod(rest, state_count)
-        transitions.append((src, a, dst))
+    if max_triples > sys.maxsize:
+        limit = isqrt(sys.maxsize // symbol_count)
+        raise AutomatonError(f"states must be at most {limit} for {symbol_count} symbols, got {state_count}")
+    # The code of a triple is (src * symbol_count + a) * state_count + dst.
+    codes = rng.sample(range(max_triples), min(transition_count, max_triples))
+    transitions = [divmod(c // state_count, symbol_count) + (c % state_count,) for c in codes]
     if initial_count is None:
         initial_count = rng.randint(0, state_count)
     if final_count is None:

@@ -44,7 +44,6 @@ with :func:`~lexenum.automaton.mask_image` directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain, count
 from typing import Collection, Iterator, Optional, Union
 
@@ -106,19 +105,22 @@ def _least_letter(
     """The least symbol ``a >= lo`` on which some state of ``states`` has a
     transition into ``live``, or None.
 
-    The list kernel's live test. Each state walks its adjacency row from the
-    first symbol ``>= lo`` to its own first pair with a target in ``live``,
-    and the least of those symbols wins. No walk stops early on another
-    state's result, so the charge depends on the set and not on the order in
-    which it is iterated: one unit per state, and 1 plus the target count per
-    pair examined.
+    The list kernel's live test. Each state walks its adjacency row from its
+    first pair, skips the pairs below ``lo`` and examines the rest in symbol
+    order up to its own first pair with a target in ``live``; the least of
+    those symbols wins. No walk stops early on another state's result, so
+    the charge depends on the set and not on the order in which it is
+    iterated: one unit per state, and 1 plus the target count per pair
+    examined. The pairs skipped are not charged; they number at most the
+    state's row length, which its transitions bound, so the walks stay
+    within O(len(states) + #transitions).
     """
     best = None
     examined = len(states)
-    probe = (lo,)
     for q in states:
-        row = adjacency[q]
-        for a, targets in row[bisect_left(row, probe) :] if lo else row:
+        for a, targets in adjacency[q]:
+            if a < lo:
+                continue
             examined += 1 + len(targets)
             if not live.isdisjoint(targets):
                 if best is None or a < best:

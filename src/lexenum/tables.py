@@ -102,10 +102,12 @@ class MinWordTables:
                     for t in targets:
                         into[t] |= bit
         # Dropped, set to None, once the tables have settled, as is pm.
-        # Copied into tuples because it pays: without the copy, dict-radix's
-        # delay_p99_us, whose p99 gaps are its level builds, rose from 193 to
-        # 216 us and from 179 to 205 us in two sets of 10 perfbench pairs
-        # (parent IQR 25 and 18 us).
+        # Copied into tuples, which take less memory than the lists: without
+        # the copy, dict-radix's peak_rss_mb rose from 18.70 to 18.82 MB,
+        # worse in 10 of 10 perfbench pairs (parent IQR 0.09 MB), and its
+        # delay_p99_us from 50.5 to 51.5 us (IQR 1.1 us), though its setup_s
+        # fell from 6.29 to 6.13 ms (3 s runs at seed 1, Python 3.11.7,
+        # 2-vCPU Linux container).
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         self._pm: Optional[list[list[int]]] = pm
         self.live = [frozenset(nfa.final_states)]

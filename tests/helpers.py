@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 
 from lexenum import Nfa, build_nfa, random_automaton
 from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
@@ -40,6 +41,25 @@ def corpus_automaton(rng: random.Random) -> Nfa:
     s = rng.randint(1, 3)
     t = rng.randint(0, round(1.5 * n * s))
     return random_automaton(rng, n, s, t)
+
+
+def wide_row_automaton(rng: random.Random) -> Nfa:
+    """A list-kernel instance with long adjacency rows: |Q| = 200, |Sigma|
+    one of 26, 40 and 62, and each state's row 15 to min(50, |Sigma| - 2)
+    pairs of one or two targets, so every row misses some symbols that can
+    fall below, between or above its own. Its at most 400 * (|Sigma| - 2)
+    transitions stay under the bit kernel's 400 * |Sigma|; 20 initial and
+    20 final states."""
+    n = 200
+    sigma = rng.choice((26, 40, 62))
+    triples = [
+        (q, a, t)
+        for q in range(n)
+        for a in rng.sample(range(sigma), rng.randint(15, min(50, sigma - 2)))
+        for t in rng.sample(range(n), rng.randint(1, 2))
+    ]
+    glyphs = (string.ascii_lowercase + string.ascii_uppercase + string.digits)[:sigma]
+    return build_nfa(glyphs, n, rng.sample(range(n), 20), rng.sample(range(n), 20), triples)
 
 
 def nested_scaling_family(seed: int, deltas, state_count: int = 20, symbol_count: int = 4):

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -25,6 +27,7 @@ from helpers import (
     raw_pieces,
     rebuild_factory,
     targets,
+    wide_row_automaton,
     word_from_str,
 )
 
@@ -278,9 +281,9 @@ class TestDeltaStep:
 
     def test_one_search_finds_the_symbol_in_rows_of_any_size(self):
         """Rows of 0, 1 and 3 pairs, each probed with every symbol: below,
-        between, at and above the row's symbols. Each step equals the union
-        of the targets read off the rows and is charged |source| plus the
-        targets visited."""
+        between, at and above the row's symbols. Each step walks the rows in
+        symbol order, equals the union of the targets read off them and is
+        charged |source| plus the targets visited."""
         nfa = build_nfa(
             "abcdef",
             3,
@@ -298,14 +301,12 @@ class TestDeltaStep:
 
     def test_kernel_contract_on_random_sets(self):
         """Duplicate-free output equal to the naive double loop's union, and a
-        charge of |source| plus the targets visited."""
-        rng = random.Random(41)
-        for _ in range(300):
-            nfa = corpus_automaton(rng)
-            a = rng.randrange(nfa.symbol_count)
-            order = list(range(nfa.state_count))
-            rng.shuffle(order)
-            source = order[: rng.randint(0, nfa.state_count)]
+        charge of |source| plus the targets visited: on the small corpus, and
+        on list-kernel automata whose rows hold 15 to 50 pairs over up to 62
+        symbols, probed with every symbol, so below, between, at and above
+        each row's symbols."""
+
+        def check(nfa, source, a):
             expected = {t for q in source for t in targets(nfa, q, a)}
             with counting() as ops:
                 into = delta_step(nfa, source, a)
@@ -313,6 +314,32 @@ class TestDeltaStep:
             assert len(set(into)) == len(into)
             assert set(into) == expected
             assert charged == len(source) + sum(len(targets(nfa, q, a)) for q in source)
+
+        rng = random.Random(41)
+        for _ in range(300):
+            nfa = corpus_automaton(rng)
+            a = rng.randrange(nfa.symbol_count)
+            order = list(range(nfa.state_count))
+            rng.shuffle(order)
+            check(nfa, order[: rng.randint(0, nfa.state_count)], a)
+        probes = {"below": 0, "between": 0, "at": 0, "above": 0}
+        for _ in range(4):
+            nfa = wide_row_automaton(rng)
+            assert nfa.kernel == "list"
+            assert 15 <= min(map(len, nfa.adjacency)) <= max(map(len, nfa.adjacency)) <= 50
+            for _ in range(8):
+                source = rng.sample(range(nfa.state_count), rng.choice((1, rng.randint(0, 30))))
+                for a in range(nfa.symbol_count):
+                    check(nfa, source, a)
+                    if len(source) == 1:
+                        symbols = [b for b, _ in nfa.adjacency[source[0]]]
+                        if a < symbols[0]:
+                            probes["below"] += 1
+                        elif a > symbols[-1]:
+                            probes["above"] += 1
+                        else:
+                            probes["at" if a in symbols else "between"] += 1
+        assert min(probes.values()) > 0, probes
 
     def test_replay_memory_does_not_grow_with_the_state_count(self):
         """A replay allocates per position only for the states it reaches:
@@ -418,6 +445,22 @@ def test_random_automaton_rejects_negative_transition_count():
     with pytest.raises(ValueError) as excinfo:
         random_automaton(random.Random(3), 2, 1, -1)
     assert str(excinfo.value) == "transitions must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 62])
+def test_random_automaton_rejects_state_counts_whose_triples_overflow(symbols):
+    # The triples are sampled from a range of states^2 * symbols codes, and
+    # no range longer than sys.maxsize can be sampled: the limit that the
+    # message names is the largest state count that fits, and any larger
+    # one is refused before the generator draws anything.
+    limit = math.isqrt(sys.maxsize // symbols)
+    assert limit * limit * symbols <= sys.maxsize < (limit + 1) ** 2 * symbols
+    for states in (limit + 1, sys.maxsize):
+        rng = random.Random(3)
+        with pytest.raises(AutomatonError) as excinfo:
+            random_automaton(rng, states, symbols, 5)
+        assert str(excinfo.value) == f"states must be at most {limit} for {symbols} symbols, got {states}"
+        assert rng.getstate() == random.Random(3).getstate()
 
 
 @pytest.mark.parametrize(

@@ -452,6 +452,7 @@ class TestBench:
             ("3,0,3", "symbols must be in 1..62, got 0"),
             ("3,63,3", "symbols must be in 1..62, got 63"),
             ("3,2,-1", "transitions must be non-negative, got -1"),
+            ("3037000500,2,5", "states must be at most 2147483647 for 2 symbols, got 3037000500"),
         ]:
             code, out, err = run(capsys, "bench", "--random", spec, "--length", "2")
             assert (code, out, err) == (2, "", f"error: {message}\n"), spec

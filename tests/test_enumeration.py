@@ -33,6 +33,7 @@ from helpers import (
     start_run,
     tables_snapshot,
     targets,
+    wide_row_automaton,
     word_from_str,
 )
 
@@ -1121,6 +1122,56 @@ def test_list_search_charge_does_not_depend_on_set_order():
             pivots += found is not None and found[1] == 0
         assert all(len(seen) == 1 for seen in outcomes.values()), outcomes
     assert pivots >= 20, pivots
+
+
+def test_least_letter_on_wide_rows_matches_a_reference():
+    """On list-kernel automata whose rows hold 15 to 50 pairs, for every lo
+    in 0..|Sigma|, the list kernel's live test returns the least symbol >= lo
+    on which a state of the set has a target in the live set, or None. It
+    charges |set| plus 1 + |targets| for each pair walked: each state's
+    pairs from its first at or above lo to its first with a live target, or
+    to the end of its row."""
+    rng = random.Random(61)
+    for _ in range(3):
+        nfa = wide_row_automaton(rng)
+        assert nfa.kernel == "list"
+        n = nfa.state_count
+        lives = [frozenset(), *precompute(nfa, 2).live]
+        lives += [frozenset(rng.sample(range(n), k)) for k in (1, 3, 10)]
+        for _ in range(4):
+            states = set(rng.sample(range(n), rng.randint(0, 8)))
+            for live in lives:
+                for lo in range(nfa.symbol_count + 1):
+                    hits = [a for q in states for a, into in nfa.adjacency[q] if a >= lo and live & set(into)]
+                    charge = len(states)
+                    for q in states:
+                        walked = [into for a, into in nfa.adjacency[q] if a >= lo]
+                        last = next((i for i, into in enumerate(walked) if live & set(into)), len(walked) - 1)
+                        charge += sum(1 + len(into) for into in walked[: last + 1])
+                    with counting() as ops:
+                        assert enumeration._least_letter(states, lo, live, nfa.adjacency) == min(hits, default=None)
+                        assert ops.ops == charge
+
+
+_TWO_LOOPS = build_nfa("a", 2, [0, 1], [0, 1], [(0, "a", 0), (1, "a", 1)])
+
+
+@pytest.mark.parametrize(
+    "nfa, length, gaps",
+    [
+        (_TWO_LOOPS, 8, [92, 16]),
+        (_TWO_LOOPS, 64, [764, 128]),
+        (build_nfa("a", 100, range(100), [1], [(0, "a", 1)]), 1, [103, 1]),
+    ],
+    ids=["two-loops-l8", "two-loops-l64", "100-initial-l1"],
+)
+def test_list_kernel_gaps_quoted_by_the_cursor(nfa, length, gaps):
+    """The list-kernel gaps that CrossSectionCursor's docstring quotes, as
+    measure_delays records them: the one word a^length, then EXHAUSTED."""
+    assert nfa.kernel == "list"
+    records = measure_delays(nfa, length).records
+    assert [r.word for r in records] == [(0,) * length, EXHAUSTED]
+    assert [r.op_count for r in records] == gaps
 
 
 def test_only_the_first_word_goes_through_min_word(monkeypatch):
