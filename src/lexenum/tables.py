@@ -30,15 +30,20 @@ Each state's predecessors are listed once, with level 0, in O(|Q| +
 with an ``a``-transition into ``t``. Level k+1 visits the predecessor entries
 of L(k)'s states, at most #transitions, and on the bit kernel ORs the ``pm``
 masks of its live states, |alphabet| ORs of ceil(|Q|/64) words per live
-state, which the kernel test keeps within 2 * #transitions. Once L(k+1)
-equals L(k), the tables have settled: every later level is that level, so it
-appends the same objects in O(1) time and memory, and the predecessor lists
-and masks are dropped. So building levels ``0 .. length`` costs O(|Q| +
-length * #transitions) at worst, and O(|Q| + s * #transitions + length) when
-the tables settle at level s; a radix length in which few states are live
-costs their predecessors, not |Q| rows. The tables hold O(s * |Q| + length)
-entries. With the automaton's layout, O(|alphabet| + |Q| + #transitions),
-that is the whole preprocessing.
+state, which the kernel test keeps within 2 * #transitions. L(k+1) is a
+function of L(k) alone, so once a live set repeats, L(j+p) = L(j) for the
+first such j and p, every later level repeats with period p: level k >= j+p
+is level k-p, so it appends the same objects in O(1) time and memory, and the
+predecessor lists and masks are dropped. Each level's live set is looked up
+in a dict from live set to the first level that had it, in O(|L(k)|), until
+the first repeat. Settling, L(k+1) = L(k), is the period-1 case; live sets
+that cycle without settling, as in a unary 2-cycle, repeat with a longer
+period. So building levels ``0 .. length`` costs O(|Q| + length *
+#transitions) at worst, and O(|Q| + (j+p) * #transitions + length) when a
+live set repeats first at level j+p; a radix length in which few states are
+live costs their predecessors, not |Q| rows. The tables hold O((j+p) * |Q| +
+length) entries. With the automaton's layout, O(|alphabet| + |Q| +
+#transitions), that is the whole preprocessing.
 """
 
 from __future__ import annotations
@@ -62,12 +67,14 @@ class MinWordTables:
 
     ``live[k]`` is level k's live set, a frozenset; on the bit kernel each
     level also gets its ``pred_masks`` entry, built in full before the level
-    is appended. Once a level's live set equals the one below it, the tables
-    have settled: every later level is that level, so it holds the same
-    ``live`` and ``pred_masks`` objects, and the predecessor lists and masks
-    are dropped.
+    is appended. Once a level's live set equals an earlier level's, L(j+p) =
+    L(j), the live sets repeat with period :attr:`period`: every level k >=
+    j+p is level k-p, so it holds the same ``live`` and ``pred_masks``
+    objects, and the predecessor lists and masks are dropped. A level equal
+    to the one below it, p = 1, is a settled level.
 
-    The predecessor lists and masks (None once the tables have settled) are
+    The predecessor lists and masks, and the dict from each live set to the
+    first level that had it (all None once a live set has repeated), are
     private to the tables and only :meth:`add_level` reads them.
 
     ``fill_ops`` records how many predecessor entries the levels above 0
@@ -75,7 +82,7 @@ class MinWordTables:
     can check that bound.
     """
 
-    __slots__ = ("nfa", "live", "pred_masks", "fill_ops", "_pred", "_pm")
+    __slots__ = ("nfa", "live", "pred_masks", "fill_ops", "_pred", "_pm", "_first", "_period")
 
     def __init__(self, nfa: Nfa):
         """Level 0: the final states, which accept the empty word.
@@ -101,7 +108,8 @@ class MinWordTables:
                     into, bit = pm[a], 1 << q
                     for t in targets:
                         into[t] |= bit
-        # Dropped, set to None, once the tables have settled, as is pm.
+        # Dropped, set to None, once a live set has repeated, as are pm and
+        # _first.
         # Copied into tuples, which take less memory than the lists: without
         # the copy, dict-radix's peak_rss_mb rose from 18.70 to 18.82 MB,
         # worse in 10 of 10 perfbench pairs (parent IQR 0.09 MB), and its
@@ -111,6 +119,8 @@ class MinWordTables:
         self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
         self._pm: Optional[list[list[int]]] = pm
         self.live = [frozenset(nfa.final_states)]
+        self._first: Optional[dict[frozenset, int]] = {self.live[0]: 0}
+        self._period = 0
         self.pred_masks: Optional[list[list[int]]] = None
         if pm is not None:
             self.pred_masks = [self._masks_into(self.live[0])]
@@ -123,38 +133,41 @@ class MinWordTables:
 
         The new live set is the union of the predecessors of the states of
         ``live[length]``: each has a transition into a state live at level
-        ``length`` and no other state has one. If it equals ``live[length]``,
-        the tables have settled, the predecessor lists and masks are dropped,
-        and the level is appended as a settled one. Otherwise it is appended,
-        with its masks on the bit kernel, charged one unit per predecessor
-        entry visited and per state of the new set, plus what its masks are
-        charged.
+        ``length`` and no other state has one. If no earlier level has that
+        set, it is appended, with its masks on the bit kernel, charged one
+        unit per predecessor entry visited and per state of the new set, plus
+        what its masks are charged. If level j has it, the live sets repeat
+        from j with period ``length + 1 - j``: the predecessor lists and
+        masks are dropped, and the level is charged the same visit and
+        states and appended as a level past the repeat is.
 
-        Once the tables have settled, the new level is level ``length``: its
-        ``live`` set and, on the bit kernel, its ``pred_masks`` list are
-        appended as they are, the same objects, and the level is charged one
-        unit.
+        Once a live set has repeated with period p, the new level is level
+        ``length + 1 - p``: its ``live`` set and, on the bit kernel, its
+        ``pred_masks`` list are appended as they are, the same objects, and
+        the level is charged one unit.
         """
-        live, pred = self.live, self._pred
-        if pred is not None:
-            below = live[-1]
-            preds = list(map(pred.__getitem__, below))
+        live, first = self.live, self._first
+        if first is not None:
+            preds = list(map(self._pred.__getitem__, live[-1]))
             level = frozenset().union(*preds)
             visited = sum(map(len, preds))
             self.fill_ops += visited
             if _ops.enabled:
                 _ops.ops += visited + len(level)
-            if level != below:
+            k = first.setdefault(level, len(live))
+            if k == len(live):
                 # The masks first: ``length`` counts the live sets, so a
                 # level is visible only once it is whole.
                 if self._pm is not None:
                     self.pred_masks.append(self._masks_into(level))
                 live.append(level)
                 return
-            self._pred = self._pm = None
+            self._period = len(live) - k
+            self._pred = self._pm = self._first = None
+        p = self._period
         # pred_masks is None on the list kernel.
         for rows in filter(None, (self.pred_masks, live)):
-            rows.append(rows[-1])
+            rows.append(rows[-p])
         if _ops.enabled:
             _ops.ops += 1
 
@@ -165,6 +178,13 @@ class MinWordTables:
         if _ops.enabled:
             _ops.ops += len(self._pm) * len(live) * -(-self.nfa.state_count // 64)
         return [reduce(or_, map(into.__getitem__, live), 0) for into in self._pm]
+
+    @property
+    def period(self) -> int:
+        """The period p of the live sets once one has repeated, L(j+p) =
+        L(j) with j+p <= ``length``; 0 until then. 1 once the tables have
+        settled."""
+        return self._period
 
     @property
     def length(self) -> int:

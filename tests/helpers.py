@@ -34,6 +34,24 @@ def make_a1() -> Nfa:
     )
 
 
+# Unary automata with F = {0} whose live sets cycle with period 2 and never
+# settle: {0}, {1}, {0}, ... on the 2-cycle (a list-kernel automaton), and
+# {0}, {2, 3}, {0, 1}, {2, 3}, ... on {0, 1} <-> {2, 3} (a bit-kernel one).
+UNARY_2_CYCLE = build_nfa("a", 2, [0], [0], [(0, "a", 1), (1, "a", 0)])
+BIPARTITE_4 = build_nfa(
+    "a", 4, [0], [0], [(p, "a", q) for p in range(4) for q in range(4) if p // 2 != q // 2]
+)
+
+
+def first_repeat(tables) -> int:
+    """j + p: the first level whose live set equals an earlier level's, read
+    off the levels by comparing sets, not from the tables' own bookkeeping;
+    ``tables`` must reach it."""
+    return next(
+        k for k in range(1, tables.length + 1) if tables.live[k] in tables.live[:k]
+    )
+
+
 def corpus_automaton(rng: random.Random) -> Nfa:
     """One small random instance: |Q| in 1..6, |Sigma| in 1..3, any density,
     initial/final sets possibly empty."""

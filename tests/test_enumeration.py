@@ -25,7 +25,10 @@ from lexenum.enumeration import build_run_stack, min_word, next_word
 from lexenum.instrument import counting
 from lexenum.oracle import cross_section_bruteforce, min_words_by_state
 from helpers import (
+    BIPARTITE_4,
+    UNARY_2_CYCLE,
     corpus_automaton,
+    first_repeat,
     kernel_run,
     make_a1,
     mask_states,
@@ -937,19 +940,21 @@ class TestRadix:
         assert list(itertools.islice(radix_words(a1), 0)) == []
 
     def test_liveness_check_charges_each_state_it_reads(self):
-        # Lengths 1-4, 6, 8, 9, 11 and 13 hold no word, but some reachable
-        # state stays live at each, so all 15 lengths are checked. At each,
-        # the check tests the reachable set against the level's live set,
-        # charged the smaller set's size.
-        nfa = compile_regex("(aaaaa|aaaaaaa)*")
+        # An unbounded run of a finite language. Lengths 1-4, 6 and 8-13
+        # hold no word, but some reachable state stays live at each, so
+        # lengths 0-14 are checked and yield a cursor, and the rule fires at
+        # 15, just after the longest word. At each, the check tests the
+        # reachable set against the level's live set, charged the smaller
+        # set's size, on top of the reachable-state pass.
+        nfa = compile_regex("aaaaa|aaaaaaa|aaaaaaaaaaaaaa")
         with counting() as counter:
-            words = list(radix_words(nfa, max_length=14))
+            words = list(radix_words(nfa))
             radix_total = counter.ops
-            tables = precompute(nfa, 14)
+            tables = precompute(nfa, 15)
             for length in range(15):
                 list(CrossSectionCursor(nfa, length, tables))
             parts = counter.ops - radix_total
-        assert [len(w) for w in words] == [0, 5, 7, 10, 12, 14]
+        assert [len(w) for w in words] == [5, 7, 14]
         reachable = list(nfa.initial)
         for q in reachable:
             for _, targets in nfa.adjacency[q]:
@@ -957,11 +962,116 @@ class TestRadix:
         visited = sum(1 + len(t) for q in reachable for _, t in nfa.adjacency[q])
         parts += nfa.state_count + visited
         reads = []
-        for length in range(15):
+        for length in range(16):
             live = sum(w is not None for w in min_words_by_state(nfa, length))
             reads.append(min(len(reachable), live))
         assert len(set(reads)) > 1
+        assert reads[-1] == 0
         assert radix_total - parts == sum(reads)
+
+    @pytest.mark.parametrize(
+        "nfa,max_length,built,period",
+        [
+            (compile_regex("(aaaaa|aaaaaaa)*"), 14, 14, 0),
+            (compile_regex("(aaaaa|aaaaaaa)*"), 40, 31, 1),
+            (UNARY_2_CYCLE, 9, 2, 2),
+        ],
+        ids=["below-the-repeat", "past-the-repeat", "unary-2-cycle"],
+    )
+    def test_bounded_stop_rule_charges_the_initial_set_per_built_level(
+        self, nfa, max_length, built, period
+    ):
+        # A bounded run builds its levels before its first cursor, up to
+        # max_length or the first repeated live set: (aaaaa|aaaaaaa)*'s
+        # live sets settle at level 31, the 2-cycle's repeat at level 2. It
+        # tests the initial set against each built level's live set,
+        # charged the smaller set's size, and makes no reachable-state
+        # pass. Each run yields every length up to max_length, since the
+        # last built level or a level of the cycle meets the initial set;
+        # the levels past the repeat are appended as their cursors are
+        # taken, one unit each, as precompute appends them.
+        with counting() as counter:
+            cursors = radix_cursors(nfa, max_length)
+            first = next(cursors)
+            assert first.tables.length == built
+            words = [w for cursor in itertools.chain([first], cursors) for w in cursor]
+            radix_total = counter.ops
+            tables = precompute(nfa, max_length)
+            for length in range(max_length + 1):
+                list(CrossSectionCursor(nfa, length, tables))
+            parts = counter.ops - radix_total
+        assert first.tables.length == max_length
+        assert first.tables.period == tables.period == period
+        expected = [w for k in range(max_length + 1) for w in cross_section_bruteforce(nfa, k)]
+        assert words == expected
+        reads = [min(len(nfa.initial), len(live)) for live in tables.live[: built + 1]]
+        assert radix_total - parts == sum(reads)
+
+    def test_bounded_runs_match_the_oracle_through_the_repeat(self):
+        # A bounded run stops by the initial set at the last level that
+        # meets it, or at max_length when a level of the cycle does. Check it
+        # at m in {0, 1, j+p-1, j+p, 3(j+p)}, around and past the first
+        # repeat L(j+p) = L(j), where the oracle's candidates stay few.
+        edge = [
+            UNARY_2_CYCLE,
+            BIPARTITE_4,
+            compile_regex("(aa)*b"),
+            # State 2 accepts words of every length but is unreachable.
+            build_nfa("ab", 3, [0], [1], [(0, "a", 1), (2, "b", 2), (2, "a", 1)]),
+            build_nfa("ab", 1, [0], [], [(0, "a", 0)]),
+            build_nfa("a", 1, [0], [0], []),
+            build_nfa("a", 0, [], [], []),
+        ]
+        rng = random.Random(97)
+        corpus = [corpus_automaton(rng) for _ in range(300)]
+        periods = []
+        for nfa in edge + corpus:
+            repeat = first_repeat(precompute(nfa, 2**nfa.state_count))
+            periods.append(precompute(nfa, repeat).period)
+            for m in sorted({0, 1, repeat - 1, repeat, 3 * repeat}):
+                if m > 1 and nfa.symbol_count**m > 10**4:
+                    continue
+                expected = [w for k in range(m + 1) for w in cross_section_bruteforce(nfa, k)]
+                assert list(radix_words(nfa, m)) == expected, (nfa, m)
+        assert periods[:3] == [2, 2, 2]
+        assert sum(p > 1 for p in periods[len(edge):]) >= 3
+        assert {nfa.kernel for nfa in corpus} == {"list", "bit"}
+
+    def test_a_bounded_run_builds_no_level_after_its_first_word(self):
+        # A finite dictionary on the list kernel: the run builds levels up
+        # to the first repeated live set, the empty set at levels 9 and
+        # 10, before its first cursor, and no gap after the first word
+        # builds one or visits a predecessor entry.
+        rng = random.Random(61)
+        words = {
+            "".join(rng.choice("abcdefgh") for _ in range(length))
+            for length in range(3, 9)
+            for _ in range(12)
+        }
+        nfa = compile_regex("|".join(sorted(words)))
+        assert nfa.kernel == "list"
+        cursors = radix_cursors(nfa, 12)
+        first = next(cursors)
+        tables = first.tables
+        taken, after_first = [], None
+        for cursor in itertools.chain([first], cursors):
+            for word in cursor:
+                taken.append(nfa.format_word(word))
+                after_first = after_first or (tables.length, tables.fill_ops)
+        assert taken == sorted(words, key=lambda w: (len(w), w))
+        assert after_first == (tables.length, tables.fill_ops)
+        assert (tables.length, tables.period) == (10, 1)
+
+    @pytest.mark.parametrize(
+        "pattern,expected,repeat", [("(aa)*", ["", "aa", "aaaa"], 2), ("(a|b)*", ["", "a", "b"], 1)]
+    )
+    def test_a_far_bound_builds_levels_only_to_the_first_repeat(self, pattern, expected, repeat):
+        # With max_length = 10**9 the run builds levels only up to the
+        # first repeated live set, so a prefix of it comes out at once.
+        nfa = compile_regex(pattern)
+        words = itertools.islice(radix_words(nfa, 10**9), 3)
+        assert [nfa.format_word(w) for w in words] == expected
+        assert next(radix_cursors(nfa, 10**9)).tables.length == repeat
 
     def test_order_is_radix(self):
         rng = random.Random(53)

@@ -21,8 +21,11 @@ from lexenum.enumeration import min_word
 from lexenum.instrument import counting
 from lexenum.oracle import min_words_by_state
 from helpers import (
+    BIPARTITE_4,
+    UNARY_2_CYCLE,
     assert_tables_match_full_scan,
     corpus_automaton,
+    first_repeat,
     nested_scaling_family,
     start_run,
     tables_snapshot,
@@ -166,15 +169,6 @@ def test_frontier_fill_equals_full_scan_on_a_seeded_corpus():
         assert_tables_match_full_scan(precompute(nfa, rng.randint(0, 12)))
 
 
-# Unary automata with F = {0} whose live sets alternate forever and never
-# settle: {0}, {1}, {0}, ... on the 2-cycle, and {0}, {2, 3}, {0, 1},
-# {2, 3}, ... on {0, 1} <-> {2, 3}.
-UNARY_2_CYCLE = build_nfa("a", 2, [0], [0], [(0, "a", 1), (1, "a", 0)])
-BIPARTITE_4 = build_nfa(
-    "a", 4, [0], [0], [(p, "a", q) for p in range(4) for q in range(4) if p // 2 != q // 2]
-)
-
-
 @pytest.mark.parametrize(
     "nfa,length,kernel",
     [
@@ -272,6 +266,64 @@ def test_a_settled_level_charges_one_unit_and_fills_nothing():
         tables.add_level()
         assert counter.ops == 1
     assert tables.fill_ops == fill
+
+
+@pytest.mark.parametrize(
+    "nfa,period",
+    [
+        (UNARY_2_CYCLE, 2),
+        (BIPARTITE_4, 2),
+        (compile_regex("(a|b)*"), 1),
+        (compile_regex("(aa)*b"), 2),
+        (random_automaton(random.Random(2), 500, 4, 3000, 50, 50), 1),
+    ],
+    ids=["unary-2-cycle", "bipartite-4", "(a|b)*", "(aa)*b", "random-500"],
+)
+def test_levels_past_the_first_repeat_are_the_levels_one_period_below(nfa, period):
+    # Level k + 1 is a function of live[k], so once L(j+p) = L(j) the live
+    # sets repeat with period p. period reads 0 until the tables reach level
+    # j+p and p from then on. Every level from j+p on is level k - p: the
+    # same live set and, on the bit kernel, mask list objects, not copies.
+    # The levels still equal a full scan's up to 3(j+p).
+    repeat = first_repeat(precompute(nfa, 16))
+    assert precompute(nfa, repeat - 1).period == 0
+    tables = precompute(nfa, 3 * repeat)
+    assert tables.period == period
+    for k in range(repeat, 3 * repeat + 1):
+        assert tables.live[k] is tables.live[k - period]
+        if tables.pred_masks is not None:
+            assert tables.pred_masks[k] is tables.pred_masks[k - period]
+    assert_tables_match_full_scan(tables)
+
+
+def test_a_repeat_of_period_two_charges_as_a_settled_level_does():
+    # BIPARTITE_4's live sets are {0}, {2, 3}, {0, 1}, {2, 3}, ...: level 3
+    # visits the 4 predecessor entries of {0, 1} and finds level 1's set,
+    # so it pays for the visit and its 2 states, builds no masks, and is
+    # appended for one unit as every later level is.
+    tables = precompute(BIPARTITE_4, 2)
+    assert tables.period == 0
+    fill = tables.fill_ops
+    with counting() as counter:
+        tables.add_level()
+        assert tables.fill_ops - fill == 4
+        assert counter.ops == 4 + 2 + 1
+    assert tables.period == 2
+    assert tables.live[3] is tables.live[1]
+    assert tables.pred_masks[3] is tables.pred_masks[1]
+    fill = tables.fill_ops
+    with counting() as counter:
+        tables.add_level()
+        assert counter.ops == 1
+    assert tables.fill_ops == fill
+    assert tables.live[4] is tables.live[2]
+
+
+def test_fill_work_stops_at_the_first_repeat():
+    # (aa)*'s live sets alternate from level 0: no level past level 2
+    # visits a predecessor entry, however long the tables.
+    nfa = compile_regex("(aa)*")
+    assert precompute(nfa, 10**6).fill_ops == precompute(nfa, 10).fill_ops == 3
 
 
 def test_settled_tables_take_constant_memory_per_level():
