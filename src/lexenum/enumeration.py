@@ -416,10 +416,9 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     """Yield the language in radix order: shorter first, ties lexicographic.
 
     The words of :func:`radix_cursors`' cursors, one after another. A prefix
-    of the run is :func:`itertools.islice` of it, which without
-    ``max_length`` builds no level beyond the last word taken; with it, the
-    levels up to ``max_length`` or the first repeated live set are built
-    before the first word.
+    of the run is :func:`itertools.islice` of it, which builds no level
+    beyond the last word taken but those :func:`radix_cursors` builds before
+    the first word when ``max_length`` is given.
     """
     return chain.from_iterable(radix_cursors(nfa, max_length))
 
@@ -432,65 +431,54 @@ def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossS
     a bool); since this is a generator, a bad one raises :class:`ValueError`
     on the first ``next``, and so does :func:`radix_words`' iterator.
 
-    With ``max_length``, the levels are built before the first cursor, up to
-    ``max_length`` or the first repeated live set
-    (:attr:`MinWordTables.period`); a later level is appended, in O(1), only
-    when its cursor is taken. A length-k word exists iff the initial set
-    meets ``live[k]``, tested once per built level and charged the smaller
-    set's size. The run ends at ``max_length`` if a level of the cycle meets
-    the initial set, and otherwise at the last built level that does.
+    With ``max_length``, levels are built before the first cursor, up to
+    ``max_length``, the first repeated live set
+    (:attr:`MinWordTables.period`), or the level at which the predecessor
+    entries visited (``fill_ops``) reach |Q| + #transitions, whichever comes
+    first. However far the repeat, those levels visit fewer than |Q| + 2 *
+    #transitions entries, of the order of the predecessor lists they are
+    built from. Any other level is built when its cursor is taken, so a run
+    that stops taking cursors builds no further level; past the repeat that
+    is O(1).
 
-    Without ``max_length``, each level is built when its cursor is taken, so
-    a run that stops taking cursors builds no further level. The run stops
-    at the first length k at which no state reachable from the initial set
-    accepts a length-k word, tested against ``live[k]`` and charged the
-    smaller set's size; the reachable states are collected once, charged
-    |Q| plus one unit per adjacency pair and per target visited. The rule is
-    exact: a reachable state accepting a longer word reaches, after the
-    extra letters, one accepting a length-k word, and every accepted word of
-    length >= k runs through one, so the rule fires on a finite language
-    just after its longest word and never on an infinite one.
+    The run stops at ``max_length`` or at the first length k at which no
+    state reachable from the initial set accepts a length-k word, tested
+    against ``live[k]`` and charged the smaller set's size; the reachable
+    states are collected once, charged |Q| plus one unit per adjacency pair
+    and per target visited. The rule is exact: a reachable state accepting a
+    longer word reaches, after the extra letters, one accepting a length-k
+    word, and every accepted word of length >= k runs through one, so the
+    rule fires on a finite language just after its longest word and never
+    on an infinite one. A length with no word but before that one still
+    gets its cursor, which yields nothing.
     """
     if max_length is not None:
         check_length(max_length)
     tables = precompute(nfa, 0)
-    reachable = None
-    if max_length is None:
-        lengths = count()
-        # One pass over the adjacency lists; iterating the list also visits
-        # the states appended while it runs.
-        queue = list(nfa.initial)
-        reachable = set(queue)
-        visited = 0
-        for q in queue:
-            for _, targets in nfa.adjacency[q]:
-                visited += 1 + len(targets)
-                for t in targets:
-                    if t not in reachable:
-                        reachable.add(t)
-                        queue.append(t)
-        if _ops.enabled:
-            _ops.ops += nfa.state_count + visited
-    else:
-        while tables.length < max_length and not tables.period:
+    if max_length is not None:
+        budget = nfa.state_count + nfa.transition_count
+        while tables.length < max_length and not tables.period and tables.fill_ops < budget:
             tables.add_level()
-        initial = nfa.initial
-        lives = tables.live
-        last = max((k for k, live in enumerate(lives) if not live.isdisjoint(initial)), default=-1)
-        if _ops.enabled:
-            _ops.ops += sum(min(len(initial), len(live)) for live in lives)
-        # Once a live set has repeated, the last ``period`` levels are one
-        # whole cycle.
-        if tables.period and last > tables.length - tables.period:
-            last = max_length
-        lengths = range(last + 1)
-    for length in lengths:
+    # One pass over the adjacency lists; iterating the list also visits the
+    # states appended while it runs.
+    queue = list(nfa.initial)
+    reachable = set(queue)
+    visited = 0
+    for q in queue:
+        for _, targets in nfa.adjacency[q]:
+            visited += 1 + len(targets)
+            for t in targets:
+                if t not in reachable:
+                    reachable.add(t)
+                    queue.append(t)
+    if _ops.enabled:
+        _ops.ops += nfa.state_count + visited
+    for length in count() if max_length is None else range(max_length + 1):
         if length > tables.length:
             tables.add_level()
-        if reachable is not None:
-            live = tables.live[length]
-            if _ops.enabled:
-                _ops.ops += min(len(reachable), len(live))
-            if reachable.isdisjoint(live):
-                return
+        live = tables.live[length]
+        if _ops.enabled:
+            _ops.ops += min(len(reachable), len(live))
+        if reachable.isdisjoint(live):
+            return
         yield CrossSectionCursor(nfa, length, tables)

@@ -18,9 +18,8 @@ builds the least words of :func:`~lexenum.enumeration.min_word`, the list
 kernel's walks in :func:`~lexenum.enumeration._least_letter` and one AND
 per symbol tried on the bit kernel, plus ``min_word``'s test for the empty
 word; and :func:`~lexenum.enumeration.radix_cursors` for a radix run's
-stop tests: with ``max_length``, ``min(|initial|, |live|)`` per level built
-before the first cursor; without it, the reachable-state pass and
-``min(|reachable|, |live|)`` per length.
+liveness checks, the reachable-state pass and ``min(|reachable|, |live|)``
+per length.
 
 The core modules funnel every increment through the single ``ops`` object
 below, and :func:`counting` turns it on for a block. Blocks nest: what an

@@ -970,48 +970,62 @@ class TestRadix:
         assert radix_total - parts == sum(reads)
 
     @pytest.mark.parametrize(
-        "nfa,max_length,built,period",
+        "nfa,max_length,built,last",
         [
-            (compile_regex("(aaaaa|aaaaaaa)*"), 14, 14, 0),
-            (compile_regex("(aaaaa|aaaaaaa)*"), 40, 31, 1),
-            (UNARY_2_CYCLE, 9, 2, 2),
+            (compile_regex("(aaaaa|aaaaaaa)*"), 13, 10, 13),
+            (compile_regex("(aaaaa|aaaaaaa)*"), 40, 10, 40),
+            (UNARY_2_CYCLE, 9, 2, 9),
+            (BIPARTITE_4, 9, 3, 9),
+            (compile_regex("aaaaa|aaaaaaa|aaaaaaaaaaaaaa"), 20, 16, 14),
         ],
-        ids=["below-the-repeat", "past-the-repeat", "unary-2-cycle"],
+        ids=["budget-13", "budget-40", "unary-2-cycle", "bipartite-4", "finite"],
     )
-    def test_bounded_stop_rule_charges_the_initial_set_per_built_level(
-        self, nfa, max_length, built, period
+    def test_a_bounded_run_charges_its_levels_and_the_reachable_rule(
+        self, nfa, max_length, built, last
     ):
-        # A bounded run builds its levels before its first cursor, up to
-        # max_length or the first repeated live set: (aaaaa|aaaaaaa)*'s
-        # live sets settle at level 31, the 2-cycle's repeat at level 2. It
-        # tests the initial set against each built level's live set,
-        # charged the smaller set's size, and makes no reachable-state
-        # pass. Each run yields every length up to max_length, since the
-        # last built level or a level of the cycle meets the initial set;
-        # the levels past the repeat are appended as their cursors are
-        # taken, one unit each, as precompute appends them.
+        # Before its first cursor, a bounded run builds levels up to
+        # max_length, the first repeated live set (level 2 on the 2-cycle,
+        # 3 on BIPARTITE_4, 16 on the finite language, whose empty set
+        # repeats) or the level whose predecessor visits reach |Q| +
+        # #transitions: 29 for (aaaaa|aaaaaaa)*, passed at level 10, so its
+        # later levels are built as their cursors are taken. Its stop rule
+        # is the unbounded run's: a cursor for every length up to
+        # max_length, the empty lengths of an infinite language included,
+        # or up to just before the first length no reachable state accepts.
+        # It is charged what precompute charges for the same levels, plus
+        # the reachable-state pass and min(|reachable|, |live[k]|) per
+        # length checked.
         with counting() as counter:
             cursors = radix_cursors(nfa, max_length)
             first = next(cursors)
-            assert first.tables.length == built
-            words = [w for cursor in itertools.chain([first], cursors) for w in cursor]
+            tables = first.tables
+            assert tables.length == built
+            budget = nfa.state_count + nfa.transition_count
+            assert tables.period or tables.fill_ops >= budget
+            taken = [first, *cursors]
+            words = [w for cursor in taken for w in cursor]
             radix_total = counter.ops
-            tables = precompute(nfa, max_length)
-            for length in range(max_length + 1):
-                list(CrossSectionCursor(nfa, length, tables))
+            own = precompute(nfa, tables.length)
+            for cursor in taken:
+                list(CrossSectionCursor(nfa, cursor.length, own))
             parts = counter.ops - radix_total
-        assert first.tables.length == max_length
-        assert first.tables.period == tables.period == period
+        assert [cursor.length for cursor in taken] == list(range(last + 1))
         expected = [w for k in range(max_length + 1) for w in cross_section_bruteforce(nfa, k)]
         assert words == expected
-        reads = [min(len(nfa.initial), len(live)) for live in tables.live[: built + 1]]
-        assert radix_total - parts == sum(reads)
+        reachable = list(nfa.initial)
+        for q in reachable:
+            for _, targets in nfa.adjacency[q]:
+                reachable.extend(t for t in targets if t not in reachable)
+        visited = sum(1 + len(t) for q in reachable for _, t in nfa.adjacency[q])
+        checked = range(min(last + 1, max_length) + 1)
+        reads = [min(len(reachable), len(tables.live[k])) for k in checked]
+        assert radix_total - parts == nfa.state_count + visited + sum(reads)
 
     def test_bounded_runs_match_the_oracle_through_the_repeat(self):
-        # A bounded run stops by the initial set at the last level that
-        # meets it, or at max_length when a level of the cycle does. Check it
-        # at m in {0, 1, j+p-1, j+p, 3(j+p)}, around and past the first
-        # repeat L(j+p) = L(j), where the oracle's candidates stay few.
+        # A bounded run builds its levels up front to the first repeat
+        # L(j+p) = L(j) and after it appends the levels one period below.
+        # Check it at m in {0, 1, j+p-1, j+p, 3(j+p)}, around and past the
+        # repeat, where the oracle's candidates stay few.
         edge = [
             UNARY_2_CYCLE,
             BIPARTITE_4,
@@ -1038,9 +1052,10 @@ class TestRadix:
         assert {nfa.kernel for nfa in corpus} == {"list", "bit"}
 
     def test_a_bounded_run_builds_no_level_after_its_first_word(self):
-        # A finite dictionary on the list kernel: the run builds levels up
-        # to the first repeated live set, the empty set at levels 9 and
-        # 10, before its first cursor, and no gap after the first word
+        # A finite dictionary on the list kernel: its levels visit each
+        # transition once, within the up-front budget, so the run builds
+        # them up to the first repeated live set, the empty set at levels 9
+        # and 10, before its first cursor, and no gap after the first word
         # builds one or visits a predecessor entry.
         rng = random.Random(61)
         words = {
@@ -1072,6 +1087,27 @@ class TestRadix:
         words = itertools.islice(radix_words(nfa, 10**9), 3)
         assert [nfa.format_word(w) for w in words] == expected
         assert next(radix_cursors(nfa, 10**9)).tables.length == repeat
+
+    def test_a_far_repeat_bounds_the_levels_built_up_front(self):
+        # A union of unary cycles of the primes up to 23: its live sets
+        # repeat with the lcm of the cycle lengths, 223092870, at level
+        # 223092870 at the earliest. The levels built before the first word
+        # stop once their predecessor visits reach |Q| + #transitions, so a
+        # prefix of a run bounded at 10**9 comes out at once, and the
+        # levels its cursors need are then built as they are taken.
+        pattern = "|".join(f"({'a' * p})*" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        nfa = compile_regex(pattern)
+        budget = nfa.state_count + nfa.transition_count
+        cursors = radix_cursors(nfa, 10**9)
+        first = next(cursors)
+        tables = first.tables
+        assert tables.period == 0
+        assert budget <= tables.fill_ops < budget + nfa.transition_count
+        assert tables.length < 30
+        lengths = [len(w) for w in itertools.islice(radix_words(nfa, 10**9), 8)]
+        assert lengths == [0, 2, 3, 4, 5, 6, 7, 8]
+        assert [next(cursors).length for _ in range(40)] == list(range(1, 41))
+        assert tables.length == 40
 
     def test_order_is_radix(self):
         rng = random.Random(53)
