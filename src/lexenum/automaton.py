@@ -171,8 +171,7 @@ def build_nfa(
     # Per symbol, the target bucket of each source state that has one.
     buckets: list[dict[int, list[int]]] = [{} for _ in range(sigma)]
     raw_count = 0
-    for entry in transitions:
-        raw_count += 1
+    for raw_count, entry in enumerate(transitions, 1):
         try:
             src, sym, dst = entry
         except (TypeError, ValueError):
@@ -200,7 +199,7 @@ def build_nfa(
     adjacency: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(state_count)]
     for a, column in enumerate(buckets):
         for src, bucket in column.items():
-            targets = tuple(sorted(set(bucket)))
+            targets = (bucket[0],) if len(bucket) == 1 else tuple(sorted(set(bucket)))
             transition_count += len(targets)
             adjacency[src].append((a, targets))
 

@@ -7,14 +7,18 @@ initial state and state i is the i-th literal of the pattern, so there are
 no epsilon moves and the :class:`Nfa` has one state per literal plus one.
 The position sets are computed during the parse: one recursive-descent
 pass builds no syntax tree, and each rule returns the sets of the part it
-parsed and links its follow sets as it returns. The alphabet is the set of
-literals that occur in the pattern, ordered by code point. Stacked
+parsed and links its follow sets as it returns. A maximal run of plain
+literals is one step: its positions form a chain, appended in bulk, and a
+quantifier after a run takes only its last literal. The alphabet is the
+set of literals that occur in the pattern, ordered by code point. Stacked
 quantifiers collapse (``a+?`` means ``a*``), parentheses nest at most
 :data:`MAX_GROUP_DEPTH` deep, and a pattern may need at most
 :data:`MAX_TRANSITIONS` transitions.
 """
 
 from __future__ import annotations
+
+import re
 
 from .automaton import Nfa, build_nfa
 
@@ -38,6 +42,9 @@ MAX_GROUP_DEPTH = 100
 # n * n + n, so n <= 499.
 MAX_TRANSITIONS = 250_000
 
+# A run of plain literals.
+_RUN = re.compile(r"[^()|*+?]+")
+
 
 class _PositionParser:
     """One pass over a pattern that computes its first, last and follow sets.
@@ -47,21 +54,27 @@ class _PositionParser:
     that the caller may extend. ``looped`` says that the part is a
     repetition, possibly inside groups, whose ``last`` already follows into
     its ``first``; a quantifier stacked on it links nothing more, so
-    ``(x*)+`` adds to the bound what ``x*`` does. Each literal becomes the
-    next position p: its pattern offset is appended to ``offsets`` and an
-    empty set to ``follow``, so both are indexed by p; position 0, the
-    initial state, has no literal.
+    ``(x*)+`` adds to the bound what ``x*`` does. A run of n literals
+    becomes the next positions p .. p+n-1, a chain: their glyphs are
+    appended to ``glyphs`` and the follow sets (p+1,) .. (p+n-1,) and an
+    empty set to ``follow``, so both are indexed by position; position 0,
+    the initial state, has no literal.
     """
 
     def __init__(self, pattern: str):
+        self.pattern = pattern
         # None marks the end, so the rules read one character ahead freely.
         self.chars = [*pattern, None]
         self.pos = 0
         self.depth = 0
-        self.offsets: list = [None]
-        self.follow: list[set[int]] = [set()]
+        self.glyphs: list = [None]
+        self.follow: list = [set()]
         self.bound = 0
-        # Offset of the latest literal when the bound passed the cap. The
+        # The latest run's end offset, and its chain links until the link
+        # into the run, which places the cap (see link).
+        self.run_end = 0
+        self.chain = 0
+        # Offset of the literal at which the bound passed the cap. The
         # parse goes on, linking nothing more, so that a syntax error
         # anywhere in the pattern is reported ahead of the cap.
         self.capped_at = None
@@ -122,27 +135,41 @@ class _PositionParser:
         if ch in ("*", "+", "?"):
             raise RegexSyntaxError(f"nothing to repeat with {ch!r}", self.pos)
         # The end, ')' and '|' end a concatenation and never reach here;
-        # anything else is a literal.
-        self.offsets.append(self.pos)
-        self.follow.append(set())
-        self.pos += 1
-        p = len(self.follow) - 1
-        return False, [p], [p], False
+        # anything else starts a run of literals, positions p .. q. A
+        # quantifier after the run takes its last literal alone.
+        start = self.pos
+        end = _RUN.match(self.pattern, start).end()
+        if end - start > 1 and self.chars[end] in ("*", "+", "?"):
+            end -= 1
+        follow = self.follow
+        p = len(follow)
+        q = p + end - start - 1
+        self.pos = self.run_end = end
+        self.chain = q - p
+        self.bound += q - p
+        self.glyphs += self.pattern[start:end]
+        # No link reaches a literal inside a run, so its follow set stays
+        # the next literal: a 1-tuple, which zip makes in bulk.
+        follow += zip(range(p + 1, q + 1))
+        follow.append(set())
+        return False, [p], [q], False
 
     def link(self, last: list, first: list) -> None:
         """Add ``first`` to the follow set of each position in ``last``.
 
         Adds ``|last| * |first|`` to ``bound`` first. Once ``bound`` passes
-        :data:`MAX_TRANSITIONS`, links nothing more and leaves the latest
-        literal's offset in ``capped_at``. An empty ``first`` costs O(1),
-        so ``(a|b|...)()()...`` stays linear.
+        :data:`MAX_TRANSITIONS`, links nothing more and leaves in
+        ``capped_at`` the offset of the literal at which it passed, taking
+        the link into a run before the run's chain links, one unit each. An
+        empty ``first`` costs O(1), so ``(a|b|...)()()...`` stays linear.
         """
         self.bound += len(last) * len(first)
         if self.bound <= MAX_TRANSITIONS:
             for p in last if first else ():
                 self.follow[p].update(first)
         elif self.capped_at is None:
-            self.capped_at = self.offsets[-1]
+            self.capped_at = self.run_end - 1 - min(self.chain, self.bound - MAX_TRANSITIONS - 1)
+        self.chain = 0
 
 
 def compile_regex(pattern: str) -> Nfa:
@@ -167,9 +194,7 @@ def compile_regex(pattern: str) -> Nfa:
         raise RegexSyntaxError(
             f"pattern may need more than {MAX_TRANSITIONS} transitions", parser.capped_at
         )
-    offsets, follow = parser.offsets, parser.follow
-    transitions = (
-        (p, pattern[offsets[q]], q) for p, targets in enumerate(follow) for q in targets
-    )
-    alphabet = sorted({pattern[i] for i in offsets[1:]})
+    glyphs, follow = parser.glyphs, parser.follow
+    transitions = ((p, glyphs[q], q) for p, targets in enumerate(follow) for q in targets)
+    alphabet = sorted(set(glyphs[1:]))
     return build_nfa(alphabet, len(follow), [0], last + [0] if nullable else last, transitions)

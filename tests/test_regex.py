@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import time
 
@@ -198,6 +199,11 @@ def test_stacked_quantifiers_compile_as_their_collapse(pattern, run, context):
         ("a|*", 2),
         ("a(b", 3),
         ("+", 0),
+        # Errors right after a run of literals.
+        ("abc)", 3),
+        ("abc(", 4),
+        ("abc|*", 4),
+        ("ab(cd", 5),
         pytest.param("(" * 400 + "a" + ")" * 400, MAX_GROUP_DEPTH, id="nested400"),
     ],
 )
@@ -251,6 +257,24 @@ def test_transition_cap_admits_its_bound_and_rejects_beyond():
         with pytest.raises(RegexSyntaxError) as excinfo:
             compile_regex(pattern)
         assert excinfo.value.position == pattern.index(glyphs[n]), form
+    # A run's chain links add 1 each, after the link into its first literal
+    # adds |last|. After the admitted star the bound is n * n and its last
+    # set holds n literals, so the bound passes at the run's literal 501,
+    # counted from 0.
+    star = "(" + "|".join(glyphs[:n]) + ")*"
+    with pytest.raises(RegexSyntaxError) as excinfo:
+        compile_regex(star + "a" * 1000)
+    assert excinfo.value.position == len(star) + 501
+    # With 501 literals the bound reaches the cap; the initial state's link
+    # passes it, after the run, so at the run's last literal.
+    with pytest.raises(RegexSyntaxError) as excinfo:
+        compile_regex(star + "a" * 501)
+    assert excinfo.value.position == len(star) + 500
+    # Here the link into the run's first literal passes it.
+    pattern = "c" * 1200 + "(" + "|".join(glyphs[: n - 1]) + ")*" + "d" * 10
+    with pytest.raises(RegexSyntaxError) as excinfo:
+        compile_regex(pattern)
+    assert excinfo.value.position == pattern.index("d")
 
 
 def test_empty_groups_after_a_wide_alternation_compile_in_linear_time():
@@ -262,6 +286,44 @@ def test_empty_groups_after_a_wide_alternation_compile_in_linear_time():
     nfa = compile_regex("(" + "|".join("a" * n) + ")" + "()" * n)
     assert time.perf_counter() - t0 < 3.0
     assert (nfa.state_count, nfa.transition_count) == (n + 1, n)
+
+
+def _split_runs(pattern):
+    """``pattern`` with ``()`` between every two adjacent literals. An empty
+    group adds no position and no link, so the automaton is the same, but
+    its literals are parsed one at a time."""
+    return re.sub(r"(?<=[^()|*+?])(?=[^()|*+?])", "()", pattern)
+
+
+# Valid patterns with runs of literals, quantified runs among them.
+_RUN_PATTERNS = st.recursive(
+    st.text("abc", max_size=6),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("".join),
+        st.lists(inner, min_size=2, max_size=4).map(lambda bs: "(" + "|".join(bs) + ")"),
+        st.tuples(inner.filter(bool), st.sampled_from(["*", "+", "?", "+?"])).map("".join),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_RUN_PATTERNS)
+def test_runs_compile_as_single_literals(pattern):
+    nfa, split = compile_regex(pattern), compile_regex(_split_runs(pattern))
+    assert nfa == split and nfa.adjacency == split.adjacency, pattern
+
+
+def test_dictionary_runs_compile_as_single_literals():
+    # The shape of perfbench's dict-radix input: 25 random draws of words
+    # per length 3..12 over abcdefgh, one branch per distinct word.
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        words = {"".join(rng.choices("abcdefgh", k=k)) for k in range(3, 13) for _ in range(25)}
+        pattern = "|".join(sorted(words))
+        nfa, split = compile_regex(pattern), compile_regex(_split_runs(pattern))
+        assert nfa == split and nfa.adjacency == split.adjacency, seed
+        assert nfa.state_count == len(pattern) - len(words) + 2, seed
 
 
 def test_radix_over_compiled_pattern():
