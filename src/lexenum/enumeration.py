@@ -14,7 +14,7 @@ memory stays flat no matter how many words are produced. The tables carry
 the automaton they were built for, and a cursor refuses tables of another
 automaton.
 
-There is one search, :func:`next_word`, and it reads one test from the
+There is one search, :func:`_successors`, and it reads one test from the
 tables: whether a set of states reaches, on a symbol, a state that accepts
 a word of some length k, a state of the live set L(k) (see
 :mod:`lexenum.tables`). It retries the positions from the last one, each
@@ -23,9 +23,13 @@ L(k), k the number of letters after it. At the first position that has
 one, the pivot, it steps that symbol and completes the word letter by
 letter, each letter the least symbol on which the set reached so far
 reaches the live set of the letters left after it, and each but the last
-stepped. A set's least word of length k, :func:`min_word`, is the same
-search's successor of a word below every word, retried at its first
-position only.
+stepped. It is a generator: having yielded a word, it resumes from that
+word's run for the next. A cursor makes one and resumes it once per call,
+so its calls bind the search's locals once; :func:`next_word`, the
+one-shot form, takes the first yield of a new one at each call. A set's
+least word of length k, :func:`min_word`, is the same search's successor
+of a word below every word, retried at its first position only, which is
+also how a cursor's generator finds the cursor's first word.
 
 The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run and of the test: a set of states per position on the list kernel, whose
@@ -71,7 +75,8 @@ def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
     which only the last entry is read; ``[start]`` for a start set ``start``
     will do. For ``k > 0`` the word is the successor of a word below every
     length-k word, ``(-1, 0, ..., 0)``, found by :func:`next_word` from the
-    one entry ``run[-1]``: it retries position 0 alone, with every symbol
+    one entry ``run[-1]``, as a cursor's generator finds the cursor's first
+    word without a call of this function: it retries position 0 alone, with every symbol
     above -1, and completes the rest. So each letter is the least symbol on
     which the current set reaches the live set of the letters left after
     it, and every letter but the last is stepped and the set it reaches
@@ -81,7 +86,8 @@ def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
     :func:`next_word`'s. At ``k = 0`` the word is the empty word when
     ``run[-1]`` holds a final state, a test charged one unit per state it
     tests: the smaller of the two sets on the list kernel, every final
-    state on the bit kernel.
+    state on the bit kernel; a cursor of length 0 calls this for its first
+    word.
     """
     if not k:
         source, final = run[-1], tables.live[0]
@@ -215,28 +221,56 @@ def next_word(word: Word, run: list, tables: MinWordTables) -> Optional[tuple[Wo
     and on the bit kernel by one :func:`~lexenum.automaton.mask_image`,
     charged as those charge. So on success ``run`` holds entries ``0 ..
     len(word) - 1`` of the successor's run.
+
+    This is the one-shot form of the search: the first yield of
+    :func:`_successors`, which a cursor resumes for every word instead. A
+    caller of this function, :func:`min_word` included, pays the generator's
+    setup, and on the list kernel the slice of the live sets, at each call.
+    """
+    return next(_successors(word, run, tables), None)
+
+
+def _successors(word: Word, run: list, tables: MinWordTables) -> Iterator[tuple[Word, int]]:
+    """Yield :func:`next_word`'s result, then the successor of that word,
+    and so on, each with its pivot, until the cross-section ends.
+
+    The search of :func:`next_word`, with the same arguments, charges and
+    changes to ``run``, resumed once per word: the kernel's locals are bound
+    once per generator, and after each yield ``run`` holds the yielded
+    word's entries ``0 .. len(word) - 1``, from which the next search starts.
+    So nothing but the generator may change ``run`` between two yields.
+    Whether operations are counted is read once per word, since
+    :func:`~lexenum.instrument.counting` may switch counting on between two.
     """
     nfa = tables.nfa
     length = len(word)
-    held = len(run)
+    i = min(len(run), length)
     if nfa.images is None:
-        lives = tables.live[length::-1]
-        adjacency = nfa.adjacency
-        for i in range(held - 1 if held < length else length - 1, -1, -1):
-            a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
-            if a is not None:
-                break
-        else:
-            return None
-    else:
-        images, pred_masks = nfa.images, tables.pred_masks
-        sigma = len(images)
-        words = -(-nfa.state_count // 64)
+        lives, adjacency = tables.live[length::-1], nfa.adjacency
+        while True:
+            for i in range(i - 1, -1, -1):
+                a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
+                if a is not None:
+                    break
+            else:
+                return
+            del run[i + 1 :]
+            tail = [a]
+            for _ in range(length - i - 1):
+                build_run_stack((a,), nfa, run, lives)
+                a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+                tail.append(a)
+            word = word[:i] + tuple(tail)
+            yield word, i
+            i = length
+    images, pred_masks = nfa.images, tables.pred_masks
+    sigma = len(images)
+    words = -(-nfa.state_count // 64)
+    while True:
         counting = _ops.enabled
         # A while loop, not a range: this is the per-word hot path, and a
         # range here took tiny-stream's cursor from 1.40 to 1.52 us per word
         # in-process (Python 3.11.7, 2-vCPU container).
-        i = held if held < length else length
         while i:
             i -= 1
             source = run[i]
@@ -249,30 +283,27 @@ def next_word(word: Word, run: list, tables: MinWordTables) -> Optional[tuple[Wo
             if a < sigma:
                 break
         else:
-            return None
-    del run[i + 1 :]
-    if i == length - 1:
-        return word[:i] + (a,), i
-    # The completion: every set stepped to meets the live set of the letters
-    # left, so each letter exists and the bit scan needs no bound.
-    tail = [a]
-    if nfa.images is None:
-        for _ in range(length - i - 1):
-            build_run_stack((a,), nfa, run, lives)
-            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
-            tail.append(a)
-    else:
-        for k in range(length - i - 2, -1, -1):
-            source = mask_image(images, source, a)
-            run.append(source)
-            masks = pred_masks[k]
-            a = 0
-            while not source & masks[a]:
-                a += 1
-            if counting:
-                _ops.ops += words * (a + 1)
-            tail.append(a)
-    return word[:i] + tuple(tail), i
+            return
+        del run[i + 1 :]
+        if i == length - 1:
+            word = word[:i] + (a,)
+        else:
+            # The completion: every set stepped to meets the live set of the
+            # letters left, so each letter exists and the scan needs no bound.
+            tail = [a]
+            for k in range(length - i - 2, -1, -1):
+                source = mask_image(images, source, a)
+                run.append(source)
+                masks = pred_masks[k]
+                a = 0
+                while not source & masks[a]:
+                    a += 1
+                if counting:
+                    _ops.ops += words * (a + 1)
+                tail.append(a)
+            word = word[:i] + tuple(tail)
+        yield word, i
+        i = length
 
 
 class CrossSectionCursor:
@@ -283,9 +314,15 @@ class CrossSectionCursor:
     cursor yields what those calls return before :data:`EXHAUSTED`; an
     iterator that has ended stays ended, even after a :meth:`seek`.
 
-    The first call completes the held run's entry 0, the initial set, with
-    :func:`min_word`: ``length`` letter choices and ``length - 1`` steps,
-    O(length * #transitions). On the list kernel entry 0 is the initial set
+    The cursor holds one successor generator (see :func:`next_word`), made
+    by its first call, or by the first call after a :meth:`seek`, and
+    resumed once by every call from then on, so no call but that one sets
+    the search up. For ``length >= 1`` the first word is that generator's
+    first yield, the successor of ``(-1, 0, ..., 0)`` from the held run's
+    entry 0, the initial set: the least word, as :func:`min_word` finds it,
+    for ``length`` letter choices and ``length - 1`` steps, O(length *
+    #transitions). At length 0 the first call tests the initial set with
+    :func:`min_word`. On the list kernel entry 0 is the initial set
     already trimmed to the states live at level ``length``, and building the
     cursor, which tests every initial state for that, costs O(|initial|)
     more: with many more initial states than transitions, the first output
@@ -312,7 +349,7 @@ class CrossSectionCursor:
     ``length - i``, the initial set included, so the searches and the steps
     skip the states that cannot finish the word. The cursor takes the live
     sets that trim its replay from the tables once, when it is set up, and
-    :func:`next_word` takes those that trim its steps at each call.
+    its generator takes those that trim its steps once, when it is made.
 
     ``pivot`` is the first position at which the word the last :meth:`next`
     returned differs from :attr:`current` before that call; after a
@@ -327,10 +364,11 @@ class CrossSectionCursor:
     any number of cursors may run over them concurrently. The owner of the
     tables may append levels meanwhile (:meth:`MinWordTables.add_level`),
     which leaves every level a cursor reads unchanged. A single cursor is not
-    thread-safe but may be moved between threads between calls.
+    thread-safe but may be moved between threads between calls, its
+    generator with it.
     """
 
-    __slots__ = ("nfa", "length", "tables", "pivot", "_last", "_exhausted", "_lives", "_run")
+    __slots__ = ("nfa", "length", "tables", "pivot", "_last", "_lives", "_run", "_search")
 
     def __init__(self, nfa: Nfa, length: int, tables: Optional[MinWordTables] = None):
         check_length(length)
@@ -347,7 +385,9 @@ class CrossSectionCursor:
         self.tables = tables
         self.pivot = 0
         self._last: Optional[Word] = None
-        self._exhausted = False
+        # The successor generator the next call resumes, None until a call
+        # makes it; once it ends, every call returns EXHAUSTED until a seek.
+        self._search: Optional[Iterator[tuple[Word, int]]] = None
         # On the list kernel, the live set that trims each entry of the run:
         # entry i keeps the states live at level length - i.
         self._lives = tables.live[length::-1] if nfa.images is None else None
@@ -362,21 +402,28 @@ class CrossSectionCursor:
         return self._last
 
     def next(self) -> Union[Word, _ExhaustedType]:
-        if self._exhausted:
-            return EXHAUSTED
-        last, run = self._last, self._run
-        if last is None:
-            word, pivot = min_word(self.length, run, self.tables), 0
-        else:
-            if len(run) < self.length:
-                build_run_stack(last[len(run) - 1 : -1], self.nfa, run, self._lives)
-            word, pivot = next_word(last, run, self.tables) or (None, 0)
-        self.pivot = pivot
+        search = self._search
+        if search is None:
+            search = self._search = self._start()
+        word, self.pivot = next(search, (None, 0))
         if word is None:
-            self._exhausted = True
             return EXHAUSTED
         self._last = word
         return word
+
+    def _start(self) -> Iterator[tuple[Word, int]]:
+        """The generator that the calls from here on resume, made when the
+        held run is its entry 0 alone: from there and the word below every
+        word at first, and after a seek from the run of the sought word, but
+        its last letter, replayed here."""
+        last, run = self._last, self._run
+        if last is None:
+            if not self.length:
+                return iter([] if min_word(0, run, self.tables) is None else [((), 0)])
+            last = (-1,) + (0,) * (self.length - 1)
+        else:
+            build_run_stack(last[:-1], self.nfa, run, self._lives)
+        return _successors(last, run, self.tables)
 
     def seek(self, word) -> None:
         """Resume the enumeration just after ``word``.
@@ -385,9 +432,10 @@ class CrossSectionCursor:
         (not bools or other int subclasses) in ``0 .. |alphabet| - 1``, but
         need not be accepted: the following :meth:`next` yields the least
         member of the cross-section greater than ``word``, or
-        :data:`EXHAUSTED` when there is none. The held run is cut back to
-        its entry 0, the initial set (trimmed on the list kernel), so that
-        call replays ``word`` from position 0.
+        :data:`EXHAUSTED` when there is none. The cursor drops its
+        generator, and the held run is cut back to its entry 0, the initial
+        set (trimmed on the list kernel), so that call replays ``word`` from
+        position 0 and makes a new generator from there.
         """
         word = tuple(word)
         if len(word) != self.length:
@@ -399,7 +447,7 @@ class CrossSectionCursor:
             if not 0 <= a < sigma:
                 raise ValueError(f"symbol id {a!r} out of range")
         self._last = word
-        self._exhausted = False
+        self._search = None
         self.pivot = 0
         del self._run[1:]
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 import string
 
-from lexenum import Nfa, build_nfa, random_automaton
+from lexenum import EXHAUSTED, Nfa, build_nfa, random_automaton
 from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
+from lexenum.enumeration import _least_letter, build_run_stack, min_word
+from lexenum.instrument import ops as _ops
 
 
 def targets(nfa: Nfa, state: int, symbol_id: int) -> tuple[int, ...]:
@@ -227,3 +229,106 @@ def serialize_automaton(nfa: Nfa) -> str:
             for t in targets:
                 lines.append(f"{q} {nfa.alphabet[a]} {t}")
     return "\n".join(lines) + "\n"
+
+
+def reference_next_word(word, run, tables):
+    """Reference for the successor search, written as one plain function
+    that binds the kernel's locals, and on the list kernel slices the live
+    sets, at every call: the same arguments, result, changes to ``run`` and
+    charges as :func:`lexenum.enumeration.next_word`."""
+    nfa = tables.nfa
+    length = len(word)
+    held = len(run)
+    if nfa.images is None:
+        lives = tables.live[length::-1]
+        adjacency = nfa.adjacency
+        for i in range(held - 1 if held < length else length - 1, -1, -1):
+            a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
+            if a is not None:
+                break
+        else:
+            return None
+    else:
+        images, pred_masks = nfa.images, tables.pred_masks
+        sigma = len(images)
+        words = -(-nfa.state_count // 64)
+        counting = _ops.enabled
+        i = held if held < length else length
+        while i:
+            i -= 1
+            source = run[i]
+            masks = pred_masks[length - i - 1]
+            a = word[i] + 1
+            while a < sigma and not source & masks[a]:
+                a += 1
+            if counting:
+                _ops.ops += words * (min(a + 1, sigma) - word[i] - 1)
+            if a < sigma:
+                break
+        else:
+            return None
+    del run[i + 1 :]
+    if i == length - 1:
+        return word[:i] + (a,), i
+    tail = [a]
+    if nfa.images is None:
+        for _ in range(length - i - 1):
+            build_run_stack((a,), nfa, run, lives)
+            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+            tail.append(a)
+    else:
+        for k in range(length - i - 2, -1, -1):
+            source = mask_image(images, source, a)
+            run.append(source)
+            masks = pred_masks[k]
+            a = 0
+            while not source & masks[a]:
+                a += 1
+            if counting:
+                _ops.ops += words * (a + 1)
+            tail.append(a)
+    return word[:i] + tuple(tail), i
+
+
+class ReferenceCursor:
+    """Reference for :class:`~lexenum.CrossSectionCursor` without a
+    generator: each call runs :func:`reference_next_word` once on the held
+    run. The first call takes the successor of
+    ``(-1, 0, ..., 0)`` from the run's entry 0 at ``length >= 1``, and
+    :func:`min_word`'s test at length 0; after :meth:`seek` the next call
+    replays the sought word but its last letter. ``run``, ``pivot`` and
+    ``current`` mean what the cursor's ``_run``, ``pivot`` and ``current``
+    mean."""
+
+    def __init__(self, nfa, length, tables):
+        self.length, self.tables = length, tables
+        self.lives = tables.live[length::-1] if nfa.images is None else None
+        self.run = build_run_stack((), nfa, None, self.lives)
+        self.current = None
+        self.pivot = 0
+        self.exhausted = False
+
+    def next(self):
+        if self.exhausted:
+            return EXHAUSTED
+        last, run = self.current, self.run
+        if last is None and not self.length:
+            found = None if min_word(0, run, self.tables) is None else ((), 0)
+        else:
+            if last is None:
+                last = (-1,) + (0,) * (self.length - 1)
+            elif len(run) < self.length:
+                build_run_stack(last[len(run) - 1 : -1], self.tables.nfa, run, self.lives)
+            found = reference_next_word(last, run, self.tables)
+        word, self.pivot = found or (None, 0)
+        if word is None:
+            self.exhausted = True
+            return EXHAUSTED
+        self.current = word
+        return word
+
+    def seek(self, word):
+        self.current = tuple(word)
+        self.exhausted = False
+        self.pivot = 0
+        del self.run[1:]

@@ -14,6 +14,7 @@ from lexenum import compile_regex, cross_section, radix_words
 from lexenum.cli import main
 from lexenum.enumeration import EXHAUSTED, CrossSectionCursor
 from lexenum.instrument import counting
+from lexenum.oracle import cross_section_bruteforce
 
 A1_TEXT = """\
 alphabet a b
@@ -257,6 +258,34 @@ class TestSplicedLines:
             assert code == 0
             assert out == "".join(nfa.format_word(w) + "\n" for w in words), pattern
         assert out.startswith("b\nab\nba\nbb\nbc\ncb\naab\n")
+
+
+class TestSpelledFromThePivot:
+    """A line whose word changed only at its last letter takes that one
+    glyph; any other line spells the word from its pivot on. Either way,
+    enum and radix print exactly every oracle word spelled whole: at
+    lengths 0, 1, 2 and 5 and radix to length 4, on a bit-kernel and a
+    list-kernel automaton. That covers length-1 cursors, whose last
+    position is position 0, a radix cursor's first word after the previous
+    length's last line, and pivots before the last position."""
+
+    @pytest.mark.parametrize("pattern, kernel", [("(a|b|c)*b(a|c)*", "bit"), ("(a|b)*", "list")])
+    def test_lines_equal_the_oracle_words_spelled_whole(self, capsys, pattern, kernel):
+        nfa = compile_regex(pattern)
+        assert nfa.kernel == kernel
+        for length in (0, 1, 2, 5):
+            code, out, err = run(capsys, "enum", "--regex", pattern, "--length", str(length))
+            words = cross_section_bruteforce(nfa, length)
+            assert (code, err) == (0, "")
+            assert out == "".join(nfa.format_word(w) + "\n" for w in words), length
+        code, out, err = run(capsys, "radix", "--regex", pattern, "--max-length", "4")
+        words = [w for length in range(5) for w in cross_section_bruteforce(nfa, length)]
+        assert (code, err) == (0, "")
+        assert out == "".join(nfa.format_word(w) + "\n" for w in words)
+        # Length 5 has lines of both kinds.
+        cursor = CrossSectionCursor(nfa, 5)
+        pivots = {cursor.pivot == 4 for _ in cursor}
+        assert pivots == {True, False}
 
 
 class TestLineBreakGlyphs:

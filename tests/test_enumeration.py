@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +24,10 @@ from lexenum import enumeration
 from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
 from lexenum.enumeration import build_run_stack, min_word, next_word
 from lexenum.instrument import counting
-from lexenum.oracle import cross_section_bruteforce, min_words_by_state
+from lexenum.oracle import cross_section_bruteforce, member, min_words_by_state
 from helpers import (
     BIPARTITE_4,
+    ReferenceCursor,
     UNARY_2_CYCLE,
     corpus_automaton,
     first_repeat,
@@ -1320,33 +1322,83 @@ def test_list_kernel_gaps_quoted_by_the_cursor(nfa, length, gaps):
     assert [r.op_count for r in records] == gaps
 
 
+def _counted_steps(monkeypatch):
+    """Install counters on the bit kernel's enumeration.mask_image and on
+    enumeration.build_run_stack, and return their records: ``images``
+    counts the images taken inside build_run_stack (``"replay"``) and
+    outside it (``"search"``), and ``replayed`` the length of each word
+    build_run_stack is given."""
+    images = {"search": 0, "replay": 0}
+    replayed = []
+    phase = ["search"]
+    step, build = enumeration.mask_image, enumeration.build_run_stack
+
+    def counted(images_, mask, symbol):
+        images[phase[-1]] += 1
+        return step(images_, mask, symbol)
+
+    def counted_build(word, nfa, run=None, lives=None):
+        replayed.append(len(word))
+        phase.append("replay")
+        try:
+            return build(word, nfa, run, lives)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(enumeration, "mask_image", counted)
+    monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
+    return images, replayed
+
+
 def test_only_the_first_word_goes_through_min_word(monkeypatch):
-    # A cursor calls the module-global min_word once, for its first word,
-    # and next_word completes every successor itself, so a wrapper installed
-    # on min_word sees one call per cursor, for the whole length, and none
-    # from the calls that find successors, those that pivot before the last
-    # position and complete the word included, nor after a seek.
-    calls = []
-    spell = enumeration.min_word
-
-    def counted(k, run, tables):
-        calls.append(k)
-        return spell(k, run, tables)
-
-    monkeypatch.setattr(enumeration, "min_word", counted)
+    """A cursor's first word is the least word min_word computes from the
+    initial set, by the same steps: the search from the one-entry run, whose
+    completion takes l - 1 images on the bit kernel and l - 1 one-letter
+    build_run_stack calls on the list kernel, and no replay. Every later
+    call searches from the held run of the word before: it steps only the
+    letters after its pivot but the last, l - 1 - pivot images or one-letter
+    build_run_stack calls, those that pivot before the last position
+    included, and after a seek one build_run_stack call first replays the
+    sought word's l - 1 letters, never the search from the initial set."""
+    images, replayed = _counted_steps(monkeypatch)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert (bit.kernel, lists.kernel) == ("bit", "list")
     for nfa in (bit, lists):
-        calls.clear()
-        cursor = CrossSectionCursor(nfa, 6)
-        words, completed = [cursor.next()], 0
-        for word in cursor:
+
+        def stepped(call, *args):
+            """What ``call(*args)`` returns, with the kernel steps it took:
+            images on the bit kernel, one-letter build_run_stack calls on the
+            list kernel, whose steps all go through it."""
+            replayed.clear()
+            before = images["search"]
+            result = call(*args)
+            if nfa is bit:
+                assert not replayed
+                return result, images["search"] - before
+            assert set(replayed) <= {1}
+            return result, len(replayed)
+
+        tables = precompute(nfa, 6)
+        run = build_run_stack((), nfa, None, tables.live[6::-1] if nfa is lists else None)
+        least, taken = stepped(min_word, 6, run, tables)
+        assert taken == 5
+        cursor = CrossSectionCursor(nfa, 6, tables)
+        assert stepped(cursor.next) == (least, taken) and cursor._run == run
+        words, completed = [least], 0
+        while True:
+            word, taken = stepped(cursor.next)
+            if word is EXHAUSTED:
+                break
+            assert taken == 5 - cursor.pivot
             words.append(word)
             completed += cursor.pivot < 5
-        assert completed and calls == [6]
+        assert completed
         cursor.seek(words[0])
-        assert list(cursor) == words[1:] and calls == [6]
+        replayed.clear()
+        assert cursor.next() == words[1] and replayed[0] == 5
+        assert replayed[1:] == ([1] * (5 - cursor.pivot) if nfa is lists else [])
+        assert list(cursor) == words[2:]
 
 
 def test_the_last_letter_is_never_replayed(monkeypatch):
@@ -1432,41 +1484,14 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
 
 
 def test_the_bit_search_takes_no_image(monkeypatch):
-    """The bit search tests a retried position by ANDs alone: within a
-    next_word call, mask_image steps only the successor's letters after the
-    pivot but the last, l - 1 - pivot of them, however many positions were
-    retried. The least word is the successor min_word asks next_word for,
-    so its l - 1 images fall in the search too, and none outside it. The
-    replay after a seek, in build_run_stack, takes one image per position it
-    replays."""
-    images = {"search": 0, "replay": 0, "other": 0}
-    phase = []
-    step = enumeration.mask_image
-    search, build = enumeration.next_word, enumeration.build_run_stack
-    replayed = []
-
-    def counted(images_, mask, symbol):
-        images[phase[-1] if phase else "other"] += 1
-        return step(images_, mask, symbol)
-
-    def flagged(word, run, tables):
-        phase.append("search")
-        try:
-            return search(word, run, tables)
-        finally:
-            phase.pop()
-
-    def counted_build(word, nfa, run=None, lives=None):
-        replayed.append(len(word))
-        phase.append("replay")
-        try:
-            return build(word, nfa, run, lives)
-        finally:
-            phase.pop()
-
-    monkeypatch.setattr(enumeration, "mask_image", counted)
-    monkeypatch.setattr(enumeration, "next_word", flagged)
-    monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
+    """The bit search tests a retried position by ANDs alone: a call that
+    finds a successor takes mask_image images only for the successor's
+    letters after the pivot but the last, l - 1 - pivot of them, however
+    many positions were retried. The first call's search, from the one-entry
+    run, completes the least word: l - 1 images. None of them goes through
+    build_run_stack; the replay after a seek, in build_run_stack, takes one
+    image per position it replays, and no image is taken outside a call."""
+    images, replayed = _counted_steps(monkeypatch)
     wide = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     narrow = compile_regex("(a|b|c)*b(a|c)*")
     searches = 0
@@ -1477,7 +1502,9 @@ def test_the_bit_search_takes_no_image(monkeypatch):
             assert words
             seek_at = max(len(words) // 2, 1)
             start = words[len(words) // 4]
+            outside = dict(images)
             cursor = CrossSectionCursor(nfa, length)
+            assert images == outside
             before = images["search"]
             got = [cursor.next()]
             assert images["search"] - before == length - 1
@@ -1486,9 +1513,100 @@ def test_the_bit_search_takes_no_image(monkeypatch):
                 got.append(cursor.next())
                 assert images["search"] - before == length - 1 - cursor.pivot
                 searches += 1
+            outside = dict(images)
             cursor.seek(start)
+            assert images == outside
             got += cursor
             assert got == words[:seek_at] + [w for w in words if w > start]
     assert searches > 100
     assert images["replay"] == sum(replayed) > 0
-    assert images["other"] == 0
+
+
+def _follow_the_reference(nfa, length, rng, calls, seeks):
+    """Run a cursor and a :class:`ReferenceCursor` side by side for
+    ``calls`` calls, with seeks at random, and assert that after every call
+    they agree on the word, the pivot, the held run, the current word and
+    the charge, counted under ``counting()`` on a random half of the calls,
+    so that counting also switches on and off between two calls of one
+    generator. A seek goes to a word produced before, a member, or to a
+    random word, and after EXHAUSTED mostly to one of those; ``seeks``
+    tallies each kind."""
+    tables = precompute(nfa, length)
+    cursor = CrossSectionCursor(nfa, length, tables)
+    reference = ReferenceCursor(nfa, length, tables)
+    produced, ended = [], False
+    for _ in range(calls):
+        if rng.random() < (0.6 if ended else 0.08):
+            if produced and rng.random() < 0.5:
+                target = rng.choice(produced)
+            else:
+                target = tuple(rng.randrange(nfa.symbol_count) for _ in range(length))
+            kind = "exhausted" if ended else "member" if member(nfa, target) else "non-member"
+            seeks[kind] += 1
+            cursor.seek(target)
+            reference.seek(target)
+            ended = False
+        counted = rng.random() < 0.5
+        with counting(counted) as counter:
+            before = counter.ops
+            got = cursor.next()
+            charge = counter.ops - before
+        with counting(counted) as counter:
+            before = counter.ops
+            expected = reference.next()
+            expected_charge = counter.ops - before
+        assert (got, cursor.pivot, charge) == (expected, reference.pivot, expected_charge)
+        assert cursor._run == reference.run and cursor.current == reference.current
+        if got is EXHAUSTED:
+            ended = True
+        else:
+            produced.append(got)
+
+
+def test_the_resumed_search_matches_the_per_call_search_on_the_corpus():
+    """A cursor resumes one successor generator; the reference runs the
+    per-call search once per call. On 150 corpus automata, each on both
+    kernels at lengths 0 to 6, they agree after every call, seeks to
+    members, to non-members and after EXHAUSTED included."""
+    rng = random.Random(4242)
+    seeks = {"member": 0, "non-member": 0, "exhausted": 0}
+    for _ in range(150):
+        nfa = corpus_automaton(rng)
+        for kernel in ("list", "bit"):
+            for length in range(7):
+                _follow_the_reference(on_kernel(nfa, kernel), length, rng, 25, seeks)
+    assert min(seeks.values()) > 100, seeks
+
+
+def test_the_resumed_search_matches_the_per_call_search_on_a_hill_climb_instance():
+    """The same on the three-state automaton whose later gaps a seeded
+    hill-climb found at up to 4.72 * l * #transitions on the list kernel:
+    120 calls at l = 9, which has 41 words, and 700 at l = 16, which has
+    595, each with seeks."""
+    nfa = build_nfa("abc", 3, [0, 1, 2], [0, 1, 2], [(1, "a", 0), (1, "a", 1), (0, "a", 2), (2, "c", 1)])
+    rng = random.Random(9)
+    seeks = {"member": 0, "non-member": 0, "exhausted": 0}
+    for kernel in ("list", "bit"):
+        for length, calls in ((9, 120), (16, 700)):
+            _follow_the_reference(on_kernel(nfa, kernel), length, rng, calls, seeks)
+    assert min(seeks.values()) > 0, seeks
+
+
+def test_a_cursor_moved_between_threads_yields_the_sequential_words():
+    """One cursor, and so one generator, whose calls alternate between two
+    threads, each call made after the last one returned, yields the words
+    a cursor called from one thread yields, across a seek and to
+    EXHAUSTED, on both kernels."""
+    bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
+    lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
+    assert (bit.kernel, lists.kernel) == ("bit", "list")
+    with ThreadPoolExecutor(1) as first, ThreadPoolExecutor(1) as second:
+        for nfa in (bit, lists):
+            words = list(CrossSectionCursor(nfa, 6))
+            assert len(words) > 100
+            cursor = CrossSectionCursor(nfa, 6)
+            threads = itertools.cycle((first, second))
+            got = [next(threads).submit(cursor.next).result() for _ in range(50)]
+            cursor.seek(words[20])
+            got += [next(threads).submit(cursor.next).result() for _ in words[20:]]
+            assert got == words[:50] + words[21:] + [EXHAUSTED]
