@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 import string
+from typing import Optional
 
-from lexenum import EXHAUSTED, Nfa, build_nfa, random_automaton
-from lexenum.automaton import chunk_images, delta_step, mask_image, state_mask
+from lexenum import EXHAUSTED, Nfa, ParseError, build_nfa, random_automaton
+from lexenum.automaton import AutomatonError, chunk_images, delta_step, mask_image, state_mask
 from lexenum.enumeration import _least_letter, build_run_stack, min_word
 from lexenum.instrument import ops as _ops
 
@@ -229,6 +230,96 @@ def serialize_automaton(nfa: Nfa) -> str:
             for t in targets:
                 lines.append(f"{q} {nfa.alphabet[a]} {t}")
     return "\n".join(lines) + "\n"
+
+
+def _reference_state_token(token: str, line_no: int) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"expected a state number, got {token!r}", line_no)
+    try:
+        return int(token)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        raise ParseError(f"state number of {len(token)} digits is too long", line_no) from None
+
+
+def reference_parse_automaton(text: str) -> Nfa:
+    """Reference for :func:`lexenum.parse_automaton`: the parser that reads
+    the file line by line in Python, splitting each line with
+    :meth:`str.split`, and hands :func:`build_nfa` entries through a
+    generator that tracks each entry's line. Same result, or same
+    :class:`ParseError` text and line, for every text."""
+    alphabet: Optional[list[tuple[int, str]]] = None  # (line, glyph)
+    state_count: Optional[int] = None
+    states_line = 0
+    initial_entries: list[tuple[int, int]] = []  # (line, state)
+    final_entries: list[tuple[int, int]] = []
+    transition_entries: list[tuple[int, tuple[int, str, int]]] = []  # (line, (src, glyph, dst))
+
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        comment = raw.find("#")
+        if comment != -1:
+            raw = raw[:comment]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head.isdigit() and head.isascii():
+            if len(tokens) != 3:
+                raise ParseError(
+                    "transition line must be 'from symbol to'", line_no
+                )
+            dst = tokens[2]
+            if dst.isdigit() and dst.isascii():
+                try:
+                    transition_entries.append((line_no, (int(head), tokens[1], int(dst))))
+                    continue
+                except ValueError:  # beyond int()'s limit on decimal digits
+                    pass
+            # Raises the diagnostic of the first bad state token.
+            _reference_state_token(head, line_no)
+            _reference_state_token(dst, line_no)
+        elif head == "alphabet":
+            if alphabet is not None:
+                raise ParseError("duplicate 'alphabet' line", line_no)
+            alphabet = [(line_no, token) for token in tokens[1:]]
+        elif head == "states":
+            if state_count is not None:
+                raise ParseError("duplicate 'states' line", line_no)
+            if len(tokens) != 2:
+                raise ParseError("'states' expects exactly one number", line_no)
+            state_count = _reference_state_token(tokens[1], line_no)
+            states_line = line_no
+        elif head == "initial":
+            initial_entries += [(line_no, _reference_state_token(t, line_no)) for t in tokens[1:]]
+        elif head == "final":
+            final_entries += [(line_no, _reference_state_token(t, line_no)) for t in tokens[1:]]
+        else:
+            raise ParseError(f"unknown directive {head!r}", line_no)
+
+    if alphabet is None:
+        raise ParseError("missing 'alphabet' line")
+    if state_count is None:
+        raise ParseError("missing 'states' line")
+
+    # build_nfa checks the state count first and then reads each iterable
+    # once, in order, so `at` is the line of whatever it rejects.
+    at = states_line
+
+    def read(entries):
+        nonlocal at
+        for at, value in entries:
+            yield value
+
+    try:
+        return build_nfa(
+            read(alphabet),
+            state_count,
+            read(initial_entries),
+            read(final_entries),
+            read(transition_entries),
+        )
+    except AutomatonError as exc:
+        raise ParseError(str(exc), at) from None
 
 
 def reference_next_word(word, run, tables):

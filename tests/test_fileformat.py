@@ -1,10 +1,18 @@
 import random
+import re
 
 import pytest
 
-from lexenum import ParseError, parse_automaton, random_automaton
+from lexenum import ParseError, build_nfa, fileformat, parse_automaton, random_automaton
 from lexenum.fileformat import decode_automaton
-from helpers import assert_canonical, corpus_automaton, serialize_automaton
+from lexenum.instrument import counting
+from helpers import (
+    assert_canonical,
+    corpus_automaton,
+    raw_pieces,
+    reference_parse_automaton,
+    serialize_automaton,
+)
 
 A1_TEXT = """\
 # comment lines allowed anywhere
@@ -100,6 +108,29 @@ def test_initial_out_of_range_names_line():
             r"^line 1500: transition source 2 out of range for 2 states$",
             id="out-of-range-source-on-line-1500-of-2000",
         ),
+        # A state past int()'s digit limit on a well-formed transition line
+        # is a syntax error: it wins over anything on a later line, and
+        # loses to a syntax error on an earlier one.
+        pytest.param(
+            "alphabet a\nstates 1\n0 a " + "0" * 5000 + "\nbogus 1\n",
+            r"^line 3: state number of 5000 digits is too long$",
+            id="5000-digit-state-before-unknown-directive",
+        ),
+        pytest.param(
+            "alphabet a\nstates 1\nbogus 1\n0 a " + "0" * 5000 + "\n",
+            r"^line 3: unknown directive 'bogus'$",
+            id="5000-digit-state-after-unknown-directive",
+        ),
+        pytest.param(
+            "alphabet a\nstates 1\n0 a 5\n0 a " + "0" * 5000 + "\n",
+            r"^line 4: state number of 5000 digits is too long$",
+            id="5000-digit-state-after-out-of-range-state",
+        ),
+        pytest.param(
+            "alphabet a\nstates 1\n" + "0 a 0\n" * 1997 + "0 b 0\n",
+            r"^line 2000: unknown symbol 'b' in transition \(0, 'b', 0\)$",
+            id="unknown-glyph-on-line-2000-of-2000",
+        ),
     ],
 )
 def test_malformed_inputs(text, pattern):
@@ -187,3 +218,140 @@ def test_round_trip_at_scale():
     # The sparse-tables shape: 20000 states, 60000 transitions.
     nfa = random_automaton(random.Random(5), 20000, 4, 60000, 500, 500)
     assert parse_automaton(serialize_automaton(nfa)) == nfa
+
+
+def test_the_pattern_and_str_split_break_on_the_same_whitespace():
+    # The transition pattern's \s must split where the header lines'
+    # str.split does, or a line would be read two ways.
+    text = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+    assert re.findall(r".", text) == [c for c in text if c != "\n"]
+
+
+def test_parse_calls_build_nfa_once_and_charges_what_it_charges(monkeypatch):
+    nfa = random_automaton(random.Random(1), 200, 4, 2000, 50, 50)
+    text = serialize_automaton(nfa)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_nfa(*args)
+
+    # perfbench times the layout through this module-level name.
+    monkeypatch.setattr(fileformat, "build_nfa", spy)
+    with counting() as ops:
+        assert parse_automaton(text) == nfa
+        parsed = ops.ops
+    assert len(calls) == 1
+    with counting() as ops:
+        build_nfa(*raw_pieces(nfa))
+        built = ops.ops
+    assert parsed == built > 0
+
+
+SEPARATORS = [" ", "\t", "\u00a0"] + NOT_LINE_BREAKS
+COMMENTS = ["#", "# note", "#0 a 1", "##", "# x\u2028y", "# \x85 states 9"]
+# One corrupted line each: (kind, tokens of a transition line) -> tokens.
+CORRUPTIONS = {
+    "two-tokens": lambda rng, tokens: tokens[:2],
+    "four-tokens": lambda rng, tokens: tokens + [rng.choice(["0", "a", "x"])],
+    "non-ascii-digit": lambda rng, tokens: _replace_state(rng, tokens, rng.choice(["\u0661", "\u00b2", "1\u0662", "\uff11"])),
+    "5000-digits": lambda rng, tokens: _replace_state(rng, tokens, rng.choice(["0", "1"]) + "0" * 4999),
+    "unknown-glyph": lambda rng, tokens: [tokens[0], rng.choice(["~", "ab", "\u00e9"]), tokens[2]],
+    "glued-glyph": lambda rng, tokens: [tokens[0], tokens[1] + "#", tokens[2]],
+    "glued-source": lambda rng, tokens: [tokens[0] + "#", tokens[1], tokens[2]],
+    "out-of-range": lambda rng, tokens: _replace_state(rng, tokens, str(rng.randint(6, 9))),
+}
+
+
+def _replace_state(rng, tokens, token):
+    tokens = list(tokens)
+    tokens[rng.choice([0, 2])] = token
+    return tokens
+
+
+def _automaton_file(rng, nfa, corruption):
+    """A file for ``nfa`` with its lines in random order and layout, and
+    the named corruption on one transition line or, for "header", one
+    repeated header line."""
+    header = [
+        ["alphabet", *nfa.alphabet],
+        ["states", str(nfa.state_count)],
+        ["initial", *map(str, nfa.initial)],
+        ["final", *map(str, nfa.final_states)],
+    ]
+    lines = [
+        [str(q), nfa.alphabet[a], str(t)]
+        for q, row in enumerate(nfa.adjacency)
+        for a, targets in row
+        for t in targets
+    ]
+    rng.shuffle(lines)
+    if corruption == "header":
+        header.append(list(rng.choice(header[:2])))
+    elif corruption is not None and lines:
+        i = rng.randrange(len(lines))
+        lines[i] = CORRUPTIONS[corruption](rng, lines[i])
+    for tokens in header:
+        lines.insert(rng.randint(0, len(lines)), tokens)
+
+    def gap():
+        return "".join(rng.choice(SEPARATORS) for _ in range(rng.randint(1, 2)))
+
+    def pad():
+        return gap() if rng.random() < 0.3 else ""
+
+    out = []
+    for tokens in lines:
+        line = pad() + "".join(token + gap() for token in tokens[:-1]) + tokens[-1] + pad()
+        if rng.random() < 0.2:
+            line += rng.choice(["", " ", "\t"]) + rng.choice(COMMENTS)
+        out.append(line)
+        if rng.random() < 0.1:
+            out.append(rng.choice(["", pad(), gap(), rng.choice(COMMENTS)]))
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    return newline.join(out) + rng.choice(["", newline])
+
+
+def _parse_outcome(parse, text):
+    try:
+        nfa = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return nfa, nfa.adjacency
+
+
+def test_the_pattern_pass_matches_the_line_by_line_parser_on_2400_files():
+    rng = random.Random(43)
+    kinds = [None, None, None, "header", *CORRUPTIONS]
+    rejected = {}
+    for i in range(2400):
+        if i % 4:
+            nfa = corpus_automaton(rng)
+        else:
+            n = rng.randint(1, 12)
+            nfa = random_automaton(rng, n, rng.randint(1, 5), rng.randint(0, 3 * n))
+        kind = kinds[i % len(kinds)]
+        text = _automaton_file(rng, nfa, kind)
+        expected = _parse_outcome(reference_parse_automaton, text)
+        assert _parse_outcome(parse_automaton, text) == expected, (kind, text)
+        if kind is None:
+            assert expected[0] == nfa
+        elif isinstance(expected[0], str):
+            rejected.setdefault(kind, []).append(expected[0])
+    # Every corruption was rejected, with the diagnostics it can have.
+    diagnostics = {
+        "header": ["duplicate 'alphabet' line", "duplicate 'states' line"],
+        "two-tokens": ["transition line must be"],
+        "four-tokens": ["transition line must be"],
+        "non-ascii-digit": ["expected a state number", "unknown directive"],
+        "5000-digits": ["state number of 5000 digits is too long"],
+        "unknown-glyph": ["unknown symbol"],
+        "glued-glyph": ["transition line must be"],
+        "glued-source": ["transition line must be"],
+        "out-of-range": ["out of range"],
+    }
+    assert rejected.keys() == diagnostics.keys()
+    for kind, phrases in diagnostics.items():
+        for phrase in phrases:
+            assert any(phrase in message for message in rejected[kind]), (kind, phrase)
