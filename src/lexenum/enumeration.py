@@ -68,29 +68,29 @@ EXHAUSTED = _ExhaustedType()
 
 
 def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
-    """The least length-k word that leads ``run[-1]`` to a final state, or
-    None when there is none.
+    """The least length-k word that leads the start set ``run[0]`` to a
+    final state, or None when there is none.
 
-    ``run`` is a run in the kernel's form (see :func:`build_run_stack`), of
-    which only the last entry is read; ``[start]`` for a start set ``start``
-    will do. For ``k > 0`` the word is the successor of a word below every
-    length-k word, ``(-1, 0, ..., 0)``, found by :func:`next_word` from the
-    one entry ``run[-1]``, as a cursor's generator finds the cursor's first
-    word without a call of this function: it retries position 0 alone, with every symbol
-    above -1, and completes the rest. So each letter is the least symbol on
-    which the current set reaches the live set of the letters left after
-    it, and every letter but the last is stepped and the set it reaches
-    appended to ``run``: on success ``run`` gains k - 1 entries, each
-    trimmed on the list kernel as a cursor of length ``len(run) - 1 + k``
-    trims its run; on None ``run`` is unchanged. The charge is
+    ``run`` must be a run of one entry in the kernel's form (see
+    :func:`build_run_stack`), ``[start]`` for a start set ``start``, as
+    every caller passes it. For ``k > 0`` the word is the successor of a
+    word below every length-k word, ``(-1, 0, ..., 0)``, found by
+    :func:`next_word` from that one entry, as a cursor's generator finds the
+    cursor's first word without a call of this function: it retries
+    position 0 alone, with every symbol above -1, and completes the rest.
+    So each letter is the least symbol on which the current set reaches the
+    live set of the letters left after it, and every letter but the last is
+    stepped and the set it reaches appended to ``run``: on success ``run``
+    gains k - 1 entries, each trimmed on the list kernel as a cursor of
+    length k trims its run; on None ``run`` is unchanged. The charge is
     :func:`next_word`'s. At ``k = 0`` the word is the empty word when
-    ``run[-1]`` holds a final state, a test charged one unit per state it
+    ``run[0]`` holds a final state, a test charged one unit per state it
     tests: the smaller of the two sets on the list kernel, every final
     state on the bit kernel; a cursor of length 0 calls this for its first
     word.
     """
     if not k:
-        source, final = run[-1], tables.live[0]
+        source, final = run[0], tables.live[0]
         if tables.nfa.images is None:
             if _ops.enabled:
                 _ops.ops += min(len(source), len(final))
@@ -98,10 +98,7 @@ def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
         if _ops.enabled:
             _ops.ops += len(final)
         return () if source & state_mask(final) else None
-    start = run if len(run) == 1 else run[-1:]
-    found = next_word((-1,) + (0,) * (k - 1), start, tables)
-    if start is not run:
-        run += start[1:]
+    found = next_word((-1,) + (0,) * (k - 1), run, tables)
     return None if found is None else found[0]
 
 
@@ -466,7 +463,7 @@ def radix_words(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[Word]:
     The words of :func:`radix_cursors`' cursors, one after another. A prefix
     of the run is :func:`itertools.islice` of it, which builds no level
     beyond the last word taken but those :func:`radix_cursors` builds before
-    the first word when ``max_length`` is given.
+    the first word.
     """
     return chain.from_iterable(radix_cursors(nfa, max_length))
 
@@ -479,13 +476,13 @@ def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossS
     a bool); since this is a generator, a bad one raises :class:`ValueError`
     on the first ``next``, and so does :func:`radix_words`' iterator.
 
-    With ``max_length``, levels are built before the first cursor, up to
-    ``max_length``, the first repeated live set
+    Every run builds its levels by one rule before its first cursor: up to
+    ``max_length`` if given, the first repeated live set
     (:attr:`MinWordTables.period`), or the level at which the predecessor
     entries visited (``fill_ops``) reach |Q| + #transitions, whichever comes
     first. However far the repeat, those levels visit fewer than |Q| + 2 *
     #transitions entries, of the order of the predecessor lists they are
-    built from. Any other level is built when its cursor is taken, so a run
+    built from. Any later level is built when its cursor is taken, so a run
     that stops taking cursors builds no further level; past the repeat that
     is O(1).
 
@@ -503,10 +500,9 @@ def radix_cursors(nfa: Nfa, max_length: Optional[int] = None) -> Iterator[CrossS
     if max_length is not None:
         check_length(max_length)
     tables = precompute(nfa, 0)
-    if max_length is not None:
-        budget = nfa.state_count + nfa.transition_count
-        while tables.length < max_length and not tables.period and tables.fill_ops < budget:
-            tables.add_level()
+    budget = nfa.state_count + nfa.transition_count
+    while tables.length != max_length and not tables.period and tables.fill_ops < budget:
+        tables.add_level()
     # One pass over the adjacency lists; iterating the list also visits the
     # states appended while it runs.
     queue = list(nfa.initial)

@@ -25,13 +25,17 @@ no line, is named by its directive instead.
 :func:`parse_automaton` takes the well-formed transition lines, nearly
 every line of a file, in one pattern pass over the text, with no Python
 step per line, and reads the header lines, and any malformed transition
-line, from what that pass leaves.
+line, from what that pass leaves. A state number with more digits than
+:func:`int` converts (:func:`sys.get_int_max_str_digits`, where that
+limit exists) makes its transition line malformed.
 """
 
 from __future__ import annotations
 
 import codecs
 import re
+import sys
+from functools import lru_cache
 from itertools import compress, count
 from operator import length_hint
 from typing import Optional
@@ -83,11 +87,17 @@ def decode_automaton(data: bytes) -> str:
         raise ParseError(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
 
 
-# A well-formed transition line: an ASCII decimal state, a symbol token and
-# another state, separated by whitespace, then an optional comment.
-# [^\S\n] is whitespace but the line end; re's \s and str.split break on
-# the same code points, and neither $ nor . passes a \n.
-_TRANSITION = re.compile(r"^[^\S\n]*([0-9]+)[^\S\n]+([^\s#]+)[^\S\n]+([0-9]+)[^\S\n]*(?:#.*)?$", re.M)
+@lru_cache(maxsize=None)
+def _transition(limit: int) -> re.Pattern:
+    r"""The pattern of a well-formed transition line: an ASCII decimal state,
+    a symbol token and another state, separated by whitespace, then an
+    optional comment; each state of at most ``limit`` digits, so that
+    :func:`int` converts it, or of any length when ``limit`` is 0.
+    ``[^\S\n]`` is whitespace but the line end; re's ``\s`` and
+    :meth:`str.split` break on the same code points, and neither ``$`` nor
+    ``.`` passes a ``\n``."""
+    state = f"([0-9]{{1,{limit}}})" if limit else "([0-9]+)"
+    return re.compile(rf"^[^\S\n]*{state}[^\S\n]+([^\s#]+)[^\S\n]+{state}[^\S\n]*(?:#.*)?$", re.M)
 
 
 def _directives(text: str) -> tuple:
@@ -120,9 +130,9 @@ def _directives(text: str) -> tuple:
                 raise ParseError(
                     "transition line must be 'from symbol to'", line_no
                 )
-            # The target is no ASCII decimal number, or the pattern would
-            # have taken the line: this raises the diagnostic of the first
-            # bad state token.
+            # A state is no ASCII decimal number or is too long for int(),
+            # or the pattern would have taken the line: this raises the
+            # diagnostic of the first bad state token.
             _state_token(head, line_no)
             _state_token(tokens[2], line_no)
         elif head == "alphabet":
@@ -153,10 +163,13 @@ def parse_automaton(text: str) -> Nfa:
     numbers. After the line ends are normalized, one pattern pass splits
     every well-formed transition line into its three tokens and leaves the
     text with those lines emptied, so line numbers hold; the header lines,
-    and any malformed transition line, are read from what is left. Each
-    distinct state token is converted once, and the triples go, with the
-    header entries, to :func:`build_nfa`, which checks the alphabet, the
-    state count, and every state and symbol reference.
+    and any malformed transition line, are read from what is left. The
+    pattern takes no state token longer than :func:`int`'s digit limit at
+    the time of the call, so a line with one stays in the text and is
+    rejected there, in file order. Each distinct state token is converted
+    once, and the triples go, with the header entries, to
+    :func:`build_nfa`, which checks the alphabet, the state count, and
+    every state and symbol reference.
 
     Every rejection raises :class:`ParseError` naming its line, except a
     missing header line, which has none. Syntax errors come before what
@@ -166,26 +179,14 @@ def parse_automaton(text: str) -> Nfa:
     so the entry it rejected is the last one read, and a triple's line is
     one past the newlines before it in the split text.
     """
+    # Python 3.10 before 3.10.7 has no digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # parts: the text before each well-formed transition line, then the
     # line's source, symbol and target tokens, ..., then the rest.
-    parts = _TRANSITION.split(_newlines(text))
+    parts = _transition(limit).split(_newlines(text))
     sources, glyphs, targets = parts[1::4], parts[2::4], parts[3::4]
     tokens = set(sources).union(targets)
-    try:
-        states = dict(zip(tokens, map(int, tokens)))
-    except ValueError:  # beyond int()'s limit on decimal digits
-        # Rare, so the first line with such a state is found with a step
-        # per line. A syntax error on an earlier line still comes first.
-        for i, (src, dst) in enumerate(zip(sources, targets)):
-            try:
-                int(src), int(dst)
-            except ValueError:
-                break
-        before = "".join(parts[: 4 * i + 1 : 4])
-        _directives(before)
-        line_no = before.count("\n") + 1
-        _state_token(src, line_no)
-        _state_token(dst, line_no)
+    states = dict(zip(tokens, map(int, tokens)))
     alphabet, state_count, states_line, initial_entries, final_entries = _directives("".join(parts[::4]))
     if alphabet is None:
         raise ParseError("missing 'alphabet' line")

@@ -88,10 +88,12 @@ PREPROC_DELTA_PER_STATE = 3
 WIDE_SYMBOLS, WIDE_STATES, WIDE_DELTA = 1000, 64, 128
 
 # Criterion 10: the first RADIX_WORDS outputs of each automaton in radix
-# order. Measured worst gap / ((l+1)*(|delta| + |Q|)) is 3.68, on the
-# 200-state random automaton at its first word, whose gap also pays the
-# tables' setup and the reachable-state pass; every later gap is at most
-# 1.40, make_a1's.
+# order. Measured worst gap / ((l+1)*(|delta| + |Q|)) is 7.76, on the
+# 200-state random automaton at its first word, the empty word, whose gap
+# also pays the tables' setup, the levels every radix run builds before its
+# first word (levels 1 and 2 here, until the predecessor visits reach
+# |Q| + |delta|) and the reachable-state pass; every later gap is at most
+# 1.36, make_a1's.
 RADIX_C = 8.0
 RADIX_WORDS = 300
 

@@ -203,9 +203,10 @@ class TestRadix:
         assert (code, out) == (0, "b\n")
 
     def test_limit_builds_no_level_past_the_last_word(self, capsys):
-        # "", "a" and "b" need levels 0 and 1; 69 is the tally of exactly
-        # those plus the automaton layout's 17, so a limit that let the run
-        # build level 2 would raise it.
+        # "", "a" and "b" need levels 0 and 1, and the run builds those two
+        # before its first word and no more, since level 1's live set
+        # repeats level 0's. 69 is the tally of exactly those plus the
+        # automaton layout's 17, so a run that built level 2 would raise it.
         code, out, err = run(
             capsys, "radix", "--regex", "(a|b)*", "--limit", "3", "--count-ops"
         )

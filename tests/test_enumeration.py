@@ -947,12 +947,15 @@ class TestRadix:
         # lengths 0-14 are checked and yield a cursor, and the rule fires at
         # 15, just after the longest word. At each, the check tests the
         # reachable set against the level's live set, charged the smaller
-        # set's size, on top of the reachable-state pass.
+        # set's size, on top of the reachable-state pass and of the levels
+        # the run built, up to 16, where the empty live set repeats.
         nfa = compile_regex("aaaaa|aaaaaaa|aaaaaaaaaaaaaa")
         with counting() as counter:
-            words = list(radix_words(nfa))
+            cursors = list(radix_cursors(nfa))
+            words = [w for cursor in cursors for w in cursor]
             radix_total = counter.ops
-            tables = precompute(nfa, 15)
+            assert cursors[0].tables.length == 16
+            tables = precompute(nfa, cursors[0].tables.length)
             for length in range(15):
                 list(CrossSectionCursor(nfa, length, tables))
             parts = counter.ops - radix_total
@@ -1053,12 +1056,13 @@ class TestRadix:
         assert sum(p > 1 for p in periods[len(edge):]) >= 3
         assert {nfa.kernel for nfa in corpus} == {"list", "bit"}
 
-    def test_a_bounded_run_builds_no_level_after_its_first_word(self):
+    @pytest.mark.parametrize("max_length", [12, None], ids=["bounded", "unbounded"])
+    def test_a_bounded_run_builds_no_level_after_its_first_word(self, max_length):
         # A finite dictionary on the list kernel: its levels visit each
-        # transition once, within the up-front budget, so the run builds
-        # them up to the first repeated live set, the empty set at levels 9
-        # and 10, before its first cursor, and no gap after the first word
-        # builds one or visits a predecessor entry.
+        # transition once, within the up-front budget, so the run, bounded
+        # or not, builds them up to the first repeated live set, the empty
+        # set at levels 9 and 10, before its first cursor, and no gap after
+        # the first word builds one or visits a predecessor entry.
         rng = random.Random(61)
         words = {
             "".join(rng.choice("abcdefgh") for _ in range(length))
@@ -1067,7 +1071,7 @@ class TestRadix:
         }
         nfa = compile_regex("|".join(sorted(words)))
         assert nfa.kernel == "list"
-        cursors = radix_cursors(nfa, 12)
+        cursors = radix_cursors(nfa, max_length)
         first = next(cursors)
         tables = first.tables
         taken, after_first = [], None
@@ -1090,23 +1094,25 @@ class TestRadix:
         assert [nfa.format_word(w) for w in words] == expected
         assert next(radix_cursors(nfa, 10**9)).tables.length == repeat
 
-    def test_a_far_repeat_bounds_the_levels_built_up_front(self):
+    @pytest.mark.parametrize("max_length", [10**9, None], ids=["bounded", "unbounded"])
+    def test_a_far_repeat_bounds_the_levels_built_up_front(self, max_length):
         # A union of unary cycles of the primes up to 23: its live sets
         # repeat with the lcm of the cycle lengths, 223092870, at level
         # 223092870 at the earliest. The levels built before the first word
         # stop once their predecessor visits reach |Q| + #transitions, so a
-        # prefix of a run bounded at 10**9 comes out at once, and the
-        # levels its cursors need are then built as they are taken.
+        # prefix of a run bounded at 10**9, or not bounded, comes out at
+        # once, and the levels its cursors need are then built as they are
+        # taken.
         pattern = "|".join(f"({'a' * p})*" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
         nfa = compile_regex(pattern)
         budget = nfa.state_count + nfa.transition_count
-        cursors = radix_cursors(nfa, 10**9)
+        cursors = radix_cursors(nfa, max_length)
         first = next(cursors)
         tables = first.tables
         assert tables.period == 0
         assert budget <= tables.fill_ops < budget + nfa.transition_count
         assert tables.length < 30
-        lengths = [len(w) for w in itertools.islice(radix_words(nfa, 10**9), 8)]
+        lengths = [len(w) for w in itertools.islice(radix_words(nfa, max_length), 8)]
         assert lengths == [0, 2, 3, 4, 5, 6, 7, 8]
         assert [next(cursors).length for _ in range(40)] == list(range(1, 41))
         assert tables.length == 40

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -136,6 +138,51 @@ def test_initial_out_of_range_names_line():
 def test_malformed_inputs(text, pattern):
     with pytest.raises(ParseError, match=pattern):
         parse_automaton(text)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit to set"
+)
+
+
+@contextmanager
+def int_digit_limit(limit):
+    """Set int()'s digit limit for the body, then restore the one before."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@needs_digit_limit
+def test_a_state_past_a_lowered_digit_limit_is_too_long_on_its_line():
+    # The parser reads the limit at each call. At 640, the lowest limit, a
+    # 641-digit target is a syntax error on its own line, an earlier
+    # malformed line still wins, and a 640-digit state still parses; back
+    # at the default limit the same target is a state out of range.
+    long = "1" + "0" * 640
+    text = "alphabet a\nstates 2\n0 a 1\n1 a " + long + "\n0 a 0\n"
+    with int_digit_limit(640):
+        with pytest.raises(ParseError, match=r"^line 4: state number of 641 digits is too long$"):
+            parse_automaton(text)
+        with pytest.raises(ParseError, match=r"^line 3: unknown directive 'bogus'$"):
+            parse_automaton("alphabet a\nstates 2\nbogus 1\n1 a " + long + "\n")
+        nfa = parse_automaton("alphabet a\nstates 1\n0 a " + "0" * 640 + "\n")
+        assert nfa.transition_count == 1
+    with pytest.raises(ParseError, match=rf"^line 4: transition target {long} out of range for 2 states$"):
+        parse_automaton(text)
+
+
+@needs_digit_limit
+def test_without_a_digit_limit_a_long_state_reaches_build_nfa():
+    # At limit 0 int() converts any number of digits, so the pattern takes
+    # a 5000-digit target and build_nfa rejects it, on its line.
+    long = "1" + "0" * 4999
+    with int_digit_limit(0):
+        with pytest.raises(ParseError, match=rf"^line 4: transition target {long} out of range for 1 states$"):
+            parse_automaton("alphabet a\nstates 1\n0 a 0\n0 a " + long + "\n0 a 0\n")
 
 
 def test_decode_rejects_invalid_utf8_naming_its_line():
