@@ -199,6 +199,9 @@ def build_nfa(
     adjacency: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(state_count)]
     for a, column in enumerate(buckets):
         for src, bucket in column.items():
+            # A one-target bucket, 1625 of dict-radix's 1633 pairs, skips the
+            # set and the sort: without this its setup_s rose 11.5 %, worse in
+            # 10 of 10 perfbench pairs (3 s runs at seed 1).
             targets = (bucket[0],) if len(bucket) == 1 else tuple(sorted(set(bucket)))
             transition_count += len(targets)
             adjacency[src].append((a, targets))
@@ -317,10 +320,13 @@ def mask_image(images: list[ChunkTables], mask: int, symbol: int) -> int:
     nbytes = len(tables)
     if nbytes == 1:
         # A one-byte mask needs no byte string and no chunk loop; a zero
-        # byte's lookups read entry 0. Kept because it pays: tiny-stream
-        # takes 2631 one-byte images per 5000 words, at about 85 ns each
-        # against 425 ns through the loop (Python 3.11, 2-vCPU Xeon), and
-        # without this path its delay_p50_us rose from 3.40 to 3.76 us.
+        # byte's lookups read entry 0. Kept because it pays on automata of
+        # up to 8 states: tiny-stream takes 2631 one-byte images per 5000
+        # words, in the 1731 successors that pivot before the last letter.
+        # Without this path its delay_p99_us rose from 4.15 to 5.52 us and
+        # its words_per_s fell 8.5 %, worse in 10 of 10 perfbench pairs (3 s
+        # runs at seed 1, Python 3.11.7, 2-vCPU Linux container); its
+        # delay_p50_us did not move, as the median word takes no image.
         ((low, high),) = tables
         image = low[mask & 15] | high[mask >> 4]
     else:

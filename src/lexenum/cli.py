@@ -157,7 +157,9 @@ def _lines(nfa: Nfa, cursors) -> Iterator[str]:
             # words, takes its one glyph: no format_word call, list
             # comprehension or slice of the word. Kept because it pays: those
             # 5000 lines took 1.80 us per word in-process without it and 1.55
-            # with it (Python 3.11.7, 2-vCPU container).
+            # with it, and in 10 of 10 perfbench pairs (3 s runs at seed 1)
+            # tiny-stream's delay_p50_us rose 25.9 % and its words_per_s fell
+            # 11.7 % without it (Python 3.11.7, 2-vCPU container).
             spelled = alphabet[word[pivot]] if pivot == last else format_word(word[pivot:])
             line = line[:pivot] + spelled + "\n"
             yield line

@@ -110,13 +110,7 @@ class MinWordTables:
                         into[t] |= bit
         # Dropped, set to None, once a live set has repeated, as are pm and
         # _first.
-        # Copied into tuples, which take less memory than the lists: without
-        # the copy, dict-radix's peak_rss_mb rose from 18.70 to 18.82 MB,
-        # worse in 10 of 10 perfbench pairs (parent IQR 0.09 MB), and its
-        # delay_p99_us from 50.5 to 51.5 us (IQR 1.1 us), though its setup_s
-        # fell from 6.29 to 6.13 ms (3 s runs at seed 1, Python 3.11.7,
-        # 2-vCPU Linux container).
-        self._pred: Optional[list[tuple[int, ...]]] = [tuple(p) for p in pred]
+        self._pred: Optional[list[list[int]]] = pred
         self._pm: Optional[list[list[int]]] = pm
         self.live = [frozenset(nfa.final_states)]
         self._first: Optional[dict[frozenset, int]] = {self.live[0]: 0}

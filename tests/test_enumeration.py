@@ -75,7 +75,7 @@ class TestMinWord:
             assert cursor.next() is EXHAUSTED
             assert counter.ops == 0
 
-    def test_first_word_ranks_the_live_initial_states(self):
+    def test_first_word_tests_the_live_initial_states(self):
         """Of the initial states 0, 1 and 2, only 0 accepts a word of length
         1. On the list kernel the first word tests the held run's trimmed
         entry 0 alone, charged len(run[0]) plus its one pair walked, 1 plus
@@ -813,7 +813,7 @@ class TestKernels:
             ]
 
 
-class TestWideRankSearch:
+class TestWideLevelSearch:
     """The bit search on levels far wider than the benchmark workloads',
     whose live states spell 1-4 distinct least words per level: 100 states
     (13-byte masks) and one final state, so that up to 92 states are live at

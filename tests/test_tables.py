@@ -37,7 +37,7 @@ def _least_word(tables, k, q):
     return min_word(k, start_run(tables.nfa, [q]), tables)
 
 
-def test_a1_first_step_levels(a1):
+def test_a1_live_levels(a1):
     # a1 (a*ba*): level 0 is the final state 1. Both states have a
     # transition into it, state 1 on "a" and state 0 on "b", so level 1
     # holds both, and so does every later level: level 2 settles, and it and
@@ -75,7 +75,7 @@ def test_chain_never_dangles():
     assert kernels == {"list", "bit"}
 
 
-def test_a1_order_levels(a1):
+def test_a1_least_words_per_level(a1):
     # The least words min_word completes order a1's states per level.
     tables = precompute(a1, 2)
     # Level 0: only the final state accepts.
@@ -149,7 +149,7 @@ def test_spelled_words_match_bruteforce():
                 assert _least_word(tables, k, q) == mins[q]
 
 
-def test_first_step_fill_work_is_linear_in_transitions():
+def test_fill_work_is_linear_in_transitions():
     # fill_ops counts the predecessor entries the levels visit; it must stay
     # within a fixed multiple of l * |delta|.
     for ell in (2, 4, 8):
@@ -317,6 +317,29 @@ def test_a_repeat_of_period_two_charges_as_a_settled_level_does():
         assert counter.ops == 1
     assert tables.fill_ops == fill
     assert tables.live[4] is tables.live[2]
+
+
+@pytest.mark.parametrize(
+    "regex,kernel,repeat,period",
+    [
+        ("(a|b)*", "list", 1, 1),
+        ("(a|b|c)*b(a|c)*", "bit", 2, 1),
+        ("(aa)*", "list", 2, 2),
+    ],
+)
+def test_the_first_repeat_drops_what_only_add_level_reads(regex, kernel, repeat, period):
+    # One level below the first repeat the tables still hold the predecessor
+    # lists, the dict from live set to first level and, on the bit kernel,
+    # the pm masks; the level that repeats drops all three.
+    nfa = compile_regex(regex)
+    assert nfa.kernel == kernel
+    below = precompute(nfa, repeat - 1)
+    assert below.period == 0
+    assert below._pred is not None and below._first is not None
+    assert (below._pm is not None) == (kernel == "bit")
+    tables = precompute(nfa, repeat)
+    assert tables.period == period
+    assert tables._pred is tables._pm is tables._first is None
 
 
 def test_fill_work_stops_at_the_first_repeat():
