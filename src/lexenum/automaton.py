@@ -23,9 +23,9 @@ per non-zero byte of the mask, however many states it holds (the "Four
 Russians" table trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970, as
 used for NFA simulation by Navarro and Raffinot, 2001). The replay loop,
 :func:`lexenum.enumeration.build_run_stack`, takes a kernel's step once per
-letter. The bit kernel chooses a letter with no image: it ANDs a run's mask
-with the tables' per-symbol predecessor masks, and steps only the letter
-chosen. An automaton is on the bit kernel when ``4 * |alphabet| *
+letter; the successor search inlines the list kernel's. The bit kernel
+chooses a letter with no image: it ANDs a run's mask with the tables'
+per-symbol predecessor masks, and steps only the letter chosen. An automaton is on the bit kernel when ``4 * |alphabet| *
 ceil(|Q|/8) * ceil(|Q|/64) <= #transitions`` (:func:`fits_bit_kernel`): a
 stepped or retried position then costs at most about #transitions either
 way. The :class:`Nfa` constructor makes the choice; no

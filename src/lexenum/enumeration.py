@@ -35,21 +35,21 @@ The automaton's kernel (see :mod:`lexenum.automaton`) sets the form of the
 run and of the test: a set of states per position on the list kernel, whose
 states walk their adjacency rows for a pair with a target in L(k); an int
 mask on the bit kernel, ANDed with the tables' per-symbol predecessor mask
-of L(k). :func:`build_run_stack`, the replay loop, takes the kernel's subset
-step once per letter. On the list kernel a cursor's run is trimmed: entry i
-keeps only the states that accept a word of the remaining length
-``length - i``, read off the tables' live set of that level, since the search
-can finish the word from no other state, and every list-kernel step, the
-search's included, goes through :func:`build_run_stack` one letter at a
-time. The bit kernel's run holds whole masks, which its test ANDs at a cost
-that does not depend on how many states they hold, and its search steps
-with :func:`~lexenum.automaton.mask_image` directly.
+of L(k). On the list kernel a cursor's run is trimmed: entry i keeps only
+the states that accept a word of the remaining length ``length - i``, the
+tables' live set of that level, since the search can finish the word from no
+other state. The bit kernel's run holds whole masks, which its test ANDs at
+a cost that does not depend on how many states they hold. The search takes
+its own steps, in its own loop on the list kernel and by
+:func:`~lexenum.automaton.mask_image` on the bit kernel;
+:func:`build_run_stack`, the replay loop, steps a word once per letter and
+serves the replay after a :meth:`~CrossSectionCursor.seek`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import Collection, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .automaton import Nfa, Word, delta_step, mask_image, state_mask
 from .instrument import ops as _ops
@@ -72,22 +72,16 @@ def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
     final state, or None when there is none.
 
     ``run`` must be a run of one entry in the kernel's form (see
-    :func:`build_run_stack`), ``[start]`` for a start set ``start``, as
-    every caller passes it. For ``k > 0`` the word is the successor of a
-    word below every length-k word, ``(-1, 0, ..., 0)``, found by
-    :func:`next_word` from that one entry, as a cursor's generator finds the
-    cursor's first word without a call of this function: it retries
-    position 0 alone, with every symbol above -1, and completes the rest.
-    So each letter is the least symbol on which the current set reaches the
-    live set of the letters left after it, and every letter but the last is
-    stepped and the set it reaches appended to ``run``: on success ``run``
-    gains k - 1 entries, each trimmed on the list kernel as a cursor of
-    length k trims its run; on None ``run`` is unchanged. The charge is
-    :func:`next_word`'s. At ``k = 0`` the word is the empty word when
-    ``run[0]`` holds a final state, a test charged one unit per state it
-    tests: the smaller of the two sets on the list kernel, every final
-    state on the bit kernel; a cursor of length 0 calls this for its first
-    word.
+    :func:`build_run_stack`), as every caller passes it. For ``k > 0`` the
+    word is :func:`next_word`'s successor of ``(-1, 0, ..., 0)``, a word
+    below every length-k word, from that entry, with its changes to ``run``
+    and its charge: on success ``run`` gains k - 1 entries, trimmed on the
+    list kernel as a cursor of length k trims its run. A cursor's generator
+    finds its first word so, without a call of this function. At ``k = 0``
+    the word is the empty word when ``run[0]`` holds a final state, a test
+    charged one unit per state it tests: the smaller of the two sets on the
+    list kernel, every final state on the bit kernel; a cursor of length 0
+    calls this for its first word.
     """
     if not k:
         source, final = run[0], tables.live[0]
@@ -100,38 +94,6 @@ def min_word(k: int, run: list, tables: MinWordTables) -> Optional[Word]:
         return () if source & state_mask(final) else None
     found = next_word((-1,) + (0,) * (k - 1), run, tables)
     return None if found is None else found[0]
-
-
-def _least_letter(
-    states: Collection[int], lo: int, live: frozenset, adjacency: list
-) -> Optional[int]:
-    """The least symbol ``a >= lo`` on which some state of ``states`` has a
-    transition into ``live``, or None.
-
-    The list kernel's live test. Each state walks its adjacency row from its
-    first pair, skips the pairs below ``lo`` and examines the rest in symbol
-    order up to its own first pair with a target in ``live``; the least of
-    those symbols wins. No walk stops early on another state's result, so
-    the charge depends on the set and not on the order in which it is
-    iterated: one unit per state, and 1 plus the target count per pair
-    examined. The pairs skipped are not charged; they number at most the
-    state's row length, which its transitions bound, so the walks stay
-    within O(len(states) + #transitions).
-    """
-    best = None
-    examined = len(states)
-    for q in states:
-        for a, targets in adjacency[q]:
-            if a < lo:
-                continue
-            examined += 1 + len(targets)
-            if not live.isdisjoint(targets):
-                if best is None or a < best:
-                    best = a
-                break
-    if _ops.enabled:
-        _ops.ops += examined
-    return best
 
 
 def build_run_stack(
@@ -157,8 +119,8 @@ def build_run_stack(
     successor (see :func:`next_word`), and a step from a trimmed entry
     reaches every state that a step from the full entry reaches and that
     survives the next trim, since a state with a transition into a state
-    live at level k - 1 is live at level k. Each trim is charged one unit
-    per state it tests.
+    live at level k - 1 is live at level k. Each trim is charged as the
+    search's (see :func:`_successors`).
     """
     if nfa.images is None:
         step, layout = delta_step, nfa
@@ -167,22 +129,18 @@ def build_run_stack(
     if run is None:
         run = [nfa.initial if nfa.images is None else state_mask(nfa.initial)]
         if lives is not None:
-            run[0] = _trim(run[0], lives[0])
+            if _ops.enabled:
+                _ops.ops += len(run[0])
+            run[0] = lives[0].intersection(run[0])
     source = run[-1]
     for a in word:
         source = step(layout, source, a)
         if lives is not None:
-            source = _trim(source, lives[len(run)])
+            if _ops.enabled:
+                _ops.ops += len(source)
+            source = lives[len(run)].intersection(source)
         run.append(source)
     return run
-
-
-def _trim(states: Collection[int], live: frozenset) -> frozenset:
-    """The states of ``states`` in ``live``, charged one unit per state
-    tested."""
-    if _ops.enabled:
-        _ops.ops += len(states)
-    return live.intersection(states)
 
 
 def next_word(word: Word, run: list, tables: MinWordTables) -> Optional[tuple[Word, int]]:
@@ -202,22 +160,16 @@ def next_word(word: Word, run: list, tables: MinWordTables) -> Optional[tuple[Wo
 
     Positions are retried from ``p`` down to 0. At position ``i``, with ``k =
     len(word) - i - 1`` letters after it, the successor's letter is the
-    least symbol above ``word[i]`` on which ``run[i]`` reaches L(k): on the
-    list kernel as :func:`_least_letter` tests and charges it against the
-    live set ``tables.live[k]``; on the bit kernel by ANDing ``run[i]`` with
-    ``tables.pred_masks[k][a]`` for each symbol ``a`` tried, charged
-    ``ceil(|Q|/64)`` per AND. An empty entry, which only a seek to a
-    non-member leaves, is not skipped. At the first position with such a
-    symbol, the pivot, ``run`` is cut to entries ``0 .. i``, and the word is
-    completed from there: the new letter is stepped, and the least symbol on
-    which the set it reaches meets the live set one level down is the next
-    letter, and so on to the end, by the same test from symbol 0 and with
-    the same charge. Every letter but the last is stepped and its set
-    appended to ``run``: on the list kernel by one call of
-    :func:`build_run_stack`, trimmed with ``tables.live[len(word)::-1]``,
-    and on the bit kernel by one :func:`~lexenum.automaton.mask_image`,
-    charged as those charge. So on success ``run`` holds entries ``0 ..
-    len(word) - 1`` of the successor's run.
+    least symbol above ``word[i]`` on which ``run[i]`` reaches L(k). An
+    empty entry, which only a seek to a non-member leaves, is not skipped.
+    At the first position with such a symbol, the pivot, ``run`` is cut to
+    entries ``0 .. i``, and the word is completed from there: the new letter
+    is stepped, and the least symbol on which the set it reaches meets the
+    live set one level down is the next letter, and so on to the end, by
+    the same test from symbol 0. Every letter but the last is stepped and
+    its set appended to ``run``, trimmed on the list kernel as a cursor's
+    run is. So on success ``run`` holds entries ``0 .. len(word) - 1`` of
+    the successor's run. :func:`_successors` states the charges.
 
     This is the one-shot form of the search: the first yield of
     :func:`_successors`, which a cursor resumes for every word instead. A
@@ -231,32 +183,82 @@ def _successors(word: Word, run: list, tables: MinWordTables) -> Iterator[tuple[
     """Yield :func:`next_word`'s result, then the successor of that word,
     and so on, each with its pivot, until the cross-section ends.
 
-    The search of :func:`next_word`, with the same arguments, charges and
-    changes to ``run``, resumed once per word: the kernel's locals are bound
-    once per generator, and after each yield ``run`` holds the yielded
-    word's entries ``0 .. len(word) - 1``, from which the next search starts.
-    So nothing but the generator may change ``run`` between two yields.
-    Whether operations are counted is read once per word, since
+    The search of :func:`next_word`, with the same arguments and changes to
+    ``run``, resumed once per word: the kernel's locals are bound once per
+    generator, and after each yield ``run`` holds the yielded word's entries
+    ``0 .. len(word) - 1``, from which the next search starts. So nothing but
+    the generator may change ``run`` between two yields. Whether operations
+    are counted is read once per word, since
     :func:`~lexenum.instrument.counting` may switch counting on between two.
+
+    Each kernel's loop holds its test, and the list kernel's its step and
+    trim too, so a letter costs no call but the bit kernel's
+    :func:`~lexenum.automaton.mask_image`, charged as it charges. On the bit
+    kernel each symbol tried costs one AND, ``ceil(|Q|/64)``. On the list
+    kernel a position's live test walks each state's adjacency row from its
+    first pair, skips the pairs below the least symbol allowed and examines
+    the rest in symbol order up to its own first pair with a live target;
+    the least of those symbols wins. No walk stops early on another state's
+    result, so the charge does not depend on the set's order: one unit per
+    state, and 1 plus the target count per pair examined. The pairs skipped
+    number at most the row's length, so a test stays within O(|set| +
+    #transitions). A step is charged as :func:`~lexenum.automaton.delta_step`
+    charges, and the trim of the set it reaches one unit per state tested.
     """
     nfa = tables.nfa
     length = len(word)
     i = min(len(run), length)
     if nfa.images is None:
         lives, adjacency = tables.live[length::-1], nfa.adjacency
+        sigma = nfa.symbol_count
         while True:
-            for i in range(i - 1, -1, -1):
-                a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
-                if a is not None:
+            counting = _ops.enabled
+            charge = 0
+            while i:
+                i -= 1
+                states, lo, live = run[i], word[i] + 1, lives[i + 1]
+                charge += len(states)
+                a = sigma
+                for q in states:
+                    for b, targets in adjacency[q]:
+                        if b >= lo:
+                            charge += 1 + len(targets)
+                            if not live.isdisjoint(targets):
+                                if b < a:
+                                    a = b
+                                break
+                if a < sigma:
                     break
             else:
+                if counting:
+                    _ops.ops += charge
                 return
             del run[i + 1 :]
             tail = [a]
-            for _ in range(length - i - 1):
-                build_run_stack((a,), nfa, run, lives)
-                a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+            for j in range(i + 1, length):
+                reached = set()
+                charge += len(states)
+                for q in states:
+                    for b, targets in adjacency[q]:
+                        if b >= a:
+                            if b == a:
+                                reached.update(targets)
+                                charge += len(targets)
+                            break
+                states = lives[j].intersection(reached)
+                run.append(states)
+                charge += len(reached) + len(states)
+                live, a = lives[j + 1], sigma
+                for q in states:
+                    for b, targets in adjacency[q]:
+                        charge += 1 + len(targets)
+                        if not live.isdisjoint(targets):
+                            if b < a:
+                                a = b
+                            break
                 tail.append(a)
+            if counting:
+                _ops.ops += charge
             word = word[:i] + tuple(tail)
             yield word, i
             i = length
@@ -346,11 +348,9 @@ class CrossSectionCursor:
     regardless of history. After :meth:`seek` the held run is entry 0 alone,
     and the next call first replays the sought word up to, not including,
     its last letter. On the list kernel the held run is trimmed (see
-    :func:`build_run_stack`): entry i keeps the states live at level
-    ``length - i``, the initial set included, so the searches and the steps
-    skip the states that cannot finish the word. The cursor takes the live
-    sets that trim its replay from the tables once, when it is set up, and
-    its generator takes those that trim its steps once, when it is made.
+    :func:`build_run_stack`), entry 0 included; the cursor slices the live
+    sets that trim it once for its replays, and its generator once for its
+    steps.
 
     ``pivot`` is the first position at which the word the last :meth:`next`
     returned differs from :attr:`current` before that call; after a

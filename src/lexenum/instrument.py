@@ -10,15 +10,14 @@ layout's :func:`~lexenum.automaton.build_nfa` and
 :class:`~lexenum.tables.MinWordTables` and
 :meth:`~lexenum.tables.MinWordTables.add_level`; the kernels' subset steps,
 :func:`~lexenum.automaton.delta_step` and
-:func:`~lexenum.automaton.mask_image`, which every stepped letter goes
-through, and :func:`~lexenum.enumeration.build_run_stack`, one unit per
-state tested when it trims a list-kernel cursor's run; the letter choices
-of the successor search, the list kernel's walks in
-:func:`~lexenum.enumeration._least_letter` and one AND per symbol tried on
-the bit kernel, plus :func:`~lexenum.enumeration.min_word`'s test for the
-empty word; and :func:`~lexenum.enumeration.radix_cursors` for a radix run's
-liveness checks, the reachable-state pass and ``min(|reachable|, |live|)``
-per length.
+:func:`~lexenum.automaton.mask_image`; the successor search
+:func:`~lexenum.enumeration._successors`, whose letter choices, steps and
+trims, the list kernel's inline, charge as it states; the replay loop
+:func:`~lexenum.enumeration.build_run_stack`, which trims as the search
+does; :func:`~lexenum.enumeration.min_word`'s test for the empty word; and
+:func:`~lexenum.enumeration.radix_cursors` for a radix run's liveness
+checks, the reachable-state pass and ``min(|reachable|, |live|)`` per
+length.
 
 The successor search runs inside a generator that a cursor makes on its
 first call, or its first after a seek, and resumes once per later call; its
@@ -28,15 +27,17 @@ search. :func:`~lexenum.enumeration.next_word` runs the same search once
 per call, for its other callers, among them
 :func:`~lexenum.enumeration.min_word`, and charges the same. A span
 wrapped around ``next_word`` or ``min_word`` therefore sees no cursor's
-search, and one around :meth:`~lexenum.automaton.Nfa.format_word` sees no
-line of the CLI that changes only the last letter, which it spells
-without that call.
+search, one around ``build_run_stack`` or ``delta_step`` only a replay
+after a seek, and one around :meth:`~lexenum.automaton.Nfa.format_word` no
+line of the CLI that changes only the last letter, which it spells without
+that call.
 
 The core modules funnel every increment through the single ``ops`` object
 below, and :func:`counting` turns it on for a block. Blocks nest: what an
 inner block counts also reaches the enclosing count. When counting is off
 (the default) they pay only tests of ``ops.enabled``, or of a local copy
-of it that the bit search takes once per word, and their observable behaviour is identical either way.
+of it that the search takes once per word, and their observable behaviour
+is identical either way.
 """
 
 from __future__ import annotations

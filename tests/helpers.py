@@ -8,7 +8,7 @@ from typing import Optional
 
 from lexenum import EXHAUSTED, Nfa, ParseError, build_nfa, random_automaton
 from lexenum.automaton import AutomatonError, chunk_images, delta_step, mask_image, state_mask
-from lexenum.enumeration import _least_letter, build_run_stack, min_word
+from lexenum.enumeration import build_run_stack, min_word
 from lexenum.instrument import ops as _ops
 
 
@@ -322,11 +322,40 @@ def reference_parse_automaton(text: str) -> Nfa:
         raise ParseError(str(exc), at) from None
 
 
+def least_letter(states, lo: int, live: frozenset, adjacency: list) -> Optional[int]:
+    """The least symbol ``a >= lo`` on which some state of ``states`` has a
+    transition into ``live``, or None: the reference's live test.
+
+    Each state walks its adjacency row from its first pair, skips the pairs
+    below ``lo`` and examines the rest in symbol order up to its own first
+    pair with a target in ``live``. No walk stops early on another state's
+    result, so the charge depends on the set and not on its order: one unit
+    per state, and 1 plus the target count per pair examined."""
+    best = None
+    examined = len(states)
+    for q in states:
+        for a, into in adjacency[q]:
+            if a < lo:
+                continue
+            examined += 1 + len(into)
+            if not live.isdisjoint(into):
+                if best is None or a < best:
+                    best = a
+                break
+    if _ops.enabled:
+        _ops.ops += examined
+    return best
+
+
 def reference_next_word(word, run, tables):
     """Reference for the successor search, written as one plain function
     that binds the kernel's locals, and on the list kernel slices the live
     sets, at every call: the same arguments, result, changes to ``run`` and
-    charges as :func:`lexenum.enumeration.next_word`."""
+    charges as :func:`lexenum.enumeration.next_word`. On the list kernel it
+    shares no code with the search: its live test is :func:`least_letter`,
+    and each completion step reads the targets off the adjacency rows with
+    :func:`targets`, charged as :func:`delta_step` charges, then trims the
+    set it reaches, charged one unit per state tested."""
     nfa = tables.nfa
     length = len(word)
     held = len(run)
@@ -334,7 +363,7 @@ def reference_next_word(word, run, tables):
         lives = tables.live[length::-1]
         adjacency = nfa.adjacency
         for i in range(held - 1 if held < length else length - 1, -1, -1):
-            a = _least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
+            a = least_letter(run[i], word[i] + 1, lives[i + 1], adjacency)
             if a is not None:
                 break
         else:
@@ -364,8 +393,13 @@ def reference_next_word(word, run, tables):
     tail = [a]
     if nfa.images is None:
         for _ in range(length - i - 1):
-            build_run_stack((a,), nfa, run, lives)
-            a = _least_letter(run[-1], 0, lives[len(run)], adjacency)
+            source = run[-1]
+            visited = [t for q in source for t in targets(nfa, q, a)]
+            reached = set(visited)
+            if _ops.enabled:
+                _ops.ops += len(source) + len(visited) + len(reached)
+            run.append(lives[len(run)] & reached)
+            a = least_letter(run[-1], 0, lives[len(run)], adjacency)
             tail.append(a)
     else:
         for k in range(length - i - 2, -1, -1):

@@ -1278,35 +1278,6 @@ def test_list_search_charge_does_not_depend_on_set_order():
     assert pivots >= 20, pivots
 
 
-def test_least_letter_on_wide_rows_matches_a_reference():
-    """On list-kernel automata whose rows hold 15 to 50 pairs, for every lo
-    in 0..|Sigma|, the list kernel's live test returns the least symbol >= lo
-    on which a state of the set has a target in the live set, or None. It
-    charges |set| plus 1 + |targets| for each pair walked: each state's
-    pairs from its first at or above lo to its first with a live target, or
-    to the end of its row."""
-    rng = random.Random(61)
-    for _ in range(3):
-        nfa = wide_row_automaton(rng)
-        assert nfa.kernel == "list"
-        n = nfa.state_count
-        lives = [frozenset(), *precompute(nfa, 2).live]
-        lives += [frozenset(rng.sample(range(n), k)) for k in (1, 3, 10)]
-        for _ in range(4):
-            states = set(rng.sample(range(n), rng.randint(0, 8)))
-            for live in lives:
-                for lo in range(nfa.symbol_count + 1):
-                    hits = [a for q in states for a, into in nfa.adjacency[q] if a >= lo and live & set(into)]
-                    charge = len(states)
-                    for q in states:
-                        walked = [into for a, into in nfa.adjacency[q] if a >= lo]
-                        last = next((i for i, into in enumerate(walked) if live & set(into)), len(walked) - 1)
-                        charge += sum(1 + len(into) for into in walked[: last + 1])
-                    with counting() as ops:
-                        assert enumeration._least_letter(states, lo, live, nfa.adjacency) == min(hits, default=None)
-                        assert ops.ops == charge
-
-
 _TWO_LOOPS = build_nfa("a", 2, [0, 1], [0, 1], [(0, "a", 0), (1, "a", 1)])
 
 
@@ -1356,44 +1327,56 @@ def _counted_steps(monkeypatch):
     return images, replayed
 
 
+def _search_steps(run, pivot, held):
+    """The list kernel's search steps that left ``run`` as it is, which it
+    takes in its own loop, with no call: ``run[:pivot + 1]`` must be the
+    very objects of ``held``, the run the search started from, and each
+    step appends one new set after them, so the steps are the entries there
+    that ``held`` does not hold."""
+    assert len(held) > pivot and all(a is b for a, b in zip(run[: pivot + 1], held))
+    kept = set(map(id, held))
+    return sum(id(entry) not in kept for entry in run[pivot + 1 :])
+
+
 def test_only_the_first_word_goes_through_min_word(monkeypatch):
     """A cursor's first word is the least word min_word computes from the
     initial set, by the same steps: the search from the one-entry run, whose
-    completion takes l - 1 images on the bit kernel and l - 1 one-letter
-    build_run_stack calls on the list kernel, and no replay. Every later
-    call searches from the held run of the word before: it steps only the
-    letters after its pivot but the last, l - 1 - pivot images or one-letter
-    build_run_stack calls, those that pivot before the last position
-    included, and after a seek one build_run_stack call first replays the
-    sought word's l - 1 letters, never the search from the initial set."""
+    completion takes l - 1 steps, images on the bit kernel and new run
+    entries on the list kernel, and no replay. Every later call searches
+    from the held run of the word before: it keeps the run up to its pivot
+    and steps only the letters after it but the last, l - 1 - pivot of them,
+    those that pivot before the last position included, and after a seek
+    one build_run_stack call first replays the sought word's l - 1 letters,
+    never the search from the initial set."""
     images, replayed = _counted_steps(monkeypatch)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert (bit.kernel, lists.kernel) == ("bit", "list")
     for nfa in (bit, lists):
 
-        def stepped(call, *args):
-            """What ``call(*args)`` returns, with the kernel steps it took:
-            images on the bit kernel, one-letter build_run_stack calls on the
-            list kernel, whose steps all go through it."""
+        def stepped(call, run, pivot=lambda: 0):
+            """What ``call()`` returns, with the kernel steps it took from
+            the run ``run``, replaying none: images on the bit kernel, and
+            on the list kernel the new entries it left in ``run`` after the
+            pivot ``pivot()``, the run then holding 6 entries."""
             replayed.clear()
-            before = images["search"]
-            result = call(*args)
+            before, held = images["search"], list(run)
+            result = call()
+            assert not replayed
             if nfa is bit:
-                assert not replayed
                 return result, images["search"] - before
-            assert set(replayed) <= {1}
-            return result, len(replayed)
+            assert len(run) == 6
+            return result, _search_steps(run, pivot(), held)
 
         tables = precompute(nfa, 6)
         run = build_run_stack((), nfa, None, tables.live[6::-1] if nfa is lists else None)
-        least, taken = stepped(min_word, 6, run, tables)
+        least, taken = stepped(lambda: min_word(6, run, tables), run)
         assert taken == 5
         cursor = CrossSectionCursor(nfa, 6, tables)
-        assert stepped(cursor.next) == (least, taken) and cursor._run == run
+        assert stepped(cursor.next, cursor._run) == (least, taken) and cursor._run == run
         words, completed = [least], 0
         while True:
-            word, taken = stepped(cursor.next)
+            word, taken = stepped(cursor.next, cursor._run, lambda: cursor.pivot)
             if word is EXHAUSTED:
                 break
             assert taken == 5 - cursor.pivot
@@ -1402,8 +1385,8 @@ def test_only_the_first_word_goes_through_min_word(monkeypatch):
         assert completed
         cursor.seek(words[0])
         replayed.clear()
-        assert cursor.next() == words[1] and replayed[0] == 5
-        assert replayed[1:] == ([1] * (5 - cursor.pivot) if nfa is lists else [])
+        assert cursor.next() == words[1] and replayed == [5]
+        assert len(cursor._run) == 6
         assert list(cursor) == words[2:]
 
 
@@ -1413,9 +1396,13 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
     a successor steps its letters after the pivot but the last, l - 1 -
     pivot of them; and after a seek the next call first replays the sought
     word's first l - 1 letters. So the held run never exceeds l entries, and
-    at l = 1 no call steps a letter."""
-    steps = []
+    at l = 1 no call steps a letter. Steps are counted as delta_step and
+    mask_image calls, but for the list kernel's search, which steps in its
+    own loop: its steps are the new entries it leaves in the held run after
+    the pivot, past the replay's entries after a seek."""
+    steps, replays = [], []
     list_step, bit_step = enumeration.delta_step, enumeration.mask_image
+    build = enumeration.build_run_stack
 
     def counted_list(nfa, source, symbol):
         steps.append(symbol)
@@ -1425,8 +1412,14 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
         steps.append(symbol)
         return bit_step(images, mask, symbol)
 
+    def counted_build(word, nfa, run=None, lives=None):
+        run = build(word, nfa, run, lives)
+        replays.append(list(run))
+        return run
+
     monkeypatch.setattr(enumeration, "delta_step", counted_list)
     monkeypatch.setattr(enumeration, "mask_image", counted_bit)
+    monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
     bit = random_automaton(random.Random(7), 20, 4, 200, 5, 5)
     lists = random_automaton(random.Random(7), 100, 3, 250, 10, 10)
     assert (bit.kernel, lists.kernel) == ("bit", "list")
@@ -1439,29 +1432,36 @@ def test_the_last_letter_is_never_replayed(monkeypatch):
             start = words[len(words) // 4] if words else (0,) * length
             cursor = CrossSectionCursor(nfa, length)
             steps.clear()
-            got, expected = [], 0
+            got, expected, searched = [], 0, 0
             while True:
                 if len(got) == seek_at:
                     cursor.seek(start)
                     expected += max(length - 1, 0)
+                held = list(cursor._run)
+                replays.clear()
                 word = cursor.next()
                 assert len(cursor._run) <= max(length, 1)
+                if nfa is lists:
+                    searched += _search_steps(cursor._run, cursor.pivot, replays[-1] if replays else held)
                 if word is EXHAUSTED:
                     break
                 expected += max(length - 1 - cursor.pivot, 0)
                 got.append(word)
             assert got == words[:seek_at] + [w for w in words if w > start]
-            assert len(steps) == expected
+            assert len(steps) + searched == expected
             if length <= 1:
-                assert not steps
+                assert not steps and not searched
 
 
 def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
-    """The list kernel steps every letter, replayed after a seek or new
-    after a pivot, through build_run_stack, which looks its step up as
-    enumeration.delta_step at every call, so a wrapper installed on that
-    module attribute, as a tracer installs one, sees exactly one call per
-    letter build_run_stack is given, before and after a seek."""
+    """The list kernel replays a sought word through build_run_stack, which
+    looks its step up as enumeration.delta_step at every call, so a wrapper
+    installed on that module attribute, as a tracer installs one, sees
+    exactly one call per letter build_run_stack is given, before and after
+    a seek. The search steps the letters after each pivot in its own loop:
+    before the seek the wrapper sees no call, though the search steps
+    letters, counted as the new entries it leaves in the held run; after
+    it, one call per replayed letter, and there are some."""
     steps, replayed = [], []
     step, build = enumeration.delta_step, enumeration.build_run_stack
 
@@ -1480,13 +1480,16 @@ def test_a_wrapper_on_delta_step_sees_every_replayed_position(monkeypatch):
     monkeypatch.setattr(enumeration, "delta_step", counted_step)
     monkeypatch.setattr(enumeration, "build_run_stack", counted_build)
     cursor = CrossSectionCursor(nfa, 6)
-    got = list(itertools.islice(cursor, len(words) // 2))
-    before = len(steps)
-    assert before and before == sum(replayed)
+    got, searched = [], 0
+    for _ in range(len(words) // 2):
+        held = list(cursor._run)
+        got.append(cursor.next())
+        searched += _search_steps(cursor._run, cursor.pivot, held)
+    assert searched and len(steps) == sum(replayed) == 0
     cursor.seek(start)
     got += cursor
     assert got == words[: len(words) // 2] + [w for w in words if w > start]
-    assert len(steps) > before and len(steps) == sum(replayed)
+    assert len(steps) == sum(replayed) > 0
 
 
 def test_the_bit_search_takes_no_image(monkeypatch):
@@ -1596,6 +1599,22 @@ def test_the_resumed_search_matches_the_per_call_search_on_a_hill_climb_instance
         for length, calls in ((9, 120), (16, 700)):
             _follow_the_reference(on_kernel(nfa, kernel), length, rng, calls, seeks)
     assert min(seeks.values()) > 0, seeks
+
+
+def test_the_list_search_on_wide_rows_matches_the_reference():
+    """On list-kernel automata whose rows hold 15 to 50 pairs, whose live
+    tests skip and walk many pairs, a cursor and a ReferenceCursor, whose
+    live test helpers.least_letter shares no code with the search, agree
+    after every call on the word, the pivot, the held run and the charge,
+    across seeks, at lengths 1, 2 and 4."""
+    rng = random.Random(61)
+    seeks = {"member": 0, "non-member": 0, "exhausted": 0}
+    for _ in range(3):
+        nfa = wide_row_automaton(rng)
+        assert nfa.kernel == "list"
+        for length in (1, 2, 4):
+            _follow_the_reference(nfa, length, rng, 60, seeks)
+    assert seeks["member"] and seeks["non-member"], seeks
 
 
 def test_a_cursor_moved_between_threads_yields_the_sequential_words():

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,3 +73,37 @@ def test_importing_the_package_and_cli_loads_no_referee():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, loaded under its plain name, as perfbench/run.py
+    imports it: spans.py imports workloads by that name, and the workloads'
+    dataclasses look their module up in sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_traces_one_iteration_on_each_kernel(monkeypatch):
+    """perfbench/spans.py wraps every lexenum name it reads by getattr, so a
+    src/ change that renames one fails here, not only in perfbench's traced
+    run. Traced, one dict-radix iteration, on the list kernel, and one
+    tiny-stream iteration, on the bit kernel, check every word and keep
+    every gap within DELAY_C * l * |delta| operations; on dict-radix, which
+    never seeks, the positions build_run_stack replays equal the
+    delta_step calls."""
+    workloads = _perfbench_module("workloads", monkeypatch)
+    spans = _perfbench_module("spans", monkeypatch)
+    for name in ("dict-radix", "tiny-stream"):
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            iteration = workloads.WORKLOADS[name](1).run_once()
+        assert iteration.checked and not iteration.failed, name
+        assert tracer.facts["over_delay_bound"] == 0, name
+        metrics = spans.layer_metrics(tracer, lambda a, b: b - a)
+        assert metrics["enumeration.next_calls"] > 0, name
+        if name == "dict-radix":
+            assert metrics["automaton.delta_step_calls"] == metrics["enumeration.replay_positions"]
